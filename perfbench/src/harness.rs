@@ -5,7 +5,6 @@
 use fp_obs::SpanRecord;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Parsed command line.
@@ -80,6 +79,27 @@ pub fn derive(seed: u64, purpose: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// FNV-1a over 64-bit words: equal answers hash equal.
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    pub fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A per-process scratch directory under the working directory
@@ -275,61 +295,6 @@ fn status_field(path: impl AsRef<Path>, key: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Nanoseconds on the calling thread's CPU clock
-/// (`CLOCK_THREAD_CPUTIME_ID`).
-///
-/// On a shared virtual machine the host takes the vCPU away for a few
-/// to tens of percent of any second (steal), and the share drifts from
-/// minute to minute, so wall times of identical single-threaded work
-/// differ by a fifth between runs. The thread's CPU clock runs only
-/// while the thread runs. It equals wall time minus steal for work that
-/// runs on the calling thread and never blocks, and must not time
-/// anything that waits on another thread or on I/O. Where the clock is
-/// unavailable it falls back to the wall clock.
-pub fn thread_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    cpu_clock::thread_ns()
-        .unwrap_or_else(|| EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64)
-}
-
-/// Milliseconds on the thread's CPU clock since `start` (a [`thread_ns`]).
-pub fn thread_ms_since(start: u64) -> f64 {
-    (thread_ns() - start) as f64 / 1e6
-}
-
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-mod cpu_clock {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-
-    extern "C" {
-        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
-    }
-
-    pub fn thread_ns() -> Option<u64> {
-        let mut ts = Timespec {
-            tv_sec: 0,
-            tv_nsec: 0,
-        };
-        // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit
-        // fields on 64-bit Linux), and clock_gettime writes only into it.
-        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-        (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-mod cpu_clock {
-    pub fn thread_ns() -> Option<u64> {
-        None
-    }
-}
-
 // ---------------------------------------------------------------------
 // Program counters
 // ---------------------------------------------------------------------
@@ -445,47 +410,25 @@ impl Tracing {
         Ok(records)
     }
 
-    /// Time `f` as one traced (or untraced) window whose work spans
-    /// threads: its elapsed time is wall time.
+    /// Time `f` on the wall clock as one traced (or untraced) window.
     pub fn window<T>(
         &mut self,
         traced: bool,
         f: impl FnOnce() -> T,
     ) -> Result<(T, Window), String> {
-        self.timed(traced, false, f)
-    }
-
-    /// Time `f` as one window whose work runs on the calling thread
-    /// without blocking: its elapsed time is thread CPU time ([`thread_ns`]).
-    pub fn thread_window<T>(
-        &mut self,
-        traced: bool,
-        f: impl FnOnce() -> T,
-    ) -> Result<(T, Window), String> {
-        self.timed(traced, true, f)
-    }
-
-    fn timed<T>(
-        &mut self,
-        traced: bool,
-        on_thread: bool,
-        f: impl FnOnce() -> T,
-    ) -> Result<(T, Window), String> {
         self.begin(traced);
         let counters = Counters::take();
         let (cpu0, ctx0, steal0) = (cpu_s(), ctx_invol(), steal_s());
-        let thread0 = thread_ns();
         let t0 = Instant::now();
         let out = f();
-        let wall_s = t0.elapsed().as_secs_f64();
-        let thread_s = (thread_ns() - thread0) as f64 / 1e9;
+        let elapsed_s = t0.elapsed().as_secs_f64();
         let (cpu1, ctx1, steal1) = (cpu_s(), ctx_invol(), steal_s());
         let counters = counters.delta(&Counters::take());
         let spans = self.end(traced)?;
         Ok((
             out,
             Window {
-                elapsed_s: if on_thread { thread_s } else { wall_s },
+                elapsed_s,
                 cpu_s: cpu1 - cpu0,
                 steal_s: steal1 - steal0,
                 ctx_invol: ctx1.saturating_sub(ctx0),
@@ -503,7 +446,7 @@ impl Tracing {
 
 /// What one measured window saw.
 pub struct Window {
-    /// Wall time, or thread CPU time ([`thread_ns`]) for a window on one thread.
+    /// Wall time.
     pub elapsed_s: f64,
     pub cpu_s: f64,
     /// Seconds the host stole from the vCPUs during the window.
@@ -657,6 +600,9 @@ pub struct Report {
     pub ledger: Ledger,
     /// Bytes the program's own `MemBudget` ledger peaked at.
     pub ledger_peak_bytes: u64,
+    /// `VmHWM` when the measured phases ended, before any check builds
+    /// its reference data.
+    pub peak_rss_mb: f64,
     pub tracing: Tracing,
     /// The last phase's counter deltas (every phase's agree).
     pub counters: Counters,
@@ -679,6 +625,7 @@ impl Report {
             self.absorb(p);
             i += 1;
         }
+        self.peak_rss_mb = peak_rss_mb();
         Ok(())
     }
 
@@ -711,7 +658,7 @@ impl Report {
 
     /// Fill the `proc.*` and `trace.*` rows of the ledger.
     fn finish_ledger(&mut self) {
-        let peak = peak_rss_mb();
+        let peak = self.peak_rss_mb;
         let ledger_mb = self.ledger_peak_bytes as f64 / (1024.0 * 1024.0);
         let l = &mut self.ledger;
         self.counters.engine_ledger(l);
@@ -792,7 +739,7 @@ impl Report {
                 median(&self.run_s),
                 percentile(&self.op_ms, 50.0),
                 median(&self.phase_p99_ms),
-                peak_rss_mb(),
+                self.peak_rss_mb,
             ];
             END_TO_END
                 .iter()

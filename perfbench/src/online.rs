@@ -10,7 +10,7 @@
 //! drifts the graph far from where it started, so how much repair work
 //! it triggers depends on its one seed; bursts spread that over twenty.
 
-use crate::harness::{derive, ms, seeds, Args, Phase, Report, Scratch, Tracing};
+use crate::harness::{derive, ms, seeds, Args, Phase, Report, Scratch};
 use crate::sweeps::{citation_edge_list, load_edge_file};
 use fp_core::num::Wide128;
 use fp_core::online::{greedy_rebuild, mutation_stream, OnlineConfig, OnlinePlacement};
@@ -22,9 +22,9 @@ const K: usize = 8;
 const DRIFT: f64 = 0.002;
 const BURSTS: usize = 20;
 const BURST_EVENTS: usize = 1_000;
-/// Set-ups per phase: one is only tens of milliseconds, so the median
-/// needs many, spread over the run.
-const SETUPS_PER_PHASE: usize = 4;
+/// Set-ups per phase, timed in one window: one lasts about ten
+/// milliseconds.
+const SETUPS_PER_PHASE: usize = 8;
 
 pub fn online_churn(args: &Args, scratch: &Scratch) -> Result<Report, String> {
     let (text, source_label) = citation_edge_list();
@@ -42,20 +42,21 @@ pub fn online_churn(args: &Args, scratch: &Scratch) -> Result<Report, String> {
     let mut report = Report::default();
     // Set-up: read, parse and freeze the graph, then place the first k
     // filters (the placement's cold greedy solve).
-    let setup = |tracing: &mut Tracing, traced: bool| -> Result<f64, String> {
-        let (built, window) = tracing.thread_window(traced, || {
-            let (cg, _) = load_edge_file(&path, &source_label)?;
-            let _span = fp_obs::span("online.init");
-            Ok::<_, String>(OnlinePlacement::new(cg, cfg))
-        })?;
-        built?;
-        Ok(window.elapsed_s)
+    let setup = || -> Result<OnlinePlacement, String> {
+        let (cg, _) = load_edge_file(&path, &source_label)?;
+        let _span = fp_obs::span("online.init");
+        Ok(OnlinePlacement::new(cg, cfg))
     };
 
     report.measure(args, |_, traced, tracing| {
-        let setup_s = (0..SETUPS_PER_PHASE)
-            .map(|_| setup(tracing, traced))
-            .collect::<Result<Vec<_>, _>>()?;
+        let (built, setups) = tracing.window(traced, || {
+            for _ in 0..SETUPS_PER_PHASE {
+                setup()?;
+            }
+            Ok::<_, String>(())
+        })?;
+        built?;
+        let setup_s = vec![setups.elapsed_s / SETUPS_PER_PHASE as f64];
         // Every burst starts on a fresh placement over the original
         // graph; they are built before the timed window.
         let mut placements: Vec<OnlinePlacement> = (0..BURSTS)
@@ -63,7 +64,7 @@ pub fn online_churn(args: &Args, scratch: &Scratch) -> Result<Report, String> {
             .collect();
         let mut ops_ms = Vec::with_capacity(BURSTS * BURST_EVENTS);
         let mut failed = 0u64;
-        let (_, window) = tracing.thread_window(traced, || {
+        let (_, window) = tracing.window(traced, || {
             for (live, burst) in placements.iter_mut().zip(&streams) {
                 for &m in burst {
                     let t = Instant::now();

@@ -10,10 +10,11 @@
 //! full-curve answers outnumber every other kind, so the median request
 //! is one of them rather than a sub-millisecond cache hit.
 
-use crate::harness::{derive, median, ms, seeds, Args, Phase, Report, Tracing};
+use crate::harness::{derive, median, ms, seeds, Args, Fnv, Phase, Report, Tracing};
 use crate::sweeps::citation_edge_list;
 use fp_core::algorithms::SolverKind;
-use fp_core::graph::{from_edge_list, NodeId};
+use fp_core::graph::{from_edge_list, DiGraph, NodeId};
+use fp_core::propagation::CGraph;
 use fp_core::registry::GraphRegistry;
 use fp_core::results::protocol::{read_frame, write_frame, Frame, ServeCall, ServeRequest};
 use fp_core::results::Json;
@@ -355,21 +356,105 @@ fn run_client(
 /// `(k, placement, FR bits)` rows for k = 0..=KMAX.
 type Ladder = Vec<(usize, Vec<usize>, u64)>;
 
-/// Batch answers every served reply must equal bit for bit, keyed by
-/// (solver, seed for randomized solvers, inserted edge).
-struct References<'a> {
-    base: &'a Problem,
+/// Hash of `(k, placement, FR bits)` rows.
+fn rows_hash<'a>(rows: impl IntoIterator<Item = (usize, &'a [usize], u64)>) -> u64 {
+    let mut h = Fnv::default();
+    for (k, placement, bits) in rows {
+        h.eat(k as u64);
+        h.eat(bits);
+        h.eat(placement.len() as u64);
+        for &v in placement {
+            h.eat(v as u64);
+        }
+    }
+    h.finish()
+}
+
+/// A reply reduced to what checking compares: a query's rows hashed
+/// with [`rows_hash`]; for the other kinds, 1 when the reply has the
+/// expected shape and 0 when it does not.
+fn reply_digest(kind: Kind, body: &Json) -> u64 {
+    match kind {
+        Kind::Open => u64::from(body.get("session").and_then(Json::as_str).is_some()),
+        Kind::Mutate(_) => {
+            u64::from(body.get("applied").and_then(Json::as_str) == Some("insert_edge"))
+        }
+        Kind::Close => 1,
+        Kind::Cold | Kind::Warm | Kind::Single(_) | Kind::Requery => {
+            let rows: Option<Vec<(usize, Vec<usize>, u64)>> = body
+                .get("results")
+                .and_then(Json::as_array)
+                .and_then(|rows| {
+                    rows.iter()
+                        .map(|row| {
+                            let k = row.get("k").and_then(Json::as_usize)?;
+                            let fr = row.get("fr").and_then(Json::as_f64)?;
+                            let placement = row
+                                .get("placement")
+                                .and_then(Json::as_array)?
+                                .iter()
+                                .map(Json::as_usize)
+                                .collect::<Option<Vec<usize>>>()?;
+                            Some((k, placement, fr.to_bits()))
+                        })
+                        .collect()
+                });
+            rows.map_or(0, |rows| {
+                rows_hash(rows.iter().map(|(k, p, b)| (*k, p.as_slice(), *b)))
+            })
+        }
+    }
+}
+
+/// One request of the script as sent, with the inserted edge its
+/// session's graph carries by then (if any); the same in every phase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Step {
+    client: Transport,
+    kind: Kind,
+    solver: SolverKind,
+    seed: u64,
+    mutation: Option<usize>,
+}
+
+/// Batch answers, keyed by (solver, seed for randomized solvers,
+/// inserted edge): `Problem::solve_ladder` on the session's graph with
+/// its mutation replayed locally.
+struct References {
+    base: Problem,
     mutated: Vec<Problem>,
     ladders: BTreeMap<(&'static str, u64, Option<usize>), Ladder>,
 }
 
-impl References<'_> {
+impl References {
+    /// Built only after the measured phases, so none of it counts
+    /// toward the run's peak RSS.
+    fn build(text: &str, source_label: &str, edges: &[(NodeId, NodeId)]) -> Result<Self, String> {
+        let (g, source) = parse_graph(text, source_label)?.0;
+        let base = Problem::new(&g, source).map_err(|e| e.to_string())?;
+        // The problem after each insertion, built the way a session
+        // rebuilds its private copy.
+        let mutated = edges
+            .iter()
+            .map(|&(u, v)| {
+                let mut next = base.cgraph().clone();
+                next.insert_edge(u, v).map_err(|e| e.to_string())?;
+                Ok(Problem::from_cgraph(next))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(Self {
+            base,
+            mutated,
+            ladders: BTreeMap::new(),
+        })
+    }
+
     fn ladder(&mut self, solver: SolverKind, seed: u64, mutation: Option<usize>) -> &Ladder {
         // Deterministic solvers ignore the seed: one ladder serves all.
         let seed = if solver.is_randomized() { seed } else { 0 };
         let problem = match mutation {
             Some(m) => &self.mutated[m],
-            None => self.base,
+            None => &self.base,
         };
         self.ladders
             .entry((solver.label(), seed, mutation))
@@ -388,96 +473,59 @@ impl References<'_> {
                     .collect()
             })
     }
-}
 
-/// Whether a query reply's rows equal the reference rows for `ks`.
-fn rows_match(body: &Json, ks: &[usize], ladder: &Ladder) -> bool {
-    let Some(rows) = body.get("results").and_then(Json::as_array) else {
-        return false;
-    };
-    rows.len() == ks.len()
-        && rows.iter().zip(ks).all(|(row, &k)| {
-            let (rk, placement, bits) = &ladder[k];
-            let served: Option<Vec<usize>> = row
-                .get("placement")
-                .and_then(Json::as_array)
-                .and_then(|a| a.iter().map(Json::as_usize).collect());
-            row.get("k").and_then(Json::as_usize) == Some(*rk)
-                && row.get("fr").and_then(Json::as_f64).map(f64::to_bits) == Some(*bits)
-                && served.as_ref() == Some(placement)
-        })
-}
-
-/// Verify one sample against the batch answer on the session's graph
-/// (`mutation` is the edge the script has inserted so far, if any);
-/// `None` if it is right, else why not.
-fn verify(s: &Sample, mutation: Option<usize>, refs: &mut References) -> Option<String> {
-    let e = &s.exchange;
-    let curve: Vec<usize> = (0..=KMAX).collect();
-    let ok = (200..300).contains(&e.status)
-        && match s.kind {
-            Kind::Open => e.body.get("session").and_then(Json::as_str).is_some(),
-            Kind::Cold | Kind::Warm | Kind::Requery => {
-                let ladder = refs.ladder(s.solver, s.seed, mutation);
-                rows_match(&e.body, &curve, ladder)
-            }
-            Kind::Single(k) => {
-                let ladder = refs.ladder(s.solver, s.seed, mutation);
-                rows_match(&e.body, &[k], ladder)
-            }
-            Kind::Mutate(_) => e.body.get("applied").and_then(Json::as_str) == Some("insert_edge"),
-            Kind::Close => true,
+    /// The digest a correct reply to `step` has.
+    fn expected(&mut self, step: &Step) -> u64 {
+        let ks: Vec<usize> = match step.kind {
+            Kind::Cold | Kind::Warm | Kind::Requery => (0..=KMAX).collect(),
+            Kind::Single(k) => vec![k],
+            Kind::Open | Kind::Mutate(_) | Kind::Close => return 1,
         };
-    (!ok).then(|| {
-        format!(
-            "{:?} {:?} ({}, seed {}) answered {}: {}",
-            s.client,
-            s.kind,
-            s.solver.label(),
-            s.seed,
-            e.status,
-            e.body.to_compact()
-        )
-    })
+        let ladder = self.ladder(step.solver, step.seed, step.mutation);
+        rows_hash(ks.iter().map(|&k| {
+            let (rk, placement, bits) = &ladder[k];
+            (*rk, placement.as_slice(), *bits)
+        }))
+    }
+}
+
+/// The edge list parsed exactly as the registry parses uploads, with
+/// its source node and node labels.
+fn parse_graph(text: &str, source_label: &str) -> Result<((DiGraph, NodeId), Vec<String>), String> {
+    let (g, labels) = from_edge_list(text).map_err(|e| e.to_string())?;
+    let source = labels
+        .iter()
+        .position(|l| l == source_label)
+        .map(NodeId::new)
+        .ok_or("the generator's source is not in its edge list")?;
+    Ok(((g, source), labels))
 }
 
 pub fn serve_churn(args: &Args) -> Result<Report, String> {
     let (text, source_label) = citation_edge_list();
     let script_seed = derive(args.seed, seeds::SCRIPT);
 
-    // The reference graph: parsed exactly as the registry parses uploads.
-    let (g, labels) = from_edge_list(&text).map_err(|e| e.to_string())?;
-    let source = labels
-        .iter()
-        .position(|l| *l == source_label)
-        .map(NodeId::new)
-        .ok_or("the generator's source is not in its edge list")?;
-    let base = Problem::new(&g, source).map_err(|e| e.to_string())?;
-    let edges_pool = forward_edges(&base, derive(args.seed, seeds::STREAM));
-    // The reference problem after each insertion, built the way a
-    // session rebuilds its private copy.
-    let mutated = edges_pool
-        .iter()
-        .map(|&(u, v)| {
-            let mut next = base.cgraph().clone();
-            next.insert_edge(u, v).map_err(|e| e.to_string())?;
-            Ok(Problem::from_cgraph(next))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let mutation_labels: Vec<(String, String)> = edges_pool
-        .iter()
-        .map(|&(u, v)| (labels[u.index()].clone(), labels[v.index()].clone()))
-        .collect();
-    let mut refs = References {
-        base: &base,
-        mutated,
-        ladders: BTreeMap::new(),
+    // Only the edges the scripts insert are kept from the graph here;
+    // the reference answers are built after the measured phases.
+    let (edges_pool, mutation_labels) = {
+        let ((g, source), labels) = parse_graph(&text, &source_label)?;
+        let cg = CGraph::new(&g, source).map_err(|e| e.to_string())?;
+        let pool = forward_edges(&cg, derive(args.seed, seeds::STREAM));
+        let names: Vec<(String, String)> = pool
+            .iter()
+            .map(|&(u, v)| (labels[u.index()].clone(), labels[v.index()].clone()))
+            .collect();
+        (pool, names)
     };
 
     let mut report = Report::default();
     let mut server: Option<ServerHandle> = None;
     let mut overhead = Vec::new();
     let mut reply_bytes = Vec::new();
+    // The script's steps (phase 0 sets them, every phase repeats them)
+    // and each phase's (status, reply digest) per step.
+    let mut steps: Vec<Step> = Vec::new();
+    let mut replies: Vec<Vec<(u16, u64)>> = Vec::new();
     report.measure(args, |i, traced, tracing| {
         // A fresh daemon (bind + upload) every few phases, so set-up
         // samples spread over the run like phase samples do.
@@ -508,38 +556,64 @@ pub fn serve_churn(args: &Args) -> Result<Report, String> {
         })?;
         let (frames, http) = clients?;
 
-        // Checks, outside the timed window.
+        // Outside the timed window: statuses are checked here, answers
+        // after the last phase against the reference ladders.
         let mut errors = Vec::new();
         let mut failed = 0;
         let mut ops_ms = Vec::new();
         let (mut bytes_in, mut bytes_out, mut stable_out) = (0u64, 0u64, 0u64);
         let mut rtt_sum = 0.0;
+        let mut phase_steps = Vec::new();
+        let mut phase_replies = Vec::new();
         for lane in [&frames, &http] {
             let mut mutation = None;
             for s in lane.iter() {
                 if s.kind == Kind::Open {
                     mutation = None;
                 }
-                if let Some(why) = verify(s, mutation, &mut refs) {
-                    failed += 1;
-                    if errors.len() < 5 {
-                        errors.push(format!("serve-churn: {why}"));
-                    }
-                }
+                phase_steps.push(Step {
+                    client: s.client,
+                    kind: s.kind,
+                    solver: s.solver,
+                    seed: s.seed,
+                    mutation,
+                });
                 if let Kind::Mutate(m) = s.kind {
                     mutation = Some(m);
                 }
-                ops_ms.push(s.exchange.rtt_ms);
-                rtt_sum += s.exchange.rtt_ms;
-                bytes_in += s.exchange.bytes_in;
-                bytes_out += s.exchange.bytes_out;
+                let e = &s.exchange;
+                if !(200..300).contains(&e.status) {
+                    failed += 1;
+                    if errors.len() < 5 {
+                        errors.push(format!(
+                            "serve-churn: {:?} {:?} ({}, seed {}) answered {}: {}",
+                            s.client,
+                            s.kind,
+                            s.solver.label(),
+                            s.seed,
+                            e.status,
+                            e.body.to_compact()
+                        ));
+                    }
+                }
+                phase_replies.push((e.status, reply_digest(s.kind, &e.body)));
+                ops_ms.push(e.rtt_ms);
+                rtt_sum += e.rtt_ms;
+                bytes_in += e.bytes_in;
+                bytes_out += e.bytes_out;
                 // An open reply carries the session's racy warming/ready
                 // state, so it stays out of the exact counts.
                 if s.kind != Kind::Open {
-                    stable_out += s.exchange.bytes_out;
+                    stable_out += e.bytes_out;
                 }
             }
         }
+        if steps.is_empty() {
+            steps = phase_steps;
+        } else if phase_steps != steps {
+            errors.push(format!("serve-churn: phase {i} ran another script"));
+        }
+        replies.push(phase_replies);
         if traced {
             let c = &window.counters;
             let handled = c.get("fp_serve_handle_us.count").max(1) as f64;
@@ -567,6 +641,28 @@ pub fn serve_churn(args: &Args) -> Result<Report, String> {
     })?;
     if let Some(server) = server {
         server.stop()?;
+    }
+
+    // Every 2xx reply of every phase must equal the batch answer on its
+    // session's graph bit for bit (placement nodes and FR bits).
+    let mut refs = References::build(&text, &source_label, &edges_pool)?;
+    let expected: Vec<u64> = steps.iter().map(|s| refs.expected(s)).collect();
+    for (phase, got) in replies.iter().enumerate() {
+        for ((&(status, digest), &want), step) in got.iter().zip(&expected).zip(&steps) {
+            if (200..300).contains(&status) && digest != want {
+                report.failed += 1;
+                if report.errors.len() < 5 {
+                    report.errors.push(format!(
+                        "serve-churn: phase {phase}: {:?} {:?} ({}, seed {}) differs from \
+                         Problem::solve_ladder",
+                        step.client,
+                        step.kind,
+                        step.solver.label(),
+                        step.seed
+                    ));
+                }
+            }
+        }
     }
 
     if args.trace {
@@ -622,8 +718,7 @@ fn start_server(
 
 /// `MUTATIONS` absent edges that run forward in the frozen topological
 /// order, so inserting one never reorders or closes a cycle.
-fn forward_edges(base: &Problem, seed: u64) -> Vec<(NodeId, NodeId)> {
-    let cg = base.cgraph();
+fn forward_edges(cg: &CGraph, seed: u64) -> Vec<(NodeId, NodeId)> {
     let n = cg.node_count() as u64;
     let mut picked = Vec::new();
     let mut draw = 0u64;

@@ -9,17 +9,14 @@
 //!   k = 0..=50, 25 trials, two runner jobs, then `RunStore::save` and
 //!   `load`. Cache-resident and bound by FR readouts of trial cells.
 
-use crate::harness::{
-    derive, median, seeds, thread_ms_since, thread_ns, Args, Digest, Phase, Report, Scratch,
-    Tracing,
-};
+use crate::harness::{derive, median, ms, seeds, Args, Digest, Fnv, Phase, Report, Scratch};
 use fp_core::algorithms::{SolverKind, SolverSession};
 use fp_core::datasets::{citation_like, power_law};
 use fp_core::experiment::run_sweep_with;
 use fp_core::graph::{from_edge_list, to_edge_list, NodeId};
 use fp_core::num::Wide128;
 use fp_core::propagation::{CGraph, FilterSet, ImpactEngine};
-use fp_core::results::sweep::{run_sweep_cells, SweepBackend};
+use fp_core::results::sweep::{run_sweep_cells, sweep_cells, Cell, SweepBackend};
 use fp_core::results::{
     DatasetFingerprint, RunManifest, RunStore, RunnerOptions, SweepConfig, SweepResult,
 };
@@ -28,6 +25,7 @@ use fp_core::Problem;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
+use std::time::Instant;
 
 const SWEEP_1M_NODES: usize = 1_000_000;
 const SWEEP_1M_DEGREE: usize = 3;
@@ -36,25 +34,20 @@ const SWEEP_1M_KMAX: usize = 10;
 const PAPER_KMAX: usize = 50;
 const PAPER_TRIALS: usize = 25;
 const PAPER_JOBS: usize = 2;
-const PAPER_SETUPS_PER_PHASE: usize = 4;
+const PAPER_SETUPS_PER_PHASE: usize = 8;
 
-/// FNV-1a over FR bits and placement nodes: two phases that answered
+/// A hash of the FR bits and placement nodes: two phases that answered
 /// identically hash identically.
 fn answer_hash(rungs: &[(usize, f64)], placement: &[NodeId]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::default();
     for &(k, fr) in rungs {
-        eat(k as u64);
-        eat(fr.to_bits());
+        h.eat(k as u64);
+        h.eat(fr.to_bits());
     }
     for v in placement {
-        eat(v.index() as u64);
+        h.eat(v.index() as u64);
     }
-    h
+    h.finish()
 }
 
 /// The streamed ingest → freeze → denominators path; returns the
@@ -101,7 +94,7 @@ pub fn sweep_1m(args: &Args) -> Result<Report, String> {
         // spread over the run like phase samples do. The previous graph
         // is freed first: the peak RSS is one graph's, not two.
         drop(problem.take());
-        let (built, setup) = tracing.thread_window(traced, || build_1m(&params))?;
+        let (built, setup) = tracing.window(traced, || build_1m(&params))?;
         let (p, m, peak) = built?;
         edges = m;
         ledger_peak = ledger_peak.max(peak);
@@ -110,8 +103,8 @@ pub fn sweep_1m(args: &Args) -> Result<Report, String> {
 
         let mut ops_ms = Vec::with_capacity(SWEEP_1M_KMAX + 1);
         let mut rungs = Vec::with_capacity(SWEEP_1M_KMAX + 1);
-        let (placement, window) = tracing.thread_window(traced, || {
-            let mut op = thread_ns();
+        let (placement, window) = tracing.window(traced, || {
+            let mut op = Instant::now();
             let mut session: Box<dyn SolverSession + '_> = {
                 let _span = fp_obs::span("engine.init");
                 solver.session(cg, 0)
@@ -125,8 +118,8 @@ pub fn sweep_1m(args: &Args) -> Result<Report, String> {
                     session.fr()
                 };
                 rungs.push((session.placement().len(), fr));
-                ops_ms.push(thread_ms_since(op));
-                op = thread_ns();
+                ops_ms.push(ms(op));
+                op = Instant::now();
             }
             session.into_placement()
         })?;
@@ -213,21 +206,18 @@ fn sweep_1m_ledger(report: &mut Report, edges: usize) {
 // paper-sweep
 // ---------------------------------------------------------------------
 
-/// The sweep backend `run_sweep_with` uses (`Problem`), making the same
-/// calls, with each cell's latency recorded and its readout calls
-/// (`solve_seeded`, `filter_ratio`) spanned apart.
+/// The sweep backend `run_sweep_with` uses (`Problem`), called through
+/// unchanged, with each cell's wall-clock latency recorded.
 struct TimedCells<'a> {
     problem: &'a Problem,
     cell_ms: Mutex<Vec<f64>>,
 }
 
 impl TimedCells<'_> {
-    /// Run one cell on the calling worker, recording its latency on the
-    /// worker's CPU clock.
     fn cell<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = thread_ns();
+        let start = Instant::now();
         let out = f();
-        let latency = thread_ms_since(start);
+        let latency = ms(start);
         self.cell_ms
             .lock()
             .expect("cell latency lock")
@@ -238,21 +228,11 @@ impl TimedCells<'_> {
 
 impl SweepBackend for TimedCells<'_> {
     fn randomized_fr(&self, solver: SolverKind, k: usize, seed: u64) -> f64 {
-        self.cell(|| {
-            let placement = {
-                let _span = fp_obs::span("readout.draw");
-                self.problem.solve_seeded(solver, k, seed)
-            };
-            let _span = fp_obs::span("readout.fr");
-            self.problem.filter_ratio(&placement)
-        })
+        self.cell(|| SweepBackend::randomized_fr(self.problem, solver, k, seed))
     }
 
     fn deterministic_curve(&self, solver: SolverKind, ks: &[usize]) -> Vec<(usize, f64)> {
-        self.cell(|| {
-            let _span = fp_obs::span("runner.curve_cell");
-            SweepBackend::deterministic_curve(self.problem, solver, ks)
-        })
+        self.cell(|| SweepBackend::deterministic_curve(self.problem, solver, ks))
     }
 }
 
@@ -325,16 +305,12 @@ pub fn paper_sweep(args: &Args, scratch: &Scratch) -> Result<Report, String> {
     let path = scratch.path().join("citation.edges");
     std::fs::write(&path, &text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     let mut report = Report::default();
-    let setup = |tracing: &mut Tracing, traced: bool| {
-        let (loaded, window) = tracing.thread_window(traced, || {
-            let (cg, m) = load_edge_file(&path, &source_label)?;
-            let _span = fp_obs::span("denominators.problem");
-            Ok::<_, String>((Problem::from_cgraph(cg), m))
-        })?;
-        let (problem, edges) = loaded?;
-        Ok::<_, String>((problem, edges, window.elapsed_s))
+    let setup = || {
+        let (cg, m) = load_edge_file(&path, &source_label)?;
+        let _span = fp_obs::span("denominators.problem");
+        Ok::<_, String>((Problem::from_cgraph(cg), m))
     };
-    let (problem, edges, _) = setup(&mut report.tracing, false)?;
+    let (problem, edges) = setup()?;
     let cfg = SweepConfig {
         ks: (0..=PAPER_KMAX).collect(),
         trials: PAPER_TRIALS,
@@ -366,12 +342,16 @@ pub fn paper_sweep(args: &Args, scratch: &Scratch) -> Result<Report, String> {
     let mut runner_tail = Vec::new();
 
     report.measure(args, |i, traced, tracing| {
-        // More set-ups between phases: one is only tens of milliseconds,
-        // so the median needs many, spread over the run.
-        let mut setup_s = Vec::with_capacity(PAPER_SETUPS_PER_PHASE);
-        for _ in 0..PAPER_SETUPS_PER_PHASE {
-            setup_s.push(setup(tracing, traced)?.2);
-        }
+        // One set-up lasts about ten milliseconds, so a phase times
+        // several in one window and records their mean.
+        let (built, setups) = tracing.window(traced, || {
+            for _ in 0..PAPER_SETUPS_PER_PHASE {
+                setup()?;
+            }
+            Ok::<_, String>(())
+        })?;
+        built?;
+        let setup_s = vec![setups.elapsed_s / PAPER_SETUPS_PER_PHASE as f64];
         let backend = TimedCells {
             problem: &problem,
             cell_ms: Mutex::new(Vec::new()),
@@ -478,6 +458,22 @@ pub fn paper_sweep(args: &Args, scratch: &Scratch) -> Result<Report, String> {
     })?;
 
     if args.trace {
+        // The readout calls a trial cell makes, made directly over one
+        // phase's trial cells, so drawing a placement and reading its FR
+        // time apart.
+        let cells = sweep_cells(&cfg);
+        report.tracing.window(true, || {
+            for cell in &cells {
+                if let Cell::Trial { solver, k, seed } = *cell {
+                    let placement = {
+                        let _span = fp_obs::span("readout.draw");
+                        problem.solve_seeded(solver, k, seed)
+                    };
+                    let _span = fp_obs::span("readout.fr");
+                    std::hint::black_box(problem.filter_ratio(&placement));
+                }
+            }
+        })?;
         let d = report.tracing.digest();
         let fp = report.fingerprint.clone();
         let l = &mut report.ledger;
@@ -487,10 +483,7 @@ pub fn paper_sweep(args: &Args, scratch: &Scratch) -> Result<Report, String> {
         l.set("denominators.problem_s", d.median_s("denominators.problem"));
         l.set("readout.fr_ms", d.median_ms("readout.fr"));
         l.set("readout.draw_ms", d.median_ms("readout.draw"));
-        l.set(
-            "readout.calls",
-            d.durations("readout.fr").len() as f64 / report.traced_run_s.len().max(1) as f64,
-        );
+        l.set("readout.calls", d.durations("readout.fr").len() as f64);
         l.set(
             "runner.cells",
             fp.get("runner.cells").copied().unwrap_or(0) as f64,
