@@ -1,6 +1,7 @@
 //! What every workload shares: arguments, seeds, the measured-phase
-//! window (wall, CPU, counter deltas, spans), the span digest with self
-//! times, `/proc/self` readouts, and the result line.
+//! window (wall, CPU, counter deltas, spans), the reference kernel that
+//! puts every window's times at one machine speed, the span digest with
+//! self times, `/proc/self` readouts, and the result line.
 
 use fp_obs::SpanRecord;
 use std::collections::BTreeMap;
@@ -144,7 +145,7 @@ pub const END_TO_END: [(&str, &str); 5] = [
 
 /// The per-layer ledger, printed by traced runs. Every workload prints
 /// every name; a layer the workload bypasses reads 0.
-pub const PER_LAYER: [(&str, &str); 54] = [
+pub const PER_LAYER: [(&str, &str); 55] = [
     ("ingest.build_s", "s"),
     ("ingest.parse_s", "s"),
     ("ingest.edges", "count"),
@@ -196,6 +197,7 @@ pub const PER_LAYER: [(&str, &str); 54] = [
     ("proc.ctx_invol", "count"),
     ("proc.steal_s", "s"),
     ("proc.unledgered_mb", "MB"),
+    ("proc.reference_ms", "ms"),
     ("trace.spans", "count"),
     ("trace.overwritten", "count"),
     ("trace.overhead_ratio", "ratio"),
@@ -296,6 +298,67 @@ fn status_field(path: impl AsRef<Path>, key: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------
+// Machine speed
+// ---------------------------------------------------------------------
+
+/// The reference kernel: this benchmark's own code (it calls nothing in
+/// the program) streaming a buffer that sits where the workload's
+/// working set sits, timing how fast the machine serves that cache
+/// level right now. On a shared host the same phase runs at very
+/// different speeds as neighbours contend for the caches: on a 2-vCPU
+/// VM one `sweep-1m` phase took 2.2 s or 4.8 s, a stream over an 8 MiB
+/// buffer slowed 2.3× with it, and a pure ALU loop by 15 %. The kernel
+/// runs just before and just after every measured window, and the
+/// window's times are scaled by [`NOMINAL_MS`] over its mean, so every
+/// reported time is a time at one machine speed.
+#[derive(Clone, Copy)]
+pub enum Reference {
+    /// 1 MiB, streamed 160 times: fits the 2 MiB per-core cache, as the
+    /// engine state of the ~10^4-node citation graph does.
+    CoreCache,
+    /// 8 MiB, streamed 8 times: past the per-core cache, in the shared
+    /// last-level one. For `sweep-1m`, whose ~100 MB working set lives
+    /// there and in memory.
+    SharedCache,
+}
+
+/// One repetition's time, either size, on an uncontended 2-vCPU VM.
+const NOMINAL_MS: f64 = 3.0;
+
+/// A kernel sample is its fastest of this many repetitions, so one
+/// interrupt or a preempted millisecond does not move a window's scale.
+const REPETITIONS: usize = 4;
+
+impl Reference {
+    /// Run the kernel: its fastest repetition's wall time in ms, and the
+    /// wall and process CPU seconds spent on all of them. The buffer is
+    /// filled before the clock starts: page-fault cost swings on its own
+    /// and would blur the signal.
+    fn sample(self) -> (f64, f64, f64) {
+        let (words, passes) = match self {
+            Reference::CoreCache => (1u64 << 17, 160),
+            Reference::SharedCache => (1u64 << 20, 8),
+        };
+        let buf: Vec<u64> = std::hint::black_box((0..words).collect());
+        let cpu0 = cpu_s();
+        let start = Instant::now();
+        let mut fastest = f64::INFINITY;
+        for _ in 0..REPETITIONS {
+            let t0 = Instant::now();
+            let mut sum = 0u64;
+            for _ in 0..passes {
+                for &v in std::hint::black_box(&buf) {
+                    sum = sum.wrapping_add(v);
+                }
+            }
+            std::hint::black_box(sum);
+            fastest = fastest.min(ms(t0));
+        }
+        (fastest, start.elapsed().as_secs_f64(), cpu_s() - cpu0)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Program counters
 // ---------------------------------------------------------------------
 
@@ -377,14 +440,30 @@ impl Counters {
 // Tracing and the measured window
 // ---------------------------------------------------------------------
 
-/// Span records drained from the global ring after each traced window.
+/// Span records drained from the global ring after each traced window,
+/// and the reference kernel that brackets every measured window.
 #[derive(Default)]
 pub struct Tracing {
     pub records: Vec<SpanRecord>,
     pub overwritten: u64,
+    /// Set while [`Report::measure`] runs; other windows are not scaled.
+    reference: Option<Reference>,
+    /// Every kernel sample, ms.
+    pub reference_ms: Vec<f64>,
+    /// Wall and process CPU seconds spent while the kernels ran.
+    pub reference_wall_s: f64,
+    pub reference_cpu_s: f64,
 }
 
 impl Tracing {
+    fn reference_sample(&mut self) -> Option<f64> {
+        let (ms, wall_s, cpu_s) = self.reference?.sample();
+        self.reference_ms.push(ms);
+        self.reference_wall_s += wall_s;
+        self.reference_cpu_s += cpu_s;
+        Some(ms)
+    }
+
     fn begin(&self, traced: bool) {
         if traced {
             fp_obs::tracer().enable();
@@ -410,25 +489,33 @@ impl Tracing {
         Ok(records)
     }
 
-    /// Time `f` on the wall clock as one traced (or untraced) window.
+    /// Time `f` on the wall clock as one traced (or untraced) window,
+    /// with the reference kernel just before and just after it.
     pub fn window<T>(
         &mut self,
         traced: bool,
         f: impl FnOnce() -> T,
     ) -> Result<(T, Window), String> {
+        let before = self.reference_sample();
         self.begin(traced);
         let counters = Counters::take();
         let (cpu0, ctx0, steal0) = (cpu_s(), ctx_invol(), steal_s());
         let t0 = Instant::now();
         let out = f();
-        let elapsed_s = t0.elapsed().as_secs_f64();
+        let wall_s = t0.elapsed().as_secs_f64();
         let (cpu1, ctx1, steal1) = (cpu_s(), ctx_invol(), steal_s());
         let counters = counters.delta(&Counters::take());
         let spans = self.end(traced)?;
+        let speed = match (before, self.reference_sample()) {
+            (Some(b), Some(a)) => NOMINAL_MS / ((b + a) / 2.0),
+            _ => 1.0,
+        };
         Ok((
             out,
             Window {
-                elapsed_s,
+                elapsed_s: wall_s * speed,
+                wall_s,
+                speed,
                 cpu_s: cpu1 - cpu0,
                 steal_s: steal1 - steal0,
                 ctx_invol: ctx1.saturating_sub(ctx0),
@@ -446,8 +533,12 @@ impl Tracing {
 
 /// What one measured window saw.
 pub struct Window {
-    /// Wall time.
+    /// Wall time at the reference kernel's nominal speed: `wall_s × speed`.
     pub elapsed_s: f64,
+    pub wall_s: f64,
+    /// [`NOMINAL_MS`] over the mean of the kernel times around the
+    /// window; 1 outside [`Report::measure`].
+    pub speed: f64,
     pub cpu_s: f64,
     /// Seconds the host stole from the vCPUs during the window.
     pub steal_s: f64,
@@ -580,7 +671,9 @@ pub struct Phase {
     pub errors: Vec<String>,
 }
 
-/// Everything a workload run measured.
+/// Everything a workload run measured. Set-up, phase and op times are
+/// at the reference kernel's nominal speed; `wall_run_s` keeps the
+/// clock's.
 #[derive(Default)]
 pub struct Report {
     pub attempted: u64,
@@ -588,6 +681,9 @@ pub struct Report {
     pub errors: Vec<String>,
     pub setup_s: Vec<f64>,
     pub run_s: Vec<f64>,
+    pub wall_run_s: Vec<f64>,
+    /// Each phase window's speed factor.
+    pub speed: Vec<f64>,
     pub traced_run_s: Vec<f64>,
     pub op_ms: Vec<f64>,
     /// Each untraced phase's 99th-percentile op latency.
@@ -609,14 +705,21 @@ pub struct Report {
 }
 
 impl Report {
-    /// Run `phase` until `seconds` have passed (at least two phases).
-    /// Traced runs alternate untraced and traced phases, so the tracing
-    /// overhead is measured within one process.
+    /// Run `phase` until `seconds` have passed (at least two phases),
+    /// every window bracketed by the `reference` kernel. Traced runs
+    /// alternate untraced and traced phases, so the tracing overhead is
+    /// measured within one process.
     pub fn measure(
         &mut self,
         args: &Args,
+        reference: Reference,
         mut phase: impl FnMut(usize, bool, &mut Tracing) -> Result<Phase, String>,
     ) -> Result<(), String> {
+        // The first kernel runs of a process read slow (cold caches,
+        // fresh pages, a just-woken vCPU).
+        reference.sample();
+        reference.sample();
+        self.tracing.reference = Some(reference);
         let start = Instant::now();
         let mut i = 0;
         while i < 2 || start.elapsed().as_secs_f64() < args.seconds {
@@ -625,12 +728,26 @@ impl Report {
             self.absorb(p);
             i += 1;
         }
+        self.tracing.reference = None;
         self.peak_rss_mb = peak_rss_mb();
+        // The kernel is single-threaded: if the process spent much more
+        // CPU than wall time while it ran, a thread the program left
+        // running slowed it, and the scaled times would read too fast.
+        let cpu_s = self.tracing.reference_cpu_s;
+        let wall_s = self.tracing.reference_wall_s;
+        if cpu_s > 1.25 * wall_s + 0.05 {
+            self.errors.push(format!(
+                "the process spent {cpu_s:.3} CPU s during {wall_s:.3} s of reference kernels: \
+                 another thread was running"
+            ));
+        }
         Ok(())
     }
 
     fn absorb(&mut self, p: Phase) {
         self.phases += 1;
+        let speed = p.window.speed;
+        self.speed.push(speed);
         self.setup_s.extend(p.setup_s);
         self.attempted += p.ops_ms.len() as u64;
         self.failed += p.failed;
@@ -650,9 +767,11 @@ impl Report {
         if p.traced {
             self.traced_run_s.push(p.window.elapsed_s);
         } else {
+            self.wall_run_s.push(p.window.wall_s);
             self.run_s.push(p.window.elapsed_s);
-            self.phase_p99_ms.push(percentile(&p.ops_ms, 99.0));
-            self.op_ms.extend(p.ops_ms);
+            let ops_ms: Vec<f64> = p.ops_ms.iter().map(|x| x * speed).collect();
+            self.phase_p99_ms.push(percentile(&ops_ms, 99.0));
+            self.op_ms.extend(ops_ms);
         }
     }
 
@@ -670,6 +789,7 @@ impl Report {
         );
         l.set("proc.steal_s", median(&self.steal_s));
         l.set("proc.unledgered_mb", peak - ledger_mb);
+        l.set("proc.reference_ms", median(&self.tracing.reference_ms));
         l.set("trace.spans", self.tracing.records.len() as f64);
         l.set("trace.overwritten", self.tracing.overwritten as f64);
         l.set(
@@ -701,9 +821,23 @@ impl Report {
                 .collect::<Vec<_>>()
                 .join(" ")
         };
-        out.push_str(&format!("# run_s per phase: {}\n", list(&self.run_s)));
+        out.push_str(&format!(
+            "# wall run_s per phase: {}\n",
+            list(&self.wall_run_s)
+        ));
         out.push_str(&format!("# phase cpu s: {}\n", list(&self.cpu_s)));
         out.push_str(&format!("# phase steal s: {}\n", list(&self.steal_s)));
+        out.push_str(&format!(
+            "# reference ms: {} (process CPU {:.2} s)\n",
+            list(&self.tracing.reference_ms),
+            self.tracing.reference_cpu_s
+        ));
+        out.push_str(&format!("# speed per phase: {}\n", list(&self.speed)));
+        out.push_str(&format!("# run_s per phase: {}\n", list(&self.run_s)));
+        out.push_str(&format!(
+            "# op_p99_ms per phase: {}\n",
+            list(&self.phase_p99_ms)
+        ));
         out.push_str(&format!("# set-up s: {}\n", list(&self.setup_s)));
         let pcts = [50.0, 90.0, 95.0, 98.0, 99.0, 99.5, 99.9];
         let tail: Vec<String> = pcts

@@ -10,7 +10,7 @@
 //! drifts the graph far from where it started, so how much repair work
 //! it triggers depends on its one seed; bursts spread that over twenty.
 
-use crate::harness::{derive, ms, seeds, Args, Phase, Report, Scratch};
+use crate::harness::{derive, ms, seeds, Args, Phase, Reference, Report, Scratch};
 use crate::sweeps::{citation_edge_list, load_edge_file};
 use fp_core::num::Wide128;
 use fp_core::online::{greedy_rebuild, mutation_stream, OnlineConfig, OnlinePlacement};
@@ -48,7 +48,7 @@ pub fn online_churn(args: &Args, scratch: &Scratch) -> Result<Report, String> {
         Ok(OnlinePlacement::new(cg, cfg))
     };
 
-    report.measure(args, |_, traced, tracing| {
+    report.measure(args, Reference::CoreCache, |_, traced, tracing| {
         let (built, setups) = tracing.window(traced, || {
             for _ in 0..SETUPS_PER_PHASE {
                 setup()?;

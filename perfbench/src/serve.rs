@@ -10,7 +10,7 @@
 //! full-curve answers outnumber every other kind, so the median request
 //! is one of them rather than a sub-millisecond cache hit.
 
-use crate::harness::{derive, median, ms, seeds, Args, Fnv, Phase, Report, Tracing};
+use crate::harness::{derive, median, ms, seeds, Args, Fnv, Phase, Reference, Report, Tracing};
 use crate::sweeps::citation_edge_list;
 use fp_core::algorithms::SolverKind;
 use fp_core::graph::{from_edge_list, DiGraph, NodeId};
@@ -526,7 +526,7 @@ pub fn serve_churn(args: &Args) -> Result<Report, String> {
     // and each phase's (status, reply digest) per step.
     let mut steps: Vec<Step> = Vec::new();
     let mut replies: Vec<Vec<(u16, u64)>> = Vec::new();
-    report.measure(args, |i, traced, tracing| {
+    report.measure(args, Reference::CoreCache, |i, traced, tracing| {
         // A fresh daemon (bind + upload) every few phases, so set-up
         // samples spread over the run like phase samples do.
         let mut setup_s = Vec::new();

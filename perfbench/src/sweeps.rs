@@ -9,7 +9,9 @@
 //!   k = 0..=50, 25 trials, two runner jobs, then `RunStore::save` and
 //!   `load`. Cache-resident and bound by FR readouts of trial cells.
 
-use crate::harness::{derive, median, ms, seeds, Args, Digest, Fnv, Phase, Report, Scratch};
+use crate::harness::{
+    derive, median, ms, seeds, Args, Digest, Fnv, Phase, Reference, Report, Scratch,
+};
 use fp_core::algorithms::{SolverKind, SolverSession};
 use fp_core::datasets::{citation_like, power_law};
 use fp_core::experiment::run_sweep_with;
@@ -89,7 +91,7 @@ pub fn sweep_1m(args: &Args) -> Result<Report, String> {
     let mut ledger_peak = 0u64;
     let mut last_placement = FilterSet::empty(0);
 
-    report.measure(args, |_, traced, tracing| {
+    report.measure(args, Reference::SharedCache, |_, traced, tracing| {
         // Every phase starts with its own set-up, so set-up samples
         // spread over the run like phase samples do. The previous graph
         // is freed first: the peak RSS is one graph's, not two.
@@ -341,7 +343,7 @@ pub fn paper_sweep(args: &Args, scratch: &Scratch) -> Result<Report, String> {
     let mut runner_idle = Vec::new();
     let mut runner_tail = Vec::new();
 
-    report.measure(args, |i, traced, tracing| {
+    report.measure(args, Reference::CoreCache, |i, traced, tracing| {
         // One set-up lasts about ten milliseconds, so a phase times
         // several in one window and records their mean.
         let (built, setups) = tracing.window(traced, || {
