@@ -32,6 +32,9 @@ use std::time::Instant;
 const SWEEP_1M_NODES: usize = 1_000_000;
 const SWEEP_1M_DEGREE: usize = 3;
 const SWEEP_1M_KMAX: usize = 10;
+/// Phases per build: one build lasts about a third of a phase, so
+/// building every phase would leave five phases in a 28 s run.
+const SWEEP_1M_PHASES_PER_SETUP: usize = 2;
 
 const PAPER_KMAX: usize = 50;
 const PAPER_TRIALS: usize = 25;
@@ -91,16 +94,23 @@ pub fn sweep_1m(args: &Args) -> Result<Report, String> {
     let mut ledger_peak = 0u64;
     let mut last_placement = FilterSet::empty(0);
 
-    report.measure(args, Reference::SharedCache, |_, traced, tracing| {
-        // Every phase starts with its own set-up, so set-up samples
-        // spread over the run like phase samples do. The previous graph
-        // is freed first: the peak RSS is one graph's, not two.
-        drop(problem.take());
-        let (built, setup) = tracing.window(traced, || build_1m(&params))?;
-        let (p, m, peak) = built?;
-        edges = m;
-        ledger_peak = ledger_peak.max(peak);
-        let problem = problem.insert(p);
+    report.measure(args, Reference::SharedCache, |i, traced, tracing| {
+        // A fresh build every few phases, so set-up samples spread over
+        // the run like phase samples do. The previous graph is freed
+        // first: the peak RSS is one graph's, not two. Builds are traced
+        // on every phase of a traced run: they fall on untraced phases,
+        // and their layers are ledger rows.
+        let mut setup_s = Vec::new();
+        if i % SWEEP_1M_PHASES_PER_SETUP == 0 {
+            drop(problem.take());
+            let (built, setup) = tracing.window(args.trace, || build_1m(&params))?;
+            let (p, m, peak) = built?;
+            edges = m;
+            ledger_peak = ledger_peak.max(peak);
+            problem = Some(p);
+            setup_s.push(setup.elapsed_s);
+        }
+        let problem = problem.as_ref().expect("built on phase 0");
         let cg = problem.cgraph();
 
         let mut ops_ms = Vec::with_capacity(SWEEP_1M_KMAX + 1);
@@ -150,7 +160,7 @@ pub fn sweep_1m(args: &Args) -> Result<Report, String> {
         last_placement = placement;
         Ok(Phase {
             traced,
-            setup_s: vec![setup.elapsed_s],
+            setup_s,
             ops_ms,
             failed: errors.len() as u64,
             counts,
