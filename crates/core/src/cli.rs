@@ -85,7 +85,7 @@ use fp_results::{
 use fp_scale::{
     parse_bytes, stream_stats, Csr32, EdgeStream, FileEdgeStream, MemBudget, ScaleError,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::Path;
 
@@ -958,7 +958,10 @@ fn trace_dump(path: &str) -> Result<String, String> {
 }
 
 /// `fp trace --summary FILE`: aggregate a dumped Chrome trace per span
-/// name — count, total, mean, and max duration, heaviest first.
+/// name — count, total, mean, and max duration, heaviest first, plus
+/// each integer span arg summed over the name's spans (so a
+/// `cgraph.freeze` row's `identity` counts the freezes that kept the
+/// label order).
 fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
     let path = required(flags, "summary")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
@@ -968,6 +971,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
         .and_then(fp_results::Json::as_array)
         .ok_or_else(|| format!("{path:?} has no traceEvents array (not a trace dump?)"))?;
     let mut durations = Vec::with_capacity(events.len());
+    let mut arg_sums: BTreeMap<&str, BTreeMap<&str, i128>> = BTreeMap::new();
     for event in events {
         // Complete ("X") events carry name + dur; anything else (e.g.
         // metadata records) is skipped rather than rejected.
@@ -977,6 +981,14 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
         ) else {
             continue;
         };
+        if let Some(fp_results::Json::Object(args)) = event.get("args") {
+            let sums = arg_sums.entry(name).or_default();
+            for (key, value) in args {
+                if let Some(v) = value.as_i128() {
+                    *sums.entry(key).or_default() += v;
+                }
+            }
+        }
         durations.push((name.to_string(), dur));
     }
     let rows = fp_obs::trace::summarize(&durations);
@@ -995,14 +1007,21 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
             ));
         }
     }
-    let mut table = Table::new(["span", "count", "total us", "mean us", "max us"]);
+    let mut table = Table::new(["span", "count", "total us", "mean us", "max us", "arg sums"]);
     for row in &rows {
+        let sums: Vec<String> = arg_sums
+            .get(row.name.as_str())
+            .into_iter()
+            .flatten()
+            .map(|(key, sum)| format!("{key}={sum}"))
+            .collect();
         table.row([
             row.name.clone(),
             row.count.to_string(),
             format!("{:.1}", row.total_us),
             format!("{:.1}", row.mean_us),
             format!("{:.1}", row.max_us),
+            sums.join(" "),
         ]);
     }
     out.push_str(&table.to_string());
@@ -1424,7 +1443,8 @@ pub const USAGE: &str =
             threshold; reports repair cost vs quality per threshold — counts
             and FRs only, so --out run dirs are byte-identical across reruns)
   trace    --summary FILE  (aggregate a dumped Chrome trace per span name:
-            count, total, mean, max — heaviest first)";
+            count, total, mean, max — heaviest first — and each span arg
+            summed)";
 
 /// Run the CLI against parsed argv (without the program name); returns
 /// the text to print or an error message.
@@ -2744,6 +2764,13 @@ mod tests {
         assert!(summary.contains("span(s) across"), "{summary}");
         assert!(summary.contains("sweep.cell.curve"), "{summary}");
         assert!(summary.contains("count"), "{summary}");
+        // Figure 1's labels ascend along every edge, so its one freeze
+        // kept the label order, and the summary says so.
+        let freeze = summary
+            .lines()
+            .find(|l| l.contains("cgraph.freeze"))
+            .unwrap_or_else(|| panic!("no freeze row: {summary}"));
+        assert!(freeze.contains("identity=1 nodes=7"), "{freeze}");
 
         // Tracing is a side channel: the traced table equals untraced.
         fp_obs::tracer().disable();

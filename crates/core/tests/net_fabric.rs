@@ -8,8 +8,9 @@
 //!    the **bit-identical** result of a single-process run, with zero
 //!    lost cells;
 //! 2. adversarial connections (truncated frames, oversized lengths,
-//!    wrong tokens, wrong protocol versions, slow-loris handshakes)
-//!    are closed without a reply and never perturb the sweep;
+//!    deeply nested JSON, wrong tokens, wrong protocol versions,
+//!    slow-loris handshakes) are closed without a reply and never
+//!    perturb the sweep;
 //! 3. a worker that crashes mid-session (chaos truncate) reconnects
 //!    with backoff and keeps serving.
 
@@ -186,6 +187,9 @@ fn adversarial_connections_never_perturb_the_sweep() {
             &frame(br#"{"type":"hello","version":2,"pid":1}"#),
         );
         assert_closed_without_reply(&addr, "not json", &frame(b"GET / HTTP/1.1"));
+        // Nesting past the parser's cap: a typed parse error, not a
+        // stack overflow that takes the dispatcher down.
+        assert_closed_without_reply(&addr, "deep nesting", &frame(&[b'['; 500_000]));
         // Oversized declared length: rejected before any allocation.
         assert_closed_without_reply(&addr, "oversized length", &u32::MAX.to_be_bytes());
         // Truncated frame: declares 64 bytes, delivers 10, then stalls.

@@ -5,6 +5,7 @@
 //! production sweeps without a determinism caveat.
 
 use fp_algorithms::SolverKind;
+use fp_core::propagation::CGraph;
 use fp_core::Problem;
 use fp_graph::{DiGraph, NodeId};
 use proptest::prelude::*;
@@ -61,6 +62,32 @@ fn traced_solves_match_untraced_bit_for_bit_on_figure1() {
         "the traced run records spans (tracing was live)"
     );
     assert_eq!(untraced, traced);
+}
+
+/// Every freeze records a `cgraph.freeze` span with the node count and
+/// whether the label order was kept (`identity`), so a trace shows
+/// which path each freeze took.
+#[test]
+fn freeze_span_records_which_order_was_kept() {
+    let _guard = TRACER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let backwards = DiGraph::from_pairs(3, [(2, 1), (1, 0)]).unwrap();
+    fp_obs::tracer().enable();
+    CGraph::new(&figure1(), NodeId::new(0)).unwrap();
+    CGraph::new(&backwards, NodeId::new(2)).unwrap();
+    fp_obs::tracer().disable();
+    let freezes: Vec<_> = fp_obs::tracer()
+        .records()
+        .into_iter()
+        .filter(|r| r.name == "cgraph.freeze")
+        .map(|r| r.args)
+        .collect();
+    assert_eq!(
+        freezes,
+        vec![
+            vec![("nodes", 7), ("identity", 1)],
+            vec![("nodes", 3), ("identity", 0)],
+        ]
+    );
 }
 
 #[test]

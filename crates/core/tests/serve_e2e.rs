@@ -264,6 +264,60 @@ fn error_paths_over_the_wire() {
     handle.stop().unwrap();
 }
 
+/// A frame of half a megabyte of `[`, sent before any call, is closed
+/// without a reply; the daemon keeps answering bit-identically and
+/// stops cleanly. Parsed without a nesting cap, that frame would
+/// overflow the connection thread's stack and abort the process.
+#[test]
+fn deeply_nested_frame_is_dropped_and_the_daemon_keeps_serving() {
+    let registry = fig1_registry();
+    let expected = batch_ladder(&registry, SolverKind::GreedyAll, 0, 2);
+    let server = Server::bind("127.0.0.1:0", ApiState::new(registry, None)).unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    let body = vec![b'['; 500_000];
+    let mut hostile = TcpStream::connect(addr).unwrap();
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    hostile
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .unwrap();
+    hostile.write_all(&body).unwrap();
+    let mut reply = [0u8; 64];
+    let n = hostile
+        .read(&mut reply)
+        .expect("the daemon closes the connection");
+    assert_eq!(n, 0, "closed without a reply, got {:?}", &reply[..n]);
+
+    let mut client = ServeClient::connect(addr).unwrap();
+    let open = client
+        .call(ServeCall::SessionOpen {
+            graph: "fig1".into(),
+            solver: SolverKind::GreedyAll,
+            seed: 0,
+        })
+        .unwrap();
+    assert_eq!(open.status, 201, "{}", open.body.to_compact());
+    let session = open.body.expect("session").unwrap().as_str().unwrap();
+    let reply = client
+        .call(ServeCall::Query {
+            session: session.to_string(),
+            ks: vec![2],
+            deadline_ms: None,
+        })
+        .unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body.to_compact());
+    let (want_nodes, want_fr) = &expected[&2];
+    assert_eq!(
+        reply_rows(&reply.body),
+        vec![(2, *want_fr, want_nodes.clone())]
+    );
+    client.hang_up().unwrap();
+    handle.stop().unwrap();
+}
+
 /// A `stop` call shuts the daemon down cleanly: the accept loop exits,
 /// warm sessions are torn down, and the port actually closes.
 #[test]

@@ -38,18 +38,28 @@ impl CGraph {
     /// `Csr32::into_csr`): the adjacency arrays are adopted as-is and
     /// only the topological order is computed here. Fails if the CSR is
     /// cyclic or `source` is out of range.
+    ///
+    /// Records a `cgraph.freeze` span whose `identity` arg is 1 when
+    /// the label order was kept (see [`topo_order`]).
     pub fn from_csr(csr: Csr, source: NodeId) -> Result<Self, GraphError> {
-        if source.index() >= csr.node_count() {
+        let n = csr.node_count();
+        if source.index() >= n {
             return Err(GraphError::NodeOutOfRange {
                 node: source,
-                node_count: csr.node_count(),
+                node_count: n,
             });
         }
+        let span = fp_obs::span("cgraph.freeze");
         let topo = topo_order(&csr)?;
-        let mut topo_pos = vec![0u32; csr.node_count()];
+        let mut topo_pos = vec![0u32; n];
+        let mut identity = true;
         for (i, &v) in topo.iter().enumerate() {
             topo_pos[v.index()] = i as u32;
+            identity &= v.index() == i;
         }
+        let _span = span
+            .arg("nodes", n as i64)
+            .arg("identity", i64::from(identity));
         Ok(Self {
             csr,
             source,
@@ -70,7 +80,9 @@ impl CGraph {
         self.source
     }
 
-    /// Nodes in topological order.
+    /// Nodes in topological order: the identity when every edge goes
+    /// from a smaller id to a larger one, Kahn's FIFO layering
+    /// otherwise (see [`topo_order`]).
     #[inline]
     pub fn topo(&self) -> &[NodeId] {
         &self.topo
@@ -132,13 +144,7 @@ impl CGraph {
         // it would create a cycle.
         let mut g = self.csr.to_digraph();
         g.try_add_edge(u, v)?;
-        let csr = Csr::from_digraph(&g);
-        let topo = topo_order(&csr)?;
-        for (i, &w) in topo.iter().enumerate() {
-            self.topo_pos[w.index()] = i as u32;
-        }
-        self.topo = topo;
-        self.csr = csr;
+        *self = Self::from_csr(Csr::from_digraph(&g), self.source)?;
         Ok(true)
     }
 

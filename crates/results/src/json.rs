@@ -167,10 +167,14 @@ impl Json {
     }
 
     /// Parse a JSON document (must consume the full input).
+    ///
+    /// Arrays and objects may nest at most [`MAX_NESTING`] deep; a
+    /// deeper document is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -247,6 +251,13 @@ fn write_seq(
     out.push(close);
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Nothing
+/// the protocol, the run store or a trace dump writes nests more than a
+/// handful of levels; the cap keeps the recursive parser from
+/// exhausting a reader thread's stack on hostile input, where one frame
+/// of `[[[[…` would abort the whole process.
+pub const MAX_NESTING: usize = 128;
+
 /// A parse failure, with the byte offset where it happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -267,6 +278,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -302,11 +315,26 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object, refusing to open it past
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -597,6 +625,31 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = Json::parse(&nest(MAX_NESTING)).unwrap();
+        assert_eq!(roundtrip(&deepest), deepest);
+        let mixed = format!(
+            "{}{}",
+            "{\"a\":[".repeat(MAX_NESTING / 2),
+            "]}".repeat(MAX_NESTING / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+
+        let err = Json::parse(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_NESTING,
+            "fails at the first bracket past the cap"
+        );
+        assert!(err.message.contains("nesting"), "{err}");
+        // A hostile frame's worth of brackets: an error, not an abort.
+        let err = Json::parse(&"[".repeat(500_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
+        let err = Json::parse(&"{\"a\":".repeat(500_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]
