@@ -437,13 +437,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 is passed through unchanged.
+                    // Copy the run up to the next quote or backslash in
+                    // one go, multi-byte UTF-8 unchanged. Both bytes are
+                    // ASCII, so the run ends on a char boundary, and
+                    // each byte is decoded once: a long string costs
+                    // linear, not quadratic, time.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -650,6 +657,20 @@ mod tests {
         assert_eq!(err.offset, MAX_NESTING);
         let err = Json::parse(&"{\"a\":".repeat(500_000)).unwrap_err();
         assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A megabyte-long string of one- to four-byte chars and escapes,
+        // as one frame may carry. Re-validating the rest of the
+        // document at every char would take minutes here.
+        let text = "ab\u{e9}\"\u{1F600}\\\n".repeat(1 << 17);
+        let doc = Json::Str(text.clone()).to_compact();
+        assert!(doc.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(text));
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(10), "{took:?}");
     }
 
     #[test]
