@@ -11,11 +11,11 @@
 //! A serve answer for `(graph, solver, k, seed)` is **bit-identical**
 //! to the batch [`Problem::solve_ladder`](crate::Problem::solve_ladder)
 //! answer — same placement nodes, same FR bits. Warm sessions make
-//! this cheap, not different: prefix-nested solvers extend one ladder
-//! and cache `(pick, FR)` per rung; the non-nested randomized
-//! baselines (`Rand_I`/`Rand_W`, see
-//! [`SolverKind::is_prefix_nested`]) redraw per budget — a pure
-//! function of `(k, seed)` — and memoize. FR floats cross the wire
+//! this cheap, not different: each keeps one solver session per graph
+//! version. Prefix-nested solvers extend its ladder and cache the FR
+//! per rung; the non-nested randomized baselines (`Rand_I`/`Rand_W`,
+//! see [`SolverKind::is_prefix_nested`]) redraw on it per budget — a
+//! pure function of `(k, seed)` — and memoize. FR floats cross the wire
 //! through the lossless [`fp_results::json`] writer, so "bit-identical"
 //! survives serialization.
 //!
@@ -40,17 +40,17 @@
 //! # Deadlines
 //!
 //! A query may carry `deadline_ms`. The deadline is enforced at **rung
-//! granularity**: the session checks the clock before growing its
-//! ladder by one more filter, answers `408` if time ran out before the
-//! requested budgets were reached, and *keeps* the partial ladder — a
-//! retry resumes where the expired query stopped. Already-cached rungs
-//! are always served, deadline or not.
+//! granularity**: the session checks the clock before each unit of
+//! work — one more ladder rung, or one more draw — answers `408` if
+//! time ran out before the requested budgets were reached, and *keeps*
+//! the partial work — a retry resumes where the expired query stopped.
+//! Already-cached budgets are always served, deadline or not.
 
 use crate::registry::{GraphEntry, GraphRegistry, PutError, PutOutcome};
-use crate::Problem;
-use fp_algorithms::SolverKind;
+use fp_algorithms::{SolverKind, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Wide128;
+use fp_propagation::{CGraph, Mutation};
 use fp_results::hash::Fnv64;
 use fp_results::protocol::{
     read_frame, write_frame, Frame, ServeCall, ServeReply, ServeRequest, MAX_FRAME_LEN,
@@ -67,6 +67,17 @@ use std::time::{Duration, Instant};
 
 /// The default listen address: loopback, port 2012 (the paper's year).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:2012";
+
+/// Most budgets one query may ask for (400 past it) — far above any
+/// curve a caller plots, far below what would let one request allocate
+/// without bound.
+const MAX_QUERY_BUDGETS: usize = 4096;
+
+/// Most placement nodes one query's reply may list, summed over its
+/// rows (400 past it). The row at budget `k` lists at most `min(k, n)`
+/// of the graph's `n` nodes, so repeating a large budget cannot grow
+/// the reply past this either.
+const MAX_QUERY_PLACED: usize = 1 << 20;
 
 // ---------------------------------------------------------------------
 // Warm sessions
@@ -100,17 +111,6 @@ pub enum QueryError {
     Closed,
 }
 
-/// One structural edit to a session's private copy of its graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeMutation {
-    /// `true` inserts the edge, `false` removes it.
-    pub insert: bool,
-    /// Edge tail.
-    pub from: NodeId,
-    /// Edge head.
-    pub to: NodeId,
-}
-
 /// What a session mutation did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MutateOutcome {
@@ -121,17 +121,19 @@ pub struct MutateOutcome {
     /// Whether the insertion forced a topological-order rebuild.
     pub reordered: bool,
     /// How many leading ladder rungs the session predicts survive the
-    /// mutation and pre-warms. A *hint only*: every rung is recomputed
-    /// on the mutated graph, so answers stay bit-identical to a cold
-    /// session regardless of this number.
+    /// mutation and pre-warms (always 0 for solvers that are not
+    /// prefix-nested). A *hint only*: every rung is recomputed on the
+    /// mutated graph, so answers stay bit-identical to a cold session
+    /// regardless of this number.
     pub retained_rungs: usize,
 }
 
 /// Why a session mutation was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MutateError {
-    /// A cycle, a duplicate or unknown edge, or an edge removal that
-    /// would orphan a placed filter (all 409 on the wire).
+    /// A mutation [`Mutation::validate`] rejects, a filter mutation, or
+    /// an edge removal that would orphan a placed filter (all 409 on
+    /// the wire).
     Conflict(String),
     /// The session worker is gone (closed or expired concurrently).
     Closed,
@@ -144,7 +146,7 @@ enum SessionCmd {
         reply: mpsc::Sender<Result<Vec<KAnswer>, QueryError>>,
     },
     Mutate {
-        m: EdgeMutation,
+        m: Mutation,
         reply: mpsc::Sender<Result<MutateOutcome, MutateError>>,
     },
     Stop,
@@ -262,16 +264,17 @@ impl SessionHandle {
         reply_rx.recv().map_err(|_| QueryError::Closed)?
     }
 
-    /// Apply one structural mutation to the session's private copy of
-    /// its graph (the registry's shared entry is never touched — other
-    /// sessions on the same graph keep solving the original).
+    /// Apply one edge mutation (`InsertEdge`/`RemoveEdge`) to the
+    /// session's private copy of its graph (the registry's shared
+    /// entry is never touched — other sessions on the same graph keep
+    /// solving the original).
     ///
     /// On success the worker rebuilds its solver session on the
     /// mutated graph and pre-warms the predicted surviving ladder
     /// prefix; later queries are bit-identical to a cold session
-    /// opened on that graph. Conflicting mutations (cycle, duplicate
-    /// or unknown edge, orphaned placed filter) change nothing.
-    pub fn mutate(&self, m: EdgeMutation) -> Result<MutateOutcome, MutateError> {
+    /// opened on that graph. Refused mutations
+    /// ([`MutateError::Conflict`]) change nothing.
+    pub fn mutate(&self, m: Mutation) -> Result<MutateOutcome, MutateError> {
         *self.last_used.lock().expect("session lock poisoned") = Instant::now();
         let (reply_tx, reply_rx) = mpsc::channel();
         self.tx
@@ -288,211 +291,155 @@ impl SessionHandle {
     }
 }
 
-/// How one epoch of a session worker ended: the daemon (or channel)
-/// stopped it, or a mutation was accepted and the next epoch must
-/// rebuild on the mutated graph.
-enum EpochEnd {
-    Stopped,
-    Mutated { problem: Problem, retain: usize },
+/// What one epoch has computed, by budget.
+enum Answers {
+    /// Prefix-nested solvers: the FR after each rung of the one ladder
+    /// (rung 0 first; rung `r`'s placement is the session placement's
+    /// first `r` nodes), and whether the solver stopped early.
+    Ladder { fr: Vec<f64>, exhausted: bool },
+    /// Every other solver: one independent draw per budget, a pure
+    /// function of `(k, seed)`.
+    Draws(BTreeMap<usize, KAnswer>),
 }
 
-/// Validate and apply one edge mutation against `cg`, returning the
-/// mutated graph and whether the topological order was rebuilt.
-/// Conflicts — a cycle, a self-loop, an out-of-range endpoint, a
-/// duplicate or unknown edge, or an edge removal that would leave one
-/// of `placed` unreachable from the source — return `Err` and build
-/// nothing.
-fn mutate_cgraph(
-    cg: &fp_propagation::CGraph,
-    placed: &[NodeId],
-    m: EdgeMutation,
-) -> Result<(fp_propagation::CGraph, bool), String> {
-    let mut next = cg.clone();
-    let reordered = if m.insert {
-        if m.from.index() < cg.node_count() && cg.csr().children(m.from).contains(&m.to) {
-            return Err(format!(
-                "edge {} -> {} already exists",
-                m.from.index(),
-                m.to.index()
-            ));
-        }
-        next.insert_edge(m.from, m.to).map_err(|e| e.to_string())?
-    } else {
-        if !next.remove_edge(m.from, m.to) {
-            return Err(format!(
-                "edge {} -> {} does not exist",
-                m.from.index(),
-                m.to.index()
-            ));
-        }
-        false
-    };
-    if !m.insert && !placed.is_empty() {
-        let reach = fp_graph::reachable_from(next.csr(), next.source());
-        if let Some(lost) = placed.iter().find(|p| !reach.contains(p.index())) {
-            return Err(format!(
-                "removing edge {} -> {} would orphan placed filter {}",
-                m.from.index(),
-                m.to.index(),
-                lost.index()
-            ));
+/// One epoch of a session worker: one solver session on one graph
+/// version, and every answer it has computed there.
+struct Epoch<'a> {
+    cg: &'a CGraph,
+    session: Box<dyn SolverSession + 'a>,
+    answers: Answers,
+}
+
+impl Epoch<'_> {
+    /// Whether budget `k` is answerable without solver work.
+    fn cached(&self, k: usize) -> bool {
+        match &self.answers {
+            Answers::Ladder { fr, exhausted } => k < fr.len() || *exhausted,
+            Answers::Draws(memo) => memo.contains_key(&k),
         }
     }
-    Ok((next, reordered))
-}
 
-/// Predict how many leading rungs of the old ladder survive the
-/// mutation: the longest prefix of picks disjoint from the mutation
-/// site and its downstream cone (whose received counts move; picks
-/// upstream keep theirs, though their *order* can still shift, which
-/// is why this is only a pre-warm hint — the rebuilt session
-/// recomputes every rung, so a wrong prediction costs warm-up time,
-/// never correctness).
-fn retained_prefix(next: &fp_propagation::CGraph, picks: &[NodeId], m: EdgeMutation) -> usize {
-    let affected = fp_graph::reachable_from(next.csr(), m.to);
-    picks
-        .iter()
-        .take_while(|&&p| !affected.contains(p.index()) && p != m.from)
-        .count()
-}
+    /// Ladder rungs past rung 0, or memoized draws.
+    fn ready(&self) -> usize {
+        match &self.answers {
+            Answers::Ladder { fr, .. } => fr.len() - 1,
+            Answers::Draws(memo) => memo.len(),
+        }
+    }
 
-/// Worker body for prefix-nested solvers: one live ladder plus a rung
-/// cache, so a budget is computed at most once per *epoch* (mutations
-/// end the epoch and rebuild the ladder on the mutated graph).
-fn run_nested_session(
-    graph: &GraphEntry,
-    solver: SolverKind,
-    seed: u64,
-    state: &AtomicU8,
-    stats: &SessionStats,
-    rx: &mpsc::Receiver<SessionCmd>,
-) {
-    let mut local: Option<Problem> = None;
-    let mut warm_to = 0usize;
-    loop {
-        let problem = local.as_ref().unwrap_or(&graph.problem);
-        match run_nested_epoch(problem, solver, seed, state, stats, rx, warm_to) {
-            EpochEnd::Stopped => return,
-            EpochEnd::Mutated { problem, retain } => {
-                state.store(STATE_WARMING, Ordering::Release);
-                local = Some(problem);
-                warm_to = retain;
+    /// Work until budget `k` is cached, checking `deadline` before each
+    /// unit of work: one rung of the ladder, or the draw at `k`.
+    /// `false` if the deadline expired first; finished work stays
+    /// cached, so a retry resumes where this one stopped.
+    fn fill(&mut self, k: usize, deadline: Option<Instant>) -> bool {
+        while !self.cached(k) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
             }
-        }
-    }
-}
-
-fn run_nested_epoch(
-    problem: &Problem,
-    solver: SolverKind,
-    seed: u64,
-    state: &AtomicU8,
-    stats: &SessionStats,
-    rx: &mpsc::Receiver<SessionCmd>,
-    warm_to: usize,
-) -> EpochEnd {
-    let solver_impl = solver.build::<Wide128>();
-    let cg = problem.cgraph();
-    let mut session = solver_impl.session(cg, seed);
-    // Rung 0: reading FR here does the one-time denominator passes —
-    // this is the "warming" work a fresh session pays up front. After
-    // a mutation, the predicted surviving prefix is re-walked here too.
-    let mut picks: Vec<NodeId> = Vec::new();
-    let mut frs: Vec<f64> = vec![session.fr()];
-    let mut exhausted = false;
-    while picks.len() < warm_to && !exhausted {
-        if let Some(v) = session.next_filter() {
-            picks.push(v);
-            frs.push(session.fr());
-        } else {
-            exhausted = true;
-        }
-    }
-    state.store(STATE_READY, Ordering::Release);
-
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            SessionCmd::Query {
-                ks,
-                deadline,
-                reply,
-            } => {
-                let _span = fp_obs::span("session.query").arg("ks", ks.len() as i64);
-                let warm = picks.len();
-                stats
-                    .rung_cache_hits
-                    .add(ks.iter().filter(|&&k| k <= warm || exhausted).count() as u64);
-                let want = ks.iter().copied().max().unwrap_or(0);
-                let mut expired = false;
-                while picks.len() < want && !exhausted && !expired {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        expired = true;
-                    } else if let Some(v) = session.next_filter() {
-                        picks.push(v);
-                        frs.push(session.fr());
+            match &mut self.answers {
+                Answers::Ladder { fr, exhausted } => {
+                    // Rung 0 is the empty placement; each later rung
+                    // adds one pick.
+                    if !fr.is_empty() && self.session.next_filter().is_none() {
+                        *exhausted = true;
                     } else {
-                        exhausted = true;
+                        fr.push(self.session.fr());
                     }
                 }
-                stats.rung_depth.set(picks.len() as i64);
-                // A budget past the ladder's natural end answers with
-                // the full ladder — exactly `advance_to`'s early-stop
-                // semantics.
-                let answerable = |k: usize| k <= picks.len() || exhausted;
-                let out = if ks.iter().all(|&k| answerable(k)) {
-                    Ok(ks
-                        .iter()
-                        .map(|&k| {
-                            let rung = k.min(picks.len());
-                            KAnswer {
-                                k,
-                                fr: frs[rung],
-                                placement: picks[..rung].to_vec(),
-                            }
-                        })
-                        .collect())
-                } else {
-                    Err(QueryError::Expired { ready: picks.len() })
-                };
-                let _ = reply.send(out);
-            }
-            SessionCmd::Mutate { m, reply } => {
-                let _span = fp_obs::span("session.mutate");
-                match mutate_cgraph(problem.cgraph(), &picks, m) {
-                    Ok((next, reordered)) => {
-                        let retain = retained_prefix(&next, &picks, m);
-                        stats.mutations.inc();
-                        stats.rungs_retained.add(retain as u64);
-                        let _ = reply.send(Ok(MutateOutcome {
-                            op: if m.insert {
-                                "insert_edge"
-                            } else {
-                                "remove_edge"
-                            },
-                            edges: next.edge_count(),
-                            reordered,
-                            retained_rungs: retain,
-                        }));
-                        return EpochEnd::Mutated {
-                            problem: Problem::from_cgraph(next),
-                            retain,
-                        };
-                    }
-                    Err(msg) => {
-                        let _ = reply.send(Err(MutateError::Conflict(msg)));
-                    }
+                Answers::Draws(memo) => {
+                    self.session.advance_to(k);
+                    let placement = self.session.placement().nodes().to_vec();
+                    let fr = self.session.fr();
+                    memo.insert(k, KAnswer { k, fr, placement });
                 }
             }
-            SessionCmd::Stop => return EpochEnd::Stopped,
+        }
+        true
+    }
+
+    /// The cached answer at budget `k`. A budget past a ladder's
+    /// natural end answers with the full ladder — exactly
+    /// `advance_to`'s early-stop semantics.
+    fn answer(&self, k: usize) -> KAnswer {
+        match &self.answers {
+            Answers::Ladder { fr, .. } => {
+                let rung = k.min(fr.len() - 1);
+                KAnswer {
+                    k,
+                    fr: fr[rung],
+                    placement: self.session.placement().nodes()[..rung].to_vec(),
+                }
+            }
+            Answers::Draws(memo) => memo[&k].clone(),
         }
     }
-    EpochEnd::Stopped
+
+    /// Apply one edge mutation to a copy of the epoch's graph under the
+    /// engine's edge rules ([`Mutation::validate`]) plus serve's own: a
+    /// removal may not leave a node any cached answer placed
+    /// unreachable from the source. A refusal leaves the epoch as it was.
+    fn mutate(&self, m: Mutation) -> Result<(CGraph, MutateOutcome), String> {
+        m.validate(self.cg).map_err(|e| e.to_string())?;
+        let mut next = self.cg.clone();
+        let (from, to, reordered) = match m {
+            Mutation::InsertEdge { from, to } => {
+                let reordered = next.insert_edge(from, to).map_err(|e| e.to_string())?;
+                (from, to, reordered)
+            }
+            Mutation::RemoveEdge { from, to } => {
+                next.remove_edge(from, to);
+                let placed: Vec<NodeId> = match &self.answers {
+                    Answers::Ladder { .. } => self.session.placement().nodes().to_vec(),
+                    Answers::Draws(memo) => memo
+                        .values()
+                        .flat_map(|a| a.placement.iter().copied())
+                        .collect(),
+                };
+                if !placed.is_empty() {
+                    let reach = fp_graph::reachable_from(next.csr(), next.source());
+                    if let Some(lost) = placed.iter().find(|p| !reach.contains(p.index())) {
+                        return Err(format!(
+                            "removing edge {from} -> {to} would orphan placed filter {lost}"
+                        ));
+                    }
+                }
+                (from, to, false)
+            }
+            _ => return Err(format!("{m} is not an edge mutation")),
+        };
+        // The pre-warm hint: the longest prefix of picks disjoint from
+        // the mutation site and its downstream cone, whose received
+        // counts move. Picks upstream keep theirs, though their *order*
+        // can still shift — the rebuilt session recomputes every rung,
+        // so a wrong prediction costs warm-up time, never correctness.
+        let retained_rungs = match self.answers {
+            Answers::Ladder { .. } => {
+                let affected = fp_graph::reachable_from(next.csr(), to);
+                self.session
+                    .placement()
+                    .nodes()
+                    .iter()
+                    .take_while(|&&p| !affected.contains(p.index()) && p != from)
+                    .count()
+            }
+            Answers::Draws(_) => 0,
+        };
+        let outcome = MutateOutcome {
+            op: m.op(),
+            edges: next.edge_count(),
+            reordered,
+            retained_rungs,
+        };
+        Ok((next, outcome))
+    }
 }
 
-/// Worker body for the non-nested randomized baselines: each budget is
-/// an independent redraw (a pure function of `(k, seed)`), memoized
-/// per epoch (mutations clear the memo along with the graph).
-fn run_one_shot_session(
+/// The session worker: one loop of epochs, one per graph version. The
+/// first epoch solves the registry's shared graph; an accepted mutation
+/// ends an epoch with the session's own mutated copy, on which the next
+/// epoch builds a fresh solver session and pre-warms the rungs predicted
+/// to survive.
+fn run_session(
     graph: &GraphEntry,
     solver: SolverKind,
     seed: u64,
@@ -500,108 +447,73 @@ fn run_one_shot_session(
     stats: &SessionStats,
     rx: &mpsc::Receiver<SessionCmd>,
 ) {
-    let mut local: Option<Problem> = None;
+    let solver_impl = solver.build::<Wide128>();
+    let mut own: Option<CGraph> = None;
+    let mut warm_to = 0;
     loop {
-        let problem = local.as_ref().unwrap_or(&graph.problem);
-        match run_one_shot_epoch(problem, solver, seed, state, stats, rx) {
-            EpochEnd::Stopped => return,
-            EpochEnd::Mutated { problem, .. } => {
-                state.store(STATE_WARMING, Ordering::Release);
-                local = Some(problem);
-            }
-        }
-    }
-}
-
-fn run_one_shot_epoch(
-    problem: &Problem,
-    solver: SolverKind,
-    seed: u64,
-    state: &AtomicU8,
-    stats: &SessionStats,
-    rx: &mpsc::Receiver<SessionCmd>,
-) -> EpochEnd {
-    let mut memo: BTreeMap<usize, KAnswer> = BTreeMap::new();
-    let draw = |k: usize| {
-        let (_, placement, fr) = problem
-            .solve_ladder(solver, &[k], seed)
-            .pop()
-            .expect("one budget in, one answer out");
-        KAnswer {
-            k,
-            fr,
-            placement: placement.nodes().to_vec(),
-        }
-    };
-    memo.insert(0, draw(0)); // warm the objective denominators
-    state.store(STATE_READY, Ordering::Release);
-
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            SessionCmd::Query {
-                ks,
-                deadline,
-                reply,
-            } => {
-                let _span = fp_obs::span("session.query").arg("ks", ks.len() as i64);
-                let mut expired = false;
-                for &k in &ks {
-                    if memo.contains_key(&k) {
-                        stats.rung_cache_hits.inc();
-                        continue;
-                    }
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        expired = true;
-                        break;
-                    }
-                    memo.insert(k, draw(k));
+        let cg = own.as_ref().unwrap_or_else(|| graph.problem.cgraph());
+        let mut epoch = Epoch {
+            cg,
+            session: solver_impl.session(cg, seed),
+            answers: if solver.is_prefix_nested() {
+                Answers::Ladder {
+                    fr: Vec::new(),
+                    exhausted: false,
                 }
-                stats.rung_depth.set(memo.len() as i64);
-                let out = if expired {
-                    Err(QueryError::Expired { ready: memo.len() })
-                } else {
-                    Ok(ks.iter().map(|k| memo[k].clone()).collect())
-                };
-                let _ = reply.send(out);
-            }
-            SessionCmd::Mutate { m, reply } => {
-                let _span = fp_obs::span("session.mutate");
-                // "Placed" filters for the orphan rule: everything a
-                // memoized answer has handed out.
-                let placed: Vec<NodeId> = {
-                    let mut all: Vec<NodeId> =
-                        memo.values().flat_map(|a| a.placement.clone()).collect();
-                    all.sort_unstable();
-                    all.dedup();
-                    all
-                };
-                match mutate_cgraph(problem.cgraph(), &placed, m) {
-                    Ok((next, reordered)) => {
-                        stats.mutations.inc();
-                        let _ = reply.send(Ok(MutateOutcome {
-                            op: if m.insert {
-                                "insert_edge"
-                            } else {
-                                "remove_edge"
-                            },
-                            edges: next.edge_count(),
-                            reordered,
-                            retained_rungs: 0,
-                        }));
-                        return EpochEnd::Mutated {
-                            problem: Problem::from_cgraph(next),
-                            retain: 0,
-                        };
-                    }
-                    Err(msg) => {
-                        let _ = reply.send(Err(MutateError::Conflict(msg)));
+            } else {
+                Answers::Draws(BTreeMap::new())
+            },
+        };
+        // Budget 0's FR read does the one-time denominator passes — the
+        // "warming" work a fresh session pays up front. After a
+        // mutation, the predicted surviving prefix is re-walked here too.
+        epoch.fill(warm_to, None);
+        state.store(STATE_READY, Ordering::Release);
+        let next = loop {
+            let Ok(cmd) = rx.recv() else { return };
+            match cmd {
+                SessionCmd::Query {
+                    ks,
+                    deadline,
+                    reply,
+                } => {
+                    let _span = fp_obs::span("session.query").arg("ks", ks.len() as i64);
+                    let warm = ks.iter().filter(|&&k| epoch.cached(k)).count();
+                    stats.rung_cache_hits.add(warm as u64);
+                    let done = ks.iter().all(|&k| epoch.fill(k, deadline));
+                    stats.rung_depth.set(epoch.ready() as i64);
+                    let out = if done {
+                        Ok(ks.iter().map(|&k| epoch.answer(k)).collect())
+                    } else {
+                        Err(QueryError::Expired {
+                            ready: epoch.ready(),
+                        })
+                    };
+                    let _ = reply.send(out);
+                }
+                SessionCmd::Mutate { m, reply } => {
+                    let _span = fp_obs::span("session.mutate");
+                    match epoch.mutate(m) {
+                        Ok((next, outcome)) => {
+                            warm_to = outcome.retained_rungs;
+                            stats.mutations.inc();
+                            stats.rungs_retained.add(warm_to as u64);
+                            let _ = reply.send(Ok(outcome));
+                            break next;
+                        }
+                        Err(msg) => {
+                            let _ = reply.send(Err(MutateError::Conflict(msg)));
+                        }
                     }
                 }
+                SessionCmd::Stop => return,
             }
-            SessionCmd::Stop => return EpochEnd::Stopped,
-        }
+        };
+        // The epoch's session borrows the graph `next` replaces.
+        drop(epoch);
+        state.store(STATE_WARMING, Ordering::Release);
+        own = Some(next);
     }
-    EpochEnd::Stopped
 }
 
 // ---------------------------------------------------------------------
@@ -725,13 +637,7 @@ impl SessionTable {
         let worker_graph = Arc::clone(&graph);
         thread::Builder::new()
             .name(format!("fp-session-{id}"))
-            .spawn(move || {
-                if solver.is_prefix_nested() {
-                    run_nested_session(&worker_graph, solver, seed, &state, &stats, &rx);
-                } else {
-                    run_one_shot_session(&worker_graph, solver, seed, &state, &stats, &rx);
-                }
-            })
+            .spawn(move || run_session(&worker_graph, solver, seed, &state, &stats, &rx))
             .expect("cannot spawn session thread");
         sessions.insert(id, Arc::clone(&handle));
         Ok(handle)
@@ -1054,9 +960,18 @@ impl ApiState {
                 if ks.is_empty() {
                     return (400, error_body("ks must be non-empty"));
                 }
+                if ks.len() > MAX_QUERY_BUDGETS {
+                    let msg = format!("more than {MAX_QUERY_BUDGETS} budgets in one query");
+                    return (400, error_body(msg));
+                }
                 let Some(handle) = self.sessions.get(session) else {
                     return (404, error_body(format!("unknown session {session:?}")));
                 };
+                let n = handle.graph.problem.cgraph().node_count();
+                if ks.iter().map(|&k| k.min(n)).sum::<usize>() > MAX_QUERY_PLACED {
+                    let msg = format!("the reply would list more than {MAX_QUERY_PLACED} nodes");
+                    return (400, error_body(msg));
+                }
                 handle.stats.queries.inc();
                 handle
                     .stats
@@ -1085,9 +1000,9 @@ impl ApiState {
                 from,
                 to,
             } => {
-                let insert = match mutation.as_str() {
-                    "insert_edge" => true,
-                    "remove_edge" => false,
+                let edge: fn(NodeId, NodeId) -> Mutation = match mutation.as_str() {
+                    "insert_edge" => |from, to| Mutation::InsertEdge { from, to },
+                    "remove_edge" => |from, to| Mutation::RemoveEdge { from, to },
                     other => {
                         return (400, error_body(format!("unknown mutation kind {other:?}")));
                     }
@@ -1109,11 +1024,7 @@ impl ApiState {
                 let Some(v) = resolve(to) else {
                     return (400, error_body(format!("unknown node label {to:?}")));
                 };
-                match handle.mutate(EdgeMutation {
-                    insert,
-                    from: u,
-                    to: v,
-                }) {
+                match handle.mutate(edge(u, v)) {
                     Ok(out) => (
                         200,
                         Json::object([
@@ -1406,6 +1317,8 @@ fn http_reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -1416,15 +1329,38 @@ fn http_reason(status: u16) -> &'static str {
 /// on their own schedule anyway.
 const RETRY_AFTER_SECS: u16 = 1;
 
+/// Longest HTTP request line accepted, newline included (414 past it).
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+/// Longest HTTP header line accepted, newline included (431 past it).
+const MAX_HEADER_LINE: usize = 8 * 1024;
+/// Most header lines one HTTP request may carry (431 past it).
+const MAX_HEADERS: usize = 100;
+
+/// Read one line of at most `max` bytes, newline included, refusing a
+/// longer one with `status` before buffering any more of it. An empty
+/// string is EOF.
+fn read_capped_line(
+    reader: &mut impl BufRead,
+    max: usize,
+    status: u16,
+    what: &str,
+) -> Result<String, (u16, String)> {
+    let mut line = String::new();
+    let n = std::io::Read::take(&mut *reader, max as u64)
+        .read_line(&mut line)
+        .map_err(|e| (400, format!("cannot read {what}: {e}")))?;
+    if n == max && !line.ends_with('\n') {
+        return Err((status, format!("{what} is longer than {max} bytes")));
+    }
+    Ok(line)
+}
+
 /// Read one HTTP request. `Ok(None)` is a clean EOF — the client hung
 /// up between requests, which a keep-alive loop treats as the normal
 /// end of the conversation rather than an error.
 fn read_http_request(reader: &mut impl BufRead) -> Result<Option<HttpRequest>, (u16, String)> {
-    let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| (400, format!("cannot read request line: {e}")))?;
-    if n == 0 {
+    let line = read_capped_line(reader, MAX_REQUEST_LINE, 414, "request line")?;
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -1447,14 +1383,14 @@ fn read_http_request(reader: &mut impl BufRead) -> Result<Option<HttpRequest>, (
 
     let mut content_len = 0usize;
     let mut keep_alive = false;
-    loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| (400, format!("cannot read header: {e}")))?;
+    for count in 0.. {
+        let header = read_capped_line(reader, MAX_HEADER_LINE, 431, "header line")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err((431, format!("more than {MAX_HEADERS} header lines")));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -1539,6 +1475,9 @@ fn route(req: &HttpRequest) -> Result<ServeCall, (u16, String)> {
                 let kmax = q("kmax")?
                     .parse::<usize>()
                     .map_err(|_| (400, "bad kmax".to_string()))?;
+                if kmax >= MAX_QUERY_BUDGETS {
+                    return Err((400, format!("kmax must be below {MAX_QUERY_BUDGETS}")));
+                }
                 (0..=kmax).collect()
             };
             Ok(ServeCall::Query {
@@ -1726,6 +1665,8 @@ impl ServeClient {
 mod tests {
     use super::*;
     use crate::registry::GraphRegistry;
+    use crate::Problem;
+    use fp_propagation::FilterSet;
     use std::io::Read;
 
     fn api() -> ApiState {
@@ -1741,8 +1682,12 @@ mod tests {
     }
 
     fn open_session(api: &ApiState, solver: SolverKind, seed: u64) -> String {
+        open_on(api, "fig1", solver, seed)
+    }
+
+    fn open_on(api: &ApiState, graph: &str, solver: SolverKind, seed: u64) -> String {
         let (status, body) = api.handle(&ServeCall::SessionOpen {
-            graph: "fig1".into(),
+            graph: graph.into(),
             solver,
             seed,
         });
@@ -1752,6 +1697,28 @@ mod tests {
             .as_str()
             .unwrap()
             .to_string()
+    }
+
+    /// Every row of a query reply carries the batch ladder's k, FR bits
+    /// and placement nodes, in order.
+    fn assert_matches_batch(body: &Json, batch: Vec<(usize, FilterSet, f64)>, what: &str) {
+        let results = body.expect("results").unwrap().as_array().unwrap();
+        assert_eq!(results.len(), batch.len(), "{what}");
+        for (row, (k, placement, fr)) in results.iter().zip(batch) {
+            assert_eq!(row.expect("k").unwrap().as_usize(), Some(k), "{what}");
+            let got_fr = row.expect("fr").unwrap().as_f64().unwrap();
+            assert_eq!(got_fr.to_bits(), fr.to_bits(), "{what} k={k}");
+            let got_nodes: Vec<usize> = row
+                .expect("placement")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_usize().unwrap())
+                .collect();
+            let want: Vec<usize> = placement.nodes().iter().map(|v| v.index()).collect();
+            assert_eq!(got_nodes, want, "{what} k={k}");
+        }
     }
 
     #[test]
@@ -1801,23 +1768,7 @@ mod tests {
                 .unwrap()
                 .problem
                 .solve_ladder(solver, &ks, seed);
-            let results = body.expect("results").unwrap().as_array().unwrap();
-            assert_eq!(results.len(), batch.len());
-            for (row, (k, placement, fr)) in results.iter().zip(batch) {
-                assert_eq!(row.expect("k").unwrap().as_usize(), Some(k));
-                let got_fr = row.expect("fr").unwrap().as_f64().unwrap();
-                assert_eq!(got_fr.to_bits(), fr.to_bits(), "{solver:?} k={k}");
-                let got_nodes: Vec<usize> = row
-                    .expect("placement")
-                    .unwrap()
-                    .as_array()
-                    .unwrap()
-                    .iter()
-                    .map(|v| v.as_usize().unwrap())
-                    .collect();
-                let want: Vec<usize> = placement.nodes().iter().map(|v| v.index()).collect();
-                assert_eq!(got_nodes, want, "{solver:?} k={k}");
-            }
+            assert_matches_batch(&body, batch, solver.label());
         }
     }
 
@@ -1849,28 +1800,28 @@ mod tests {
     #[test]
     fn zero_deadline_expires_fresh_work_but_serves_cached_rungs() {
         let api = api();
-        let id = open_session(&api, SolverKind::GreedyAll, 0);
-        // Demand fresh rungs in zero time: deterministic 408.
-        let (status, body) = api.handle(&ServeCall::Query {
-            session: id.clone(),
-            ks: vec![3],
-            deadline_ms: Some(0),
-        });
-        assert_eq!(status, 408, "{body:?}");
-        // Cached rungs (k=0 is always rung 0) are served even at 0 ms.
-        let (status, _) = api.handle(&ServeCall::Query {
-            session: id.clone(),
-            ks: vec![0],
-            deadline_ms: Some(0),
-        });
-        assert_eq!(status, 200);
-        // And without a deadline the interrupted budget completes.
-        let (status, _) = api.handle(&ServeCall::Query {
-            session: id,
-            ks: vec![3],
-            deadline_ms: None,
-        });
-        assert_eq!(status, 200);
+        // A ladder rung and a one-shot draw are both units of work the
+        // deadline is checked before.
+        for solver in [SolverKind::GreedyAll, SolverKind::RandI] {
+            let id = open_session(&api, solver, 0);
+            let query = |k: usize, deadline_ms: Option<u64>| {
+                api.handle(&ServeCall::Query {
+                    session: id.clone(),
+                    ks: vec![k],
+                    deadline_ms,
+                })
+            };
+            // Demand fresh work in zero time: deterministic 408.
+            let (status, body) = query(3, Some(0));
+            assert_eq!(status, 408, "{solver:?}: {body:?}");
+            // Budget 0 is computed while warming, so it is served even
+            // at 0 ms.
+            assert_eq!(query(0, Some(0)).0, 200, "{solver:?}");
+            // Without a deadline the interrupted budget completes, and
+            // from then on it is cached too.
+            assert_eq!(query(3, None).0, 200, "{solver:?}");
+            assert_eq!(query(3, Some(0)).0, 200, "{solver:?}");
+        }
     }
 
     #[test]
@@ -1889,12 +1840,18 @@ mod tests {
         });
         assert_eq!(status, 404);
         let id = open_session(&api, SolverKind::GreedyAll, 0);
-        let (status, _) = api.handle(&ServeCall::Query {
-            session: id,
-            ks: vec![],
-            deadline_ms: None,
-        });
-        assert_eq!(status, 400);
+        let query = |ks: Vec<usize>| {
+            api.handle(&ServeCall::Query {
+                session: id.clone(),
+                ks,
+                deadline_ms: None,
+            })
+            .0
+        };
+        assert_eq!(query(vec![]), 400);
+        // The budget cap holds for frame queries and `ks=` lists too.
+        assert_eq!(query(vec![1; MAX_QUERY_BUDGETS + 1]), 400);
+        assert_eq!(query(vec![1; MAX_QUERY_BUDGETS]), 200);
         let (status, _) = api.handle(&ServeCall::SessionClose {
             session: "nope".into(),
         });
@@ -1908,68 +1865,109 @@ mod tests {
     }
 
     #[test]
+    fn queries_whose_reply_would_list_too_many_nodes_are_400() {
+        // A star s → v1 … v300: Rand_I at k ≥ n places every leaf, so
+        // each repeat of that budget adds n − 1 nodes to the reply.
+        let n = 301;
+        let edges: String = (1..n).map(|i| format!("s v{i}\n")).collect();
+        let registry = GraphRegistry::new();
+        registry.put_edge_list("star", "s", &edges).unwrap();
+        let api = ApiState::new(registry, None);
+        let id = open_on(&api, "star", SolverKind::RandI, 0);
+        let query = |ks: Vec<usize>| {
+            api.handle(&ServeCall::Query {
+                session: id.clone(),
+                ks,
+                deadline_ms: None,
+            })
+        };
+        // Past the cap by one row of n, yet within the budget count.
+        let rows = MAX_QUERY_PLACED / n + 1;
+        assert!(rows <= MAX_QUERY_BUDGETS);
+        let (status, body) = query(vec![n; rows]);
+        assert_eq!(status, 400, "{body:?}");
+        let msg = body.expect("error").unwrap().as_str().unwrap().to_string();
+        assert!(msg.contains("nodes"), "{msg}");
+        // A budget past n lists no more than n nodes, so it counts as n.
+        assert_eq!(query(vec![usize::MAX; rows]).0, 400);
+        // The refusals did no solver work; a few repeats still answer.
+        let (status, body) = query(vec![n; 4]);
+        assert_eq!(status, 200, "{body:?}");
+        for row in body.expect("results").unwrap().as_array().unwrap() {
+            let placed = row.expect("placement").unwrap().as_array().unwrap();
+            assert_eq!(placed.len(), n - 1);
+        }
+    }
+
+    #[test]
     fn mutated_sessions_answer_bit_identical_to_a_batch_solve_on_the_mutated_graph() {
         let api = api();
         let ks: Vec<usize> = vec![0, 1, 2, 3];
-        let id = open_session(&api, SolverKind::GreedyAll, 0);
-        // Warm the ladder so the mutation has rungs to retain.
-        let (status, _) = api.handle(&ServeCall::Query {
-            session: id.clone(),
-            ks: ks.clone(),
-            deadline_ms: None,
-        });
-        assert_eq!(status, 200);
-        // fig1 labels by first appearance: s=0 x=1 y=2 z1=3 z2=4 z3=5 w=6.
-        let (status, body) = api.handle(&ServeCall::Mutate {
-            session: id.clone(),
-            mutation: "insert_edge".into(),
-            from: "z1".into(),
-            to: "z3".into(),
-        });
-        assert_eq!(status, 200, "{body:?}");
-        assert_eq!(
-            body.expect("applied").unwrap().as_str(),
-            Some("insert_edge")
-        );
-        assert_eq!(body.expect("edges").unwrap().as_usize(), Some(10));
-        assert_eq!(body.expect("reordered").unwrap(), &Json::Bool(false));
-        // Warm picks were [z2]; the insertion affects {z3, w}, so the
-        // one warm rung is predicted to survive.
-        assert_eq!(body.expect("retained_rungs").unwrap().as_usize(), Some(1));
-
-        // The batch oracle: the same edge inserted into a private copy.
+        let seed = 42;
         let fig1 = api.registry().get("fig1").unwrap();
+        // The batch oracle: the same edge inserted into a private copy.
+        // fig1 labels by first appearance: s=0 x=1 y=2 z1=3 z2=4 z3=5 w=6.
         let mut cg = fig1.problem.cgraph().clone();
         cg.insert_edge(NodeId::new(3), NodeId::new(5)).unwrap();
-        let batch = Problem::from_cgraph(cg).solve_ladder(SolverKind::GreedyAll, &ks, 0);
-        let (status, body) = api.handle(&ServeCall::Query {
-            session: id.clone(),
-            ks: ks.clone(),
-            deadline_ms: None,
-        });
-        assert_eq!(status, 200, "{body:?}");
-        let results = body.expect("results").unwrap().as_array().unwrap();
-        for (row, (k, placement, fr)) in results.iter().zip(batch) {
-            let got_fr = row.expect("fr").unwrap().as_f64().unwrap();
-            assert_eq!(got_fr.to_bits(), fr.to_bits(), "k={k}");
-            let got: Vec<usize> = row
-                .expect("placement")
-                .unwrap()
-                .as_array()
-                .unwrap()
+        let mutated = Problem::from_cgraph(cg);
+        for solver in SolverKind::PAPER_SET {
+            let id = open_session(&api, solver, seed);
+            let query = || {
+                api.handle(&ServeCall::Query {
+                    session: id.clone(),
+                    ks: ks.clone(),
+                    deadline_ms: None,
+                })
+            };
+            // Warm the answers so the mutation has rungs to retain.
+            let (status, body) = query();
+            assert_eq!(status, 200, "{solver:?}: {body:?}");
+            let batch = fig1.problem.solve_ladder(solver, &ks, seed);
+            assert_matches_batch(&body, batch, solver.label());
+            let (status, body) = api.handle(&ServeCall::Mutate {
+                session: id.clone(),
+                mutation: "insert_edge".into(),
+                from: "z1".into(),
+                to: "z3".into(),
+            });
+            assert_eq!(status, 200, "{solver:?}: {body:?}");
+            assert_eq!(
+                body.expect("applied").unwrap().as_str(),
+                Some("insert_edge")
+            );
+            assert_eq!(body.expect("edges").unwrap().as_usize(), Some(10));
+            assert_eq!(body.expect("reordered").unwrap(), &Json::Bool(false));
+            let retained = body.expect("retained_rungs").unwrap().as_usize();
+            match solver {
+                // Warm picks were [z2]; the insertion affects {z3, w},
+                // so the one warm rung is predicted to survive.
+                SolverKind::GreedyAll => assert_eq!(retained, Some(1)),
+                // Independent draws are never retained.
+                SolverKind::RandI | SolverKind::RandW => {
+                    assert_eq!(retained, Some(0), "{solver:?}");
+                }
+                _ => {}
+            }
+            let (status, body) = query();
+            assert_eq!(status, 200, "{solver:?}: {body:?}");
+            let batch = mutated.solve_ladder(solver, &ks, seed);
+            assert_matches_batch(&body, batch, &format!("{solver:?} after the mutation"));
+            // The session reports the mutation in its listed stats.
+            let (_, listing) = api.handle(&ServeCall::SessionList);
+            let sessions = listing.expect("sessions").unwrap().as_array().unwrap();
+            let row = sessions
                 .iter()
-                .map(|v| v.as_usize().unwrap())
-                .collect();
-            let want: Vec<usize> = placement.nodes().iter().map(|v| v.index()).collect();
-            assert_eq!(got, want, "k={k}");
+                .find(|s| s.expect("session").unwrap().as_str() == Some(id.as_str()))
+                .unwrap();
+            let stats = row.expect("stats").unwrap();
+            assert_eq!(
+                stats.expect("mutations").unwrap().as_usize(),
+                Some(1),
+                "{solver:?}"
+            );
         }
         // The registry's shared entry is untouched.
         assert_eq!(fig1.problem.cgraph().edge_count(), 9);
-        // And the session reports the mutation in its stats.
-        let (_, listing) = api.handle(&ServeCall::SessionList);
-        let sessions = listing.expect("sessions").unwrap().as_array().unwrap();
-        let stats = sessions[0].expect("stats").unwrap();
-        assert_eq!(stats.expect("mutations").unwrap().as_usize(), Some(1));
     }
 
     #[test]
@@ -2031,64 +2029,44 @@ mod tests {
 
     #[test]
     fn removals_that_orphan_a_placed_filter_are_409() {
-        // A chain s → a → b: Rand_K at k=2 must place {a, b}, so
-        // removing a → b would leave placed filter b unreachable.
+        // A chain s → a → b: Rand_K at k = 2 places {a, b}, and so does
+        // Rand_I at k = n = 3 (each non-source node with probability
+        // 1), so removing a → b would leave placed filter b unreachable.
         let registry = GraphRegistry::new();
         registry.put_edge_list("chain", "s", "s a\na b\n").unwrap();
         let api = ApiState::new(registry, None);
-        let (status, body) = api.handle(&ServeCall::SessionOpen {
-            graph: "chain".into(),
-            solver: SolverKind::RandK,
-            seed: 1,
-        });
-        assert_eq!(status, 201);
-        let id = body
-            .expect("session")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        let (status, _) = api.handle(&ServeCall::Query {
-            session: id.clone(),
-            ks: vec![2],
-            deadline_ms: None,
-        });
-        assert_eq!(status, 200);
-        let (status, body) = api.handle(&ServeCall::Mutate {
-            session: id.clone(),
-            mutation: "remove_edge".into(),
-            from: "a".into(),
-            to: "b".into(),
-        });
-        assert_eq!(status, 409, "{body:?}");
-        let msg = body.expect("error").unwrap().as_str().unwrap().to_string();
-        assert!(msg.contains("orphan"), "{msg}");
-        // The refused removal left the graph intact: a fresh session
-        // with nothing placed yet can remove that same edge.
-        let (status, _) = api.handle(&ServeCall::SessionClose {
-            session: id.clone(),
-        });
-        assert_eq!(status, 200);
-        let (status, body) = api.handle(&ServeCall::SessionOpen {
-            graph: "chain".into(),
-            solver: SolverKind::RandK,
-            seed: 1,
-        });
-        assert_eq!(status, 201);
-        let fresh = body
-            .expect("session")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        let (status, body) = api.handle(&ServeCall::Mutate {
-            session: fresh,
-            mutation: "remove_edge".into(),
-            from: "a".into(),
-            to: "b".into(),
-        });
-        assert_eq!(status, 200, "{body:?}");
-        assert_eq!(body.expect("edges").unwrap().as_usize(), Some(1));
+        let remove_ab = |session: &str| {
+            api.handle(&ServeCall::Mutate {
+                session: session.into(),
+                mutation: "remove_edge".into(),
+                from: "a".into(),
+                to: "b".into(),
+            })
+        };
+        for (solver, k) in [(SolverKind::RandK, 2), (SolverKind::RandI, 3)] {
+            let id = open_on(&api, "chain", solver, 1);
+            let (status, _) = api.handle(&ServeCall::Query {
+                session: id.clone(),
+                ks: vec![k],
+                deadline_ms: None,
+            });
+            assert_eq!(status, 200);
+            let (status, body) = remove_ab(&id);
+            assert_eq!(status, 409, "{solver:?}: {body:?}");
+            let msg = body.expect("error").unwrap().as_str().unwrap().to_string();
+            assert!(msg.contains("orphan"), "{msg}");
+            // The refused removal left the graph intact: a fresh session
+            // with nothing placed yet can remove that same edge.
+            let (status, _) = api.handle(&ServeCall::SessionClose {
+                session: id.clone(),
+            });
+            assert_eq!(status, 200);
+            let fresh = open_on(&api, "chain", solver, 1);
+            let (status, body) = remove_ab(&fresh);
+            assert_eq!(status, 200, "{solver:?}: {body:?}");
+            assert_eq!(body.expect("edges").unwrap().as_usize(), Some(1));
+            api.handle(&ServeCall::SessionClose { session: fresh });
+        }
     }
 
     #[test]
@@ -2206,6 +2184,47 @@ mod tests {
             req("GET", "/sessions/abc/placement", "").unwrap_err().0,
             400
         );
+        // Curves past the budget cap are refused before `0..=kmax` is
+        // built.
+        let curve = |kmax: usize| req("GET", &format!("/sessions/abc/curve?kmax={kmax}"), "");
+        assert_eq!(curve(4_000_000_000).unwrap_err().0, 400);
+        assert_eq!(curve(MAX_QUERY_BUDGETS).unwrap_err().0, 400);
+        let ServeCall::Query { ks, .. } = curve(MAX_QUERY_BUDGETS - 1).unwrap() else {
+            panic!("a curve is a query");
+        };
+        assert_eq!(ks.len(), MAX_QUERY_BUDGETS);
+    }
+
+    #[test]
+    fn http_requests_past_the_line_and_header_caps_are_refused() {
+        // Returns the status of a refusal and how many bytes were read.
+        let parse = |raw: &[u8]| {
+            let mut rest = raw;
+            let status = read_http_request(&mut rest).err().map(|(status, _)| status);
+            (status, raw.len() - rest.len())
+        };
+        let line = |pad: usize| format!("GET /health?pad={} HTTP/1.1\r\n", "x".repeat(pad));
+        let fits = MAX_REQUEST_LINE - line(0).len();
+        assert_eq!(line(fits).len(), MAX_REQUEST_LINE);
+        assert_eq!(parse(format!("{}\r\n", line(fits)).as_bytes()).0, None);
+        assert_eq!(
+            parse(format!("{}\r\n", line(fits + 1)).as_bytes()).0,
+            Some(414)
+        );
+        // A line with no end is refused after reading only the cap.
+        let endless = vec![b'G'; 4 * MAX_REQUEST_LINE];
+        assert_eq!(parse(&endless), (Some(414), MAX_REQUEST_LINE));
+
+        let request =
+            |headers: &[String]| format!("GET /health HTTP/1.1\r\n{}\r\n", headers.concat());
+        let header = |pad: usize| format!("X-Pad: {}\r\n", "x".repeat(pad));
+        let fits = MAX_HEADER_LINE - header(0).len();
+        assert_eq!(parse(request(&[header(fits)]).as_bytes()).0, None);
+        assert_eq!(parse(request(&[header(fits + 1)]).as_bytes()).0, Some(431));
+        let many = vec![header(1); MAX_HEADERS];
+        assert_eq!(parse(request(&many).as_bytes()).0, None);
+        let too_many = vec![header(1); MAX_HEADERS + 1];
+        assert_eq!(parse(request(&too_many).as_bytes()).0, Some(431));
     }
 
     #[test]

@@ -74,8 +74,8 @@ fn reply_rows(body: &Json) -> Vec<(usize, u64, Vec<usize>)> {
 
 /// Many clients, one shared warm session per solver, adversarially
 /// interleaved budgets — every reply must match the batch ladder bit
-/// for bit. Covers both session workers: the rung-cached nested walk
-/// (greedy family) and the per-k one-shot memo (Rand_W, Rand_I).
+/// for bit. Covers both ways a session fills a budget: the rung-cached
+/// ladder (greedy family) and the per-k draw memo (Rand_W, Rand_I).
 #[test]
 fn concurrent_interleaved_clients_match_the_batch_ladder() {
     const KMAX: usize = 4;
@@ -315,6 +315,27 @@ fn deeply_nested_frame_is_dropped_and_the_daemon_keeps_serving() {
         vec![(2, *want_fr, want_nodes.clone())]
     );
     client.hang_up().unwrap();
+    handle.stop().unwrap();
+}
+
+/// A curve of four billion budgets is refused with a 400 before any
+/// budget list is built (building it would abort the process on a
+/// 32 GB allocation), and the daemon keeps answering.
+#[test]
+fn oversized_budget_request_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ApiState::new(fig1_registry(), None)).unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let get = |path: &str| {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        write!(conn, "GET {path} HTTP/1.1\r\nHost: fp\r\n\r\n").unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        let status: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
+        status
+    };
+    assert_eq!(get("/sessions/nope/curve?kmax=4000000000"), 400);
+    assert_eq!(get("/health"), 200);
     handle.stop().unwrap();
 }
 

@@ -319,6 +319,54 @@ impl Mutation {
             Self::RemoveEdge { .. } => "remove_edge",
         }
     }
+
+    /// Check this mutation against `cg` without changing anything — the
+    /// rules [`ImpactEngine::apply`] enforces, shared with every other
+    /// edge-by-edge editor of a [`CGraph`] (`fp serve`'s sessions):
+    /// every node in range; an inserted edge is no self-loop, not
+    /// already present and closes no cycle; a removed edge exists.
+    pub fn validate(&self, cg: &CGraph) -> Result<(), MutationError> {
+        let node_count = cg.node_count();
+        let in_range = |node: NodeId| {
+            if node.index() < node_count {
+                Ok(())
+            } else {
+                Err(MutationError::NodeOutOfRange { node, node_count })
+            }
+        };
+        match *self {
+            Self::InsertFilter(v) | Self::RemoveFilter(v) => in_range(v),
+            Self::InsertEdge { from, to } => {
+                in_range(from)?;
+                in_range(to)?;
+                if from == to {
+                    return Err(MutationError::SelfLoop { node: from });
+                }
+                if cg.csr().children(from).contains(&to) {
+                    return Err(MutationError::DuplicateEdge { from, to });
+                }
+                // `from` reachable from `to` means to→…→from→to. A
+                // forward edge in the cached topological order needs no
+                // search — every path from `to` stays strictly after
+                // it, so it can never revisit `from`.
+                if cg.topo_position(from) >= cg.topo_position(to)
+                    && fp_graph::reachable_from(cg.csr(), to).contains(from.index())
+                {
+                    return Err(MutationError::WouldCreateCycle { from, to });
+                }
+                Ok(())
+            }
+            Self::RemoveEdge { from, to } => {
+                in_range(from)?;
+                in_range(to)?;
+                if cg.csr().children(from).contains(&to) {
+                    Ok(())
+                } else {
+                    Err(MutationError::UnknownEdge { from, to })
+                }
+            }
+        }
+    }
 }
 
 impl core::fmt::Display for Mutation {
@@ -347,12 +395,6 @@ pub struct ApplyOutcome {
     /// Whether an edge insertion invalidated — and rebuilt — the cached
     /// topological order.
     pub reordered: bool,
-}
-
-impl ApplyOutcome {
-    fn unchanged() -> Self {
-        Self::default()
-    }
 }
 
 /// Why a [`Mutation`] was rejected. Rejected mutations leave the engine
@@ -652,15 +694,80 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// under the mutation's drift direction. Filter mutations are
     /// O(affected ∪ ancestors) and allocation-free; edge mutations
     /// additionally re-freeze the adjacency snapshot (O(|E|)), cloning
-    /// the graph on first divergence. Rejected mutations leave the
-    /// engine untouched.
+    /// the graph on first divergence. Rejected mutations (see
+    /// [`Mutation::validate`]) leave the engine untouched.
     pub fn apply(&mut self, m: Mutation) -> Result<ApplyOutcome, MutationError> {
-        match m {
-            Mutation::InsertFilter(v) => self.apply_insert_filter(v),
-            Mutation::RemoveFilter(v) => self.apply_remove_filter(v),
-            Mutation::InsertEdge { from, to } => self.apply_insert_edge(from, to),
-            Mutation::RemoveEdge { from, to } => self.apply_remove_edge(from, to),
-        }
+        // Checked before any clone-on-write, so a rejection never has
+        // to be rolled back.
+        m.validate(self.graph.get())?;
+        let mut reordered = false;
+        let (span, (fwd, fwd_dense), (bwd, bwd_dense)) = match m {
+            Mutation::InsertFilter(v) => {
+                if !self.filters.insert(v) {
+                    return Ok(ApplyOutcome::default());
+                }
+                let span = fp_obs::span("engine.insert");
+                // `v` no longer passes the gate its parents apply,
+                // whatever its (unchanged) suffix value is.
+                self.s.gated[v.index()] = C::zero();
+                self.s.metrics.inserts.inc();
+                (
+                    span,
+                    self.update_forward(v, Drift::Shrink),
+                    self.update_backward(v, Drift::Shrink),
+                )
+            }
+            Mutation::RemoveFilter(v) => {
+                if !self.filters.remove(v) {
+                    return Ok(ApplyOutcome::default());
+                }
+                let span = fp_obs::span("engine.remove_filter");
+                // `v`'s gate reopens: parents see its (unchanged)
+                // suffix again.
+                if v != self.graph.get().source() {
+                    self.s.gated[v.index()] = self.s.suffix[v.index()].clone();
+                }
+                (
+                    span,
+                    self.update_forward(v, Drift::Grow),
+                    self.update_backward(v, Drift::Grow),
+                )
+            }
+            Mutation::InsertEdge { from, to } => {
+                reordered = match self.graph.make_owned().insert_edge(from, to) {
+                    Ok(reordered) => reordered,
+                    Err(e) => unreachable!("validated edge insertion cannot fail: {e}"),
+                };
+                (
+                    fp_obs::span("engine.insert_edge"),
+                    self.update_forward_from_edge(to, Drift::Grow),
+                    self.update_backward_from_edge(from, Drift::Grow),
+                )
+            }
+            Mutation::RemoveEdge { from, to } => {
+                let removed = self.graph.make_owned().remove_edge(from, to);
+                debug_assert!(removed, "existence validated");
+                (
+                    fp_obs::span("engine.remove_edge"),
+                    self.update_forward_from_edge(to, Drift::Shrink),
+                    self.update_backward_from_edge(from, Drift::Shrink),
+                )
+            }
+        };
+        let metrics = &self.s.metrics;
+        metrics.mutations.inc();
+        metrics.forward_frontier.observe(fwd as u64);
+        metrics.backward_frontier.observe(bwd as u64);
+        metrics
+            .dense_flips
+            .add(u64::from(fwd_dense) + u64::from(bwd_dense));
+        let _span = span.arg("fwd", fwd as i64).arg("bwd", bwd as i64);
+        Ok(ApplyOutcome {
+            changed: true,
+            forward_affected: fwd,
+            backward_affected: bwd,
+            reordered,
+        })
     }
 
     /// Add `v` as a filter; returns `true` if `v` was newly inserted.
@@ -673,128 +780,6 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         self.apply(Mutation::InsertFilter(v))
             .expect("insert_filter: node out of range")
             .changed
-    }
-
-    fn check_node(&self, node: NodeId) -> Result<(), MutationError> {
-        let node_count = self.graph.get().node_count();
-        if node.index() >= node_count {
-            Err(MutationError::NodeOutOfRange { node, node_count })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn apply_insert_filter(&mut self, v: NodeId) -> Result<ApplyOutcome, MutationError> {
-        self.check_node(v)?;
-        if !self.filters.insert(v) {
-            return Ok(ApplyOutcome::unchanged());
-        }
-        let span = fp_obs::span("engine.insert");
-        // `v` no longer passes the gate its parents apply, whatever its
-        // (unchanged) suffix value is.
-        self.s.gated[v.index()] = C::zero();
-        let (fwd, fwd_dense) = self.update_forward(v, Drift::Shrink);
-        let (bwd, bwd_dense) = self.update_backward(v, Drift::Shrink);
-        self.s.metrics.inserts.inc();
-        self.note_mutation(fwd, bwd, fwd_dense, bwd_dense);
-        let _span = span.arg("fwd", fwd as i64).arg("bwd", bwd as i64);
-        Ok(ApplyOutcome {
-            changed: true,
-            forward_affected: fwd,
-            backward_affected: bwd,
-            reordered: false,
-        })
-    }
-
-    fn apply_remove_filter(&mut self, v: NodeId) -> Result<ApplyOutcome, MutationError> {
-        self.check_node(v)?;
-        if !self.filters.remove(v) {
-            return Ok(ApplyOutcome::unchanged());
-        }
-        let span = fp_obs::span("engine.remove_filter");
-        // `v`'s gate reopens: parents see its (unchanged) suffix again.
-        if v != self.graph.get().source() {
-            self.s.gated[v.index()] = self.s.suffix[v.index()].clone();
-        }
-        let (fwd, fwd_dense) = self.update_forward(v, Drift::Grow);
-        let (bwd, bwd_dense) = self.update_backward(v, Drift::Grow);
-        self.note_mutation(fwd, bwd, fwd_dense, bwd_dense);
-        let _span = span.arg("fwd", fwd as i64).arg("bwd", bwd as i64);
-        Ok(ApplyOutcome {
-            changed: true,
-            forward_affected: fwd,
-            backward_affected: bwd,
-            reordered: false,
-        })
-    }
-
-    fn apply_insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<ApplyOutcome, MutationError> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if u == v {
-            return Err(MutationError::SelfLoop { node: u });
-        }
-        {
-            let cg = self.graph.get();
-            if cg.csr().children(u).contains(&v) {
-                return Err(MutationError::DuplicateEdge { from: u, to: v });
-            }
-            // Cycle pre-check, so the clone-on-write below never has to
-            // be rolled back: u reachable from v means v→…→u→v. A
-            // forward edge in the cached topological order needs no
-            // search — every path from v stays strictly after v, so it
-            // can never revisit u.
-            if cg.topo_position(u) >= cg.topo_position(v)
-                && fp_graph::reachable_from(cg.csr(), v).contains(u.index())
-            {
-                return Err(MutationError::WouldCreateCycle { from: u, to: v });
-            }
-        }
-        let reordered = match self.graph.make_owned().insert_edge(u, v) {
-            Ok(reordered) => reordered,
-            Err(e) => unreachable!("validated edge insertion cannot fail: {e}"),
-        };
-        let span = fp_obs::span("engine.insert_edge");
-        let (fwd, fwd_dense) = self.update_forward_from_edge(v, Drift::Grow);
-        let (bwd, bwd_dense) = self.update_backward_from_edge(u, Drift::Grow);
-        self.note_mutation(fwd, bwd, fwd_dense, bwd_dense);
-        let _span = span.arg("fwd", fwd as i64).arg("bwd", bwd as i64);
-        Ok(ApplyOutcome {
-            changed: true,
-            forward_affected: fwd,
-            backward_affected: bwd,
-            reordered,
-        })
-    }
-
-    fn apply_remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<ApplyOutcome, MutationError> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if !self.graph.get().csr().children(u).contains(&v) {
-            return Err(MutationError::UnknownEdge { from: u, to: v });
-        }
-        let removed = self.graph.make_owned().remove_edge(u, v);
-        debug_assert!(removed, "existence checked above");
-        let span = fp_obs::span("engine.remove_edge");
-        let (fwd, fwd_dense) = self.update_forward_from_edge(v, Drift::Shrink);
-        let (bwd, bwd_dense) = self.update_backward_from_edge(u, Drift::Shrink);
-        self.note_mutation(fwd, bwd, fwd_dense, bwd_dense);
-        let _span = span.arg("fwd", fwd as i64).arg("bwd", bwd as i64);
-        Ok(ApplyOutcome {
-            changed: true,
-            forward_affected: fwd,
-            backward_affected: bwd,
-            reordered: false,
-        })
-    }
-
-    fn note_mutation(&self, fwd: usize, bwd: usize, fwd_dense: bool, bwd_dense: bool) {
-        let m = &self.s.metrics;
-        m.mutations.inc();
-        m.forward_frontier.observe(fwd as u64);
-        m.backward_frontier.observe(bwd as u64);
-        m.dense_flips
-            .add(u64::from(fwd_dense) + u64::from(bwd_dense));
     }
 
     /// What `v` emits per out-edge given its reception `recv`.
@@ -1389,7 +1374,7 @@ mod tests {
         let dup = engine
             .apply(Mutation::InsertFilter(NodeId::new(4)))
             .unwrap();
-        assert_eq!(dup, ApplyOutcome::unchanged());
+        assert_eq!(dup, ApplyOutcome::default());
     }
 
     #[test]

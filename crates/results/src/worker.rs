@@ -637,9 +637,11 @@ mod tests {
     fn worker_speaking_garbage_errors_out() {
         let (g, source) = small_graph();
         // 16 bytes of non-protocol output: a garbage length prefix.
+        // `exec` makes the sleep the process the pool kills, so no
+        // orphan outlives the test holding the inherited stderr.
         let spawner = WorkerSpawner::new("/bin/sh")
             .arg("-c")
-            .arg("printf 'XXXXXXXXXXXXXXXX'; sleep 5");
+            .arg("printf 'XXXXXXXXXXXXXXXX'; exec sleep 5");
         let err =
             run_sweep_workers(&spawner, &g, source, &small_cfg(), &test_opts(1, 1)).unwrap_err();
         assert!(err.contains("exceeds") || err.contains("hello"), "{err}");
@@ -665,9 +667,10 @@ mod tests {
             .unwrap();
             wire
         };
-        // Re-emit the exact hello bytes from sh, then hang.
+        // Re-emit the exact hello bytes from sh, then hang (as the
+        // process the pool kills, via `exec`).
         let script = format!(
-            "printf '{}'; sleep 600",
+            "printf '{}'; exec sleep 600",
             hello
                 .iter()
                 .map(|b| format!("\\{:03o}", b))
