@@ -86,8 +86,9 @@ pub trait SolverSession {
     /// placement holds `k` filters (or the solver stops early);
     /// non-nested randomized sessions replace the placement with a
     /// fresh draw at budget `k`. Walking budgets in ascending order is
-    /// the cheap direction — a ladder session never rewinds, so asking
-    /// for a *smaller* budget than already placed is a no-op there.
+    /// the cheap direction — a ladder session never drops a filter, so
+    /// asking for a *smaller* budget than already placed is a no-op
+    /// there.
     fn advance_to(&mut self, k: usize) {
         while self.placement().len() < k {
             if self.next_filter().is_none() {

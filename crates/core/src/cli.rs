@@ -8,7 +8,7 @@
 //!             [--out DIR] [--jobs N] [--workers N]
 //! fp sweep    --dataset power-law:1000000:3:7 --kmax 10 [--mem-budget 512M]
 //! fp dataset  (--input edges.txt | --gen SPEC) [--stats true]
-//!             [--out FILE] [--chunk N] [--mem-budget BYTES]
+//!             [--out FILE] [--mem-budget BYTES]
 //! fp report   --run DIR [--format table|csv|json]
 //! fp report   --list DIR
 //! fp diff     --a DIR --b DIR [--epsilon E]
@@ -139,10 +139,7 @@ const FLAG_SPEC: &[(&str, &[&str])] = &[
     ("gc", &["out", "keep", "max-age"]),
     ("stats", &["input"]),
     ("generate", &["dataset", "seed", "scale"]),
-    (
-        "dataset",
-        &["input", "gen", "stats", "chunk", "mem-budget", "out"],
-    ),
+    ("dataset", &["input", "gen", "stats", "mem-budget", "out"]),
     (
         "serve",
         &["addr", "ttl-secs", "max-sessions", "trace", "mem-budget"],
@@ -401,11 +398,12 @@ fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<Str
         // Streamed path: generator → two-pass compact CSR under the
         // memory budget → c-graph, no intermediate edge list. The
         // fingerprint hashes the CSR, which is bit-identical to the
-        // materialized generator graph (the stream-replay tests in
-        // fp-datasets pin this), so stored runs are interchangeable
-        // with ones computed from the equivalent edge-list file.
+        // materialized generator graph (each `generate` replays the
+        // same stream into a DiGraph), so stored runs are
+        // interchangeable with ones computed from the equivalent
+        // edge-list file.
         let budget = parse_mem_budget(flags)?;
-        let (mut stream, source) = parse_gen_spec(spec, parse_chunk(flags)?)?;
+        let (mut stream, source) = parse_gen_spec(spec)?;
         let csr32 = Csr32::from_stream(&mut *stream, &budget).map_err(|e| e.to_string())?;
         let graph_bytes = csr32.bytes();
         drop(stream);
@@ -753,11 +751,10 @@ const GEN_SPEC_GRAMMAR: &str = "power-law:NODES:DEGREE:SEED, erdos:NODES:P:SEED,
      layered-sparse:SEED, layered-dense:SEED, citation:SEED, twitter:SCALE:SEED";
 
 /// Parse a `--gen SPEC` into a boxed [`EdgeStream`] plus the graph's
-/// propagation source. Every stream replays its generator's exact edge
-/// sequence (pinned by the `stream_replays_generate_edge_for_edge`
-/// tests in `fp-datasets`), so a CSR built from it is bit-identical to
+/// propagation source. Each generator's `generate` replays this same
+/// stream into a `DiGraph`, so a CSR built from it is bit-identical to
 /// freezing the materialized graph.
-fn parse_gen_spec(spec: &str, chunk: usize) -> Result<(Box<dyn EdgeStream>, NodeId), String> {
+fn parse_gen_spec(spec: &str) -> Result<(Box<dyn EdgeStream>, NodeId), String> {
     let bad = |what: String| format!("invalid --gen spec {spec:?}: {what}");
     let usize_of = |tok: &str, what: &str| {
         tok.parse::<usize>()
@@ -782,7 +779,7 @@ fn parse_gen_spec(spec: &str, chunk: usize) -> Result<(Box<dyn EdgeStream>, Node
             if params.nodes < 1 || params.mean_degree < 1 {
                 return Err(bad("node count and mean degree must be at least 1".into()));
             }
-            let s = fp_datasets::power_law::PowerLawStream::new(&params).with_chunk(chunk);
+            let s = fp_datasets::power_law::PowerLawStream::new(&params);
             Ok((Box::new(s), NodeId::new(0)))
         }
         ["erdos", n, p, seed] => {
@@ -794,8 +791,7 @@ fn parse_gen_spec(spec: &str, chunk: usize) -> Result<(Box<dyn EdgeStream>, Node
                 usize_of(n, "node count")?,
                 p,
                 u64_of(seed, "seed")?,
-            )
-            .with_chunk(chunk);
+            );
             let source = s.source();
             Ok((Box::new(s), source))
         }
@@ -806,7 +802,7 @@ fn parse_gen_spec(spec: &str, chunk: usize) -> Result<(Box<dyn EdgeStream>, Node
             } else {
                 fp_datasets::layered::LayeredParams::paper_dense(seed)
             };
-            let s = fp_datasets::layered::LayeredStream::new(&params).with_chunk(chunk);
+            let s = fp_datasets::layered::LayeredStream::new(&params);
             Ok((Box::new(s), NodeId::new(0)))
         }
         ["citation", seed] => {
@@ -814,9 +810,8 @@ fn parse_gen_spec(spec: &str, chunk: usize) -> Result<(Box<dyn EdgeStream>, Node
                 seed: u64_of(seed, "seed")?,
                 ..Default::default()
             };
-            let s = fp_datasets::citation_like::CitationLikeStream::new(&params).with_chunk(chunk);
-            let source = s.source();
-            Ok((Box::new(s), source))
+            let s = fp_datasets::citation_like::CitationLikeStream::new(&params);
+            Ok((Box::new(s), NodeId::new(0)))
         }
         ["twitter", scale, seed] => {
             let scale = f64_of(scale, "scale")?;
@@ -827,22 +822,11 @@ fn parse_gen_spec(spec: &str, chunk: usize) -> Result<(Box<dyn EdgeStream>, Node
                 scale,
                 seed: u64_of(seed, "seed")?,
             };
-            let s = fp_datasets::twitter_like::TwitterLikeStream::new(&params).with_chunk(chunk);
-            let source = s.source();
-            Ok((Box::new(s), source))
+            let s = fp_datasets::twitter_like::TwitterLikeStream::new(&params);
+            Ok((Box::new(s), NodeId::new(0)))
         }
         _ => Err(bad(format!("expected {GEN_SPEC_GRAMMAR}"))),
     }
-}
-
-/// `--chunk N`: edges per stream chunk (the O(chunk) working set).
-fn parse_chunk(flags: &HashMap<String, String>) -> Result<usize, String> {
-    flags
-        .get("chunk")
-        .map_or(Ok(fp_scale::DEFAULT_CHUNK), |s| match s.parse::<usize>() {
-            Ok(c) if c > 0 => Ok(c),
-            _ => Err("--chunk must be a positive integer".to_string()),
-        })
 }
 
 /// `--mem-budget BYTES`: a hard cap on tracked graph memory (suffixes
@@ -857,8 +841,8 @@ fn parse_mem_budget(flags: &HashMap<String, String>) -> Result<MemBudget, String
 }
 
 /// `fp dataset (--input FILE | --gen SPEC) [--stats true|false]
-/// [--out FILE] [--chunk N] [--mem-budget BYTES]`: streamed dataset
-/// plumbing — every path holds O(chunk) edges plus O(nodes) counters,
+/// [--out FILE] [--mem-budget BYTES]`: streamed dataset plumbing —
+/// every path holds one bounded chunk of edges plus O(nodes) counters,
 /// never the edge list.
 ///
 /// `--stats true` reports streaming statistics (nodes, edges, degree
@@ -866,7 +850,6 @@ fn parse_mem_budget(flags: &HashMap<String, String>) -> Result<MemBudget, String
 /// numeric `source target` lines, the dialect `--input` and
 /// `fp sweep --dataset` read back.
 fn cmd_dataset(flags: &HashMap<String, String>) -> Result<String, String> {
-    let chunk = parse_chunk(flags)?;
     let budget = parse_mem_budget(flags)?;
     let (mut stream, label): (Box<dyn EdgeStream>, String) =
         match (flags.get("input"), flags.get("gen")) {
@@ -874,14 +857,10 @@ fn cmd_dataset(flags: &HashMap<String, String>) -> Result<String, String> {
                 return Err("--input and --gen are mutually exclusive".to_string())
             }
             (Some(path), None) => (
-                Box::new(
-                    FileEdgeStream::open(path)
-                        .map_err(|e| e.to_string())?
-                        .with_chunk(chunk),
-                ),
+                Box::new(FileEdgeStream::open(path).map_err(|e| e.to_string())?),
                 path.clone(),
             ),
-            (None, Some(spec)) => (parse_gen_spec(spec, chunk)?.0, spec.clone()),
+            (None, Some(spec)) => (parse_gen_spec(spec)?.0, spec.clone()),
             (None, None) => return Err("dataset needs --input FILE or --gen SPEC".to_string()),
         };
     let stats = match flags.get("stats").map(String::as_str) {
@@ -908,15 +887,17 @@ fn cmd_dataset(flags: &HashMap<String, String>) -> Result<String, String> {
     let mut w = std::io::BufWriter::new(file);
     let mut edges: u64 = 0;
     let mut nodes: u64 = stream.node_hint().unwrap_or(0);
-    let mut chunk_buf = Vec::new();
     let io_err = |e: std::io::Error| ScaleError::Io {
         path: out_path.clone(),
         reason: e.to_string(),
     };
-    fp_scale::for_each_edge(&mut *stream, &mut chunk_buf, |u, v| {
-        edges += 1;
-        nodes = nodes.max(u64::from(u.max(v)) + 1);
-        writeln!(w, "{u} {v}").map_err(io_err)
+    fp_scale::for_each_chunk(&mut *stream, |chunk| {
+        for &(u, v) in chunk {
+            nodes = nodes.max(u64::from(u.max(v)) + 1);
+            writeln!(w, "{u} {v}").map_err(io_err)?;
+        }
+        edges += chunk.len() as u64;
+        Ok(())
     })
     .map_err(|e| e.to_string())?;
     w.flush().map_err(|e| io_err(e).to_string())?;
@@ -1407,10 +1388,11 @@ pub const USAGE: &str =
   stats    --input FILE
   generate --dataset layered-sparse|layered-dense|quote|twitter|citation [--seed N] [--scale F]
   dataset  (--input FILE | --gen SPEC) [--stats true|false] [--out FILE]
-           [--chunk N] [--mem-budget BYTES]
-           (streamed dataset plumbing, O(chunk) edges resident: --stats true
-            reports nodes/edges/max degree/depth from the stream; otherwise
-            edges stream to --out FILE as numeric `source target` lines.
+           [--mem-budget BYTES]
+           (streamed dataset plumbing, one bounded chunk of edges resident:
+            --stats true reports nodes/edges/max degree/depth, reading the
+            input more than once, so a pipe is refused; otherwise edges
+            stream to --out FILE as numeric `source target` lines.
             SPEC is one of power-law:NODES:DEGREE:SEED, erdos:NODES:P:SEED,
             layered-sparse:SEED, layered-dense:SEED, citation:SEED,
             twitter:SCALE:SEED)
@@ -1869,8 +1851,6 @@ mod tests {
                 "power-law:200:3:5",
                 "--out",
                 path.to_str().unwrap(),
-                "--chunk",
-                "17",
             ]),
             "",
         )
@@ -1950,7 +1930,7 @@ mod tests {
                     "--chunk",
                     "0",
                 ],
-                "--chunk",
+                "unknown flag --chunk for dataset",
             ),
             (
                 vec![

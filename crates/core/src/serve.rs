@@ -48,7 +48,7 @@
 
 use crate::registry::{GraphEntry, GraphRegistry, PutError, PutOutcome};
 use fp_algorithms::{SolverKind, SolverSession};
-use fp_graph::NodeId;
+use fp_graph::{BitSet, NodeId};
 use fp_num::Wide128;
 use fp_propagation::{CGraph, Mutation};
 use fp_results::hash::Fnv64;
@@ -72,6 +72,12 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:2012";
 /// curve a caller plots, far below what would let one request allocate
 /// without bound.
 const MAX_QUERY_BUDGETS: usize = 4096;
+
+/// Draws one epoch of a Rand_I/Rand_W session memoizes before it
+/// starts over. A draw is a pure function of `(k, seed)`, so a budget
+/// asked again after a clear recomputes the same bits; the cap only
+/// bounds the memory a client asking fresh budgets can pin.
+const MAX_MEMO_DRAWS: usize = 64;
 
 /// Most placement nodes one query's reply may list, summed over its
 /// rows (400 past it). The row at budget `k` lists at most `min(k, n)`
@@ -298,8 +304,13 @@ enum Answers {
     /// first `r` nodes), and whether the solver stopped early.
     Ladder { fr: Vec<f64>, exhausted: bool },
     /// Every other solver: one independent draw per budget, a pure
-    /// function of `(k, seed)`.
-    Draws(BTreeMap<usize, KAnswer>),
+    /// function of `(k, seed)`, at most [`MAX_MEMO_DRAWS`] of them at a
+    /// time, and every node any draw of the epoch placed (evicted draws
+    /// included), which the orphan rule checks removals against.
+    Draws {
+        memo: BTreeMap<usize, KAnswer>,
+        placed: BitSet,
+    },
 }
 
 /// One epoch of a session worker: one solver session on one graph
@@ -315,7 +326,7 @@ impl Epoch<'_> {
     fn cached(&self, k: usize) -> bool {
         match &self.answers {
             Answers::Ladder { fr, exhausted } => k < fr.len() || *exhausted,
-            Answers::Draws(memo) => memo.contains_key(&k),
+            Answers::Draws { memo, .. } => memo.contains_key(&k),
         }
     }
 
@@ -323,7 +334,7 @@ impl Epoch<'_> {
     fn ready(&self) -> usize {
         match &self.answers {
             Answers::Ladder { fr, .. } => fr.len() - 1,
-            Answers::Draws(memo) => memo.len(),
+            Answers::Draws { memo, .. } => memo.len(),
         }
     }
 
@@ -346,9 +357,15 @@ impl Epoch<'_> {
                         fr.push(self.session.fr());
                     }
                 }
-                Answers::Draws(memo) => {
+                Answers::Draws { memo, placed } => {
+                    if memo.len() == MAX_MEMO_DRAWS {
+                        memo.clear();
+                    }
                     self.session.advance_to(k);
                     let placement = self.session.placement().nodes().to_vec();
+                    for v in &placement {
+                        placed.insert(v.index());
+                    }
                     let fr = self.session.fr();
                     memo.insert(k, KAnswer { k, fr, placement });
                 }
@@ -370,13 +387,13 @@ impl Epoch<'_> {
                     placement: self.session.placement().nodes()[..rung].to_vec(),
                 }
             }
-            Answers::Draws(memo) => memo[&k].clone(),
+            Answers::Draws { memo, .. } => memo[&k].clone(),
         }
     }
 
     /// Apply one edge mutation to a copy of the epoch's graph under the
     /// engine's edge rules ([`Mutation::validate`]) plus serve's own: a
-    /// removal may not leave a node any cached answer placed
+    /// removal may not leave a node any answer of the epoch placed
     /// unreachable from the source. A refusal leaves the epoch as it was.
     fn mutate(&self, m: Mutation) -> Result<(CGraph, MutateOutcome), String> {
         m.validate(self.cg).map_err(|e| e.to_string())?;
@@ -390,10 +407,7 @@ impl Epoch<'_> {
                 next.remove_edge(from, to);
                 let placed: Vec<NodeId> = match &self.answers {
                     Answers::Ladder { .. } => self.session.placement().nodes().to_vec(),
-                    Answers::Draws(memo) => memo
-                        .values()
-                        .flat_map(|a| a.placement.iter().copied())
-                        .collect(),
+                    Answers::Draws { placed, .. } => placed.iter().map(NodeId::new).collect(),
                 };
                 if !placed.is_empty() {
                     let reach = fp_graph::reachable_from(next.csr(), next.source());
@@ -422,7 +436,7 @@ impl Epoch<'_> {
                     .take_while(|&&p| !affected.contains(p.index()) && p != from)
                     .count()
             }
-            Answers::Draws(_) => 0,
+            Answers::Draws { .. } => 0,
         };
         let outcome = MutateOutcome {
             op: m.op(),
@@ -461,7 +475,10 @@ fn run_session(
                     exhausted: false,
                 }
             } else {
-                Answers::Draws(BTreeMap::new())
+                Answers::Draws {
+                    memo: BTreeMap::new(),
+                    placed: BitSet::new(cg.node_count()),
+                }
             },
         };
         // Budget 0's FR read does the one-time denominator passes — the
@@ -480,15 +497,16 @@ fn run_session(
                     let _span = fp_obs::span("session.query").arg("ks", ks.len() as i64);
                     let warm = ks.iter().filter(|&&k| epoch.cached(k)).count();
                     stats.rung_cache_hits.add(warm as u64);
-                    let done = ks.iter().all(|&k| epoch.fill(k, deadline));
+                    // Each budget is answered as soon as it is filled: a
+                    // later fill may clear the draw memo.
+                    let answers: Option<Vec<KAnswer>> = ks
+                        .iter()
+                        .map(|&k| epoch.fill(k, deadline).then(|| epoch.answer(k)))
+                        .collect();
                     stats.rung_depth.set(epoch.ready() as i64);
-                    let out = if done {
-                        Ok(ks.iter().map(|&k| epoch.answer(k)).collect())
-                    } else {
-                        Err(QueryError::Expired {
-                            ready: epoch.ready(),
-                        })
-                    };
+                    let out = answers.ok_or(QueryError::Expired {
+                        ready: epoch.ready(),
+                    });
                     let _ = reply.send(out);
                 }
                 SessionCmd::Mutate { m, reply } => {
@@ -1666,6 +1684,7 @@ mod tests {
     use super::*;
     use crate::registry::GraphRegistry;
     use crate::Problem;
+    use fp_graph::DiGraph;
     use fp_propagation::FilterSet;
     use std::io::Read;
 
@@ -2067,6 +2086,81 @@ mod tests {
             assert_eq!(body.expect("edges").unwrap().as_usize(), Some(1));
             api.handle(&ServeCall::SessionClose { session: fresh });
         }
+    }
+
+    #[test]
+    fn a_rand_i_draw_memo_stays_capped_and_answers_match_the_batch() {
+        let api = api();
+        let seed = 3;
+        let id = open_session(&api, SolverKind::RandI, seed);
+        let fig1 = api.registry().get("fig1").unwrap();
+        let budgets: Vec<usize> = (0..200).collect();
+        // 200 distinct budgets, eight a query, then budgets whose draws
+        // were evicted long ago: each recomputes the same bits.
+        for ks in budgets.chunks(8).chain([&[0, 5, 199][..]]) {
+            let (status, body) = api.handle(&ServeCall::Query {
+                session: id.clone(),
+                ks: ks.to_vec(),
+                deadline_ms: None,
+            });
+            assert_eq!(status, 200, "{body:?}");
+            let batch = fig1.problem.solve_ladder(SolverKind::RandI, ks, seed);
+            assert_matches_batch(&body, batch, &format!("ks {ks:?}"));
+            let (_, list) = api.handle(&ServeCall::SessionList);
+            let sessions = list.expect("sessions").unwrap().as_array().unwrap();
+            let stats = sessions[0].expect("stats").unwrap();
+            let depth = stats.expect("rung_depth").unwrap().as_usize().unwrap();
+            assert!(depth <= MAX_MEMO_DRAWS, "rung_depth {depth} after {ks:?}");
+        }
+    }
+
+    #[test]
+    fn a_removal_that_orphans_an_evicted_draws_node_is_refused() {
+        // A star: removing s → v leaves v unreachable. Rand_I's draws at
+        // one seed are nested in k, so after the draw at k = 100 gives
+        // way to draws at 0..64 (the last of which clears the memo),
+        // nodes only the k = 100 draw placed are in no cached answer.
+        let n = 1000;
+        let g = DiGraph::from_pairs(n, (1..n).map(|v| (0, v))).unwrap();
+        let cg = CGraph::new(&g, NodeId::new(0)).unwrap();
+        let solver = SolverKind::RandI.build::<Wide128>();
+        let mut epoch = Epoch {
+            cg: &cg,
+            session: solver.session(&cg, 7),
+            answers: Answers::Draws {
+                memo: BTreeMap::new(),
+                placed: BitSet::new(n),
+            },
+        };
+        assert!(epoch.fill(100, None));
+        let wide = epoch.answer(100).placement;
+        for k in 0..MAX_MEMO_DRAWS {
+            assert!(epoch.fill(k, None));
+            assert!(epoch.ready() <= MAX_MEMO_DRAWS);
+        }
+        assert!(!epoch.cached(100), "the k = 100 draw was evicted");
+        let Answers::Draws { memo, .. } = &epoch.answers else {
+            unreachable!()
+        };
+        let cached: Vec<NodeId> = memo
+            .values()
+            .flat_map(|a| a.placement.iter().copied())
+            .collect();
+        let lost = *wide
+            .iter()
+            .find(|v| !cached.contains(v))
+            .expect("a node only the evicted draw placed");
+        let remove = |to: NodeId| Mutation::RemoveEdge {
+            from: NodeId::new(0),
+            to,
+        };
+        let err = epoch.mutate(remove(lost)).unwrap_err();
+        assert!(err.contains("orphan"), "{err}");
+        let never = (1..n)
+            .map(NodeId::new)
+            .find(|v| !wide.contains(v))
+            .expect("a node no draw placed");
+        assert!(epoch.mutate(remove(never)).is_ok());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use fp_algorithms::SolverKind;
 use fp_core::propagation::CGraph;
+use fp_core::scale::{Csr32, MemBudget, VecStream};
 use fp_core::Problem;
 use fp_graph::{DiGraph, NodeId};
 use proptest::prelude::*;
@@ -88,6 +89,26 @@ fn freeze_span_records_which_order_was_kept() {
             vec![("nodes", 3), ("identity", 0)],
         ]
     );
+}
+
+/// Every streamed build records a `stream.build` span with the node
+/// and edge counts its first pass found.
+#[test]
+fn stream_build_span_records_nodes_and_edges() {
+    let _guard = TRACER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let budget = MemBudget::unlimited();
+    let mut stream = VecStream::new(vec![(0, 1), (1, 2), (0, 2)], Some(5));
+    fp_obs::tracer().enable();
+    let csr = Csr32::from_stream(&mut stream, &budget).unwrap();
+    fp_obs::tracer().disable();
+    budget.release(csr.bytes());
+    let builds: Vec<_> = fp_obs::tracer()
+        .records()
+        .into_iter()
+        .filter(|r| r.name == "stream.build")
+        .map(|r| r.args)
+        .collect();
+    assert_eq!(builds, vec![vec![("nodes", 5), ("edges", 3)]]);
 }
 
 #[test]

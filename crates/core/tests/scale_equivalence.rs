@@ -53,7 +53,7 @@ fn both_paths(n: usize, edges: &[(u32, u32)]) -> (CGraph, CGraph) {
     let materialized = CGraph::new(&g, NodeId::new(0)).expect("DAG");
 
     let budget = MemBudget::unlimited();
-    let mut stream = VecStream::new(edges.to_vec(), Some(n as u64)).with_chunk(7);
+    let mut stream = VecStream::new(edges.to_vec(), Some(n as u64));
     let csr32 = Csr32::from_stream(&mut stream, &budget).expect("unlimited budget");
     let bytes = csr32.bytes();
     let streamed = CGraph::from_csr(csr32.into_csr(), NodeId::new(0)).expect("DAG");

@@ -33,7 +33,7 @@
 //!   the in-degree tail to the reported scale.
 
 use fp_graph::{DiGraph, NodeId};
-use fp_scale::{EdgeStream, ScaleError};
+use fp_scale::{EdgeSink, EdgeStream, ScaleError};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -107,33 +107,91 @@ pub struct CitationLikeGraph {
     pub minors: Vec<NodeId>,
 }
 
-/// Grow a preferential-attachment tree over `g`: `count` new nodes,
-/// each with one parent chosen degree-proportionally from `roots` ∪
-/// previously added nodes. Returns the added node ids.
-fn grow_tree(g: &mut DiGraph, roots: &[NodeId], count: usize, rng: &mut ChaCha8Rng) -> Vec<NodeId> {
-    let mut urn: Vec<NodeId> = roots.to_vec();
+/// Generate a citation-like graph.
+pub fn generate(params: &CitationLikeParams) -> CitationLikeGraph {
+    let mut stream = CitationLikeStream::new(params);
+    let graph = crate::materialize(&mut stream);
+    let ids = |v: &[u32]| v.iter().map(|&v| NodeId::new(v as usize)).collect();
+    CitationLikeGraph {
+        graph,
+        source: NodeId::new(0),
+        collector: NodeId::new(stream.collector as usize),
+        chain: ids(&stream.chain),
+        majors: ids(&stream.majors),
+        minors: ids(&stream.minors),
+    }
+}
+
+/// The generator: each replay runs the construction from the seed,
+/// emitting edges as it goes and handing out node ids in allocation
+/// order. Resident state is the id pools the sampler draws from and
+/// the preferential-attachment urns (O(n)), never the edge list.
+#[derive(Clone, Debug)]
+pub struct CitationLikeStream {
+    params: CitationLikeParams,
+    /// The last replay's landmarks (see [`CitationLikeGraph`]).
+    collector: u32,
+    chain: Vec<u32>,
+    majors: Vec<u32>,
+    minors: Vec<u32>,
+}
+
+impl CitationLikeStream {
+    /// Stream the graph described by `params`. Node 0 is the source.
+    pub fn new(params: &CitationLikeParams) -> Self {
+        Self {
+            params: params.clone(),
+            collector: 0,
+            chain: Vec::new(),
+            majors: Vec::new(),
+            minors: Vec::new(),
+        }
+    }
+}
+
+/// Node ids in allocation order: the streamed `DiGraph::add_node`.
+struct Ids(u32);
+
+impl Ids {
+    fn add_node(&mut self) -> u32 {
+        self.0 += 1;
+        self.0 - 1
+    }
+}
+
+/// Grow a preferential-attachment tree: `count` new nodes, each with
+/// one parent chosen degree-proportionally from `roots` ∪ previously
+/// added nodes. Returns the added node ids.
+fn grow_tree(
+    sink: &mut EdgeSink<'_>,
+    ids: &mut Ids,
+    roots: &[u32],
+    count: usize,
+    rng: &mut ChaCha8Rng,
+) -> Result<Vec<u32>, ScaleError> {
+    let mut urn: Vec<u32> = roots.to_vec();
     let mut added = Vec::with_capacity(count);
     for _ in 0..count {
         let parent = urn[rng.random_range(0..urn.len())];
-        let v = g.add_node();
-        g.add_edge(parent, v);
+        let v = ids.add_node();
+        sink.emit(parent, v)?;
         // Parent re-enters twice (degree bias), child once.
         urn.push(parent);
         urn.push(v);
         added.push(v);
     }
-    added
+    Ok(added)
 }
 
 /// Pick `count` distinct elements of `pool` (uniformly, with retries),
 /// returned in first-pick order. The retry loop consumes one RNG draw
-/// per attempt whether or not the pick is fresh — [`CitationLikeStream`]
-/// replays the identical call sequence. (An earlier version collected
-/// into a `HashSet`, whose iteration order — and therefore the graph's
-/// adjacency order and dataset fingerprint — varied per process.)
-fn distinct_sample(pool: &[NodeId], count: usize, rng: &mut ChaCha8Rng) -> Vec<NodeId> {
+/// per attempt whether or not the pick is fresh. (An earlier version
+/// collected into a `HashSet`, whose iteration order — and therefore
+/// the graph's adjacency order and dataset fingerprint — varied per
+/// process.)
+fn distinct_sample(pool: &[u32], count: usize, rng: &mut ChaCha8Rng) -> Vec<u32> {
     let count = count.min(pool.len());
-    let mut chosen: Vec<NodeId> = Vec::with_capacity(count);
+    let mut chosen: Vec<u32> = Vec::with_capacity(count);
     while chosen.len() < count {
         let pick = pool[rng.random_range(0..pool.len())];
         if !chosen.contains(&pick) {
@@ -143,394 +201,109 @@ fn distinct_sample(pool: &[NodeId], count: usize, rng: &mut ChaCha8Rng) -> Vec<N
     chosen
 }
 
-/// Generate a citation-like graph.
-pub fn generate(params: &CitationLikeParams) -> CitationLikeGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-    let mut g = DiGraph::new();
-    let source = g.add_node();
-
-    // Upper tree.
-    let upper = grow_tree(
-        &mut g,
-        &[source],
-        params.upper_nodes.saturating_sub(1),
-        &mut rng,
-    );
-    let upper_all: Vec<NodeId> = std::iter::once(source)
-        .chain(upper.iter().copied())
-        .collect();
-
-    // Collector fed by `feeders` distinct upper nodes.
-    let collector = g.add_node();
-    for u in distinct_sample(&upper_all, params.feeders, &mut rng) {
-        g.add_edge(u, collector);
-    }
-
-    // The chain.
-    let mut chain = Vec::with_capacity(CHAIN_LEN);
-    let mut tail = collector;
-    for _ in 0..CHAIN_LEN {
-        let c = g.add_node();
-        g.add_edge(tail, c);
-        chain.push(c);
-        tail = c;
-    }
-
-    // Lower tree seeded from the chain tail.
-    let _lower = grow_tree(&mut g, &[tail], params.lower_nodes, &mut rng);
-
-    // Major consolidation points (nodes only — their edges connect once
-    // the sink pool exists).
-    let majors: Vec<NodeId> = (0..params.majors).map(|_| g.add_node()).collect();
-
-    // Minor diamond gadgets: u → {a, b} → join, u → join.
-    let mut minors = Vec::with_capacity(params.minors);
-    for _ in 0..params.minors {
-        let u = upper_all[rng.random_range(0..upper_all.len())];
-        let a = g.add_node();
-        let b = g.add_node();
-        let join = g.add_node();
-        g.add_edge(u, a);
-        g.add_edge(u, b);
-        g.add_edge(a, join);
-        g.add_edge(b, join);
-        g.add_edge(u, join);
-        minors.push(join);
-    }
-
-    // Sink pool.
-    let sinks: Vec<NodeId> = (0..params.sinks).map(|_| g.add_node()).collect();
-
-    // Wire majors: distinct upper citers in, large sink fan-out.
-    for &m in &majors {
-        for u in distinct_sample(&upper_all, params.major_indeg, &mut rng) {
-            g.add_edge(u, m);
-        }
-        for s in distinct_sample(&sinks, params.major_fanout, &mut rng) {
-            g.add_edge(m, s);
-        }
-    }
-
-    // Minor joins fan out to 2–8 sinks.
-    for &join in &minors {
-        let fanout = 2 + (rng.random::<f64>().powi(2) * 6.0) as usize;
-        for s in distinct_sample(&sinks, fanout, &mut rng) {
-            g.add_edge(join, s);
-        }
-    }
-
-    // The collector also cites sinks directly (degree-product mass).
-    for s in distinct_sample(&sinks, params.collector_sink_edges, &mut rng) {
-        g.add_edge(collector, s);
-    }
-
-    // Extra citations into the sink pool from upper nodes (in-degree
-    // tail + edge totals; upper nodes all receive exactly one copy, so
-    // these carry no removable redundancy).
-    for _ in 0..params.sink_edges {
-        let from = upper_all[rng.random_range(0..upper_all.len())];
-        let to = sinks[rng.random_range(0..sinks.len())];
-        g.add_edge(from, to);
-    }
-
-    CitationLikeGraph {
-        graph: g,
-        source,
-        collector,
-        chain,
-        majors,
-        minors,
-    }
-}
-
-/// Which construction stage the stream is in.
-#[derive(Clone, Debug)]
-enum Phase {
-    /// Upper preferential tree, next node index `k`.
-    Upper {
-        k: usize,
-    },
-    Feeders,
-    /// The planted chain, next link `k`.
-    Chain {
-        k: usize,
-    },
-    /// Lower preferential tree, next node index `k`.
-    Lower {
-        k: usize,
-    },
-    /// Minor diamond gadgets, next gadget `i`.
-    Minors {
-        i: usize,
-    },
-    /// Major in/out wiring, next major `i`.
-    MajorWiring {
-        i: usize,
-    },
-    /// Minor sink fan-outs, next gadget `i`.
-    MinorFanout {
-        i: usize,
-    },
-    CollectorSinks,
-    /// Extra upper → sink citations, next edge `k`.
-    SinkEdges {
-        k: usize,
-    },
-    Done,
-}
-
-/// A chunked [`EdgeStream`] replaying [`generate`]'s exact edge
-/// sequence. Node ids are arithmetic — `generate` allocates each block
-/// (upper tree, collector, chain, lower tree, majors, minor triples,
-/// sinks) with consecutive `add_node` calls, so every pool the sampler
-/// draws from is a contiguous id range and none of them needs to be
-/// materialized. Resident state is the two preferential-attachment urns
-/// (O(upper + lower)), never the edge list.
-#[derive(Clone, Debug)]
-pub struct CitationLikeStream {
-    params: CitationLikeParams,
-    rng: ChaCha8Rng,
-    phase: Phase,
-    /// Preferential urn for the tree currently growing.
-    urn: Vec<u32>,
-    /// Edges staged by a multi-edge step, drained before advancing.
-    pending: Vec<(u32, u32)>,
-    pending_pos: usize,
-    chunk: usize,
-}
-
-impl CitationLikeStream {
-    /// Stream the graph described by `params`. Node 0 is the source.
-    pub fn new(params: &CitationLikeParams) -> Self {
-        Self {
-            params: params.clone(),
-            rng: ChaCha8Rng::seed_from_u64(params.seed),
-            phase: Phase::Upper { k: 0 },
-            urn: vec![0],
-            pending: Vec::new(),
-            pending_pos: 0,
-            chunk: fp_scale::DEFAULT_CHUNK,
-        }
-    }
-
-    /// Override the chunk size (tests exercise chunk boundaries).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk = chunk;
-        self
-    }
-
-    /// The source's id (0).
-    pub fn source(&self) -> NodeId {
-        NodeId::new(0)
-    }
-
-    /// The collector's id — identical to [`CitationLikeGraph::collector`].
-    pub fn collector(&self) -> NodeId {
-        NodeId::new(self.params.upper_nodes)
-    }
-
-    /// The planted chain in path order — identical to
-    /// [`CitationLikeGraph::chain`].
-    pub fn chain(&self) -> Vec<NodeId> {
-        let base = self.params.upper_nodes + 1;
-        (base..base + CHAIN_LEN).map(NodeId::new).collect()
-    }
-
-    /// The major consolidation points — identical to
-    /// [`CitationLikeGraph::majors`].
-    pub fn majors(&self) -> Vec<NodeId> {
-        let base = self.major_base();
-        (base..base + self.params.majors).map(NodeId::new).collect()
-    }
-
-    /// The minor diamond join nodes — identical to
-    /// [`CitationLikeGraph::minors`].
-    pub fn minor_joins(&self) -> Vec<NodeId> {
-        let base = self.minor_base();
-        (0..self.params.minors)
-            .map(|i| NodeId::new(base + 3 * i + 2))
-            .collect()
-    }
-
-    fn lower_base(&self) -> usize {
-        self.params.upper_nodes + CHAIN_LEN + 1
-    }
-
-    fn major_base(&self) -> usize {
-        self.lower_base() + self.params.lower_nodes
-    }
-
-    fn minor_base(&self) -> usize {
-        self.major_base() + self.params.majors
-    }
-
-    fn sink_base(&self) -> usize {
-        self.minor_base() + 3 * self.params.minors
-    }
-
-    fn node_count(&self) -> usize {
-        self.sink_base() + self.params.sinks
-    }
-
-    /// Replay of [`distinct_sample`] over a contiguous id pool.
-    fn sample_distinct(&mut self, base: u32, pool_len: usize, count: usize) -> Vec<u32> {
-        let count = count.min(pool_len);
-        let mut chosen: Vec<u32> = Vec::with_capacity(count);
-        while chosen.len() < count {
-            let pick = base + self.rng.random_range(0..pool_len) as u32;
-            if !chosen.contains(&pick) {
-                chosen.push(pick);
-            }
-        }
-        chosen
-    }
-
-    fn stage(&mut self, edges: impl IntoIterator<Item = (u32, u32)>) {
-        self.pending.clear();
-        self.pending_pos = 0;
-        self.pending.extend(edges);
-    }
-
-    fn next_edge(&mut self) -> Option<(u32, u32)> {
-        loop {
-            if self.pending_pos < self.pending.len() {
-                let edge = self.pending[self.pending_pos];
-                self.pending_pos += 1;
-                return Some(edge);
-            }
-            let upper = self.params.upper_nodes as u32;
-            match self.phase.clone() {
-                Phase::Upper { k } => {
-                    if k + 1 >= self.params.upper_nodes {
-                        self.phase = Phase::Feeders;
-                        continue;
-                    }
-                    self.phase = Phase::Upper { k: k + 1 };
-                    let parent = self.urn[self.rng.random_range(0..self.urn.len())];
-                    let v = k as u32 + 1;
-                    self.urn.push(parent);
-                    self.urn.push(v);
-                    return Some((parent, v));
-                }
-                Phase::Feeders => {
-                    let collector = upper;
-                    let feeders =
-                        self.sample_distinct(0, self.params.upper_nodes, self.params.feeders);
-                    self.stage(feeders.into_iter().map(|u| (u, collector)));
-                    self.phase = Phase::Chain { k: 0 };
-                }
-                Phase::Chain { k } => {
-                    if k >= CHAIN_LEN {
-                        // Seed the lower tree's urn with the chain tail.
-                        self.urn = vec![upper + CHAIN_LEN as u32];
-                        self.phase = Phase::Lower { k: 0 };
-                        continue;
-                    }
-                    self.phase = Phase::Chain { k: k + 1 };
-                    return Some((upper + k as u32, upper + k as u32 + 1));
-                }
-                Phase::Lower { k } => {
-                    if k >= self.params.lower_nodes {
-                        self.phase = Phase::Minors { i: 0 };
-                        continue;
-                    }
-                    self.phase = Phase::Lower { k: k + 1 };
-                    let parent = self.urn[self.rng.random_range(0..self.urn.len())];
-                    let v = (self.lower_base() + k) as u32;
-                    self.urn.push(parent);
-                    self.urn.push(v);
-                    return Some((parent, v));
-                }
-                Phase::Minors { i } => {
-                    if i >= self.params.minors {
-                        self.phase = Phase::MajorWiring { i: 0 };
-                        continue;
-                    }
-                    self.phase = Phase::Minors { i: i + 1 };
-                    let u = self.rng.random_range(0..self.params.upper_nodes) as u32;
-                    let a = (self.minor_base() + 3 * i) as u32;
-                    let b = a + 1;
-                    let join = a + 2;
-                    self.stage([(u, a), (u, b), (a, join), (b, join), (u, join)]);
-                }
-                Phase::MajorWiring { i } => {
-                    if i >= self.params.majors {
-                        self.phase = Phase::MinorFanout { i: 0 };
-                        continue;
-                    }
-                    self.phase = Phase::MajorWiring { i: i + 1 };
-                    let m = (self.major_base() + i) as u32;
-                    let ins =
-                        self.sample_distinct(0, self.params.upper_nodes, self.params.major_indeg);
-                    let outs = self.sample_distinct(
-                        self.sink_base() as u32,
-                        self.params.sinks,
-                        self.params.major_fanout,
-                    );
-                    self.stage(
-                        ins.into_iter()
-                            .map(move |u| (u, m))
-                            .chain(outs.into_iter().map(move |s| (m, s))),
-                    );
-                }
-                Phase::MinorFanout { i } => {
-                    if i >= self.params.minors {
-                        self.phase = Phase::CollectorSinks;
-                        continue;
-                    }
-                    self.phase = Phase::MinorFanout { i: i + 1 };
-                    let join = (self.minor_base() + 3 * i + 2) as u32;
-                    let fanout = 2 + (self.rng.random::<f64>().powi(2) * 6.0) as usize;
-                    let outs =
-                        self.sample_distinct(self.sink_base() as u32, self.params.sinks, fanout);
-                    self.stage(outs.into_iter().map(move |s| (join, s)));
-                }
-                Phase::CollectorSinks => {
-                    let collector = upper;
-                    let outs = self.sample_distinct(
-                        self.sink_base() as u32,
-                        self.params.sinks,
-                        self.params.collector_sink_edges,
-                    );
-                    self.stage(outs.into_iter().map(move |s| (collector, s)));
-                    self.phase = Phase::SinkEdges { k: 0 };
-                }
-                Phase::SinkEdges { k } => {
-                    if k >= self.params.sink_edges {
-                        self.phase = Phase::Done;
-                        continue;
-                    }
-                    self.phase = Phase::SinkEdges { k: k + 1 };
-                    let from = self.rng.random_range(0..self.params.upper_nodes) as u32;
-                    let to =
-                        (self.sink_base() + self.rng.random_range(0..self.params.sinks)) as u32;
-                    return Some((from, to));
-                }
-                Phase::Done => return None,
-            }
-        }
-    }
-}
-
 impl EdgeStream for CitationLikeStream {
     fn node_hint(&self) -> Option<u64> {
-        Some(self.node_count() as u64)
+        let p = &self.params;
+        let nodes = p.upper_nodes.max(1)
+            + 1
+            + CHAIN_LEN
+            + p.lower_nodes
+            + p.majors
+            + 3 * p.minors
+            + p.sinks;
+        Some(nodes as u64)
     }
 
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError> {
-        out.clear();
-        while out.len() < self.chunk {
-            match self.next_edge() {
-                Some(edge) => out.push(edge),
-                None => break,
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        let params = &self.params;
+        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
+        let mut ids = Ids(0);
+        let source = ids.add_node();
+
+        // Upper tree.
+        let upper = grow_tree(
+            sink,
+            &mut ids,
+            &[source],
+            params.upper_nodes.saturating_sub(1),
+            &mut rng,
+        )?;
+        let upper_all: Vec<u32> = std::iter::once(source).chain(upper).collect();
+
+        // Collector fed by `feeders` distinct upper nodes.
+        let collector = ids.add_node();
+        for u in distinct_sample(&upper_all, params.feeders, &mut rng) {
+            sink.emit(u, collector)?;
+        }
+
+        // The chain.
+        let mut chain = Vec::with_capacity(CHAIN_LEN);
+        let mut tail = collector;
+        for _ in 0..CHAIN_LEN {
+            let c = ids.add_node();
+            sink.emit(tail, c)?;
+            chain.push(c);
+            tail = c;
+        }
+
+        // Lower tree seeded from the chain tail.
+        grow_tree(sink, &mut ids, &[tail], params.lower_nodes, &mut rng)?;
+
+        // Major consolidation points (nodes only — their edges connect
+        // once the sink pool exists).
+        let majors: Vec<u32> = (0..params.majors).map(|_| ids.add_node()).collect();
+
+        // Minor diamond gadgets: u → {a, b} → join, u → join.
+        let mut minors = Vec::with_capacity(params.minors);
+        for _ in 0..params.minors {
+            let u = upper_all[rng.random_range(0..upper_all.len())];
+            let (a, b, join) = (ids.add_node(), ids.add_node(), ids.add_node());
+            for (from, to) in [(u, a), (u, b), (a, join), (b, join), (u, join)] {
+                sink.emit(from, to)?;
+            }
+            minors.push(join);
+        }
+
+        // Sink pool.
+        let sinks: Vec<u32> = (0..params.sinks).map(|_| ids.add_node()).collect();
+
+        // Wire majors: distinct upper citers in, large sink fan-out.
+        for &m in &majors {
+            for u in distinct_sample(&upper_all, params.major_indeg, &mut rng) {
+                sink.emit(u, m)?;
+            }
+            for s in distinct_sample(&sinks, params.major_fanout, &mut rng) {
+                sink.emit(m, s)?;
             }
         }
-        Ok(!out.is_empty())
-    }
 
-    fn rewind(&mut self) -> Result<(), ScaleError> {
-        *self = Self::new(&self.params).with_chunk(self.chunk);
+        // Minor joins fan out to 2–8 sinks.
+        for &join in &minors {
+            let fanout = 2 + (rng.random::<f64>().powi(2) * 6.0) as usize;
+            for s in distinct_sample(&sinks, fanout, &mut rng) {
+                sink.emit(join, s)?;
+            }
+        }
+
+        // The collector also cites sinks directly (degree-product mass).
+        for s in distinct_sample(&sinks, params.collector_sink_edges, &mut rng) {
+            sink.emit(collector, s)?;
+        }
+
+        // Extra citations into the sink pool from upper nodes (in-degree
+        // tail + edge totals; upper nodes all receive exactly one copy,
+        // so these carry no removable redundancy).
+        for _ in 0..params.sink_edges {
+            let from = upper_all[rng.random_range(0..upper_all.len())];
+            let to = sinks[rng.random_range(0..sinks.len())];
+            sink.emit(from, to)?;
+        }
+
+        debug_assert_eq!(Some(u64::from(ids.0)), self.node_hint());
+        self.collector = collector;
+        self.chain = chain;
+        self.majors = majors;
+        self.minors = minors;
         Ok(())
     }
 }
@@ -622,40 +395,6 @@ mod tests {
             assert_eq!(after[m.index()], before[m.index()]);
             assert!(!after[m.index()].is_zero());
         }
-    }
-
-    #[test]
-    fn stream_replays_generate_edge_for_edge() {
-        let params = test_params(9);
-        let c = generate(&params);
-        let mut stream = CitationLikeStream::new(&params).with_chunk(37);
-        assert_eq!(stream.source(), c.source);
-        assert_eq!(stream.collector(), c.collector);
-        assert_eq!(stream.chain(), c.chain);
-        assert_eq!(stream.majors(), c.majors);
-        assert_eq!(stream.minor_joins(), c.minors);
-        assert_eq!(stream.node_hint(), Some(c.graph.node_count() as u64));
-        let mut streamed = DiGraph::with_nodes(c.graph.node_count());
-        let mut chunk = Vec::new();
-        fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-            streamed.add_edge(NodeId::new(u as usize), NodeId::new(v as usize));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(streamed.edge_count(), c.graph.edge_count());
-        for v in c.graph.nodes() {
-            assert_eq!(streamed.out_neighbors(v), c.graph.out_neighbors(v));
-            assert_eq!(streamed.in_neighbors(v), c.graph.in_neighbors(v));
-        }
-        // Rewinding replays the identical sequence.
-        stream.rewind().unwrap();
-        let mut replay = Vec::new();
-        fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-            replay.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(replay.len(), c.graph.edge_count());
     }
 
     #[test]

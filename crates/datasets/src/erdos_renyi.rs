@@ -4,8 +4,8 @@
 //! probability `p`, plus a source wired to every in-degree-0 node so
 //! the result is a proper c-graph.
 
-use fp_graph::{add_super_source, BitSet, DiGraph, NodeId};
-use fp_scale::{EdgeStream, ScaleError};
+use fp_graph::{BitSet, DiGraph, NodeId};
+use fp_scale::{EdgeSink, EdgeStream, ScaleError};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -13,94 +13,31 @@ use rand_chacha::ChaCha8Rng;
 /// Generate a random DAG with `n` internal nodes and edge probability
 /// `p`; returns the graph and its (super-)source.
 pub fn generate(n: usize, p: f64, seed: u64) -> (DiGraph, NodeId) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = DiGraph::with_nodes(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.random::<f64>() < p {
-                g.add_edge(NodeId::new(i), NodeId::new(j));
-            }
-        }
-    }
-    add_super_source(&g)
+    let mut stream = ErdosRenyiStream::new(n, p, seed);
+    (crate::materialize(&mut stream), stream.source())
 }
 
-/// A chunked [`EdgeStream`] replaying [`generate`]'s exact edge
-/// sequence — the `i < j` coin-flip edges in loop order, then the
-/// super-source's edges to every in-degree-0 node in ascending id
-/// order, exactly where [`add_super_source`] appends them. The
-/// super-source is node `n`; resident state is one bit per node.
+/// The generator: each replay flips one coin per ordered pair `i < j`
+/// in loop order, then wires the super-source (node `n`) to every
+/// node left without an in-edge, in ascending id order. Resident state
+/// is one bit per node.
 #[derive(Clone, Debug)]
 pub struct ErdosRenyiStream {
     n: usize,
     p: f64,
     seed: u64,
-    rng: ChaCha8Rng,
-    /// Nodes that received at least one in-edge during the main phase.
-    has_in: BitSet,
-    /// Main phase: next candidate pair; super phase: next candidate
-    /// target. `i == n` switches phases.
-    i: usize,
-    j: usize,
-    chunk: usize,
 }
 
 impl ErdosRenyiStream {
     /// Stream a random DAG with `n` internal nodes, edge probability
     /// `p`, and the super-source as node `n`.
     pub fn new(n: usize, p: f64, seed: u64) -> Self {
-        Self {
-            n,
-            p,
-            seed,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            has_in: BitSet::new(n),
-            i: 0,
-            j: 1,
-            chunk: fp_scale::DEFAULT_CHUNK,
-        }
-    }
-
-    /// Override the chunk size (tests exercise chunk boundaries).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk = chunk;
-        self
+        Self { n, p, seed }
     }
 
     /// The super-source's id (`n`).
     pub fn source(&self) -> NodeId {
         NodeId::new(self.n)
-    }
-
-    fn next_edge(&mut self) -> Option<(u32, u32)> {
-        // Main phase: one coin flip per ordered pair i < j.
-        while self.i < self.n {
-            if self.j >= self.n {
-                self.i += 1;
-                // Phase switch: restart `j` as the super-source cursor.
-                self.j = if self.i < self.n { self.i + 1 } else { 0 };
-                continue;
-            }
-            let (i, j) = (self.i, self.j);
-            self.j += 1;
-            if self.rng.random::<f64>() < self.p {
-                self.has_in.insert(j);
-                return Some((i as u32, j as u32));
-            }
-        }
-        // Super-source phase: `j` walks the internal nodes. Node 0 can
-        // never gain an in-edge from the `i < j` phase, so the source
-        // list is never empty for n > 0 (`add_super_source`'s
-        // every-node-on-a-cycle fallback cannot trigger on a DAG).
-        while self.j < self.n {
-            let v = self.j;
-            self.j += 1;
-            if !self.has_in.contains(v) {
-                return Some((self.n as u32, v as u32));
-            }
-        }
-        None
     }
 }
 
@@ -109,19 +46,23 @@ impl EdgeStream for ErdosRenyiStream {
         Some(self.n as u64 + 1)
     }
 
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError> {
-        out.clear();
-        while out.len() < self.chunk {
-            match self.next_edge() {
-                Some(edge) => out.push(edge),
-                None => break,
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        let n = self.n;
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut has_in = BitSet::new(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.random::<f64>() < self.p {
+                    has_in.insert(j);
+                    sink.emit(i as u32, j as u32)?;
+                }
             }
         }
-        Ok(!out.is_empty())
-    }
-
-    fn rewind(&mut self) -> Result<(), ScaleError> {
-        *self = Self::new(self.n, self.p, self.seed).with_chunk(self.chunk);
+        // Node 0 never gains an in-edge, so for n > 0 the super-source
+        // always has a node to feed.
+        for v in (0..n).filter(|&v| !has_in.contains(v)) {
+            sink.emit(n as u32, v as u32)?;
+        }
         Ok(())
     }
 }
@@ -147,28 +88,6 @@ mod tests {
         let (lo, _) = generate(60, 0.05, 9);
         let (hi, _) = generate(60, 0.5, 9);
         assert!(hi.edge_count() > 5 * lo.edge_count());
-    }
-
-    #[test]
-    fn stream_replays_generate_edge_for_edge() {
-        for (n, p, seed) in [(0, 0.5, 1), (1, 0.5, 2), (40, 0.12, 9), (25, 0.0, 3)] {
-            let (g, s) = generate(n, p, seed);
-            let mut stream = ErdosRenyiStream::new(n, p, seed).with_chunk(7);
-            assert_eq!(stream.source(), s);
-            assert_eq!(stream.node_hint(), Some(n as u64 + 1));
-            let mut streamed = DiGraph::with_nodes(n + 1);
-            let mut chunk = Vec::new();
-            fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-                streamed.add_edge(NodeId::new(u as usize), NodeId::new(v as usize));
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(streamed.edge_count(), g.edge_count(), "n={n} p={p}");
-            for v in g.nodes() {
-                assert_eq!(streamed.out_neighbors(v), g.out_neighbors(v));
-                assert_eq!(streamed.in_neighbors(v), g.in_neighbors(v));
-            }
-        }
     }
 
     #[test]

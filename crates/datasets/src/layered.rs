@@ -11,7 +11,7 @@
 //! c-graph model always has one).
 
 use fp_graph::{DiGraph, NodeId};
-use fp_scale::{EdgeStream, ScaleError};
+use fp_scale::{EdgeSink, EdgeStream, ScaleError};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,166 +69,34 @@ pub struct LayeredGraph {
 
 /// Generate a layered graph.
 pub fn generate(params: &LayeredParams) -> LayeredGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-    let total = params.levels * params.expected_per_level;
-    // Random level assignment (uniform over levels) — expected size per
-    // level is `expected_per_level`, matching the paper's phrasing.
-    let mut levels_of: Vec<Vec<usize>> = vec![Vec::new(); params.levels];
-    let mut g = DiGraph::with_nodes(total + 1);
-    let source = NodeId::new(0);
-    let mut level = vec![0u32; total + 1];
-    for (v, lvl) in level.iter_mut().enumerate().skip(1) {
-        let l = rng.random_range(0..params.levels);
-        levels_of[l].push(v);
-        *lvl = l as u32 + 1;
-    }
-    for &v in &levels_of[0] {
-        g.add_edge(source, NodeId::new(v));
-    }
-    for i in 0..params.levels {
-        for j in (i + 1)..params.levels {
-            let p = params.x / params.y.powi((j - i) as i32);
-            if p <= 0.0 {
-                continue;
-            }
-            let p = p.min(1.0);
-            for &v in &levels_of[i] {
-                for &u in &levels_of[j] {
-                    if rng.random::<f64>() < p {
-                        g.add_edge(NodeId::new(v), NodeId::new(u));
-                    }
-                }
-            }
-        }
-    }
+    let mut stream = LayeredStream::new(params);
+    let graph = crate::materialize(&mut stream);
     LayeredGraph {
-        graph: g,
-        source,
-        level,
+        graph,
+        source: NodeId::new(0),
+        level: stream.level,
     }
 }
 
-/// A chunked [`EdgeStream`] replaying [`generate`]'s exact edge
-/// sequence: the source's edges to level-0 nodes first, then every
-/// `(i, j)` level pair in loop order with one coin flip per candidate
-/// edge. The level assignment (one RNG call per node, drawn before any
-/// edge) is computed up front and exposed via [`LayeredStream::level`];
-/// resident state is the per-level node lists — O(n), inherent to the
-/// generator itself.
+/// The generator: each replay draws the level assignment (one RNG call
+/// per node, before any edge), emits the source's edges to level-0
+/// nodes, then flips one coin per candidate edge of every `(i, j)`
+/// level pair in loop order. Resident state is the per-level node
+/// lists — O(n), inherent to the generator itself.
 #[derive(Clone, Debug)]
 pub struct LayeredStream {
     params: LayeredParams,
-    rng: ChaCha8Rng,
-    levels_of: Vec<Vec<usize>>,
+    /// The last replay's level assignment ([`LayeredGraph::level`]).
     level: Vec<u32>,
-    /// Phase 1 cursor over `levels_of[0]` (source edges); `usize::MAX`
-    /// once phase 2 starts.
-    src_pos: usize,
-    /// Phase 2 cursors: level pair `(i, j)` and positions within them.
-    i: usize,
-    j: usize,
-    vi: usize,
-    ui: usize,
-    p: f64,
-    chunk: usize,
 }
 
 impl LayeredStream {
     /// Stream the graph described by `params`. Node 0 is the source.
     pub fn new(params: &LayeredParams) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-        let total = params.levels * params.expected_per_level;
-        let mut levels_of: Vec<Vec<usize>> = vec![Vec::new(); params.levels];
-        let mut level = vec![0u32; total + 1];
-        for (v, lvl) in level.iter_mut().enumerate().skip(1) {
-            let l = rng.random_range(0..params.levels);
-            levels_of[l].push(v);
-            *lvl = l as u32 + 1;
-        }
-        let mut stream = Self {
+        Self {
             params: params.clone(),
-            rng,
-            levels_of,
-            level,
-            src_pos: 0,
-            i: 0,
-            j: 0,
-            vi: 0,
-            ui: 0,
-            p: 0.0,
-            chunk: fp_scale::DEFAULT_CHUNK,
-        };
-        stream.advance_pair(0, 1);
-        stream
-    }
-
-    /// Override the chunk size (tests exercise chunk boundaries).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk = chunk;
-        self
-    }
-
-    /// `level[v]`: the level of each node (source 0, generated nodes
-    /// `1..=levels`) — identical to [`LayeredGraph::level`].
-    pub fn level(&self) -> &[u32] {
-        &self.level
-    }
-
-    /// Position the pair cursor on the first viable `(i, j)` at or
-    /// after the given pair, skipping pairs with `p ≤ 0` exactly as
-    /// `generate` does (no RNG is consumed for skipped pairs).
-    fn advance_pair(&mut self, mut i: usize, mut j: usize) {
-        let levels = self.params.levels;
-        while i < levels {
-            if j >= levels {
-                i += 1;
-                j = i + 1;
-                continue;
-            }
-            let p = self.params.x / self.params.y.powi((j - i) as i32);
-            if p <= 0.0 {
-                j += 1;
-                continue;
-            }
-            self.p = p.min(1.0);
-            self.i = i;
-            self.j = j;
-            self.vi = 0;
-            self.ui = 0;
-            return;
+            level: Vec::new(),
         }
-        self.i = levels;
-        self.j = levels;
-    }
-
-    fn next_edge(&mut self) -> Option<(u32, u32)> {
-        // Phase 1: source → every level-0 node, in assignment order.
-        if self.src_pos < self.levels_of[0].len() {
-            let v = self.levels_of[0][self.src_pos];
-            self.src_pos += 1;
-            return Some((0, v as u32));
-        }
-        // Phase 2: coin flips over (v ∈ level i, u ∈ level j) pairs.
-        while self.i < self.params.levels {
-            let from = &self.levels_of[self.i];
-            let to = &self.levels_of[self.j];
-            if self.vi >= from.len() {
-                self.advance_pair(self.i, self.j + 1);
-                continue;
-            }
-            if self.ui >= to.len() {
-                self.vi += 1;
-                self.ui = 0;
-                continue;
-            }
-            let (v, u) = (from[self.vi], to[self.ui]);
-            self.ui += 1;
-            if self.rng.random::<f64>() < self.p {
-                return Some((v as u32, u as u32));
-            }
-        }
-        None
     }
 }
 
@@ -237,19 +105,40 @@ impl EdgeStream for LayeredStream {
         Some((self.params.levels * self.params.expected_per_level) as u64 + 1)
     }
 
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError> {
-        out.clear();
-        while out.len() < self.chunk {
-            match self.next_edge() {
-                Some(edge) => out.push(edge),
-                None => break,
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        let params = &self.params;
+        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
+        let total = params.levels * params.expected_per_level;
+        // Random level assignment (uniform over levels) — expected size
+        // per level is `expected_per_level`, matching the paper's
+        // phrasing.
+        let mut levels_of: Vec<Vec<u32>> = vec![Vec::new(); params.levels];
+        let mut level = vec![0u32; total + 1];
+        for (v, lvl) in level.iter_mut().enumerate().skip(1) {
+            let l = rng.random_range(0..params.levels);
+            levels_of[l].push(v as u32);
+            *lvl = l as u32 + 1;
+        }
+        self.level = level;
+        for &v in &levels_of[0] {
+            sink.emit(0, v)?;
+        }
+        for i in 0..params.levels {
+            for j in (i + 1)..params.levels {
+                let p = params.x / params.y.powi((j - i) as i32);
+                if p <= 0.0 {
+                    continue;
+                }
+                let p = p.min(1.0);
+                for &v in &levels_of[i] {
+                    for &u in &levels_of[j] {
+                        if rng.random::<f64>() < p {
+                            sink.emit(v, u)?;
+                        }
+                    }
+                }
             }
         }
-        Ok(!out.is_empty())
-    }
-
-    fn rewind(&mut self) -> Result<(), ScaleError> {
-        *self = Self::new(&self.params).with_chunk(self.chunk);
         Ok(())
     }
 }
@@ -299,55 +188,6 @@ mod tests {
                 "edge {u}→{v} violates levels"
             );
         }
-    }
-
-    #[test]
-    fn stream_replays_generate_edge_for_edge() {
-        let params = LayeredParams {
-            levels: 6,
-            expected_per_level: 30,
-            x: 1.0,
-            y: 3.0,
-            seed: 21,
-        };
-        let lg = generate(&params);
-        let mut stream = LayeredStream::new(&params).with_chunk(13);
-        assert_eq!(stream.level(), &lg.level[..]);
-        assert_eq!(stream.node_hint(), Some(lg.graph.node_count() as u64));
-        let expected: Vec<(u32, u32)> = lg
-            .graph
-            .edges()
-            .map(|(u, v)| (u.index() as u32, v.index() as u32))
-            .collect();
-        let mut streamed = DiGraph::with_nodes(lg.graph.node_count());
-        let mut chunk = Vec::new();
-        fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-            streamed.add_edge(NodeId::new(u as usize), NodeId::new(v as usize));
-            Ok(())
-        })
-        .unwrap();
-        let got: Vec<(u32, u32)> = streamed
-            .edges()
-            .map(|(u, v)| (u.index() as u32, v.index() as u32))
-            .collect();
-        assert_eq!(got, expected);
-        // Rewind replays identically.
-        stream.rewind().unwrap();
-        let mut replay = Vec::new();
-        fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-            replay.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        let flat: Vec<(u32, u32)> = replay;
-        let mut fresh = LayeredStream::new(&params);
-        let mut first = Vec::new();
-        fp_scale::for_each_edge(&mut fresh, &mut chunk, |u, v| {
-            first.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(flat, first);
     }
 
     #[test]

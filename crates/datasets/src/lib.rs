@@ -19,6 +19,13 @@
 //! Generic building blocks: [`erdos_renyi`] random DAGs, [`power_law`]
 //! preferential-attachment DAGs, [`tree_gen`] random c-trees, and
 //! [`stats`] degree statistics (the CDFs of Figures 4 and 6).
+//!
+//! Five generators (power-law, Erdős–Rényi, layered, citation-like,
+//! twitter-like) are written once, as an [`fp_scale::EdgeStream`]
+//! whose replay runs the construction from the seed and emits each
+//! edge as it goes. `Csr32::from_stream` builds 10^6-node graphs from
+//! that stream without an edge list, and each module's `generate`
+//! replays the same stream into a [`DiGraph`].
 
 pub mod citation_like;
 pub mod erdos_renyi;
@@ -28,3 +35,22 @@ pub mod quote_like;
 pub mod stats;
 pub mod tree_gen;
 pub mod twitter_like;
+
+use fp_graph::{DiGraph, NodeId};
+use fp_scale::EdgeStream;
+
+/// Replay `stream` into a [`DiGraph`] over its hinted node count.
+fn materialize(stream: &mut impl EdgeStream) -> DiGraph {
+    let nodes = stream
+        .node_hint()
+        .expect("generators hint their node count");
+    let mut g = DiGraph::with_nodes(nodes as usize);
+    fp_scale::for_each_chunk(stream, |chunk| {
+        for &(u, v) in chunk {
+            g.add_edge(NodeId::new(u as usize), NodeId::new(v as usize));
+        }
+        Ok(())
+    })
+    .expect("a DiGraph sink never fails");
+    g
+}

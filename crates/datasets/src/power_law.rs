@@ -7,7 +7,7 @@
 //! edge from node A to B if B cites A"). Node 0 is the root/source.
 
 use fp_graph::{DiGraph, NodeId};
-use fp_scale::{EdgeStream, ScaleError};
+use fp_scale::{EdgeSink, EdgeStream, ScaleError};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -26,51 +26,17 @@ pub struct PowerLawParams {
 
 /// Generate; returns the graph and the root (node 0).
 pub fn generate(params: &PowerLawParams) -> (DiGraph, NodeId) {
-    assert!(params.nodes >= 1);
-    assert!(params.mean_degree >= 1);
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-    let mut g = DiGraph::with_nodes(params.nodes);
-    // Repeated-node list for preferential sampling: node v appears
-    // degree(v)+1 times.
-    let mut urn: Vec<u32> = vec![0];
-    for t in 1..params.nodes {
-        let d_max = 2 * params.mean_degree - 1;
-        let d = rng.random_range(1..=d_max).min(t);
-        let mut chosen: Vec<u32> = Vec::with_capacity(d);
-        let mut guard = 0;
-        while chosen.len() < d && guard < 50 * d {
-            guard += 1;
-            let pick = urn[rng.random_range(0..urn.len())];
-            if !chosen.contains(&pick) {
-                chosen.push(pick);
-            }
-        }
-        for &c in &chosen {
-            g.add_edge(NodeId::new(c as usize), NodeId::new(t));
-            urn.push(c);
-        }
-        urn.push(t as u32);
-    }
-    (g, NodeId::new(0))
+    let graph = crate::materialize(&mut PowerLawStream::new(params));
+    (graph, NodeId::new(0))
 }
 
-/// A chunked [`EdgeStream`] replaying [`generate`]'s exact edge
-/// sequence without materializing the graph: the RNG call order and the
-/// emission order are identical edge-for-edge, so a CSR built from this
-/// stream is bit-identical to freezing the generated [`DiGraph`]. The
-/// only resident state is the preferential-sampling urn (one `u32` per
-/// edge endpoint — inherent to the attachment process itself).
+/// The generator: each replay runs the attachment process from the
+/// seed, emitting edges as it goes. The only resident state is the
+/// preferential-sampling urn (one `u32` per edge endpoint — inherent
+/// to the attachment process itself).
 #[derive(Clone, Debug)]
 pub struct PowerLawStream {
     params: PowerLawParams,
-    rng: ChaCha8Rng,
-    urn: Vec<u32>,
-    /// Next node to attach.
-    t: usize,
-    /// Attachment targets drawn for node `t`, partially emitted.
-    chosen: Vec<u32>,
-    chosen_pos: usize,
-    chunk: usize,
 }
 
 impl PowerLawStream {
@@ -80,58 +46,6 @@ impl PowerLawStream {
         assert!(params.mean_degree >= 1);
         Self {
             params: params.clone(),
-            rng: ChaCha8Rng::seed_from_u64(params.seed),
-            urn: vec![0],
-            t: 1,
-            chosen: Vec::new(),
-            chosen_pos: 0,
-            chunk: fp_scale::DEFAULT_CHUNK,
-        }
-    }
-
-    /// Override the chunk size (tests exercise chunk boundaries).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk = chunk;
-        self
-    }
-
-    fn next_edge(&mut self) -> Option<(u32, u32)> {
-        loop {
-            if self.chosen_pos < self.chosen.len() {
-                let c = self.chosen[self.chosen_pos];
-                self.chosen_pos += 1;
-                let edge = (c, self.t as u32);
-                self.urn.push(c);
-                if self.chosen_pos == self.chosen.len() {
-                    self.urn.push(self.t as u32);
-                    self.t += 1;
-                }
-                return Some(edge);
-            }
-            if self.t >= self.params.nodes {
-                return None;
-            }
-            // Draw node t's attachment targets — the same rejection
-            // sampling loop as `generate`, verbatim.
-            let d_max = 2 * self.params.mean_degree - 1;
-            let d = self.rng.random_range(1..=d_max).min(self.t);
-            self.chosen.clear();
-            self.chosen_pos = 0;
-            let mut guard = 0;
-            while self.chosen.len() < d && guard < 50 * d {
-                guard += 1;
-                let pick = self.urn[self.rng.random_range(0..self.urn.len())];
-                if !self.chosen.contains(&pick) {
-                    self.chosen.push(pick);
-                }
-            }
-            if self.chosen.is_empty() {
-                // Nothing drawn (cannot happen with d ≥ 1, but keep the
-                // node accounting identical regardless).
-                self.urn.push(self.t as u32);
-                self.t += 1;
-            }
         }
     }
 }
@@ -141,19 +55,31 @@ impl EdgeStream for PowerLawStream {
         Some(self.params.nodes as u64)
     }
 
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError> {
-        out.clear();
-        while out.len() < self.chunk {
-            match self.next_edge() {
-                Some(edge) => out.push(edge),
-                None => break,
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        let params = &self.params;
+        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
+        // Repeated-node list for preferential sampling: node v appears
+        // degree(v)+1 times.
+        let mut urn: Vec<u32> = vec![0];
+        let mut chosen: Vec<u32> = Vec::new();
+        for t in 1..params.nodes {
+            let d_max = 2 * params.mean_degree - 1;
+            let d = rng.random_range(1..=d_max).min(t);
+            chosen.clear();
+            let mut guard = 0;
+            while chosen.len() < d && guard < 50 * d {
+                guard += 1;
+                let pick = urn[rng.random_range(0..urn.len())];
+                if !chosen.contains(&pick) {
+                    chosen.push(pick);
+                }
             }
+            for &c in &chosen {
+                sink.emit(c, t as u32)?;
+                urn.push(c);
+            }
+            urn.push(t as u32);
         }
-        Ok(!out.is_empty())
-    }
-
-    fn rewind(&mut self) -> Result<(), ScaleError> {
-        *self = Self::new(&self.params).with_chunk(self.chunk);
         Ok(())
     }
 }
@@ -193,57 +119,6 @@ mod tests {
             max_out as f64 > 10.0 * mean_out,
             "hub of degree {max_out} vs mean {mean_out:.1} — not heavy tailed"
         );
-    }
-
-    #[test]
-    fn stream_replays_generate_edge_for_edge() {
-        let params = PowerLawParams {
-            nodes: 500,
-            mean_degree: 3,
-            seed: 77,
-        };
-        let (g, _) = generate(&params);
-        let expected: Vec<(u32, u32)> = g
-            .edges()
-            .map(|(u, v)| (u.index() as u32, v.index() as u32))
-            .collect();
-        // DiGraph::edges iterates nodes in order, but generate emits
-        // edges grouped by the *target* node; collect the stream and
-        // compare per-node adjacency instead of raw emission order.
-        let mut stream = PowerLawStream::new(&params).with_chunk(64);
-        assert_eq!(stream.node_hint(), Some(500));
-        let mut streamed = DiGraph::with_nodes(params.nodes);
-        let mut chunk = Vec::new();
-        fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-            streamed.add_edge(NodeId::new(u as usize), NodeId::new(v as usize));
-            Ok(())
-        })
-        .unwrap();
-        let got: Vec<(u32, u32)> = streamed
-            .edges()
-            .map(|(u, v)| (u.index() as u32, v.index() as u32))
-            .collect();
-        assert_eq!(got, expected);
-        for v in g.nodes() {
-            assert_eq!(streamed.out_neighbors(v), g.out_neighbors(v));
-            assert_eq!(streamed.in_neighbors(v), g.in_neighbors(v));
-        }
-        // Rewinding replays the identical sequence.
-        stream.rewind().unwrap();
-        let mut replay = Vec::new();
-        fp_scale::for_each_edge(&mut stream, &mut chunk, |u, v| {
-            replay.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        let mut stream2 = PowerLawStream::new(&params);
-        let mut first = Vec::new();
-        fp_scale::for_each_edge(&mut stream2, &mut chunk, |u, v| {
-            first.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(replay, first);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use id::NodeId;
 pub use io::{from_edge_list, to_dot, to_edge_list};
 pub use reach::{ancestors_of, reachable_from};
 pub use scc::{condensation, tarjan_scc};
-pub use source::{add_super_source, sinks, sources};
+pub use source::{sinks, sources};
 pub use topo::{is_topological_order, topo_order};
 pub use traversal::{bfs_levels, dfs_from, DfsResult};
 pub use tree::{is_ctree, BinaryTree, BinaryTreeNode, CTree};

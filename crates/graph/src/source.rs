@@ -1,10 +1,6 @@
-//! Sources, sinks, and the super-source transformation.
-//!
-//! The paper's Acyclic algorithm assumes a single source: "we can assume
-//! that there is only one source s in G′, otherwise we create a new
-//! super-source s, and direct an edge from s to every source" (§4.3).
+//! Sources and sinks.
 
-use crate::{Csr, DiGraph, NodeId};
+use crate::{Csr, NodeId};
 
 /// Nodes with in-degree zero.
 pub fn sources(g: &Csr) -> Vec<NodeId> {
@@ -16,32 +12,10 @@ pub fn sinks(g: &Csr) -> Vec<NodeId> {
     g.nodes().filter(|&v| g.out_degree(v) == 0).collect()
 }
 
-/// Add a new node with an edge to every current source, returning the
-/// modified graph and the super-source's id.
-///
-/// If the graph has no in-degree-0 node (every node lies on a cycle),
-/// the super-source is connected to node 0 so that propagation still has
-/// an entry point; callers that care can check `sources` beforehand.
-pub fn add_super_source(g: &DiGraph) -> (DiGraph, NodeId) {
-    let csr = Csr::from_digraph(g);
-    let mut out = g.clone();
-    let s = out.add_node();
-    let srcs = sources(&csr);
-    if srcs.is_empty() {
-        if g.node_count() > 0 {
-            out.add_edge(s, NodeId::new(0));
-        }
-    } else {
-        for v in srcs {
-            out.add_edge(s, v);
-        }
-    }
-    (out, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiGraph;
 
     #[test]
     fn sources_and_sinks() {
@@ -49,25 +23,5 @@ mod tests {
         let csr = Csr::from_digraph(&g);
         assert_eq!(sources(&csr), vec![NodeId::new(0), NodeId::new(1)]);
         assert_eq!(sinks(&csr), vec![NodeId::new(3), NodeId::new(4)]);
-    }
-
-    #[test]
-    fn super_source_covers_all_sources() {
-        let g = DiGraph::from_pairs(4, [(0, 2), (1, 2), (2, 3)]).unwrap();
-        let (g2, s) = add_super_source(&g);
-        assert_eq!(s, NodeId::new(4));
-        assert_eq!(g2.node_count(), 5);
-        assert!(g2.has_edge(s, NodeId::new(0)));
-        assert!(g2.has_edge(s, NodeId::new(1)));
-        assert!(!g2.has_edge(s, NodeId::new(2)));
-        let csr = Csr::from_digraph(&g2);
-        assert_eq!(sources(&csr), vec![s]);
-    }
-
-    #[test]
-    fn fully_cyclic_graph_gets_an_entry_point() {
-        let g = DiGraph::from_pairs(2, [(0, 1), (1, 0)]).unwrap();
-        let (g2, s) = add_super_source(&g);
-        assert!(g2.has_edge(s, NodeId::new(0)));
     }
 }

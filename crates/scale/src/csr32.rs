@@ -1,7 +1,7 @@
 //! [`Csr32`]: a compact CSR built in two passes over an [`EdgeStream`].
 //!
 //! Pass 1 counts per-node degrees (both directions); the counts become
-//! prefix-summed offset arrays; pass 2 rewinds the stream and fills the
+//! prefix-summed offset arrays; pass 2 replays the stream and fills the
 //! adjacency arrays with per-node write cursors. Filling in stream
 //! order means each node's adjacency lists hold neighbors in exactly
 //! the order the stream emitted them — which is the same order
@@ -11,6 +11,7 @@
 //! At no point does an intermediate edge `Vec` exist.
 
 use crate::budget::graph_estimate;
+use crate::pass::{count_degrees, Ledger};
 use crate::{EdgeStream, MemBudget, ScaleError};
 use fp_graph::{Csr, NodeId};
 
@@ -25,94 +26,31 @@ pub struct Csr32 {
     in_sources: Vec<NodeId>,
 }
 
-/// Scoped budget bookkeeping: releases everything it still holds on
-/// early error return, keeps the committed remainder on success.
-struct Ledger<'a> {
-    budget: &'a MemBudget,
-    reserved: u64,
-    committed: bool,
-}
-
-impl<'a> Ledger<'a> {
-    fn new(budget: &'a MemBudget) -> Self {
-        Self {
-            budget,
-            reserved: 0,
-            committed: false,
-        }
-    }
-
-    fn reserve(&mut self, bytes: u64) -> Result<(), ScaleError> {
-        self.budget.reserve(bytes)?;
-        self.reserved += bytes;
-        Ok(())
-    }
-
-    fn release(&mut self, bytes: u64) {
-        assert!(bytes <= self.reserved, "ledger under-reserved");
-        self.budget.release(bytes);
-        self.reserved -= bytes;
-    }
-
-    fn commit(mut self) {
-        self.committed = true;
-    }
-}
-
-impl Drop for Ledger<'_> {
-    fn drop(&mut self) {
-        if !self.committed && self.reserved > 0 {
-            self.budget.release(self.reserved);
-        }
-    }
-}
-
 impl Csr32 {
     /// Build from `stream` in two passes, accounting every allocation
-    /// against `budget`.
+    /// against `budget`, and record a `stream.build` span with the
+    /// `nodes` and `edges` args.
     ///
     /// On success the graph's resident bytes ([`Csr32::bytes`]) remain
     /// reserved — the caller owns releasing them when the graph is
     /// dropped. On error every byte this builder reserved (including
     /// pass-transient cursor arrays) has been released, so a failed
-    /// build leaves the ledger exactly where it started.
+    /// build leaves the ledger exactly where it started. A stream whose
+    /// second pass disagrees with its first — or puts more edges on a
+    /// node than the first pass counted — is
+    /// [`ScaleError::NotReplayable`].
     pub fn from_stream<S>(stream: &mut S, budget: &MemBudget) -> Result<Self, ScaleError>
     where
         S: EdgeStream + ?Sized,
     {
+        let span = fp_obs::span("stream.build");
         let mut ledger = Ledger::new(budget);
 
         // Pass 1: per-node degree counts in both directions.
-        let mut out_cnt: Vec<u32> = Vec::new();
-        let mut in_cnt: Vec<u32> = Vec::new();
-        if let Some(hint) = stream.node_hint() {
-            if hint > u64::from(u32::MAX) + 1 {
-                return Err(ScaleError::NodeOverflow { nodes: hint });
-            }
-            ledger.reserve(8 * hint)?;
-            out_cnt.resize(hint as usize, 0);
-            in_cnt.resize(hint as usize, 0);
-        }
-        let mut edges: u64 = 0;
-        let mut chunk: Vec<(u32, u32)> = Vec::new();
-        while stream.next_chunk(&mut chunk)? {
-            edges += chunk.len() as u64;
-            if edges > u64::from(u32::MAX) {
-                return Err(ScaleError::EdgeOverflow { edges });
-            }
-            for &(u, v) in &chunk {
-                let top = u.max(v) as usize + 1;
-                if top > out_cnt.len() {
-                    ledger.reserve(8 * (top - out_cnt.len()) as u64)?;
-                    out_cnt.resize(top, 0);
-                    in_cnt.resize(top, 0);
-                }
-                out_cnt[u as usize] += 1;
-                in_cnt[v as usize] += 1;
-            }
-        }
-        let n = out_cnt.len();
-        let m = edges as usize;
+        let (mut out_cnt, mut in_cnt) = (Vec::new(), Vec::new());
+        let first = count_degrees(stream, &mut ledger, &mut out_cnt, &mut in_cnt)?;
+        let (n, m) = (first.nodes, first.edges as usize);
+        let _span = span.arg("nodes", n as i64).arg("edges", m as i64);
 
         // Prefix sums: counts become the `n + 1` offset arrays.
         ledger.reserve(8 * (n as u64 + 1))?;
@@ -136,36 +74,23 @@ impl Csr32 {
         let mut out_cursor = out_cnt;
         let mut in_cursor = in_cnt;
 
-        // Pass 2: rewind and fill.
+        // Pass 2: replay and fill; no node may take more edges than
+        // pass 1 counted.
         ledger.reserve(8 * m as u64)?;
         let mut out_targets = vec![NodeId::new(0); m];
         let mut in_sources = vec![NodeId::new(0); m];
-        stream.rewind()?;
-        let mut refilled: u64 = 0;
-        while stream.next_chunk(&mut chunk)? {
-            refilled += chunk.len() as u64;
-            for &(u, v) in &chunk {
-                let (u, v) = (u as usize, v as usize);
-                assert!(
-                    u < n && v < n && refilled <= edges,
-                    "edge stream is not replayable: second pass disagrees with the first"
-                );
-                let uo = out_offsets[u] + out_cursor[u];
-                let vi = in_offsets[v] + in_cursor[v];
-                assert!(
-                    uo < out_offsets[u + 1] && vi < in_offsets[v + 1],
-                    "edge stream is not replayable: degree overflow on refill"
-                );
-                out_targets[uo as usize] = NodeId::new(v);
-                in_sources[vi as usize] = NodeId::new(u);
-                out_cursor[u] += 1;
-                in_cursor[v] += 1;
+        first.replay(stream, 2, |u, v| {
+            let uo = out_offsets[u] + out_cursor[u];
+            let vi = in_offsets[v] + in_cursor[v];
+            if uo == out_offsets[u + 1] || vi == in_offsets[v + 1] {
+                return false;
             }
-        }
-        assert!(
-            refilled == edges,
-            "edge stream is not replayable: edge count changed between passes"
-        );
+            out_targets[uo as usize] = NodeId::new(v);
+            in_sources[vi as usize] = NodeId::new(u);
+            out_cursor[u] += 1;
+            in_cursor[v] += 1;
+            true
+        })?;
         drop(out_cursor);
         drop(in_cursor);
         ledger.release(8 * n as u64);
@@ -239,15 +164,15 @@ mod tests {
     use crate::VecStream;
     use fp_graph::DiGraph;
 
-    fn stream_of(edges: &[(u32, u32)], nodes: Option<u64>, chunk: usize) -> VecStream {
-        VecStream::new(edges.to_vec(), nodes).with_chunk(chunk)
+    fn stream_of(edges: &[(u32, u32)], nodes: Option<u64>) -> VecStream {
+        VecStream::new(edges.to_vec(), nodes)
     }
 
     #[test]
     fn matches_from_digraph_exactly() {
         let edges = [(0, 1), (0, 2), (2, 1), (1, 3), (2, 3), (0, 3)];
         let budget = MemBudget::unlimited();
-        let csr32 = Csr32::from_stream(&mut stream_of(&edges, None, 2), &budget).unwrap();
+        let csr32 = Csr32::from_stream(&mut stream_of(&edges, None), &budget).unwrap();
         let g =
             DiGraph::from_pairs(4, edges.iter().map(|&(u, v)| (u as usize, v as usize))).unwrap();
         let reference = Csr::from_digraph(&g);
@@ -267,7 +192,7 @@ mod tests {
     #[test]
     fn node_hint_covers_isolated_tail_nodes() {
         let budget = MemBudget::unlimited();
-        let csr32 = Csr32::from_stream(&mut stream_of(&[(0, 1)], Some(5), 8), &budget).unwrap();
+        let csr32 = Csr32::from_stream(&mut stream_of(&[(0, 1)], Some(5)), &budget).unwrap();
         assert_eq!(csr32.node_count(), 5);
         assert_eq!(csr32.edge_count(), 1);
         assert!(csr32.children(NodeId::new(4)).is_empty());
@@ -276,7 +201,7 @@ mod tests {
     #[test]
     fn empty_stream_builds_an_empty_graph() {
         let budget = MemBudget::unlimited();
-        let csr32 = Csr32::from_stream(&mut stream_of(&[], None, 8), &budget).unwrap();
+        let csr32 = Csr32::from_stream(&mut stream_of(&[], None), &budget).unwrap();
         assert_eq!(csr32.node_count(), 0);
         assert_eq!(csr32.edge_count(), 0);
         assert_eq!(budget.live(), csr32.bytes());
@@ -286,7 +211,7 @@ mod tests {
     fn accounts_resident_bytes_and_releases_on_error() {
         let edges = [(0, 1), (1, 2), (2, 3)];
         let budget = MemBudget::unlimited();
-        let csr32 = Csr32::from_stream(&mut stream_of(&edges, None, 2), &budget).unwrap();
+        let csr32 = Csr32::from_stream(&mut stream_of(&edges, None), &budget).unwrap();
         assert_eq!(budget.live(), csr32.bytes());
         assert_eq!(csr32.bytes(), graph_estimate(4, 3));
         assert!(budget.peak() > csr32.bytes(), "cursors count transiently");
@@ -294,7 +219,7 @@ mod tests {
 
         // A cap below the transient footprint fails the build cleanly.
         let tight = MemBudget::new(Some(graph_estimate(4, 3)));
-        let err = Csr32::from_stream(&mut stream_of(&edges, None, 2), &tight).unwrap_err();
+        let err = Csr32::from_stream(&mut stream_of(&edges, None), &tight).unwrap_err();
         assert!(matches!(err, ScaleError::BudgetExceeded { .. }));
         assert_eq!(tight.live(), 0, "failed build releases everything");
     }
@@ -303,7 +228,7 @@ mod tests {
     fn budget_cap_gates_the_degree_pass() {
         let edges: Vec<(u32, u32)> = (0..100).map(|i| (i, i + 1)).collect();
         let budget = MemBudget::new(Some(64));
-        let err = Csr32::from_stream(&mut stream_of(&edges, None, 16), &budget).unwrap_err();
+        let err = Csr32::from_stream(&mut stream_of(&edges, None), &budget).unwrap_err();
         assert!(matches!(err, ScaleError::BudgetExceeded { .. }));
         assert_eq!(budget.live(), 0);
     }

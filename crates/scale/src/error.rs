@@ -25,7 +25,8 @@ pub enum ScaleError {
         /// Observed node count.
         nodes: u64,
     },
-    /// The stream carries more edges than a `u32` offset can address.
+    /// The stream carries more edges than a `u32` degree count or CSR
+    /// offset can address.
     EdgeOverflow {
         /// Observed edge count.
         edges: u64,
@@ -42,6 +43,18 @@ pub enum ScaleError {
         live: u64,
         /// The configured hard cap.
         cap: u64,
+    },
+    /// A later pass over a stream disagreed with the first: a different
+    /// edge count or sequence, an id at or past the first pass's node
+    /// count, or (in a CSR fill) a node with more edges than the first
+    /// pass counted. A pipe read twice is the usual cause.
+    NotReplayable {
+        /// The pass that disagreed (the first pass is pass 1).
+        pass: u32,
+        /// Edges the first pass emitted.
+        first: u64,
+        /// Edges this pass had emitted when the disagreement showed.
+        emitted: u64,
     },
     /// Depth relaxation failed to converge: the stream is not a DAG.
     Cycle {
@@ -61,7 +74,7 @@ impl core::fmt::Display for ScaleError {
                 write!(f, "{nodes} nodes exceed the u32 index space of Csr32")
             }
             Self::EdgeOverflow { edges } => {
-                write!(f, "{edges} edges exceed the u32 offset space of Csr32")
+                write!(f, "{edges} edges exceed the u32 counters of a streamed pass")
             }
             Self::BudgetExceeded {
                 requested,
@@ -70,6 +83,15 @@ impl core::fmt::Display for ScaleError {
             } => write!(
                 f,
                 "memory budget exceeded: {requested} requested with {live} live against a cap of {cap} bytes"
+            ),
+            Self::NotReplayable {
+                pass,
+                first,
+                emitted,
+            } => write!(
+                f,
+                "edge stream is not replayable: pass {pass} disagreed with pass 1 after \
+                 {emitted} edge(s) (pass 1 emitted {first})"
             ),
             Self::Cycle { passes } => write!(
                 f,
@@ -105,6 +127,17 @@ mod tests {
             .to_string()
             .contains("u32"));
         assert!(ScaleError::Cycle { passes: 7 }.to_string().contains("7"));
+        let replay = ScaleError::NotReplayable {
+            pass: 2,
+            first: 3,
+            emitted: 0,
+        }
+        .to_string();
+        assert!(replay.contains("not replayable") && replay.contains("pass 2"));
+        assert!(
+            replay.contains("after 0 edge(s) (pass 1 emitted 3)"),
+            "{replay}"
+        );
         let io = ScaleError::Io {
             path: "x.txt".into(),
             reason: "gone".into(),

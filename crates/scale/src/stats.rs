@@ -2,13 +2,14 @@
 //!
 //! Degrees fall out of one counting pass. Depth (the longest path, in
 //! edges) is computed by relaxation: repeat `depth[v] =
-//! max(depth[v], depth[u] + 1)` over re-streamed edges until a pass
+//! max(depth[v], depth[u] + 1)` over replayed edges until a pass
 //! changes nothing. On a DAG whose stream order is topological — true
 //! of every generator stream in `fp-datasets` — one relaxation pass
 //! settles everything and a second confirms the fixpoint; adversarial
 //! orders need up to `depth` passes, and a stream that never converges
 //! within `n + 1` passes is cyclic ([`ScaleError::Cycle`]).
 
+use crate::pass::{count_degrees, Ledger};
 use crate::{EdgeStream, MemBudget, ScaleError};
 
 /// Statistics of a streamed graph.
@@ -33,57 +34,17 @@ pub struct StreamStats {
 /// Compute [`StreamStats`] for `stream`, accounting the per-node
 /// counter arrays (8 bytes per node — the out-degree array is reused
 /// as the depth array) against `budget` for the duration of the
-/// computation and releasing them before returning.
+/// computation and releasing them before returning. A relaxation pass
+/// that disagrees with the counting pass is
+/// [`ScaleError::NotReplayable`].
 pub fn stream_stats<S>(stream: &mut S, budget: &MemBudget) -> Result<StreamStats, ScaleError>
 where
     S: EdgeStream + ?Sized,
 {
-    let mut in_deg: Vec<u32> = Vec::new();
-    let mut out_deg: Vec<u32> = Vec::new();
-    let mut reserved: u64 = 0;
-    let result = stats_inner(stream, budget, &mut in_deg, &mut out_deg, &mut reserved);
-    budget.release(reserved);
-    result
-}
-
-fn stats_inner<S>(
-    stream: &mut S,
-    budget: &MemBudget,
-    in_deg: &mut Vec<u32>,
-    out_deg: &mut Vec<u32>,
-    reserved: &mut u64,
-) -> Result<StreamStats, ScaleError>
-where
-    S: EdgeStream + ?Sized,
-{
-    // Counting pass: degrees in 8 bytes per node.
-    if let Some(hint) = stream.node_hint() {
-        if hint > u64::from(u32::MAX) + 1 {
-            return Err(ScaleError::NodeOverflow { nodes: hint });
-        }
-        budget.reserve(8 * hint)?;
-        *reserved += 8 * hint;
-        in_deg.resize(hint as usize, 0);
-        out_deg.resize(hint as usize, 0);
-    }
-    let mut edges: u64 = 0;
-    let mut chunk: Vec<(u32, u32)> = Vec::new();
-    while stream.next_chunk(&mut chunk)? {
-        edges += chunk.len() as u64;
-        for &(u, v) in &chunk {
-            let top = u.max(v) as usize + 1;
-            if top > in_deg.len() {
-                let delta = 8 * (top - in_deg.len()) as u64;
-                budget.reserve(delta)?;
-                *reserved += delta;
-                in_deg.resize(top, 0);
-                out_deg.resize(top, 0);
-            }
-            out_deg[u as usize] += 1;
-            in_deg[v as usize] += 1;
-        }
-    }
-    let n = in_deg.len();
+    // Never committed: the ledger hands every reservation back on drop.
+    let mut ledger = Ledger::new(budget);
+    let (mut out_deg, mut in_deg) = (Vec::new(), Vec::new());
+    let first = count_degrees(stream, &mut ledger, &mut out_deg, &mut in_deg)?;
     let max_in_degree = in_deg.iter().copied().max().unwrap_or(0);
     let max_out_degree = out_deg.iter().copied().max().unwrap_or(0);
     let max_degree = in_deg
@@ -97,33 +58,31 @@ where
     // Relaxation passes: the out-degree array has served its purpose;
     // reuse it as the depth array so the footprint stays at 8 bytes
     // per node.
-    let depth = &mut *out_deg;
+    let mut depth = out_deg;
     depth.iter_mut().for_each(|d| *d = 0);
-    if edges > 0 {
+    if first.edges > 0 {
         loop {
-            if u64::from(passes) > n as u64 + 1 {
+            if u64::from(passes) > first.nodes as u64 + 1 {
                 return Err(ScaleError::Cycle { passes });
             }
-            stream.rewind()?;
             passes += 1;
             let mut changed = false;
-            while stream.next_chunk(&mut chunk)? {
-                for &(u, v) in &chunk {
-                    let candidate = depth[u as usize] + 1;
-                    if candidate > depth[v as usize] {
-                        depth[v as usize] = candidate;
-                        changed = true;
-                    }
+            first.replay(stream, passes, |u, v| {
+                let candidate = depth[u] + 1;
+                if candidate > depth[v] {
+                    depth[v] = candidate;
+                    changed = true;
                 }
-            }
+                true
+            })?;
             if !changed {
                 break;
             }
         }
     }
     Ok(StreamStats {
-        nodes: n as u64,
-        edges,
+        nodes: first.nodes as u64,
+        edges: first.edges,
         max_in_degree,
         max_out_degree,
         max_degree,
@@ -137,14 +96,14 @@ mod tests {
     use super::*;
     use crate::VecStream;
 
-    fn stats_of(edges: &[(u32, u32)], chunk: usize) -> StreamStats {
-        let mut s = VecStream::new(edges.to_vec(), None).with_chunk(chunk);
+    fn stats_of(edges: &[(u32, u32)]) -> StreamStats {
+        let mut s = VecStream::new(edges.to_vec(), None);
         stream_stats(&mut s, &MemBudget::unlimited()).unwrap()
     }
 
     #[test]
     fn diamond_stats() {
-        let s = stats_of(&[(0, 1), (0, 2), (1, 3), (2, 3)], 2);
+        let s = stats_of(&[(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert_eq!(s.nodes, 4);
         assert_eq!(s.edges, 4);
         assert_eq!(s.max_in_degree, 2);
@@ -159,14 +118,14 @@ mod tests {
     fn adversarial_order_still_converges() {
         // Path 0→1→2→3 streamed backwards: each pass settles one more
         // hop.
-        let s = stats_of(&[(2, 3), (1, 2), (0, 1)], 8);
+        let s = stats_of(&[(2, 3), (1, 2), (0, 1)]);
         assert_eq!(s.depth, 3);
         assert!(s.passes > 3, "reverse order needs extra passes");
     }
 
     #[test]
     fn empty_and_edgeless_graphs() {
-        let s = stats_of(&[], 4);
+        let s = stats_of(&[]);
         assert_eq!(
             s,
             StreamStats {
@@ -179,7 +138,7 @@ mod tests {
                 passes: 1,
             }
         );
-        let mut hinted = VecStream::new(vec![], Some(7)).with_chunk(4);
+        let mut hinted = VecStream::new(vec![], Some(7));
         let s = stream_stats(&mut hinted, &MemBudget::unlimited()).unwrap();
         assert_eq!(s.nodes, 7);
         assert_eq!(s.depth, 0);
@@ -187,7 +146,7 @@ mod tests {
 
     #[test]
     fn cyclic_streams_are_detected() {
-        let mut s = VecStream::new(vec![(0, 1), (1, 0)], None).with_chunk(4);
+        let mut s = VecStream::new(vec![(0, 1), (1, 0)], None);
         let err = stream_stats(&mut s, &MemBudget::unlimited()).unwrap_err();
         assert!(matches!(err, ScaleError::Cycle { .. }));
     }
@@ -195,7 +154,7 @@ mod tests {
     #[test]
     fn budget_is_transient() {
         let budget = MemBudget::unlimited();
-        let mut s = VecStream::new(vec![(0, 1), (1, 2)], None).with_chunk(4);
+        let mut s = VecStream::new(vec![(0, 1), (1, 2)], None);
         let stats = stream_stats(&mut s, &budget).unwrap();
         assert_eq!(stats.nodes, 3);
         assert_eq!(budget.live(), 0, "stats memory is released");
@@ -205,7 +164,7 @@ mod tests {
     #[test]
     fn budget_cap_rejects_large_graphs() {
         let budget = MemBudget::new(Some(16));
-        let mut s = VecStream::new((0..50).map(|i| (i, i + 1)).collect(), None).with_chunk(8);
+        let mut s = VecStream::new((0..50).map(|i| (i, i + 1)).collect(), None);
         let err = stream_stats(&mut s, &budget).unwrap_err();
         assert!(matches!(err, ScaleError::BudgetExceeded { .. }));
         assert_eq!(budget.live(), 0);

@@ -1,25 +1,27 @@
-//! [`EdgeStream`]: chunked, rewindable edge producers.
+//! [`EdgeStream`]: replayable edge producers.
 //!
-//! A stream hands out edges in a fixed, reproducible order, a bounded
-//! chunk at a time, and can rewind to the start for multi-pass
-//! consumers (the two-pass CSR builder, depth relaxation). Nothing in
-//! this contract ever requires the full edge list in memory.
+//! A stream emits its edges in a fixed, reproducible order into an
+//! [`EdgeSink`], which hands them on a bounded chunk at a time. A
+//! multi-pass consumer (the two-pass CSR builder, depth relaxation)
+//! replays the stream once per pass. Nothing in this contract ever
+//! requires the full edge list in memory.
 
 use crate::ScaleError;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
-/// Default number of edges per chunk (1 MiB of `(u32, u32)` pairs).
-pub const DEFAULT_CHUNK: usize = 128 * 1024;
+/// Edges an [`EdgeSink`] buffers before handing them on (1 MiB of
+/// `(u32, u32)` pairs).
+const CHUNK: usize = 128 * 1024;
 
-/// A rewindable producer of `(source, target)` edges over `u32` ids.
+/// A replayable producer of `(source, target)` edges over `u32` ids.
 ///
-/// Contract: [`EdgeStream::next_chunk`] clears `out`, appends at most
-/// one chunk of edges, and returns `Ok(true)` if it appended any;
-/// `Ok(false)` marks exhaustion (with `out` left empty). The edge
-/// sequence must be identical on every pass — consumers rely on
-/// replaying it bit-for-bit after [`EdgeStream::rewind`].
+/// Contract: [`EdgeStream::replay`] emits the whole edge sequence from
+/// its first edge, and every call emits the same sequence. Multi-pass
+/// consumers replay once per pass and refuse a stream whose later pass
+/// disagrees with the first ([`ScaleError::NotReplayable`]). The trait
+/// is object safe, so front-ends can pick a producer at run time.
 pub trait EdgeStream {
     /// Total node count, when the producer knows it up front.
     ///
@@ -29,31 +31,57 @@ pub trait EdgeStream {
         None
     }
 
-    /// Produce the next chunk of edges into `out`.
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError>;
-
-    /// Reset to the beginning of the edge sequence.
-    fn rewind(&mut self) -> Result<(), ScaleError>;
+    /// Emit every edge, from the first, into `sink`, and stop at the
+    /// first error `sink` returns.
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError>;
 }
 
-/// Drive `stream` to exhaustion, calling `f` for every edge. The chunk
-/// buffer is caller-provided so multi-pass consumers reuse one
-/// allocation across passes.
-pub fn for_each_edge<S, F>(
-    stream: &mut S,
-    chunk: &mut Vec<(u32, u32)>,
-    mut f: F,
-) -> Result<(), ScaleError>
+/// The consumer an [`EdgeSink`] hands each chunk to.
+type Consume<'a> = dyn FnMut(&[(u32, u32)]) -> Result<(), ScaleError> + 'a;
+
+/// Where a replay's edges go: a fixed buffer that hands its consumer
+/// one chunk at a time, so the consumer's dynamic call is paid per
+/// chunk, never per edge. Built by [`for_each_chunk`].
+pub struct EdgeSink<'a> {
+    buf: Vec<(u32, u32)>,
+    consume: &'a mut Consume<'a>,
+}
+
+impl EdgeSink<'_> {
+    /// Append the edge `u → v`, handing the chunk on when it fills.
+    #[inline]
+    pub fn emit(&mut self, u: u32, v: u32) -> Result<(), ScaleError> {
+        self.buf.push((u, v));
+        if self.buf.len() < CHUNK {
+            return Ok(());
+        }
+        self.flush()
+    }
+
+    #[inline(never)]
+    fn flush(&mut self) -> Result<(), ScaleError> {
+        let result = if self.buf.is_empty() {
+            Ok(())
+        } else {
+            (self.consume)(&self.buf)
+        };
+        self.buf.clear();
+        result
+    }
+}
+
+/// Replay `stream` once, handing `consume` its edges a chunk at a time.
+pub fn for_each_chunk<S, F>(stream: &mut S, mut consume: F) -> Result<(), ScaleError>
 where
     S: EdgeStream + ?Sized,
-    F: FnMut(u32, u32) -> Result<(), ScaleError>,
+    F: FnMut(&[(u32, u32)]) -> Result<(), ScaleError>,
 {
-    while stream.next_chunk(chunk)? {
-        for &(u, v) in chunk.iter() {
-            f(u, v)?;
-        }
-    }
-    Ok(())
+    let mut sink = EdgeSink {
+        buf: Vec::with_capacity(CHUNK),
+        consume: &mut consume,
+    };
+    stream.replay(&mut sink)?;
+    sink.flush()
 }
 
 /// An in-memory stream over a pre-built edge list. Test scaffolding and
@@ -63,26 +91,12 @@ where
 pub struct VecStream {
     edges: Vec<(u32, u32)>,
     nodes: Option<u64>,
-    pos: usize,
-    chunk: usize,
 }
 
 impl VecStream {
     /// Stream over `edges`, optionally declaring a total node count.
     pub fn new(edges: Vec<(u32, u32)>, nodes: Option<u64>) -> Self {
-        Self {
-            edges,
-            nodes,
-            pos: 0,
-            chunk: DEFAULT_CHUNK,
-        }
-    }
-
-    /// Override the chunk size (tests exercise chunk boundaries).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk = chunk;
-        self
+        Self { edges, nodes }
     }
 }
 
@@ -91,125 +105,95 @@ impl EdgeStream for VecStream {
         self.nodes
     }
 
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError> {
-        out.clear();
-        let end = (self.pos + self.chunk).min(self.edges.len());
-        out.extend_from_slice(&self.edges[self.pos..end]);
-        self.pos = end;
-        Ok(!out.is_empty())
-    }
-
-    fn rewind(&mut self) -> Result<(), ScaleError> {
-        self.pos = 0;
-        Ok(())
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        self.edges.iter().try_for_each(|&(u, v)| sink.emit(u, v))
     }
 }
 
-/// A chunked reader over a plain-text edge-list file with *numeric*
-/// node ids: one `source target` pair per line, `#` comments and blank
-/// lines ignored — the dialect `fp dataset` emits and SNAP-style dumps
-/// ship in. Ids are taken literally (node `17` is index 17), which is
-/// what makes the format streamable: no interning table, no
-/// first-appearance renumbering, O(chunk) memory regardless of file
-/// size. Self-loops are rejected (c-graphs are loop-free).
+/// A reader over a plain-text edge-list file with *numeric* node ids:
+/// one `source target` pair per line, `#` comments and blank lines
+/// ignored — the dialect `fp dataset` emits and SNAP-style dumps ship
+/// in. Ids are taken literally (node `17` is index 17), which is what
+/// makes the format streamable: no interning table, no first-appearance
+/// renumbering, O(chunk) memory regardless of file size. Self-loops are
+/// rejected (c-graphs are loop-free).
+///
+/// The first replay reads the handle [`FileEdgeStream::open`] opened;
+/// each later one reopens the path. A pipe therefore reads empty the
+/// second time, which a multi-pass consumer reports as
+/// [`ScaleError::NotReplayable`].
 #[derive(Debug)]
 pub struct FileEdgeStream {
     path: PathBuf,
-    reader: Option<BufReader<File>>,
-    line: u64,
-    chunk: usize,
-    buf: String,
+    opened: Option<File>,
 }
 
 impl FileEdgeStream {
     /// Open `path` for streaming.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ScaleError> {
         let path = path.as_ref().to_path_buf();
-        let file = File::open(&path).map_err(|e| ScaleError::Io {
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        })?;
+        let file = File::open(&path).map_err(|e| io_error(&path, e))?;
         Ok(Self {
             path,
-            reader: Some(BufReader::new(file)),
-            line: 0,
-            chunk: DEFAULT_CHUNK,
-            buf: String::new(),
+            opened: Some(file),
         })
-    }
-
-    /// Override the chunk size.
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk = chunk;
-        self
-    }
-
-    fn parse_line(&self) -> Result<Option<(u32, u32)>, ScaleError> {
-        let line = self.buf.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(None);
-        }
-        let err = |reason: String| ScaleError::Parse {
-            line: self.line,
-            reason,
-        };
-        let mut parts = line.split_whitespace();
-        let (u, v) = match (parts.next(), parts.next()) {
-            (Some(u), Some(v)) => (u, v),
-            _ => return Err(err(format!("expected `source target`, got {line:?}"))),
-        };
-        if parts.next().is_some() {
-            return Err(err(format!("trailing tokens after edge in {line:?}")));
-        }
-        let parse_id = |tok: &str| {
-            tok.parse::<u32>()
-                .map_err(|_| err(format!("node id {tok:?} is not a u32")))
-        };
-        let (u, v) = (parse_id(u)?, parse_id(v)?);
-        if u == v {
-            return Err(err(format!("self-loop on {u}")));
-        }
-        Ok(Some((u, v)))
     }
 }
 
+fn io_error(path: &Path, e: std::io::Error) -> ScaleError {
+    ScaleError::Io {
+        path: path.display().to_string(),
+        reason: e.to_string(),
+    }
+}
+
+/// Parse line number `line` of an edge list: `None` for a blank or
+/// comment line.
+fn parse_line(text: &str, line: u64) -> Result<Option<(u32, u32)>, ScaleError> {
+    let text = text.trim();
+    if text.is_empty() || text.starts_with('#') {
+        return Ok(None);
+    }
+    let err = |reason: String| ScaleError::Parse { line, reason };
+    let mut parts = text.split_whitespace();
+    let (u, v) = match (parts.next(), parts.next()) {
+        (Some(u), Some(v)) => (u, v),
+        _ => return Err(err(format!("expected `source target`, got {text:?}"))),
+    };
+    if parts.next().is_some() {
+        return Err(err(format!("trailing tokens after edge in {text:?}")));
+    }
+    let parse_id = |tok: &str| {
+        tok.parse::<u32>()
+            .map_err(|_| err(format!("node id {tok:?} is not a u32")))
+    };
+    let (u, v) = (parse_id(u)?, parse_id(v)?);
+    if u == v {
+        return Err(err(format!("self-loop on {u}")));
+    }
+    Ok(Some((u, v)))
+}
+
 impl EdgeStream for FileEdgeStream {
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> Result<bool, ScaleError> {
-        out.clear();
-        if self.reader.is_none() {
-            return Ok(false);
-        }
-        while out.len() < self.chunk {
-            self.buf.clear();
-            let read = self
-                .reader
-                .as_mut()
-                .expect("reader present")
-                .read_line(&mut self.buf)
-                .map_err(|e| ScaleError::Io {
-                    path: self.path.display().to_string(),
-                    reason: e.to_string(),
-                })?;
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        let file = match self.opened.take() {
+            Some(file) => file,
+            None => File::open(&self.path).map_err(|e| io_error(&self.path, e))?,
+        };
+        let mut reader = BufReader::new(file);
+        let mut text = String::new();
+        for line in 1.. {
+            text.clear();
+            let read = reader
+                .read_line(&mut text)
+                .map_err(|e| io_error(&self.path, e))?;
             if read == 0 {
-                self.reader = None;
                 break;
             }
-            self.line += 1;
-            if let Some(edge) = self.parse_line()? {
-                out.push(edge);
+            if let Some((u, v)) = parse_line(&text, line)? {
+                sink.emit(u, v)?;
             }
         }
-        Ok(!out.is_empty())
-    }
-
-    fn rewind(&mut self) -> Result<(), ScaleError> {
-        let file = File::open(&self.path).map_err(|e| ScaleError::Io {
-            path: self.path.display().to_string(),
-            reason: e.to_string(),
-        })?;
-        self.reader = Some(BufReader::new(file));
-        self.line = 0;
         Ok(())
     }
 }
@@ -218,29 +202,44 @@ impl EdgeStream for FileEdgeStream {
 mod tests {
     use super::*;
 
+    fn collect(stream: &mut dyn EdgeStream) -> Result<Vec<(u32, u32)>, ScaleError> {
+        let mut edges = Vec::new();
+        for_each_chunk(stream, |chunk| {
+            edges.extend_from_slice(chunk);
+            Ok(())
+        })?;
+        Ok(edges)
+    }
+
     #[test]
-    fn vec_stream_chunks_and_rewinds() {
-        let edges = vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)];
-        let mut s = VecStream::new(edges.clone(), Some(5)).with_chunk(2);
-        assert_eq!(s.node_hint(), Some(5));
+    fn sink_hands_on_bounded_chunks_and_replays() {
+        let edges: Vec<(u32, u32)> = (0..2 * CHUNK as u32 + 5).map(|i| (i, i + 1)).collect();
+        let mut s = VecStream::new(edges.clone(), Some(7));
+        assert_eq!(s.node_hint(), Some(7));
+        let mut sizes = Vec::new();
         let mut seen = Vec::new();
-        let mut chunk = Vec::new();
-        let mut chunks = 0;
-        while s.next_chunk(&mut chunk).unwrap() {
-            assert!(chunk.len() <= 2);
-            seen.extend_from_slice(&chunk);
-            chunks += 1;
-        }
-        assert_eq!(seen, edges);
-        assert_eq!(chunks, 3);
-        s.rewind().unwrap();
-        let mut again = Vec::new();
-        for_each_edge(&mut s, &mut chunk, |u, v| {
-            again.push((u, v));
+        for_each_chunk(&mut s, |chunk| {
+            sizes.push(chunk.len());
+            seen.extend_from_slice(chunk);
             Ok(())
         })
         .unwrap();
-        assert_eq!(again, edges);
+        assert_eq!(sizes, vec![CHUNK, CHUNK, 5]);
+        assert_eq!(seen, edges);
+        assert_eq!(collect(&mut s).unwrap(), edges, "a second replay");
+    }
+
+    #[test]
+    fn a_consumer_error_stops_the_replay() {
+        let edges: Vec<(u32, u32)> = (0..3 * CHUNK as u32).map(|i| (i, i + 1)).collect();
+        let mut chunks = 0;
+        let err = for_each_chunk(&mut VecStream::new(edges, None), |_| {
+            chunks += 1;
+            Err(ScaleError::Cycle { passes: 1 })
+        })
+        .unwrap_err();
+        assert_eq!(err, ScaleError::Cycle { passes: 1 });
+        assert_eq!(chunks, 1);
     }
 
     fn temp_file(name: &str, contents: &str) -> PathBuf {
@@ -255,20 +254,10 @@ mod tests {
     #[test]
     fn file_stream_parses_comments_and_blank_lines() {
         let path = temp_file("ok", "# header\n0 1\n\n1 2\n# tail\n2 3\n");
-        let mut s = FileEdgeStream::open(&path).unwrap().with_chunk(2);
-        let mut edges = Vec::new();
-        let mut chunk = Vec::new();
-        for_each_edge(&mut s, &mut chunk, |u, v| {
-            edges.push((u, v));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3)]);
-        // Exhausted streams stay exhausted until rewound.
-        assert!(!s.next_chunk(&mut chunk).unwrap());
-        s.rewind().unwrap();
-        assert!(s.next_chunk(&mut chunk).unwrap());
-        assert_eq!(chunk, vec![(0, 1), (1, 2)]);
+        let mut s = FileEdgeStream::open(&path).unwrap();
+        assert_eq!(collect(&mut s).unwrap(), vec![(0, 1), (1, 2), (2, 3)]);
+        // Later replays reopen the file from its start.
+        assert_eq!(collect(&mut s).unwrap(), vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]
@@ -281,9 +270,7 @@ mod tests {
         ] {
             let path = temp_file(name, text);
             let mut s = FileEdgeStream::open(&path).unwrap();
-            let mut chunk = Vec::new();
-            let err = for_each_edge(&mut s, &mut chunk, |_, _| Ok(())).unwrap_err();
-            match err {
+            match collect(&mut s).unwrap_err() {
                 ScaleError::Parse { reason, .. } => {
                     assert!(reason.contains(needle), "{name}: {reason}")
                 }
