@@ -3,7 +3,7 @@
 use crate::{argmax_count, FrCache, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::{impacts, CGraph, EngineScratch, FilterSet, ImpactEngine};
+use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
 
 /// Greedy_All: each round, take the argmax over every node's exact
 /// marginal impact `I(v|A)` under the filters already chosen.
@@ -46,34 +46,6 @@ impl<C: Count> GreedyAll<C> {
         Self {
             _count: core::marker::PhantomData,
         }
-    }
-
-    /// One-shot placement that adopts a caller's [`EngineScratch`] and
-    /// hands it back, so a batch of solves (the fig. 11 table, the
-    /// large-scale bench) pays the engine's buffer allocations once.
-    /// Placements are bit-identical to [`Solver::place`], including the
-    /// final-pick shortcut.
-    pub fn place_with_scratch(
-        cg: &CGraph,
-        k: usize,
-        scratch: EngineScratch<C>,
-    ) -> (FilterSet, EngineScratch<C>) {
-        let filters = FilterSet::empty(cg.node_count());
-        let mut engine = ImpactEngine::<C>::with_scratch(cg, filters, scratch);
-        for round in 0..k {
-            match engine.best_candidate() {
-                Some(best) => {
-                    if round + 1 == k {
-                        let (mut filters, scratch) = engine.into_parts();
-                        filters.insert(best);
-                        return (filters, scratch);
-                    }
-                    engine.insert_filter(best);
-                }
-                None => break,
-            }
-        }
-        engine.into_parts()
     }
 
     /// Reference implementation: fresh [`impacts`] sweeps every round,
@@ -154,7 +126,19 @@ impl<C: Count> Solver for GreedyAll<C> {
         // Same picks as a session walked `k` rungs, but the final pick
         // skips the engine's two update passes — nobody reads the
         // engine again on the one-shot path.
-        Self::place_with_scratch(cg, k, EngineScratch::default()).0
+        let mut engine = ImpactEngine::<C>::new(cg, FilterSet::empty(cg.node_count()));
+        for round in 0..k {
+            let Some(best) = engine.best_candidate() else {
+                break;
+            };
+            if round + 1 == k {
+                let mut filters = engine.into_filters();
+                filters.insert(best);
+                return filters;
+            }
+            engine.insert_filter(best);
+        }
+        engine.into_filters()
     }
 }
 
@@ -243,21 +227,6 @@ mod tests {
             assert_eq!(
                 GreedyAll::<Sat64>::new().place(&cg, k, 0).nodes(),
                 GreedyAll::<Sat64>::place_full_recompute(&cg, k).nodes(),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn recycled_scratch_places_identically() {
-        let cg = figure1();
-        let mut scratch = EngineScratch::<Sat64>::default();
-        for k in 0..=5 {
-            let (placement, s) = GreedyAll::<Sat64>::place_with_scratch(&cg, k, scratch);
-            scratch = s;
-            assert_eq!(
-                placement.nodes(),
-                GreedyAll::<Sat64>::new().place(&cg, k, 0).nodes(),
                 "k={k}"
             );
         }

@@ -75,12 +75,13 @@ impl<C: Count> Default for GreedyL<C> {
 }
 
 /// The anytime session behind [`GreedyL`]: the filter-aware prefixes
-/// persist in one [`IncrementalPropagation`] across budget rungs, the
-/// per-round score buffer is allocated once, and `fr()` is an O(1)
+/// persist in one forward kernel ([`IncrementalPropagation`], the
+/// engine's forward half without its suffix side) across budget rungs,
+/// the per-round score buffer is allocated once, and `fr()` is an O(1)
 /// read of the incrementally maintained `Φ`.
 pub struct GreedyLSession<'a, C: Count> {
     cg: &'a CGraph,
-    inc: IncrementalPropagation<'a, C>,
+    inc: IncrementalPropagation<C>,
     scores: Vec<C>,
     fr: FrCache<C>,
 }
@@ -111,7 +112,7 @@ impl<C: Count> SolverSession for GreedyLSession<'_, C> {
                 .mul(&C::from_u64(csr.out_degree(v) as u64))
         }));
         let best = NodeId::new(argmax_count(&self.scores)?);
-        self.inc.insert_filter(best);
+        self.inc.insert_filter(self.cg, best);
         Some(best)
     }
 
@@ -125,7 +126,7 @@ impl<C: Count> SolverSession for GreedyLSession<'_, C> {
     }
 
     fn into_placement(self: Box<Self>) -> FilterSet {
-        self.inc.filters().clone()
+        self.inc.into_filters()
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::{top_k_by_count, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::{impacts, CGraph, EngineScratch, FilterSet, ImpactEngine};
+use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
 
 /// Greedy_Max (§4.2 "computational speedups"): compute the impact
 /// `I(v) = (Prefix(v) − 1) × Suffix(v)` of every node *once* (no
@@ -14,10 +14,7 @@ use fp_propagation::{impacts, CGraph, EngineScratch, FilterSet, ImpactEngine};
 /// correlation between filters placed on the same path" — the paper's
 /// Figure 10 pathology, reproduced in the citation-like dataset tests.
 ///
-/// Scores come off a freshly initialized [`ImpactEngine`]; callers that
-/// solve many instances back to back (sweep cells, [`crate::MultiGreedy`]
-/// rounds) can recycle the engine's buffers through
-/// [`GreedyMax::place_with_scratch`].
+/// Scores come off a freshly initialized [`ImpactEngine`].
 pub struct GreedyMax<C> {
     _count: core::marker::PhantomData<C>,
 }
@@ -38,25 +35,6 @@ impl<C: Count> GreedyMax<C> {
             cg.node_count(),
             top_k_by_count(&scores, k).into_iter().map(NodeId::new),
         )
-    }
-
-    /// [`Solver::place`] on a recycled workspace: the engine adopts
-    /// `scratch`'s buffers and returns them afterwards, so repeated
-    /// solves allocate nothing but the result set.
-    pub fn place_with_scratch(
-        cg: &CGraph,
-        k: usize,
-        scratch: EngineScratch<C>,
-        scores: &mut Vec<C>,
-    ) -> (FilterSet, EngineScratch<C>) {
-        let engine =
-            ImpactEngine::<C>::with_scratch(cg, FilterSet::empty(cg.node_count()), scratch);
-        engine.impacts_into(scores);
-        let placement = FilterSet::from_nodes(
-            cg.node_count(),
-            top_k_by_count(scores, k).into_iter().map(NodeId::new),
-        );
-        (placement, engine.into_scratch())
     }
 }
 
@@ -84,11 +62,6 @@ impl<C: Count> Solver for GreedyMax<C> {
             .map(NodeId::new)
             .collect();
         Box::new(RankedSession::<C>::new(cg, ranked))
-    }
-
-    fn place(&self, cg: &CGraph, k: usize, _seed: u64) -> FilterSet {
-        let mut scores = Vec::new();
-        Self::place_with_scratch(cg, k, EngineScratch::default(), &mut scores).0
     }
 }
 

@@ -7,9 +7,10 @@
 //!     --out DIR       persist every figure's numbers under DIR
 //!                     (sweeps through the run store — identical reruns
 //!                     are cache hits; CDF/runtime tables as *.csv)
-//!     --jobs N        in-process sweep threads (0 = one per core)
-//!     --workers N     sweep worker processes (0 = in-process); same
-//!                     stored bytes as in-process runs
+//!     --jobs N        in-process sweep threads (0 = one per core;
+//!                     at most 256)
+//!     --workers N     sweep worker processes (0 = in-process; at most
+//!                     256); same stored bytes as in-process runs
 //!     --budget SECS   wall-clock cap; later figures are skipped and a
 //!                     sweep interrupted mid-flight is discarded
 //!                     (with --workers it only gates between figures)
@@ -32,6 +33,7 @@
 //!     --fast — the streamed path is cheap at a million nodes)
 //! ```
 
+use fp_core::cli::{parse_count, MAX_PARALLEL};
 use std::time::Duration;
 
 fn fail(message: &str) -> ! {
@@ -70,19 +72,13 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
                 out_file = Some(value.clone());
             }
             "--jobs" => {
-                opts.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--jobs must be a non-negative integer".to_string())?;
+                let value = it.next().ok_or("--jobs needs a value")?;
+                opts.jobs = parse_count("jobs", value, MAX_PARALLEL)?;
                 jobs_given = true;
             }
             "--workers" => {
-                opts.workers = it
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|_| "--workers must be a non-negative integer".to_string())?;
+                let value = it.next().ok_or("--workers needs a value")?;
+                opts.workers = parse_count("workers", value, MAX_PARALLEL)?;
             }
             "--budget" => {
                 let secs: f64 = it
@@ -221,5 +217,27 @@ fn main() {
     }
     if let Some(path) = &trace_file {
         dump_trace(path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn thread_and_process_counts_are_capped() {
+        for flag in ["--jobs", "--workers"] {
+            let cap = MAX_PARALLEL.to_string();
+            assert!(parse(&argv(&[flag, &cap])).is_ok(), "{flag} at the cap");
+            let over = (MAX_PARALLEL + 1).to_string();
+            let Err(e) = parse(&argv(&[flag, &over])) else {
+                panic!("{flag} {over} accepted");
+            };
+            assert!(e.contains(flag), "{e}");
+        }
     }
 }

@@ -334,8 +334,6 @@ pub fn fig09_with(s: &ReproSession) -> Result<Vec<(String, Table)>, String> {
 /// filters on the twitter-like graph. Returns wall-clock per solver as
 /// a table (the Criterion bench measures the same closures precisely).
 pub fn fig11_with(s: &ReproSession) -> Result<Vec<(String, Table)>, String> {
-    use fp_core::algorithms::{GreedyAll, GreedyMax};
-    use fp_core::propagation::EngineScratch;
     let scale = s.options().scale;
     let t = twitter_like::generate(&TwitterLikeParams { scale, seed: SEED });
     let name = format!(
@@ -347,12 +345,6 @@ pub fn fig11_with(s: &ReproSession) -> Result<Vec<(String, Table)>, String> {
         return Ok(vec![skipped(&name)]);
     }
     let problem = Problem::new(&t.graph, t.source).expect("DAG");
-    // One engine workspace threaded through the table: the
-    // engine-backed solvers adopt and hand back the same buffers, so
-    // only the first of them pays the allocation (placements are
-    // bit-identical to `problem.solve` either way).
-    let mut scratch = EngineScratch::<Wide128>::default();
-    let mut scores: Vec<Wide128> = Vec::new();
     let mut table = Table::new(["algorithm", "seconds", "FR@10"]);
     for kind in [
         SolverKind::GreedyOne,
@@ -361,28 +353,7 @@ pub fn fig11_with(s: &ReproSession) -> Result<Vec<(String, Table)>, String> {
         SolverKind::GreedyAll,
     ] {
         let start = Instant::now();
-        let placement = match kind {
-            SolverKind::GreedyMax => {
-                let (placement, s) = GreedyMax::<Wide128>::place_with_scratch(
-                    problem.cgraph(),
-                    10,
-                    std::mem::take(&mut scratch),
-                    &mut scores,
-                );
-                scratch = s;
-                placement
-            }
-            SolverKind::GreedyAll => {
-                let (placement, s) = GreedyAll::<Wide128>::place_with_scratch(
-                    problem.cgraph(),
-                    10,
-                    std::mem::take(&mut scratch),
-                );
-                scratch = s;
-                placement
-            }
-            _ => problem.solve(kind, 10),
-        };
+        let placement = problem.solve(kind, 10);
         let secs = start.elapsed().as_secs_f64();
         table.row([
             kind.label().to_string(),
@@ -696,9 +667,8 @@ pub const LARGE_SCALE_BUDGET: u64 = 256 * 1024 * 1024;
 /// [`Csr32`]: fp_core::scale::Csr32
 /// [`MemBudget`]: fp_core::scale::MemBudget
 pub fn large_scale_entry(nodes: usize, mean_degree: usize, budget_bytes: u64) -> Json {
-    use fp_core::algorithms::GreedyAll;
+    use fp_core::algorithms::{GreedyAll, Solver};
     use fp_core::datasets::power_law::{PowerLawParams, PowerLawStream};
-    use fp_core::propagation::EngineScratch;
     use fp_core::scale::{Csr32, MemBudget};
 
     let budget = MemBudget::new(Some(budget_bytes));
@@ -717,8 +687,7 @@ pub fn large_scale_entry(nodes: usize, mean_degree: usize, budget_bytes: u64) ->
     let csr = csr32.into_csr();
     let cg = CGraph::from_csr(csr, NodeId::new(0)).expect("power-law graphs are DAGs");
     let start = Instant::now();
-    let (placement, _scratch) =
-        GreedyAll::<Wide128>::place_with_scratch(&cg, 10, EngineScratch::default());
+    let placement = GreedyAll::<Wide128>::new().place(&cg, 10, 0);
     let solve_secs = start.elapsed().as_secs_f64();
     let peak_bytes = budget.peak();
     budget.release(graph_bytes);

@@ -198,6 +198,68 @@ fn reject_unknown_flags(command: &str, flags: &HashMap<String, String>) -> Resul
     Ok(())
 }
 
+/// The most cells one `fp sweep` may ask for through `--kmax` and
+/// `--trials` (the paper's sweep is 3,829).
+const MAX_SWEEP_CELLS: usize = 1 << 20;
+
+/// The most mutation events `fp online --events` may ask for (the
+/// default is 200).
+const MAX_EVENTS: usize = 1 << 22;
+
+/// The most threads or processes `--jobs`, `--workers` and `--clients`
+/// may start (`fp sweep`, `fp loadtest` and `repro`).
+pub const MAX_PARALLEL: usize = 256;
+
+/// Parse `text` as the count flag `--name`, refusing values above
+/// `max`: every count that sizes an allocation, a thread pool or a
+/// process pool is checked here, before anything is allocated or
+/// started.
+pub fn parse_count(name: &str, text: &str, max: usize) -> Result<usize, String> {
+    let n: usize = text
+        .parse()
+        .map_err(|_| format!("--{name} must be a non-negative integer"))?;
+    if n > max {
+        return Err(format!("--{name} {n} is over its cap of {max}"));
+    }
+    Ok(n)
+}
+
+/// The count flag `--name` through [`parse_count`]: `default` when the
+/// flag is absent, or a missing-flag error when there is no default.
+fn count_flag(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: Option<usize>,
+    max: usize,
+) -> Result<usize, String> {
+    match flags.get(name) {
+        Some(text) => parse_count(name, text, max),
+        None => default.ok_or_else(|| format!("missing required flag --{name}")),
+    }
+}
+
+/// How many cells `fp sweep` runs for the paper's solvers at `kmax` and
+/// `trials` (one curve per deterministic solver, one cell per budget
+/// and trial per randomized one), refused past [`MAX_SWEEP_CELLS`].
+fn sweep_cell_count(kmax: usize, trials: usize) -> Result<usize, String> {
+    let randomized = SolverKind::PAPER_SET
+        .iter()
+        .filter(|kind| kind.is_randomized())
+        .count();
+    let curves = SolverKind::PAPER_SET.len() - randomized;
+    kmax.checked_add(1)
+        .and_then(|ks| ks.checked_mul(trials.max(1)))
+        .and_then(|draws| draws.checked_mul(randomized))
+        .and_then(|cells| cells.checked_add(curves))
+        .filter(|&cells| cells <= MAX_SWEEP_CELLS)
+        .ok_or_else(|| {
+            format!(
+                "--kmax {kmax} with --trials {trials} asks for more than \
+                 {MAX_SWEEP_CELLS} sweep cells"
+            )
+        })
+}
+
 fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
@@ -241,9 +303,7 @@ fn load_graph(text: &str, source_label: &str) -> Result<(DiGraph, Vec<String>, N
 fn cmd_solve(flags: &HashMap<String, String>, input: &str) -> Result<String, String> {
     let (g, labels, source) = load_graph(input, required(flags, "source")?)?;
     let solver = parse_solver(required(flags, "solver")?)?;
-    let k: usize = required(flags, "k")?
-        .parse()
-        .map_err(|_| "--k must be a non-negative integer".to_string())?;
+    let k = count_flag(flags, "k", None, usize::MAX)?;
     let seed: u64 = flags.get("seed").map_or(Ok(0), |s| {
         s.parse()
             .map_err(|_| "--seed must be an integer".to_string())
@@ -340,25 +400,15 @@ fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<Str
             "--mem-budget caps the streamed graph build; it requires --dataset SPEC".to_string(),
         );
     }
-    let kmax: usize = required(flags, "kmax")?
-        .parse()
-        .map_err(|_| "--kmax must be a non-negative integer".to_string())?;
-    let trials: usize = flags.get("trials").map_or(Ok(25), |s| {
-        s.parse()
-            .map_err(|_| "--trials must be an integer".to_string())
-    })?;
+    let kmax = count_flag(flags, "kmax", None, usize::MAX)?;
+    let trials = count_flag(flags, "trials", Some(25), usize::MAX)?;
+    sweep_cell_count(kmax, trials)?;
     let seed: u64 = flags.get("seed").map_or(Ok(0), |s| {
         s.parse()
             .map_err(|_| "--seed must be an integer".to_string())
     })?;
-    let jobs: usize = flags.get("jobs").map_or(Ok(0), |s| {
-        s.parse()
-            .map_err(|_| "--jobs must be a non-negative integer (0 = one per core)".to_string())
-    })?;
-    let workers: usize = flags.get("workers").map_or(Ok(0), |s| {
-        s.parse()
-            .map_err(|_| "--workers must be a non-negative integer (0 = in-process)".to_string())
-    })?;
+    let jobs = count_flag(flags, "jobs", Some(0), MAX_PARALLEL)?;
+    let workers = count_flag(flags, "workers", Some(0), MAX_PARALLEL)?;
     if workers > 0 && flags.contains_key("jobs") {
         return Err(
             "--jobs sizes the in-process thread runner and --workers replaces it with a \
@@ -1083,23 +1133,17 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
     if let Some(solver) = flags.get("solver") {
         cfg.solver = parse_solver(solver)?;
     }
-    let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
-        flags.get(name).map_or(Ok(default), |s| {
-            s.parse()
-                .map_err(|_| format!("--{name} must be a non-negative integer"))
-        })
-    };
     cfg.seed = flags.get("seed").map_or(Ok(cfg.seed), |s| {
         s.parse()
             .map_err(|_| "--seed must be an integer".to_string())
     })?;
-    cfg.clients = parse_usize("clients", cfg.clients)?;
-    cfg.requests = parse_usize("requests", cfg.requests)?;
-    cfg.kmax = parse_usize("kmax", cfg.kmax)?;
+    cfg.clients = count_flag(flags, "clients", Some(cfg.clients), MAX_PARALLEL)?;
+    cfg.requests = count_flag(flags, "requests", Some(cfg.requests), usize::MAX)?;
+    cfg.kmax = count_flag(flags, "kmax", Some(cfg.kmax), usize::MAX)?;
     cfg.transport = flags
         .get("transport")
         .map_or(Ok(cfg.transport), |s| Transport::parse(s))?;
-    cfg.mutations = parse_usize("mutations", cfg.mutations)?;
+    cfg.mutations = count_flag(flags, "mutations", Some(cfg.mutations), usize::MAX)?;
     cfg.retries = flags.get("retries").map_or(Ok(cfg.retries), |s| {
         s.parse()
             .map_err(|_| "--retries must be a non-negative integer".to_string())
@@ -1210,15 +1254,8 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
 /// (`online.json`, `online.csv`) that `diff -r` clean; the CI
 /// online-determinism job relies on exactly that.
 fn cmd_online(flags: &HashMap<String, String>, input: &str) -> Result<String, String> {
-    let (g, _labels, source) = load_graph(input, required(flags, "source")?)?;
-    let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
-        flags.get(name).map_or(Ok(default), |s| {
-            s.parse()
-                .map_err(|_| format!("--{name} must be a non-negative integer"))
-        })
-    };
-    let k = parse_usize("k", 8)?;
-    let events = parse_usize("events", 200)?;
+    let k = count_flag(flags, "k", Some(8), usize::MAX)?;
+    let events = count_flag(flags, "events", Some(200), MAX_EVENTS)?;
     let seed: u64 = flags.get("seed").map_or(Ok(0), |s| {
         s.parse()
             .map_err(|_| "--seed must be an integer".to_string())
@@ -1242,6 +1279,7 @@ fn cmd_online(flags: &HashMap<String, String>, input: &str) -> Result<String, St
         return Err("--thresholds must name at least one drift threshold".to_string());
     }
 
+    let (g, _labels, source) = load_graph(input, required(flags, "source")?)?;
     let problem = Problem::new(&g, source).map_err(|e| e.to_string())?;
     let base = problem.cgraph();
     let stream = crate::online::mutation_stream(base, events, seed);
@@ -1373,7 +1411,9 @@ pub const USAGE: &str =
             --dataset SPEC streams a generator straight into a compact CSR —
             no edge list is ever materialized — and solves in-process;
             --mem-budget BYTES caps tracked graph memory, failing with a typed
-            error instead of the OOM killer; suffixes K/M/G, 1024-based)
+            error instead of the OOM killer; suffixes K/M/G, 1024-based;
+            --kmax and --trials may ask for at most 1048576 sweep cells, and
+            --jobs and --workers for at most 256 threads or processes)
   worker   --connect HOST:PORT --token T [--retries N]
            (join a remote sweep as a worker: dial the dispatcher's --listen
             socket, authenticate, evaluate cells until the sweep completes;
@@ -1417,13 +1457,14 @@ pub const USAGE: &str =
             and reports the retry count;
             --baseline folds the numbers into BENCH_baseline.json's serve section;
             --check compares against a recorded baseline and exits non-zero on
-            regression beyond the tolerance)
+            regression beyond the tolerance; --clients is at most 256)
   online   --input FILE --source LABEL [--k N] [--events N] [--seed N]
            [--thresholds F,F,...] [--format table|csv] [--out DIR]
            (maintain a k-filter placement under a deterministic edge-mutation
             stream, re-running greedy repair when Phi drift crosses each
             threshold; reports repair cost vs quality per threshold — counts
-            and FRs only, so --out run dirs are byte-identical across reruns)
+            and FRs only, so --out run dirs are byte-identical across reruns;
+            --events is at most 4194304)
   trace    --summary FILE  (aggregate a dumped Chrome trace per span name:
             count, total, mean, max — heaviest first — and each span arg
             summed)";
@@ -2603,6 +2644,75 @@ mod tests {
             a.push(value);
             let e = run_with_input(&args(&a), FIG1).unwrap_err();
             assert!(e.contains(flag.trim_start_matches('-')), "{flag}: {e}");
+        }
+    }
+
+    #[test]
+    fn counts_are_capped_before_anything_starts() {
+        // Each cap is accepted and cap + 1 refused at the parser, so no
+        // case here starts a thread or allocates for the count.
+        for (name, cap) in [
+            ("jobs", MAX_PARALLEL),
+            ("workers", MAX_PARALLEL),
+            ("clients", MAX_PARALLEL),
+            ("events", MAX_EVENTS),
+        ] {
+            assert_eq!(parse_count(name, &cap.to_string(), cap), Ok(cap));
+            let e = parse_count(name, &(cap + 1).to_string(), cap).unwrap_err();
+            assert!(e.contains(&format!("--{name} {}", cap + 1)), "{e}");
+        }
+        // Sweep cells are 3 randomized solvers × (kmax + 1) × trials plus
+        // 4 curves, so the count steps by 3: the cap itself, then the
+        // first count past it.
+        let kmax_at_cap = (MAX_SWEEP_CELLS - 4) / 3 - 1;
+        assert_eq!(sweep_cell_count(kmax_at_cap, 1), Ok(MAX_SWEEP_CELLS));
+        assert_eq!(sweep_cell_count(0, kmax_at_cap + 1), Ok(MAX_SWEEP_CELLS));
+        assert!(sweep_cell_count(kmax_at_cap + 1, 1).is_err());
+        assert_eq!(sweep_cell_count(50, 25), Ok(3829), "the paper's sweep");
+        assert_eq!(sweep_cell_count(3, 0), sweep_cell_count(3, 1));
+        for (kmax, trials) in [
+            (usize::MAX, 1),
+            (1, usize::MAX),
+            (10_000_000_000, 1),
+            (3, 100_000_000_000),
+        ] {
+            let e = sweep_cell_count(kmax, trials).unwrap_err();
+            assert!(e.contains("--kmax") && e.contains("--trials"), "{e}");
+        }
+        // Each command refuses cap + 1 before it reads the graph.
+        for (argv, flag) in [
+            (
+                vec!["sweep", "--source", "s", "--kmax", "2", "--jobs", "257"],
+                "--jobs",
+            ),
+            (
+                vec!["sweep", "--source", "s", "--kmax", "2", "--workers", "257"],
+                "--workers",
+            ),
+            (
+                vec!["sweep", "--source", "s", "--kmax", "10000000000"],
+                "--kmax",
+            ),
+            (
+                vec![
+                    "sweep",
+                    "--source",
+                    "s",
+                    "--kmax",
+                    "3",
+                    "--trials",
+                    "100000000000",
+                ],
+                "--trials",
+            ),
+            (vec!["loadtest", "--clients", "257"], "--clients"),
+            (
+                vec!["online", "--source", "s", "--events", "4194305"],
+                "--events",
+            ),
+        ] {
+            let e = run_with_input(&args(&argv), FIG1).unwrap_err();
+            assert!(e.contains(flag), "{argv:?}: {e}");
         }
     }
 

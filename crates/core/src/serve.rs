@@ -1884,6 +1884,19 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_upload_is_not_echoed_back() {
+        let api = ApiState::new(GraphRegistry::new(), None);
+        let (status, body) = api.handle(&ServeCall::GraphPut {
+            name: "long".into(),
+            source: "s".into(),
+            edges_text: "x".repeat(1 << 20),
+        });
+        assert_eq!(status, 400);
+        let body = body.to_compact();
+        assert!(body.len() < 1024, "{} bytes: {body}", body.len());
+    }
+
+    #[test]
     fn queries_whose_reply_would_list_too_many_nodes_are_400() {
         // A star s → v1 … v300: Rand_I at k ≥ n places every leaf, so
         // each repeat of that budget adds n − 1 nodes to the reply.

@@ -8,6 +8,25 @@
 use crate::{DiGraph, GraphError, NodeId};
 use std::collections::HashMap;
 
+/// Bytes of offending input an error message quotes before cutting it
+/// short.
+const QUOTE_LIMIT: usize = 64;
+
+/// Quote untrusted `text` for an error message: `{text:?}` when it is
+/// at most 64 bytes, else its first bytes up to that limit (cut at a
+/// char boundary), `…` and its full length in bytes — so a
+/// malformed multi-megabyte line is never echoed back whole.
+pub fn quote_input(text: &str) -> String {
+    if text.len() <= QUOTE_LIMIT {
+        return format!("{text:?}");
+    }
+    let mut end = QUOTE_LIMIT;
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{:?}… ({} bytes)", &text[..end], text.len())
+}
+
 /// Parse an edge list. Returns the graph and the original labels in
 /// dense-id order (`labels[v.index()]` is the textual id of node `v`).
 pub fn from_edge_list(text: &str) -> Result<(DiGraph, Vec<String>), GraphError> {
@@ -25,14 +44,14 @@ pub fn from_edge_list(text: &str) -> Result<(DiGraph, Vec<String>), GraphError> 
             _ => {
                 return Err(GraphError::Parse {
                     line: lineno + 1,
-                    reason: format!("expected `source target`, got {line:?}"),
+                    reason: format!("expected `source target`, got {}", quote_input(line)),
                 })
             }
         };
         if parts.next().is_some() {
             return Err(GraphError::Parse {
                 line: lineno + 1,
-                reason: format!("trailing tokens after edge in {line:?}"),
+                reason: format!("trailing tokens after edge in {}", quote_input(line)),
             });
         }
         let intern = |tok: &str, ids: &mut HashMap<String, NodeId>, labels: &mut Vec<String>| {
@@ -50,7 +69,7 @@ pub fn from_edge_list(text: &str) -> Result<(DiGraph, Vec<String>), GraphError> 
         if ui == vi {
             return Err(GraphError::Parse {
                 line: lineno + 1,
-                reason: format!("self-loop on {u:?}"),
+                reason: format!("self-loop on {}", quote_input(u)),
             });
         }
         edges.push((ui, vi));
@@ -123,6 +142,41 @@ mod tests {
             from_edge_list("a a\n"),
             Err(GraphError::Parse { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn parse_errors_quote_a_bounded_excerpt() {
+        let long = "x".repeat(1 << 20);
+        for text in [
+            long.clone(),
+            format!("a b\n{long}"),
+            format!("a b {long}"),
+            format!("{long} {long}\n"),
+        ] {
+            let e = from_edge_list(&text).unwrap_err().to_string();
+            assert!(e.len() <= 256, "{} bytes: {e}", e.len());
+            assert!(e.contains("… ("), "{e}");
+        }
+        // Short offending text is still quoted in full.
+        let e = from_edge_list("a b\njust_one_token\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            GraphError::Parse {
+                line: 2,
+                reason: "expected `source target`, got \"just_one_token\"".into(),
+            }
+            .to_string()
+        );
+    }
+
+    #[test]
+    fn quoted_excerpts_cut_at_a_char_boundary() {
+        let fits = "é".repeat(QUOTE_LIMIT / 2);
+        assert_eq!(quote_input(&fits), format!("{fits:?}"));
+        // Byte 64 falls inside the 32nd `é`, so the cut backs off to 63.
+        let text = format!("a{}", "é".repeat(40));
+        let kept = format!("a{}", "é".repeat(31));
+        assert_eq!(quote_input(&text), format!("{kept:?}… (81 bytes)"));
     }
 
     #[test]

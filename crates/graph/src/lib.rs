@@ -36,7 +36,7 @@ pub use csr::Csr;
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::NodeId;
-pub use io::{from_edge_list, to_dot, to_edge_list};
+pub use io::{from_edge_list, quote_input, to_dot, to_edge_list};
 pub use reach::{ancestors_of, reachable_from};
 pub use scc::{condensation, tarjan_scc};
 pub use source::{sinks, sources};

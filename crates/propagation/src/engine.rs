@@ -8,10 +8,10 @@
 //! the same three vectors *incrementally* under the full
 //! [`Mutation`] set (filter insert/remove, edge insert/remove):
 //!
-//! * **forward** (`received`/`emitted`): a mutation at `v` can change
-//!   receptions only *downstream* of `v` — a dirty frontier processed
-//!   in topological order, exactly the bookkeeping
-//!   [`crate::incremental::IncrementalPropagation`] does;
+//! * **forward** (`received`/`emitted`/Φ): a mutation at `v` can
+//!   change receptions only *downstream* of `v` — a dirty frontier
+//!   processed in topological order. This half is the crate's forward
+//!   kernel, [`IncrementalPropagation`], which Greedy_L runs on its own;
 //! * **backward** (`suffix`): the suffix recurrence gates a child's
 //!   continuation on `c ∉ A`, so a mutation at `v` changes only nodes
 //!   *upstream* of `v` — a mirror frontier processed in reverse
@@ -26,10 +26,8 @@
 //! Both frontiers are bounded by the affected span and stop early when
 //! changes die out, so a greedy round after the first costs
 //! O(n + affected ∪ ancestors-of-pick) instead of O(|E|), with **zero
-//! per-round allocation**: the frontier flags and value vectors live in
-//! an [`EngineScratch`] that can also be recycled across engines
-//! ([`ImpactEngine::with_scratch`] / [`ImpactEngine::into_scratch`]).
-//! Structural mutations additionally re-freeze the adjacency snapshot
+//! per-round allocation**: the frontier flags and value vectors are
+//! sized once, at construction. Structural mutations additionally re-freeze the adjacency snapshot
 //! (O(|E|)), cloning the graph on the first such mutation when the
 //! engine was built over a shared borrow.
 //!
@@ -40,7 +38,8 @@
 //! rebuild on the mutated graph. `impacts()` stays around as the
 //! oracle; the engine is the hot path.
 
-use crate::{propagate_into, CGraph, FilterSet};
+use crate::incremental::IncrementalPropagation;
+use crate::{CGraph, FilterSet};
 use fp_graph::NodeId;
 use fp_num::Count;
 
@@ -49,19 +48,14 @@ use fp_num::Count;
 /// the per-edge gate replaced by a read of the (already final) child's
 /// gated entry — adding zero where the oracle skips an add, so the
 /// results are bit-identical, branch-free, and need no second pass.
-fn init_suffix_gated<C: Count>(
-    cg: &CGraph,
-    filters: &FilterSet,
-    suffix: &mut Vec<C>,
-    gated: &mut Vec<C>,
-) {
+fn init_suffix_gated<C: Count>(cg: &CGraph, filters: &FilterSet) -> (Vec<C>, Vec<C>) {
     let n = cg.node_count();
     let csr = cg.csr();
     let source = cg.source();
     let one = C::one();
-    suffix.clear();
+    let mut suffix = Vec::new();
     suffix.resize_with(n, C::zero);
-    gated.clear();
+    let mut gated = Vec::new();
     gated.resize_with(n, C::zero);
     for &v in cg.topo().iter().rev() {
         let mut s = C::zero();
@@ -74,6 +68,7 @@ fn init_suffix_gated<C: Count>(
         }
         suffix[v.index()] = s;
     }
+    (suffix, gated)
 }
 
 /// A reusable dirty frontier: a flag per node plus a cursor walking the
@@ -241,41 +236,6 @@ impl Default for EngineMetrics {
             dense_flips: fp_obs::counter("fp_engine_dense_flips_total"),
             forward_frontier: fp_obs::histogram("fp_engine_forward_frontier_nodes", buckets),
             backward_frontier: fp_obs::histogram("fp_engine_backward_frontier_nodes", buckets),
-        }
-    }
-}
-
-/// The engine's buffers, separated out so they can be recycled: a
-/// finished engine returns them via [`ImpactEngine::into_scratch`] and
-/// the next engine adopts them via [`ImpactEngine::with_scratch`],
-/// re-initializing values but reusing every allocation.
-#[derive(Clone, Debug)]
-pub struct EngineScratch<C> {
-    forward: DirtyFrontier,
-    backward: DirtyFrontier,
-    received: Vec<C>,
-    emitted: Vec<C>,
-    suffix: Vec<C>,
-    metrics: EngineMetrics,
-    /// `gated[i]` = `suffix[i]` while node `i` passes the recurrence's
-    /// gate (`i ∉ A`, `i ≠ source`), else zero. The backward re-sum
-    /// reads this instead of testing the gate per edge — adding zero is
-    /// the identity for every [`Count`], so the sums stay bit-identical
-    /// to the oracle's gated loop while the inner loop becomes pure
-    /// loads and adds.
-    gated: Vec<C>,
-}
-
-impl<C> Default for EngineScratch<C> {
-    fn default() -> Self {
-        Self {
-            forward: DirtyFrontier::default(),
-            backward: DirtyFrontier::default(),
-            received: Vec::new(),
-            emitted: Vec::new(),
-            suffix: Vec::new(),
-            metrics: EngineMetrics::default(),
-            gated: Vec::new(),
         }
     }
 }
@@ -464,7 +424,7 @@ impl std::error::Error for MutationError {}
 /// passes assert the matching inequality and apply the Φ delta with the
 /// matching sign.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Drift {
+pub(crate) enum Drift {
     Shrink,
     Grow,
 }
@@ -524,28 +484,27 @@ impl EngineGraph<'_> {
 #[derive(Clone, Debug)]
 pub struct ImpactEngine<'a, C> {
     graph: EngineGraph<'a>,
-    filters: FilterSet,
-    phi: C,
-    s: EngineScratch<C>,
+    /// The forward half: the filter set, received/emitted and Φ.
+    fwd: IncrementalPropagation<C>,
+    /// The backward half: suffix sensitivities, their gated shadow and
+    /// the upstream frontier.
+    suffix: Vec<C>,
+    /// `gated[i]` = `suffix[i]` while node `i` passes the recurrence's
+    /// gate (`i ∉ A`, `i ≠ source`), else zero. The backward re-sum
+    /// reads this instead of testing the gate per edge — adding zero is
+    /// the identity for every [`Count`], so the sums stay bit-identical
+    /// to the oracle's gated loop while the inner loop becomes pure
+    /// loads and adds.
+    gated: Vec<C>,
+    backward: DirtyFrontier,
+    metrics: EngineMetrics,
 }
 
 impl<'a, C: Count> ImpactEngine<'a, C> {
     /// Initialize from an existing filter set: one forward and one
-    /// backward O(|E|) sweep, allocating fresh buffers.
+    /// backward O(|E|) sweep.
     pub fn new(cg: &'a CGraph, filters: FilterSet) -> Self {
-        Self::with_scratch(cg, filters, EngineScratch::default())
-    }
-
-    /// Like [`ImpactEngine::new`], but adopting a recycled
-    /// [`EngineScratch`] so no buffer is reallocated.
-    pub fn with_scratch(cg: &'a CGraph, filters: FilterSet, scratch: EngineScratch<C>) -> Self {
-        let (phi, s) = Self::init_state(cg, &filters, scratch);
-        Self {
-            graph: EngineGraph::Shared(cg),
-            filters,
-            phi,
-            s,
-        }
+        Self::init(EngineGraph::Shared(cg), filters)
     }
 
     /// Like [`ImpactEngine::new`], but taking ownership of the graph:
@@ -553,36 +512,24 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// borrow (what long-lived stream drivers need) and structural
     /// mutations never clone.
     pub fn from_owned(cg: CGraph, filters: FilterSet) -> ImpactEngine<'static, C> {
-        let (phi, s) = Self::init_state(&cg, &filters, EngineScratch::default());
-        ImpactEngine {
-            graph: EngineGraph::Owned(cg),
-            filters,
-            phi,
-            s,
-        }
+        ImpactEngine::init(EngineGraph::Owned(cg), filters)
     }
 
     /// The shared cold-start: both O(|E|) sweeps plus the Φ sum.
-    fn init_state(
-        cg: &CGraph,
-        filters: &FilterSet,
-        mut scratch: EngineScratch<C>,
-    ) -> (C, EngineScratch<C>) {
-        let n = cg.node_count();
-        scratch.forward.reset(n);
-        scratch.backward.reset(n);
-        propagate_into(cg, filters, &mut scratch.received, &mut scratch.emitted);
-        init_suffix_gated(cg, filters, &mut scratch.suffix, &mut scratch.gated);
-        let mut phi = C::zero();
-        for r in &scratch.received {
-            phi.add_assign(r);
+    fn init(graph: EngineGraph<'a>, filters: FilterSet) -> Self {
+        let cg = graph.get();
+        let fwd = IncrementalPropagation::new(cg, filters);
+        let (suffix, gated) = init_suffix_gated(cg, fwd.filters());
+        let mut backward = DirtyFrontier::default();
+        backward.reset(cg.node_count());
+        Self {
+            graph,
+            fwd,
+            suffix,
+            gated,
+            backward,
+            metrics: EngineMetrics::default(),
         }
-        (phi, scratch)
-    }
-
-    /// Release the buffers for the next engine to adopt.
-    pub fn into_scratch(self) -> EngineScratch<C> {
-        self.s
     }
 
     /// The graph being solved. After a structural mutation this is the
@@ -600,60 +547,47 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
 
     /// Current filter set.
     pub fn filters(&self) -> &FilterSet {
-        &self.filters
+        self.fwd.filters()
     }
 
     /// Surrender the filter set (what a finished solver returns).
     pub fn into_filters(self) -> FilterSet {
-        self.filters
+        self.fwd.into_filters()
     }
 
-    /// Surrender both the filter set and the recyclable scratch in one
-    /// move — what a scratch-threading solver returns when it wants to
-    /// hand the buffers to the next solve without touching the engine
-    /// again.
-    pub fn into_parts(self) -> (FilterSet, EngineScratch<C>) {
-        (self.filters, self.s)
-    }
-
-    /// Current `Φ(A, V)`.
-    ///
-    /// Maintained by exact addition/subtraction of reception deltas,
-    /// the same bookkeeping as
-    /// [`crate::incremental::IncrementalPropagation`]: equal to a fresh
-    /// [`crate::phi_total`] whenever Φ fits the counter, but once a
-    /// *saturating* counter has clamped, the incremental value
-    /// (`MAX − deltas`) and a re-clamped fresh sum can differ. Use an
-    /// exact counter where Φ may exceed the ceiling.
+    /// Current `Φ(A, V)`, maintained by the forward kernel (see
+    /// [`IncrementalPropagation::phi`] for how it behaves once a
+    /// saturating counter has clamped).
     pub fn phi(&self) -> &C {
-        &self.phi
+        self.fwd.phi()
     }
 
     /// Copies received by `v` under the current set.
     pub fn received(&self, v: NodeId) -> &C {
-        &self.s.received[v.index()]
+        self.fwd.received(v)
     }
 
     /// Copies emitted (per out-edge) by `v` under the current set.
     pub fn emitted(&self, v: NodeId) -> &C {
-        &self.s.emitted[v.index()]
+        self.fwd.emitted(v)
     }
 
     /// Filter-aware suffix sensitivity `S_A(v)`.
     pub fn suffix(&self, v: NodeId) -> &C {
-        &self.s.suffix[v.index()]
+        &self.suffix[v.index()]
     }
 
     /// Exact marginal impact `I(v|A) = (recv_A(v) − 1)₊ × S_A(v)`; zero
     /// for the source and for nodes already in `A`. O(1) — one
     /// subtraction and one multiplication on current state.
     pub fn impact(&self, v: NodeId) -> C {
-        if v == self.graph.get().source() || self.filters.contains(v) {
+        if v == self.graph.get().source() || self.filters().contains(v) {
             return C::zero();
         }
-        self.s.received[v.index()]
+        self.fwd
+            .received(v)
             .saturating_sub(&C::one())
-            .mul(&self.s.suffix[v.index()])
+            .mul(&self.suffix[v.index()])
     }
 
     /// Write `impact(v)` for every node into `out` (reused, resized —
@@ -675,9 +609,11 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
             // `(recv − 1)₊ × gated` equals `impact`: the gated entry is
             // already zero for the source and for members of `A`, and
             // multiplying by zero is zero for every counter type.
-            let imp = self.s.received[v.index()]
+            let imp = self
+                .fwd
+                .received(v)
                 .saturating_sub(&one)
-                .mul(&self.s.gated[v.index()]);
+                .mul(&self.gated[v.index()]);
             if imp.is_zero() {
                 continue;
             }
@@ -703,33 +639,33 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         let mut reordered = false;
         let (span, (fwd, fwd_dense), (bwd, bwd_dense)) = match m {
             Mutation::InsertFilter(v) => {
-                if !self.filters.insert(v) {
+                if self.filters().contains(v) {
                     return Ok(ApplyOutcome::default());
                 }
                 let span = fp_obs::span("engine.insert");
                 // `v` no longer passes the gate its parents apply,
                 // whatever its (unchanged) suffix value is.
-                self.s.gated[v.index()] = C::zero();
-                self.s.metrics.inserts.inc();
+                self.gated[v.index()] = C::zero();
+                self.metrics.inserts.inc();
                 (
                     span,
-                    self.update_forward(v, Drift::Shrink),
+                    self.fwd.flip_filter(self.graph.get(), v, Drift::Shrink),
                     self.update_backward(v, Drift::Shrink),
                 )
             }
             Mutation::RemoveFilter(v) => {
-                if !self.filters.remove(v) {
+                if !self.filters().contains(v) {
                     return Ok(ApplyOutcome::default());
                 }
                 let span = fp_obs::span("engine.remove_filter");
                 // `v`'s gate reopens: parents see its (unchanged)
                 // suffix again.
                 if v != self.graph.get().source() {
-                    self.s.gated[v.index()] = self.s.suffix[v.index()].clone();
+                    self.gated[v.index()] = self.suffix[v.index()].clone();
                 }
                 (
                     span,
-                    self.update_forward(v, Drift::Grow),
+                    self.fwd.flip_filter(self.graph.get(), v, Drift::Grow),
                     self.update_backward(v, Drift::Grow),
                 )
             }
@@ -740,7 +676,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 };
                 (
                     fp_obs::span("engine.insert_edge"),
-                    self.update_forward_from_edge(to, Drift::Grow),
+                    self.fwd.update_edge_head(self.graph.get(), to, Drift::Grow),
                     self.update_backward_from_edge(from, Drift::Grow),
                 )
             }
@@ -749,12 +685,13 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 debug_assert!(removed, "existence validated");
                 (
                     fp_obs::span("engine.remove_edge"),
-                    self.update_forward_from_edge(to, Drift::Shrink),
+                    self.fwd
+                        .update_edge_head(self.graph.get(), to, Drift::Shrink),
                     self.update_backward_from_edge(from, Drift::Shrink),
                 )
             }
         };
-        let metrics = &self.s.metrics;
+        let metrics = &self.metrics;
         metrics.mutations.inc();
         metrics.forward_frontier.observe(fwd as u64);
         metrics.backward_frontier.observe(bwd as u64);
@@ -782,113 +719,6 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
             .changed
     }
 
-    /// What `v` emits per out-edge given its reception `recv`.
-    fn emission_of(&self, v: NodeId, recv: &C) -> C {
-        if v == self.graph.get().source() {
-            C::one()
-        } else if self.filters.contains(v) {
-            if recv.is_zero() {
-                C::zero()
-            } else {
-                C::one()
-            }
-        } else {
-            recv.clone()
-        }
-    }
-
-    /// Fold a reception change at one node into Φ, checking the drift
-    /// invariant: shrink mutations may only decrease receptions, grow
-    /// mutations may only increase them.
-    fn fold_reception_delta(phi: &mut C, old: &C, new: &C, drift: Drift) {
-        if new == old {
-            return;
-        }
-        match drift {
-            Drift::Shrink => {
-                debug_assert!(new <= old, "a shrink mutation cannot increase receptions");
-                *phi = phi.saturating_sub(&old.saturating_sub(new));
-            }
-            Drift::Grow => {
-                debug_assert!(new >= old, "a grow mutation cannot decrease receptions");
-                let delta = new.saturating_sub(old);
-                phi.add_assign(&delta);
-            }
-        }
-    }
-
-    /// Forward pass for a *filter* mutation at `v`: `v`'s reception is
-    /// unchanged, only its emission can flip. Returns
-    /// `(nodes reprocessed, whether the pass went dense)`.
-    fn update_forward(&mut self, v: NodeId, drift: Drift) -> (usize, bool) {
-        let new_emit = self.emission_of(v, &self.s.received[v.index()].clone());
-        if new_emit == self.s.emitted[v.index()] {
-            return (0, false);
-        }
-        self.s.emitted[v.index()] = new_emit;
-        let cg = self.graph.get();
-        self.s.forward.begin(cg.topo_position(v));
-        for &c in cg.csr().children(v) {
-            self.s.forward.mark(c);
-        }
-        self.drain_forward(drift)
-    }
-
-    /// Forward pass for an *edge* mutation whose head is `v`: `v`'s
-    /// reception itself changed, so it is re-summed from its (already
-    /// final) parents before the downstream walk starts.
-    fn update_forward_from_edge(&mut self, v: NodeId, drift: Drift) -> (usize, bool) {
-        let cg = self.graph.get();
-        let csr = cg.csr();
-        let mut recv = C::zero();
-        for &p in csr.parents(v) {
-            recv.add_assign(&self.s.emitted[p.index()]);
-        }
-        let old_recv = std::mem::replace(&mut self.s.received[v.index()], recv.clone());
-        Self::fold_reception_delta(&mut self.phi, &old_recv, &recv, drift);
-        let new_emit = self.emission_of(v, &recv);
-        if new_emit == self.s.emitted[v.index()] {
-            return (0, false);
-        }
-        self.s.emitted[v.index()] = new_emit;
-        let cg = self.graph.get();
-        self.s.forward.begin(cg.topo_position(v));
-        for &c in cg.csr().children(v) {
-            self.s.forward.mark(c);
-        }
-        self.drain_forward(drift)
-    }
-
-    /// Drain the forward frontier (downstream of the mutation site, in
-    /// topological order), folding reception deltas into Φ under
-    /// `drift`.
-    fn drain_forward(&mut self, drift: Drift) -> (usize, bool) {
-        let cg = self.graph.get();
-        let csr = cg.csr();
-        let topo = cg.topo();
-        let mut processed = 0usize;
-        while let Some(u) = self.s.forward.next_up(topo) {
-            processed += 1;
-            // Recompute reception from (partially updated) parents.
-            let mut recv = C::zero();
-            for &p in csr.parents(u) {
-                recv.add_assign(&self.s.emitted[p.index()]);
-            }
-            let old_recv = std::mem::replace(&mut self.s.received[u.index()], recv.clone());
-            Self::fold_reception_delta(&mut self.phi, &old_recv, &recv, drift);
-            let new_emit = self.emission_of(u, &recv);
-            if new_emit != self.s.emitted[u.index()] {
-                self.s.emitted[u.index()] = new_emit;
-                if !self.s.forward.is_dense() {
-                    for &c in csr.children(u) {
-                        self.s.forward.mark(c);
-                    }
-                }
-            }
-        }
-        (processed, self.s.forward.is_dense())
-    }
-
     /// Backward pass for a *filter* mutation at `v` (invariant per
     /// drift: suffixes only shrink on insert, only grow on remove).
     ///
@@ -902,12 +732,12 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         let cg = self.graph.get();
         // The source is already gated out of every parent's sum, and a
         // gate flip on a zero suffix changes nothing.
-        if v == cg.source() || self.s.suffix[v.index()].is_zero() {
+        if v == cg.source() || self.suffix[v.index()].is_zero() {
             return (0, false);
         }
-        self.s.backward.begin(cg.topo_position(v));
+        self.backward.begin(cg.topo_position(v));
         for &p in cg.csr().parents(v) {
-            self.s.backward.mark(p);
+            self.backward.mark(p);
         }
         self.drain_backward(drift)
     }
@@ -923,34 +753,34 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         let mut s = C::zero();
         for &c in csr.children(u) {
             s.add_assign(&one);
-            s.add_assign(&self.s.gated[c.index()]);
+            s.add_assign(&self.gated[c.index()]);
         }
-        if s == self.s.suffix[u.index()] {
+        if s == self.suffix[u.index()] {
             return (0, false);
         }
         match drift {
             Drift::Shrink => debug_assert!(
-                s <= self.s.suffix[u.index()],
+                s <= self.suffix[u.index()],
                 "a shrink mutation cannot increase suffixes"
             ),
             Drift::Grow => debug_assert!(
-                s >= self.s.suffix[u.index()],
+                s >= self.suffix[u.index()],
                 "a grow mutation cannot decrease suffixes"
             ),
         }
-        let open = !self.filters.contains(u) && u != cg.source();
+        let open = !self.fwd.filters().contains(u) && u != cg.source();
         if open {
-            self.s.gated[u.index()] = s.clone();
+            self.gated[u.index()] = s.clone();
         }
-        self.s.suffix[u.index()] = s;
+        self.suffix[u.index()] = s;
         if !open {
             // A filtered (or source) tail absorbs the change: no
             // ancestor's sum reads its suffix.
             return (1, false);
         }
-        self.s.backward.begin(cg.topo_position(u));
+        self.backward.begin(cg.topo_position(u));
         for &p in csr.parents(u) {
-            self.s.backward.mark(p);
+            self.backward.mark(p);
         }
         let (drained, dense) = self.drain_backward(drift);
         (drained + 1, dense)
@@ -966,7 +796,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         let topo = cg.topo();
         let one = C::one();
         let mut processed = 0usize;
-        while let Some(u) = self.s.backward.next_down(topo) {
+        while let Some(u) = self.backward.next_down(topo) {
             processed += 1;
             // Same op order as the oracle's gated loop (`s += 1` then a
             // possibly-zero suffix term per child), so even saturating
@@ -974,9 +804,9 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
             let mut s = C::zero();
             for &c in csr.children(u) {
                 s.add_assign(&one);
-                s.add_assign(&self.s.gated[c.index()]);
+                s.add_assign(&self.gated[c.index()]);
             }
-            let old = &self.s.suffix[u.index()];
+            let old = &self.suffix[u.index()];
             match drift {
                 Drift::Shrink => {
                     debug_assert!(s <= *old, "a shrink mutation cannot increase suffixes")
@@ -986,21 +816,21 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 }
             }
             if s != *old {
-                let open = !self.filters.contains(u) && u != source;
+                let open = !self.fwd.filters().contains(u) && u != source;
                 if open {
-                    self.s.gated[u.index()] = s.clone();
+                    self.gated[u.index()] = s.clone();
                 }
-                self.s.suffix[u.index()] = s;
+                self.suffix[u.index()] = s;
                 // Parents consume S(u) only while u itself passes their
                 // gate; a filtered (or source) u propagates no further.
-                if open && !self.s.backward.is_dense() {
+                if open && !self.backward.is_dense() {
                     for &p in csr.parents(u) {
-                        self.s.backward.mark(p);
+                        self.backward.mark(p);
                     }
                 }
             }
         }
-        (processed, self.s.backward.is_dense())
+        (processed, self.backward.is_dense())
     }
 }
 
@@ -1129,19 +959,6 @@ mod tests {
             .unwrap();
         assert_matches_oracle(&owned, "owned after edge insert");
         assert_eq!(cg.edge_count(), 9, "caller's graph untouched");
-    }
-
-    #[test]
-    fn scratch_recycling_reuses_buffers_and_stays_exact() {
-        let cg = figure1();
-        let mut engine = ImpactEngine::<Wide128>::new(&cg, FilterSet::empty(7));
-        engine.insert_filter(NodeId::new(4));
-        let scratch = engine.into_scratch();
-        // Adopt the used scratch for a fresh solve on the same graph.
-        let mut engine = ImpactEngine::<Wide128>::with_scratch(&cg, FilterSet::empty(7), scratch);
-        assert_matches_oracle(&engine, "recycled scratch, fresh set");
-        engine.insert_filter(NodeId::new(1));
-        assert_matches_oracle(&engine, "recycled scratch + x");
     }
 
     #[test]

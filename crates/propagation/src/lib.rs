@@ -50,7 +50,7 @@ pub mod simulate;
 mod suffix;
 
 pub use cgraph::CGraph;
-pub use engine::{ApplyOutcome, EngineScratch, ImpactEngine, Mutation, MutationError};
+pub use engine::{ApplyOutcome, ImpactEngine, Mutation, MutationError};
 pub use filter_set::FilterSet;
 pub use impact::impacts;
 pub use objective::{f_value, filter_ratio, phi_per_node, phi_total, ObjectiveCache};

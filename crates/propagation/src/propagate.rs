@@ -44,9 +44,9 @@ pub fn propagate<C: Count>(cg: &CGraph, filters: &FilterSet) -> Propagation<C> {
     Propagation { received, emitted }
 }
 
-/// [`propagate`] into caller-owned buffers (cleared and resized), so a
-/// hot loop — the [`crate::ImpactEngine`] re-initializing from recycled
-/// scratch — performs no allocation.
+/// [`propagate`] into caller-owned buffers (cleared and resized); the
+/// forward kernel ([`crate::incremental::IncrementalPropagation`])
+/// initializes through it.
 pub fn propagate_into<C: Count>(
     cg: &CGraph,
     filters: &FilterSet,

@@ -25,8 +25,7 @@ pub fn suffix_sensitivity<C: Count>(cg: &CGraph, filters: &FilterSet) -> Vec<C> 
 }
 
 /// [`suffix_sensitivity`] into a caller-owned buffer (cleared and
-/// resized), so the [`crate::ImpactEngine`] re-initializing from
-/// recycled scratch performs no allocation.
+/// resized).
 pub fn suffix_sensitivity_into<C: Count>(cg: &CGraph, filters: &FilterSet, suffix: &mut Vec<C>) {
     let n = cg.node_count();
     let csr = cg.csr();

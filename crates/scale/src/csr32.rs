@@ -5,25 +5,30 @@
 //! adjacency arrays with per-node write cursors. Filling in stream
 //! order means each node's adjacency lists hold neighbors in exactly
 //! the order the stream emitted them — which is the same order
-//! [`fp_graph::DiGraph::add_edge`] would have recorded, so a `Csr32`
-//! built from a stream is bit-identical to
-//! [`fp_graph::Csr::from_digraph`] over the materialized equivalent.
-//! At no point does an intermediate edge `Vec` exist.
+//! [`fp_graph::DiGraph::add_edge`] would have recorded, so the [`Csr`]
+//! a stream builds is bit-identical to [`fp_graph::Csr::from_digraph`]
+//! over the materialized equivalent. At no point does an intermediate
+//! edge `Vec` exist.
 
 use crate::budget::graph_estimate;
 use crate::pass::{count_degrees, Ledger};
 use crate::{EdgeStream, MemBudget, ScaleError};
 use fp_graph::{Csr, NodeId};
 
-/// A frozen compressed-sparse-row graph with `u32` indices throughout:
-/// offsets, targets, and sources are all 4 bytes per entry, half the
-/// footprint of a `usize`-indexed edge list on 64-bit targets.
+/// A [`Csr`] built from a stream under a [`MemBudget`]: the workspace's
+/// one CSR type (`u32` offsets and `u32`-backed ids, 4 bytes per entry)
+/// plus the ledger view of its bytes. It dereferences to the [`Csr`].
 #[derive(Clone, Debug)]
 pub struct Csr32 {
-    out_offsets: Vec<u32>,
-    out_targets: Vec<NodeId>,
-    in_offsets: Vec<u32>,
-    in_sources: Vec<NodeId>,
+    csr: Csr,
+}
+
+impl std::ops::Deref for Csr32 {
+    type Target = Csr;
+
+    fn deref(&self) -> &Csr {
+        &self.csr
+    }
 }
 
 impl Csr32 {
@@ -98,63 +103,19 @@ impl Csr32 {
         debug_assert_eq!(ledger.reserved, graph_estimate(n as u64, m as u64));
         ledger.commit();
         Ok(Self {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
+            csr: Csr::from_parts(out_offsets, out_targets, in_offsets, in_sources),
         })
     }
 
-    /// Number of nodes.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.out_offsets.len() - 1
-    }
-
-    /// Number of edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.out_targets.len()
-    }
-
-    /// Resident bytes of the four arrays (what a successful
+    /// Resident bytes of the CSR's four arrays (what a successful
     /// [`Csr32::from_stream`] leaves reserved).
     pub fn bytes(&self) -> u64 {
         graph_estimate(self.node_count() as u64, self.edge_count() as u64)
     }
 
-    /// Out-neighbors of `u`, in stream emission order.
-    #[inline]
-    pub fn children(&self, u: NodeId) -> &[NodeId] {
-        let (lo, hi) = (self.out_offsets[u.index()], self.out_offsets[u.index() + 1]);
-        &self.out_targets[lo as usize..hi as usize]
-    }
-
-    /// In-neighbors of `v`, in stream emission order.
-    #[inline]
-    pub fn parents(&self, v: NodeId) -> &[NodeId] {
-        let (lo, hi) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        &self.in_sources[lo as usize..hi as usize]
-    }
-
-    /// Iterate over all edges as `(source, target)`.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.node_count()).flat_map(move |u| {
-            let u = NodeId::new(u);
-            self.children(u).iter().map(move |&v| (u, v))
-        })
-    }
-
-    /// Convert into the workspace-wide [`Csr`] without copying any of
-    /// the four arrays — `Csr` stores the same `u32` offsets and
-    /// [`NodeId`] (`u32`-backed) adjacency entries.
+    /// The built [`Csr`], moved out without copying.
     pub fn into_csr(self) -> Csr {
-        Csr::from_parts(
-            self.out_offsets,
-            self.out_targets,
-            self.in_offsets,
-            self.in_sources,
-        )
+        self.csr
     }
 }
 

@@ -7,8 +7,9 @@
 //! requires the full edge list in memory.
 
 use crate::ScaleError;
+use fp_graph::quote_input;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 
 /// Edges an [`EdgeSink`] buffers before handing them on (1 MiB of
@@ -118,6 +119,9 @@ impl EdgeStream for VecStream {
 /// renumbering, O(chunk) memory regardless of file size. Self-loops are
 /// rejected (c-graphs are loop-free).
 ///
+/// A line that does not end within 64 KiB is refused as
+/// [`ScaleError::Parse`] before the rest of it is read.
+///
 /// The first replay reads the handle [`FileEdgeStream::open`] opened;
 /// each later one reopens the path. A pipe therefore reads empty the
 /// second time, which a multi-pass consumer reports as
@@ -140,6 +144,10 @@ impl FileEdgeStream {
     }
 }
 
+/// The most bytes of one edge-list line [`FileEdgeStream`] buffers,
+/// newline included: the 64 KiB `fp serve` allows a request line.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 fn io_error(path: &Path, e: std::io::Error) -> ScaleError {
     ScaleError::Io {
         path: path.display().to_string(),
@@ -158,14 +166,22 @@ fn parse_line(text: &str, line: u64) -> Result<Option<(u32, u32)>, ScaleError> {
     let mut parts = text.split_whitespace();
     let (u, v) = match (parts.next(), parts.next()) {
         (Some(u), Some(v)) => (u, v),
-        _ => return Err(err(format!("expected `source target`, got {text:?}"))),
+        _ => {
+            return Err(err(format!(
+                "expected `source target`, got {}",
+                quote_input(text)
+            )))
+        }
     };
     if parts.next().is_some() {
-        return Err(err(format!("trailing tokens after edge in {text:?}")));
+        return Err(err(format!(
+            "trailing tokens after edge in {}",
+            quote_input(text)
+        )));
     }
     let parse_id = |tok: &str| {
         tok.parse::<u32>()
-            .map_err(|_| err(format!("node id {tok:?} is not a u32")))
+            .map_err(|_| err(format!("node id {} is not a u32", quote_input(tok))))
     };
     let (u, v) = (parse_id(u)?, parse_id(v)?);
     if u == v {
@@ -181,16 +197,28 @@ impl EdgeStream for FileEdgeStream {
             None => File::open(&self.path).map_err(|e| io_error(&self.path, e))?,
         };
         let mut reader = BufReader::new(file);
-        let mut text = String::new();
+        let mut bytes = Vec::new();
         for line in 1.. {
-            text.clear();
-            let read = reader
-                .read_line(&mut text)
+            bytes.clear();
+            let read = (&mut reader)
+                .take(MAX_LINE_BYTES as u64)
+                .read_until(b'\n', &mut bytes)
                 .map_err(|e| io_error(&self.path, e))?;
             if read == 0 {
                 break;
             }
-            if let Some((u, v)) = parse_line(&text, line)? {
+            if read == MAX_LINE_BYTES && !bytes.ends_with(b"\n") {
+                let reason = format!("line is longer than {MAX_LINE_BYTES} bytes");
+                return Err(ScaleError::Parse { line, reason });
+            }
+            let text = std::str::from_utf8(&bytes).map_err(|_| {
+                let e = std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                );
+                io_error(&self.path, e)
+            })?;
+            if let Some((u, v)) = parse_line(text, line)? {
                 sink.emit(u, v)?;
             }
         }
@@ -249,6 +277,44 @@ mod tests {
         let path = dir.join("edges.txt");
         std::fs::write(&path, contents).unwrap();
         path
+    }
+
+    #[test]
+    fn over_long_lines_are_refused_before_they_are_buffered() {
+        let long = "7".repeat(1 << 20);
+        let reason = format!("line is longer than {MAX_LINE_BYTES} bytes");
+        for (name, contents, line) in [
+            ("long", long.clone(), 1),
+            ("long-second", format!("0 1\n{long}"), 2),
+        ] {
+            let path = temp_file(name, &contents);
+            let err = collect(&mut FileEdgeStream::open(&path).unwrap()).unwrap_err();
+            let reason = reason.clone();
+            assert_eq!(err, ScaleError::Parse { line, reason });
+            assert!(err.to_string().len() <= 256);
+        }
+        // A line of exactly the cap, newline included, still parses.
+        let pad = " ".repeat(MAX_LINE_BYTES - "0 1\n".len());
+        let path = temp_file("at-cap", &format!("0 1{pad}\n"));
+        assert_eq!(
+            collect(&mut FileEdgeStream::open(&path).unwrap()).unwrap(),
+            vec![(0, 1)]
+        );
+        let path = temp_file("past-cap", &format!("0 1 {pad}\n"));
+        assert!(matches!(
+            collect(&mut FileEdgeStream::open(&path).unwrap()),
+            Err(ScaleError::Parse { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn parse_errors_quote_a_bounded_excerpt() {
+        let long = "7".repeat(1 << 20);
+        for text in [long.clone(), format!("0 {long}"), format!("0 1 {long}")] {
+            let err = parse_line(&text, 3).unwrap_err().to_string();
+            assert!(err.len() <= 256, "{} bytes: {err}", err.len());
+            assert!(err.contains("line 3") && err.contains("… ("), "{err}");
+        }
     }
 
     #[test]

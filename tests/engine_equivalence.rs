@@ -6,7 +6,9 @@
 //!
 //! * engine scores (received/emitted/suffix/impacts/Φ) equal a fresh
 //!   `propagate` / `suffix_sensitivity` / `impacts` / `phi_total` after
-//!   *every* insertion, for both `Sat64` and `Wide128`;
+//!   *every* insertion, for both `Sat64` and `Wide128` — and so does
+//!   the standalone forward kernel Greedy_L runs, driven through the
+//!   same insertions beside the engine;
 //! * every engine-backed solver places identically to its
 //!   full-recompute oracle (`SolverKind::place_oracle`), which is what
 //!   keeps stored run directories byte-stable across the engine
@@ -16,6 +18,7 @@ use fp_core::algorithms::{GreedyAll, LazyGreedyAll, MultiGreedy, Solver};
 use fp_core::datasets::erdos_renyi;
 use fp_core::num::Sat64;
 use fp_core::prelude::*;
+use fp_core::propagation::incremental::IncrementalPropagation;
 use fp_core::propagation::{
     impacts, phi_total, propagate, suffix_sensitivity, ImpactEngine, Mutation,
 };
@@ -171,6 +174,62 @@ fn mutation_sequence_matches_rebuild<C: Count>(
     Ok(())
 }
 
+/// Check the standalone forward kernel against the engine's forward
+/// half and against a fresh `propagate` / `phi_total`.
+fn assert_kernel_matches<C: Count>(
+    kernel: &IncrementalPropagation<C>,
+    engine: &ImpactEngine<C>,
+    cg: &CGraph,
+    context: &str,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(kernel.filters().nodes(), engine.filters().nodes());
+    let fresh = propagate::<C>(cg, kernel.filters());
+    for v in cg.nodes() {
+        let i = v.index();
+        prop_assert_eq!(
+            kernel.received(v),
+            engine.received(v),
+            "kernel received({}) left the engine {}",
+            i,
+            context
+        );
+        prop_assert_eq!(
+            kernel.received(v),
+            &fresh.received[i],
+            "kernel received({}) diverged {}",
+            i,
+            context
+        );
+        prop_assert_eq!(
+            kernel.emitted(v),
+            engine.emitted(v),
+            "kernel emitted({}) left the engine {}",
+            i,
+            context
+        );
+        prop_assert_eq!(
+            kernel.emitted(v),
+            &fresh.emitted[i],
+            "kernel emitted({}) diverged {}",
+            i,
+            context
+        );
+    }
+    prop_assert_eq!(
+        kernel.phi(),
+        engine.phi(),
+        "kernel phi left the engine {}",
+        context
+    );
+    prop_assert_eq!(
+        kernel.phi().clone(),
+        phi_total::<C>(cg, kernel.filters()),
+        "kernel phi diverged {}",
+        context
+    );
+    Ok(())
+}
+
 fn scores_match_for<C: Count>(
     seed: u64,
     p: f64,
@@ -180,14 +239,19 @@ fn scores_match_for<C: Count>(
     let cg = CGraph::new(&g, s).unwrap();
     let n = g.node_count();
     let mut engine = ImpactEngine::<C>::new(&cg, FilterSet::empty(n));
+    let mut kernel = IncrementalPropagation::<C>::new(&cg, FilterSet::empty(n));
     assert_engine_matches_oracle(&engine, &cg, "before any insertion")?;
+    assert_kernel_matches(&kernel, &engine, &cg, "before any insertion")?;
     for (step, &v) in insertion_sequence(n, seed ^ 0xABCD)
         .iter()
         .take(inserts)
         .enumerate()
     {
-        engine.insert_filter(v);
-        assert_engine_matches_oracle(&engine, &cg, &format!("after step {step} (node {v:?})"))?;
+        let fresh = engine.insert_filter(v);
+        prop_assert_eq!(kernel.insert_filter(&cg, v), fresh);
+        let context = format!("after step {step} (node {v:?})");
+        assert_engine_matches_oracle(&engine, &cg, &context)?;
+        assert_kernel_matches(&kernel, &engine, &cg, &context)?;
     }
     Ok(())
 }

@@ -50,7 +50,7 @@ fn incremental_phi_matches_full_recompute_on_twitter_like() {
     let mut inc = IncrementalPropagation::<Wide128>::new(&cg, FilterSet::empty(n));
     let mut reference = FilterSet::empty(n);
     for &v in picks.nodes() {
-        inc.insert_filter(v);
+        inc.insert_filter(&cg, v);
         reference.insert(v);
         let full: Wide128 = phi_total(&cg, &reference);
         assert_eq!(*inc.phi(), full, "divergence after inserting {v}");
