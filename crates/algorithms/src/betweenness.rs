@@ -62,6 +62,7 @@ pub fn betweenness_centrality(g: &Csr) -> Vec<f64> {
 }
 
 /// Places filters at the `k` nodes of highest betweenness centrality.
+#[derive(Default)]
 pub struct BetweennessSolver;
 
 impl BetweennessSolver {
@@ -71,17 +72,7 @@ impl BetweennessSolver {
     }
 }
 
-impl Default for BetweennessSolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Solver for BetweennessSolver {
-    fn name(&self) -> &'static str {
-        "Betweenness"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         // Centrality is a static score, so the ladder is the
         // descending-centrality order; every prefix is the top-k

@@ -18,7 +18,6 @@
 //! Theorem 2) but typically orders of magnitude fewer nodes than brute
 //! force; the test suite pins its results to brute-force enumeration.
 
-use crate::{Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
 use fp_propagation::{impacts, CGraph, FilterSet};
@@ -127,41 +126,6 @@ pub fn optimal_placement_bb<C: Count>(cg: &CGraph, k: usize) -> ExactResult<C> {
         filters: search.best_set,
         f_value: search.best_f,
         expanded: search.expanded,
-    }
-}
-
-/// [`Solver`] wrapper around the exact search (small graphs only).
-pub struct BranchBound<C> {
-    _count: core::marker::PhantomData<C>,
-}
-
-impl<C: Count> BranchBound<C> {
-    /// Construct the solver.
-    pub fn new() -> Self {
-        Self {
-            _count: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<C: Count> Default for BranchBound<C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<C: Count> Solver for BranchBound<C> {
-    fn name(&self) -> &'static str {
-        "BnB(exact)"
-    }
-
-    fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        // Exact optima are unrelated across budgets (the optimal pair
-        // need not contain the optimal singleton), so the session is a
-        // one-shot: each `advance_to(k)` runs a fresh bounded search.
-        Box::new(crate::OneShotSession::<C, _>::new(cg, move |k| {
-            optimal_placement_bb::<C>(cg, k).filters
-        }))
     }
 }
 

@@ -114,10 +114,6 @@ impl<C: Count> SolverSession for GreedyAllSession<'_, C> {
 }
 
 impl<C: Count> Solver for GreedyAll<C> {
-    fn name(&self) -> &'static str {
-        "G_ALL"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         Box::new(GreedyAllSession::<C>::new(cg))
     }

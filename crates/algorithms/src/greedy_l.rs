@@ -131,10 +131,6 @@ impl<C: Count> SolverSession for GreedyLSession<'_, C> {
 }
 
 impl<C: Count> Solver for GreedyL<C> {
-    fn name(&self) -> &'static str {
-        "G_L"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         Box::new(GreedyLSession::<C>::new(cg))
     }

@@ -45,10 +45,6 @@ impl<C: Count> Default for GreedyMax<C> {
 }
 
 impl<C: Count> Solver for GreedyMax<C> {
-    fn name(&self) -> &'static str {
-        "G_Max"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         // Scores never change (Greedy_Max ignores already-placed
         // filters), so the whole ladder is the descending-score order:

@@ -10,6 +10,7 @@ use fp_propagation::CGraph;
 ///
 /// O(|E| + n log n). Purely local — the paper's Figure 2 shows it can
 /// prefer a well-connected node whose filtering saves nothing.
+#[derive(Default)]
 pub struct GreedyOne;
 
 impl GreedyOne {
@@ -19,17 +20,7 @@ impl GreedyOne {
     }
 }
 
-impl Default for GreedyOne {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Solver for GreedyOne {
-    fn name(&self) -> &'static str {
-        "G_1"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         // The degree products are static, so the whole ladder is the
         // descending-m(v) order; every prefix is the top-k placement

@@ -216,10 +216,6 @@ impl<C: Count> SolverSession for LazyGreedySession<'_, C> {
 }
 
 impl<C: Count> Solver for LazyGreedyAll<C> {
-    fn name(&self) -> &'static str {
-        "G_ALL(lazy)"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         Box::new(LazyGreedySession::<C>::new(cg, &self.evaluations))
     }

@@ -59,7 +59,7 @@ pub mod tree_dp;
 pub mod unbounded;
 
 pub use betweenness::BetweennessSolver;
-pub use branch_bound::{optimal_placement_bb, BranchBound, ExactResult};
+pub use branch_bound::{optimal_placement_bb, ExactResult};
 pub use greedy_all::GreedyAll;
 pub use greedy_l::GreedyL;
 pub use greedy_max::GreedyMax;
@@ -67,6 +67,6 @@ pub use greedy_one::GreedyOne;
 pub use lazy_greedy::LazyGreedyAll;
 pub use multi_greedy::MultiGreedy;
 pub use random::{RandI, RandK, RandW};
-pub use session::{solve_ladder_with, walk_ladder, FrCache, OneShotSession, RankedSession};
+pub use session::{solve_ladder_with, walk_ladder, FrCache, RankedSession};
 pub use solver::{argmax_count, top_k_by_count, Solver, SolverKind, SolverSession};
 pub use stochastic::MonteCarloGreedy;

@@ -2,12 +2,20 @@
 //!
 //! The solvers are stateless; the trial seed enters at
 //! [`Solver::session`]/[`Solver::place`] time, so one built solver
-//! serves every trial of a sweep. Rand_K is prefix-nested (its session
-//! ladders down one seeded shuffle); Rand_I and Rand_W are not — their
-//! membership probabilities depend on the budget itself — so their
-//! sessions redraw on [`SolverSession::advance_to`].
+//! serves every trial of a sweep. Rand_K's session ladders down one
+//! seeded shuffle, so it is prefix-nested.
+//!
+//! Rand_I and Rand_W share one threshold draw: the trial seed gives one
+//! ChaCha8 uniform `u_v` per non-source node, in node order, and `v` is
+//! placed iff `u_v < min(1, w(v)·k/n)`, with `w ≡ 1` for Rand_I. The
+//! threshold never falls as `k` rises, so a trial's draw at budget `k`
+//! contains its draw at every smaller budget. One budget step can still
+//! add several filters (in node order, not pick order), so earlier
+//! budgets are not count prefixes of the draw:
+//! [`SolverSession::next_filter`] reports `None` and
+//! [`SolverSession::advance_to`] redraws.
 
-use crate::{OneShotSession, RankedSession, Solver, SolverSession};
+use crate::{FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Wide128;
 use fp_propagation::{CGraph, FilterSet};
@@ -17,6 +25,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Rand_K: `k` filters chosen uniformly at random without replacement.
+#[derive(Default)]
 pub struct RandK;
 
 impl RandK {
@@ -26,17 +35,7 @@ impl RandK {
     }
 }
 
-impl Default for RandK {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Solver for RandK {
-    fn name(&self) -> &'static str {
-        "Rand_K"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
         // One seeded shuffle is the whole ladder: the placement at
         // budget k is its first k entries, so Rand_K is prefix-nested
@@ -50,6 +49,7 @@ impl Solver for RandK {
 
 /// Rand_I: every node becomes a filter independently with probability
 /// `k/n` (expected size `k`, actual size varies).
+#[derive(Default)]
 pub struct RandI;
 
 impl RandI {
@@ -57,39 +57,11 @@ impl RandI {
     pub fn new() -> Self {
         Self
     }
-
-    fn draw(cg: &CGraph, k: usize, seed: u64) -> FilterSet {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = cg.node_count();
-        let p = if n == 0 { 0.0 } else { k as f64 / n as f64 };
-        let mut filters = FilterSet::empty(n);
-        for v in cg.nodes() {
-            if v != cg.source() && rng.random::<f64>() < p {
-                filters.insert(v);
-            }
-        }
-        filters
-    }
-}
-
-impl Default for RandI {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Solver for RandI {
-    fn name(&self) -> &'static str {
-        "Rand_I"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
-        // Membership probability is k/n — a different distribution per
-        // budget — so placements are not nested and the session redraws
-        // at each `advance_to(k)`.
-        Box::new(OneShotSession::<Wide128, _>::new(cg, move |k| {
-            Self::draw(cg, k, seed)
-        }))
+        Box::new(ThresholdSession::new(cg, seed, |_, _| 1.0))
     }
 }
 
@@ -98,6 +70,7 @@ impl Solver for RandI {
 /// parents weigh more ("the influence of node v on the number of items
 /// its child u receives is inversely proportional to the indegree of
 /// u"). Probabilities are clamped to 1.
+#[derive(Default)]
 pub struct RandW;
 
 impl RandW {
@@ -114,42 +87,67 @@ impl RandW {
             .map(|&u| 1.0 / cg.csr().in_degree(u) as f64)
             .sum()
     }
-
-    fn draw(cg: &CGraph, k: usize, seed: u64) -> FilterSet {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = cg.node_count();
-        let scale = if n == 0 { 0.0 } else { k as f64 / n as f64 };
-        let mut filters = FilterSet::empty(n);
-        for v in cg.nodes() {
-            if v == cg.source() {
-                continue;
-            }
-            let p = (Self::weight(cg, v) * scale).min(1.0);
-            if rng.random::<f64>() < p {
-                filters.insert(v);
-            }
-        }
-        filters
-    }
-}
-
-impl Default for RandW {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Solver for RandW {
-    fn name(&self) -> &'static str {
-        "Rand_W"
+    fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
+        Box::new(ThresholdSession::new(cg, seed, Self::weight))
+    }
+}
+
+/// The session behind Rand_I and Rand_W: the threshold draw of the
+/// module docs, with node weight `weight`. `advance_to(k)` replaces the
+/// placement with the draw at `k`, a pure function of `(k, seed)`, so
+/// the session lands on [`Solver::place`]'s placement whatever budgets
+/// it visited before.
+struct ThresholdSession<'a, W> {
+    cg: &'a CGraph,
+    seed: u64,
+    weight: W,
+    placement: FilterSet,
+    fr: FrCache<Wide128>,
+}
+
+impl<'a, W: Fn(&CGraph, NodeId) -> f64> ThresholdSession<'a, W> {
+    fn new(cg: &'a CGraph, seed: u64, weight: W) -> Self {
+        Self {
+            cg,
+            seed,
+            weight,
+            placement: FilterSet::empty(cg.node_count()),
+            fr: FrCache::new(),
+        }
+    }
+}
+
+impl<W: Fn(&CGraph, NodeId) -> f64> SolverSession for ThresholdSession<'_, W> {
+    fn next_filter(&mut self) -> Option<NodeId> {
+        None
     }
 
-    fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
-        // Like Rand_I, the per-node probability scales with k, so the
-        // session redraws at each `advance_to(k)`.
-        Box::new(OneShotSession::<Wide128, _>::new(cg, move |k| {
-            Self::draw(cg, k, seed)
-        }))
+    fn placement(&self) -> &FilterSet {
+        &self.placement
+    }
+
+    fn fr(&mut self) -> f64 {
+        self.fr.fr_of(self.cg, &self.placement)
+    }
+
+    fn advance_to(&mut self, k: usize) {
+        let cg = self.cg;
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let scale = k as f64 / cg.node_count() as f64;
+        self.placement = FilterSet::empty(cg.node_count());
+        for v in cg.nodes().filter(|&v| v != cg.source()) {
+            // `u_v ≤ 1 − 2⁻⁵³`, so a clamped threshold of 1 always places.
+            if rng.random::<f64>() < ((self.weight)(cg, v) * scale).min(1.0) {
+                self.placement.insert(v);
+            }
+        }
+    }
+
+    fn into_placement(self: Box<Self>) -> FilterSet {
+        self.placement
     }
 }
 

@@ -7,11 +7,9 @@
 //! * [`RankedSession`] — solvers whose whole ladder is known up front
 //!   as a ranked candidate list (Greedy_Max, Greedy_1, betweenness,
 //!   Rand_K's shuffle): `next_filter` just pops the next candidate;
-//! * [`OneShotSession`] — solvers that are *not* prefix-nested
-//!   (Rand_I/Rand_W, whose membership probabilities depend on `k`;
-//!   exact branch-and-bound, whose optima are unrelated across
-//!   budgets): `advance_to(k)` replaces the placement with a fresh
-//!   draw at budget `k` and `next_filter` reports `None`.
+//! * the threshold draw of Rand_I/Rand_W (private to `random.rs`):
+//!   `advance_to(k)` redraws the placement at budget `k` from the trial
+//!   seed and `next_filter` reports `None`.
 //!
 //! All of them share [`FrCache`], the lazy FR denominator pair: a
 //! session computes `Φ(∅,V)` and `F(V)` at most once, on the first
@@ -105,56 +103,6 @@ impl<C: Count> SolverSession for RankedSession<'_, C> {
     }
 }
 
-/// Session for solvers whose placements are **not** prefix-nested
-/// across budgets: `advance_to(k)` replaces the placement with
-/// `draw(k)` and `next_filter` reports `None` (there is no "next"
-/// filter — the budget axis itself is the only ladder).
-///
-/// `draw(k)` must be a pure function of `k` (any seed is captured at
-/// session start), so advancing is history-independent and
-/// `advance_to(k)` always lands on the solver's one-shot placement.
-pub struct OneShotSession<'a, C, F> {
-    cg: &'a CGraph,
-    draw: F,
-    placement: FilterSet,
-    fr: FrCache<C>,
-}
-
-impl<'a, C: Count, F: FnMut(usize) -> FilterSet> OneShotSession<'a, C, F> {
-    /// Wrap a budget-indexed draw function. The session starts at
-    /// budget 0 (an empty placement) without calling `draw`.
-    pub fn new(cg: &'a CGraph, draw: F) -> Self {
-        Self {
-            cg,
-            draw,
-            placement: FilterSet::empty(cg.node_count()),
-            fr: FrCache::new(),
-        }
-    }
-}
-
-impl<C: Count, F: FnMut(usize) -> FilterSet> SolverSession for OneShotSession<'_, C, F> {
-    fn next_filter(&mut self) -> Option<NodeId> {
-        None
-    }
-
-    fn placement(&self) -> &FilterSet {
-        &self.placement
-    }
-
-    fn fr(&mut self) -> f64 {
-        self.fr.fr_of(self.cg, &self.placement)
-    }
-
-    fn advance_to(&mut self, k: usize) {
-        self.placement = (self.draw)(k);
-    }
-
-    fn into_placement(self: Box<Self>) -> FilterSet {
-        self.placement
-    }
-}
-
 /// Walk `session` up the (ascending, deduplicated) interesting budgets
 /// of `ks`, recording `(k, placement, FR)` at each; results come back
 /// in `ks`'s original order (duplicates included). This is the shared
@@ -230,24 +178,6 @@ mod tests {
         assert_eq!(s.next_filter(), Some(NodeId::new(6)));
         assert_eq!(s.next_filter(), None, "ladder exhausted");
         assert_eq!(Box::new(s).into_placement().len(), 2);
-    }
-
-    #[test]
-    fn one_shot_session_redraws_per_budget() {
-        let cg = figure1();
-        let mut s = OneShotSession::<Sat64, _>::new(&cg, |k| {
-            // A toy non-nested draw: budget k places only node k.
-            FilterSet::from_nodes(7, [NodeId::new(k.min(6))])
-        });
-        assert!(s.next_filter().is_none(), "one-shot sessions do not ladder");
-        s.advance_to(3);
-        assert_eq!(s.placement().nodes(), &[NodeId::new(3)]);
-        s.advance_to(5);
-        assert_eq!(
-            s.placement().nodes(),
-            &[NodeId::new(5)],
-            "replaced, not extended"
-        );
     }
 
     #[test]

@@ -21,9 +21,6 @@ use fp_propagation::{CGraph, FilterSet};
 /// the budget axis instead of re-solving per `k` (see
 /// `Problem::solve_ladder` in `fp-core`).
 pub trait Solver: Send + Sync {
-    /// Short display name matching the paper's legends (e.g. `"G_ALL"`).
-    fn name(&self) -> &'static str;
-
     /// Start an anytime placement session on `cg`.
     ///
     /// The session owns every piece of per-run state; `seed` is read
@@ -51,18 +48,18 @@ pub trait Solver: Send + Sync {
 /// Most solvers are **prefix-nested** (anytime): the placement at
 /// budget `k` extends the placement at `k − 1` by at most one filter,
 /// so [`SolverSession::next_filter`] walks the whole ladder and
-/// [`SolverSession::advance_to`] is just a bounded walk. The two
-/// non-nested randomized baselines (`Rand_I`, `Rand_W` — membership
-/// probabilities depend on `k` itself) instead *redraw* on
-/// `advance_to` and return `None` from `next_filter`; either way,
-/// after `advance_to(k)` the placement is bit-identical to
-/// [`Solver::place`]`(cg, k, seed)` (pinned by the ladder-equivalence
-/// proptests).
+/// [`SolverSession::advance_to`] is just a bounded walk. `Rand_I` and
+/// `Rand_W` draw one threshold per node instead: their draw at `k`
+/// contains every draw at a smaller budget, but one budget step can add
+/// several filters, so they *redraw* on `advance_to` and return `None`
+/// from `next_filter`. Either way, after `advance_to(k)` the placement
+/// is bit-identical to [`Solver::place`]`(cg, k, seed)` (pinned by the
+/// ladder-equivalence proptests).
 pub trait SolverSession {
     /// Extend the ladder by one rung: pick, commit, and return the next
     /// filter. `None` when no remaining candidate helps (greedy early
-    /// stop), when the ladder is exhausted, or for the non-nested
-    /// randomized baselines (which only support [`advance_to`]).
+    /// stop), when the ladder is exhausted, or for the threshold draws
+    /// of `Rand_I`/`Rand_W` (which only support [`advance_to`]).
     ///
     /// [`advance_to`]: SolverSession::advance_to
     fn next_filter(&mut self) -> Option<NodeId>;
@@ -84,11 +81,10 @@ pub trait SolverSession {
     ///
     /// Ladder sessions step [`SolverSession::next_filter`] until the
     /// placement holds `k` filters (or the solver stops early);
-    /// non-nested randomized sessions replace the placement with a
-    /// fresh draw at budget `k`. Walking budgets in ascending order is
-    /// the cheap direction — a ladder session never drops a filter, so
-    /// asking for a *smaller* budget than already placed is a no-op
-    /// there.
+    /// `Rand_I`/`Rand_W` sessions replace the placement with the draw at
+    /// budget `k`. Walking budgets in ascending order is the cheap
+    /// direction — a ladder session never drops a filter, so asking for
+    /// a *smaller* budget than already placed is a no-op there.
     fn advance_to(&mut self, k: usize) {
         while self.placement().len() < k {
             if self.next_filter().is_none() {
@@ -185,11 +181,12 @@ impl SolverKind {
     /// rungs can be read back as prefixes of the pick sequence.
     ///
     /// `Rand_I` and `Rand_W` are the two registry members where this is
-    /// false — their membership probabilities depend on `k` itself, so
-    /// [`SolverSession::advance_to`] *redraws* instead of extending
-    /// (see `fp_algorithms::session::OneShotSession`). Long-running
-    /// services use this to decide whether a warm session's history can
-    /// answer a smaller budget than it has already reached.
+    /// false: their draws nest in `k`, but one budget step can add
+    /// several filters, in node order, so an earlier budget is not a
+    /// count prefix of a later draw and [`SolverSession::advance_to`]
+    /// *redraws* instead of extending. Long-running services use this to
+    /// decide whether a warm session's history can answer a smaller
+    /// budget than it has already reached.
     ///
     /// ```
     /// use fp_algorithms::SolverKind;
@@ -283,9 +280,7 @@ mod tests {
             SolverKind::RandK,
             SolverKind::Betweenness,
         ] {
-            let solver = kind.build::<Sat64>();
-            assert!(!solver.name().is_empty());
-            assert_eq!(solver.name(), kind.label());
+            kind.build::<Sat64>();
         }
     }
 

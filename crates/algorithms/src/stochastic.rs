@@ -43,30 +43,12 @@ impl MonteCarloGreedy {
         self.realizations.len()
     }
 
-    /// Place `k` filters maximizing the sampled expected saving. (The
-    /// `cg` argument of [`Solver::place`] is ignored in favor of the
-    /// sampled bundle; use this method directly for clarity.)
+    /// Place `k` filters maximizing the sampled expected saving: the
+    /// solver's own session walked to `k`. The bundle drives the picks;
+    /// the first realization stands in for the c-graph a session reads
+    /// only for [`SolverSession::fr`].
     pub fn place_sampled(&self, k: usize) -> FilterSet {
-        let n = self.realizations.first().map_or(0, |cg| cg.node_count());
-        let mut filters = FilterSet::empty(n);
-        for _ in 0..k {
-            // Average marginal impact across realizations (Approx64:
-            // expectations are fractional).
-            let mut avg = vec![Approx64::zero(); n];
-            for cg in &self.realizations {
-                let imp: Vec<Approx64> = impacts(cg, &filters);
-                for (a, i) in avg.iter_mut().zip(&imp) {
-                    a.add_assign(i);
-                }
-            }
-            match argmax_count(&avg) {
-                Some(best) => {
-                    filters.insert(NodeId::new(best));
-                }
-                None => break,
-            }
-        }
-        filters
+        self.place(&self.realizations[0], k, 0)
     }
 }
 
@@ -115,14 +97,10 @@ impl SolverSession for MonteCarloSession<'_> {
 }
 
 impl Solver for MonteCarloGreedy {
-    fn name(&self) -> &'static str {
-        "MC-Greedy"
-    }
-
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
         // The realization bundle was sampled at construction (the
-        // session seed is unused); like `Solver::place`, the bundle —
-        // not `cg` — drives the picks.
+        // session seed is unused); the bundle, not `cg`, drives the
+        // picks.
         let n = self.realizations.first().map_or(0, |cg| cg.node_count());
         Box::new(MonteCarloSession {
             solver: self,
@@ -132,10 +110,6 @@ impl Solver for MonteCarloGreedy {
             imp: Vec::with_capacity(n),
             fr: FrCache::new(),
         })
-    }
-
-    fn place(&self, _cg: &CGraph, k: usize, _seed: u64) -> FilterSet {
-        self.place_sampled(k)
     }
 }
 

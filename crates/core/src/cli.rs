@@ -210,6 +210,18 @@ const MAX_EVENTS: usize = 1 << 22;
 /// may start (`fp sweep`, `fp loadtest` and `repro`).
 pub const MAX_PARALLEL: usize = 256;
 
+/// The most requests one `fp loadtest` phase may issue over all its
+/// clients (`--clients` × `--requests`); it keeps every latency.
+const MAX_REQUESTS: usize = 1 << 20;
+
+/// The highest `fp loadtest --kmax`: the batch reference ladder holds
+/// one placement per budget in `0..=kmax`, at most 4,096 of them, the
+/// most budgets one serve query may ask for.
+const MAX_LOADTEST_KMAX: usize = 4095;
+
+/// The most edge insertions `fp loadtest --mutations` may drive.
+const MAX_MUTATIONS: usize = 1 << 16;
+
 /// Parse `text` as the count flag `--name`, refusing values above
 /// `max`: every count that sizes an allocation, a thread pool or a
 /// process pool is checked here, before anything is allocated or
@@ -256,6 +268,20 @@ fn sweep_cell_count(kmax: usize, trials: usize) -> Result<usize, String> {
             format!(
                 "--kmax {kmax} with --trials {trials} asks for more than \
                  {MAX_SWEEP_CELLS} sweep cells"
+            )
+        })
+}
+
+/// How many requests one `fp loadtest` phase issues for `clients` and
+/// `requests` per client, refused past [`MAX_REQUESTS`].
+fn loadtest_request_count(clients: usize, requests: usize) -> Result<usize, String> {
+    clients
+        .checked_mul(requests)
+        .filter(|&total| total <= MAX_REQUESTS)
+        .ok_or_else(|| {
+            format!(
+                "--clients {clients} with --requests {requests} asks for more than \
+                 {MAX_REQUESTS} requests"
             )
         })
 }
@@ -1139,11 +1165,12 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
     })?;
     cfg.clients = count_flag(flags, "clients", Some(cfg.clients), MAX_PARALLEL)?;
     cfg.requests = count_flag(flags, "requests", Some(cfg.requests), usize::MAX)?;
-    cfg.kmax = count_flag(flags, "kmax", Some(cfg.kmax), usize::MAX)?;
+    loadtest_request_count(cfg.clients, cfg.requests)?;
+    cfg.kmax = count_flag(flags, "kmax", Some(cfg.kmax), MAX_LOADTEST_KMAX)?;
     cfg.transport = flags
         .get("transport")
         .map_or(Ok(cfg.transport), |s| Transport::parse(s))?;
-    cfg.mutations = count_flag(flags, "mutations", Some(cfg.mutations), usize::MAX)?;
+    cfg.mutations = count_flag(flags, "mutations", Some(cfg.mutations), MAX_MUTATIONS)?;
     cfg.retries = flags.get("retries").map_or(Ok(cfg.retries), |s| {
         s.parse()
             .map_err(|_| "--retries must be a non-negative integer".to_string())
@@ -1457,7 +1484,9 @@ pub const USAGE: &str =
             and reports the retry count;
             --baseline folds the numbers into BENCH_baseline.json's serve section;
             --check compares against a recorded baseline and exits non-zero on
-            regression beyond the tolerance; --clients is at most 256)
+            regression beyond the tolerance; --clients is at most 256,
+            --clients × --requests at most 1048576, --kmax at most 4095 and
+            --mutations at most 65536)
   online   --input FILE --source LABEL [--k N] [--events N] [--seed N]
            [--thresholds F,F,...] [--format table|csv] [--out DIR]
            (maintain a k-filter placement under a deterministic edge-mutation
@@ -2712,6 +2741,50 @@ mod tests {
             ),
         ] {
             let e = run_with_input(&args(&argv), FIG1).unwrap_err();
+            assert!(e.contains(flag), "{argv:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn loadtest_counts_are_capped_before_the_daemon_starts() {
+        for (name, cap) in [("kmax", MAX_LOADTEST_KMAX), ("mutations", MAX_MUTATIONS)] {
+            assert_eq!(parse_count(name, &cap.to_string(), cap), Ok(cap));
+            let e = parse_count(name, &(cap + 1).to_string(), cap).unwrap_err();
+            assert!(e.contains(&format!("--{name} {}", cap + 1)), "{e}");
+        }
+        let cap = MAX_REQUESTS;
+        assert_eq!(loadtest_request_count(1, cap), Ok(cap));
+        assert_eq!(
+            loadtest_request_count(MAX_PARALLEL, cap / MAX_PARALLEL),
+            Ok(cap)
+        );
+        for (clients, requests) in [
+            (1, cap + 1),
+            (MAX_PARALLEL, cap / MAX_PARALLEL + 1),
+            (2, usize::MAX),
+            (usize::MAX, usize::MAX),
+        ] {
+            let e = loadtest_request_count(clients, requests).unwrap_err();
+            assert!(e.contains("--clients") && e.contains("--requests"), "{e}");
+        }
+        // cap + 1 on each flag is refused before the registry is built
+        // or a client thread starts.
+        for (argv, flag) in [
+            (
+                vec!["--clients", "1", "--requests", "1048577"],
+                "--requests",
+            ),
+            (
+                vec!["--clients", "1", "--requests", "100000000000"],
+                "--requests",
+            ),
+            (vec!["--kmax", "4096"], "--kmax"),
+            (vec!["--kmax", "10000000000"], "--kmax"),
+            (vec!["--mutations", "65537"], "--mutations"),
+            (vec!["--mutations", "100000000000"], "--mutations"),
+        ] {
+            let argv: Vec<&str> = ["loadtest"].into_iter().chain(argv).collect();
+            let e = run(&args(&argv)).unwrap_err();
             assert!(e.contains(flag), "{argv:?}: {e}");
         }
     }

@@ -48,7 +48,7 @@
 
 use crate::registry::{GraphEntry, GraphRegistry, PutError, PutOutcome};
 use fp_algorithms::{SolverKind, SolverSession};
-use fp_graph::{BitSet, NodeId};
+use fp_graph::NodeId;
 use fp_num::Wide128;
 use fp_propagation::{CGraph, Mutation};
 use fp_results::hash::Fnv64;
@@ -303,13 +303,15 @@ enum Answers {
     /// (rung 0 first; rung `r`'s placement is the session placement's
     /// first `r` nodes), and whether the solver stopped early.
     Ladder { fr: Vec<f64>, exhausted: bool },
-    /// Every other solver: one independent draw per budget, a pure
-    /// function of `(k, seed)`, at most [`MAX_MEMO_DRAWS`] of them at a
-    /// time, and every node any draw of the epoch placed (evicted draws
-    /// included), which the orphan rule checks removals against.
+    /// Rand_I/Rand_W: one draw per budget, a pure function of
+    /// `(k, seed)`, at most [`MAX_MEMO_DRAWS`] of them at a time, and
+    /// the placement of the widest budget drawn. Draws nest in `k`, so
+    /// that one draw holds every node any draw of the epoch placed
+    /// (evicted draws included), which the orphan rule checks removals
+    /// against.
     Draws {
         memo: BTreeMap<usize, KAnswer>,
-        placed: BitSet,
+        widest: Vec<NodeId>,
     },
 }
 
@@ -357,14 +359,15 @@ impl Epoch<'_> {
                         fr.push(self.session.fr());
                     }
                 }
-                Answers::Draws { memo, placed } => {
+                Answers::Draws { memo, widest } => {
                     if memo.len() == MAX_MEMO_DRAWS {
                         memo.clear();
                     }
                     self.session.advance_to(k);
                     let placement = self.session.placement().nodes().to_vec();
-                    for v in &placement {
-                        placed.insert(v.index());
+                    // Nested draws: a larger one is from a wider budget.
+                    if placement.len() > widest.len() {
+                        widest.clone_from(&placement);
                     }
                     let fr = self.session.fr();
                     memo.insert(k, KAnswer { k, fr, placement });
@@ -405,9 +408,9 @@ impl Epoch<'_> {
             }
             Mutation::RemoveEdge { from, to } => {
                 next.remove_edge(from, to);
-                let placed: Vec<NodeId> = match &self.answers {
-                    Answers::Ladder { .. } => self.session.placement().nodes().to_vec(),
-                    Answers::Draws { placed, .. } => placed.iter().map(NodeId::new).collect(),
+                let placed: &[NodeId] = match &self.answers {
+                    Answers::Ladder { .. } => self.session.placement().nodes(),
+                    Answers::Draws { widest, .. } => widest,
                 };
                 if !placed.is_empty() {
                     let reach = fp_graph::reachable_from(next.csr(), next.source());
@@ -477,7 +480,7 @@ fn run_session(
             } else {
                 Answers::Draws {
                     memo: BTreeMap::new(),
-                    placed: BitSet::new(cg.node_count()),
+                    widest: Vec::new(),
                 }
             },
         };
@@ -2142,7 +2145,7 @@ mod tests {
             session: solver.session(&cg, 7),
             answers: Answers::Draws {
                 memo: BTreeMap::new(),
-                placed: BitSet::new(n),
+                widest: Vec::new(),
             },
         };
         assert!(epoch.fill(100, None));

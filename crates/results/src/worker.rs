@@ -7,11 +7,11 @@
 //! evaluated by a **worker process** speaking the
 //! [`crate::protocol`] frame protocol. Scheduling is self-balancing
 //! the same way the thread runner's stealing is: every worker holds up
-//! to a small **credit window** of in-flight cells
-//! ([`PoolOptions::window`]) and is topped up from a shared queue the
-//! moment it answers, so fast workers naturally take more cells and no
-//! worker idles while work remains — and one slow machine never gates
-//! the queue, because the others keep pulling around it.
+//! to a small **credit window** of in-flight cells (two) and is topped
+//! up from a shared queue the moment it answers, so fast workers
+//! naturally take more cells and no worker idles while work remains —
+//! and one slow machine never gates the queue, because the others keep
+//! pulling around it.
 //!
 //! **Failure taxonomy.** Every way a worker can go wrong maps onto one
 //! recovery path (DESIGN.md §13):
@@ -43,10 +43,9 @@
 //! index and are reduced by [`reduce_cells`] in configuration order;
 //! floats cross the pipe losslessly (shortest-round-trip JSON). The
 //! sweep result is therefore bit-identical to the in-process runner's
-//! for every worker count, credit window, restart/loss schedule, and
-//! transport — the property the `distributed-determinism` and
-//! `chaos-determinism` CI jobs pin with byte-level `diff -r`s of run
-//! directories.
+//! for every worker count, restart/loss schedule, and transport — the
+//! property the `distributed-determinism` and `chaos-determinism` CI
+//! jobs pin with byte-level `diff -r`s of run directories.
 
 use crate::model::{SweepConfig, SweepResult};
 use crate::net::{expect_hello, RecvOutcome, WorkerConn};
@@ -66,8 +65,11 @@ use std::time::{Duration, Instant};
 /// binary instead).
 pub const WORKER_EXE_ENV: &str = "FP_WORKER_EXE";
 
-/// Environment override for [`PoolOptions::window`].
-pub const WINDOW_ENV: &str = "FP_POOL_WINDOW";
+/// In-flight cells per worker connection. More than one keeps a worker
+/// busy across the request/response gap, which matters once the pipe
+/// is a network; results are bit-identical for any window.
+const CREDIT_WINDOW: usize = 2;
+
 /// Environment override for [`PoolOptions::heartbeat_timeout`] (ms).
 pub const HEARTBEAT_TIMEOUT_ENV: &str = "FP_POOL_HEARTBEAT_TIMEOUT_MS";
 /// Environment override for [`PoolOptions::cell_deadline`] (ms).
@@ -140,11 +142,6 @@ pub struct PoolOptions {
     /// never lands a cell exhausts the budget and fails the sweep
     /// loudly instead of spinning forever.
     pub max_restarts: usize,
-    /// Credit window: in-flight cells per worker connection. More than
-    /// one keeps a worker busy across the request/response gap (which
-    /// matters once the pipe is a network); results stay bit-identical
-    /// for any value.
-    pub window: usize,
     /// Declare a worker lost after this much total silence (no
     /// response *and* no heartbeat). Heartbeats flow every
     /// [`crate::net::HEARTBEAT_INTERVAL`], so this bounds hang
@@ -161,7 +158,6 @@ impl Default for PoolOptions {
         Self {
             workers: 0,
             max_restarts: 8,
-            window: 2,
             heartbeat_timeout: Duration::from_secs(5),
             cell_deadline: Duration::from_secs(300),
         }
@@ -177,8 +173,8 @@ impl PoolOptions {
         }
     }
 
-    /// Apply the `FP_POOL_*` environment overrides (window, heartbeat
-    /// timeout, cell deadline) on top of `self`. Unparsable values are
+    /// Apply the `FP_POOL_*` environment overrides (heartbeat timeout,
+    /// cell deadline) on top of `self`. Unparsable values are
     /// loud errors — a chaos harness that typos a deadline should not
     /// silently run with the default.
     pub fn from_env(mut self) -> Result<Self, String> {
@@ -191,9 +187,6 @@ impl PoolOptions {
                 Err(_) => Ok(None),
             }
         };
-        if let Some(w) = read(WINDOW_ENV)? {
-            self.window = (w as usize).max(1);
-        }
         if let Some(ms) = read(HEARTBEAT_TIMEOUT_ENV)? {
             self.heartbeat_timeout = Duration::from_millis(ms);
         }
@@ -331,7 +324,7 @@ pub(crate) enum DispatchEnd {
 /// drains or the worker is lost — the transport-agnostic core both the
 /// local pool and the TCP listener run per connection.
 ///
-/// Keeps up to [`PoolOptions::window`] cells in flight, counts
+/// Keeps up to `CREDIT_WINDOW` cells in flight, counts
 /// heartbeats, and enforces the two loss deadlines (heartbeat silence,
 /// oldest-cell age). On loss every in-flight cell is re-queued before
 /// returning, so no cell is ever stranded on a dead connection.
@@ -340,7 +333,6 @@ pub(crate) fn dispatch_conn(
     state: &SweepState,
     opts: &PoolOptions,
 ) -> DispatchEnd {
-    let window = opts.window.max(1);
     let mut inflight: VecDeque<(u64, usize, Instant)> = VecDeque::new();
     let mut completed = 0usize;
     let mut last_frame = Instant::now();
@@ -364,7 +356,7 @@ pub(crate) fn dispatch_conn(
             return DispatchEnd::Done(completed);
         }
         // Top the credit window up from the shared queue.
-        while inflight.len() < window {
+        while inflight.len() < CREDIT_WINDOW {
             let Some(idx) = state.pop() else { break };
             let frame = Frame::Request(CellRequest {
                 id: idx as u64,
@@ -704,7 +696,6 @@ mod tests {
         assert!(PoolOptions::default().effective_workers() >= 1);
         assert_eq!(PoolOptions::with_workers(3).effective_workers(), 3);
         assert_eq!(PoolOptions::with_workers(3).max_restarts, 8);
-        assert!(PoolOptions::default().window >= 1);
     }
 
     #[test]

@@ -16,13 +16,19 @@
 //! * the session's live-state `fr()` is bit-identical to the
 //!   `ObjectiveCache` ratio of the same placement, at every rung;
 //! * `Problem::solve_ladder` agrees with per-k `solve_seeded` +
-//!   `filter_ratio`, budget for budget.
+//!   `filter_ratio`, budget for budget;
+//! * Rand_I's and Rand_W's threshold draws nest in `k`, equal the draw
+//!   loops they replaced bit for bit, and do not depend on the budgets
+//!   a session visited before.
 
+use fp_core::algorithms::RandW;
 use fp_core::datasets::erdos_renyi;
 use fp_core::num::Sat64;
 use fp_core::prelude::*;
 use fp_core::propagation::ObjectiveCache;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Every registry entry — the paper's seven plus the two extras.
 const ALL_KINDS: [SolverKind; 9] = [
@@ -36,6 +42,55 @@ const ALL_KINDS: [SolverKind; 9] = [
     SolverKind::RandK,
     SolverKind::Betweenness,
 ];
+
+/// Rand_I's draw loop before Rand_I and Rand_W shared one threshold
+/// session, kept verbatim as the reference for that session.
+fn reference_rand_i(cg: &CGraph, k: usize, seed: u64) -> FilterSet {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let n = cg.node_count();
+    let p = if n == 0 { 0.0 } else { k as f64 / n as f64 };
+    let mut filters = FilterSet::empty(n);
+    for v in cg.nodes() {
+        if v != cg.source() && rng.random::<f64>() < p {
+            filters.insert(v);
+        }
+    }
+    filters
+}
+
+/// Rand_W's draw loop before the shared threshold session, verbatim.
+fn reference_rand_w(cg: &CGraph, k: usize, seed: u64) -> FilterSet {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let n = cg.node_count();
+    let scale = if n == 0 { 0.0 } else { k as f64 / n as f64 };
+    let mut filters = FilterSet::empty(n);
+    for v in cg.nodes() {
+        if v == cg.source() {
+            continue;
+        }
+        let p = (RandW::weight(cg, v) * scale).min(1.0);
+        if rng.random::<f64>() < p {
+            filters.insert(v);
+        }
+    }
+    filters
+}
+
+/// A reference draw: the placement at budget `k` under `seed`.
+type Draw = fn(&CGraph, usize, u64) -> FilterSet;
+
+/// The threshold solvers with their reference draw loops.
+const THRESHOLD_KINDS: [(SolverKind, Draw); 2] = [
+    (SolverKind::RandI, reference_rand_i),
+    (SolverKind::RandW, reference_rand_w),
+];
+
+/// Every budget in `0..=2n`, then a few at or above 2³⁰, ascending.
+fn threshold_budgets(cg: &CGraph) -> Vec<usize> {
+    let mut ks: Vec<usize> = (0..=2 * cg.node_count()).collect();
+    ks.extend([1 << 30, (1 << 30) + 1, 1 << 40, usize::MAX]);
+    ks
+}
 
 /// One session advanced to each `k ≤ k_max` must match the one-shot
 /// and oracle placements bit for bit, and report the cache-identical
@@ -232,6 +287,79 @@ proptest! {
                     fr.to_bits(),
                     problem.filter_ratio(&one_shot).to_bits(),
                     "{:?} ladder FR diverged at k={}",
+                    kind,
+                    k
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn rand_threshold_draws_nest_in_k(seed in 0u64..4000, p in 0.08f64..0.35) {
+        let (g, s) = erdos_renyi::generate(14, p, seed);
+        let cg = CGraph::new(&g, s).unwrap();
+        let ks = threshold_budgets(&cg);
+        for (kind, _) in THRESHOLD_KINDS {
+            let solver = kind.build::<Wide128>();
+            let draws: Vec<FilterSet> = ks.iter().map(|&k| solver.place(&cg, k, seed)).collect();
+            for (i, small) in draws.iter().enumerate() {
+                for (large, &k) in draws[i..].iter().zip(&ks[i..]) {
+                    prop_assert!(
+                        small.nodes().iter().all(|&v| large.contains(v)),
+                        "{:?}: the draw at k={} misses part of the draw at k={}",
+                        kind,
+                        k,
+                        ks[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rand_threshold_draws_match_the_reference_loops(
+        seed in 0u64..4000,
+        p in 0.08f64..0.35,
+    ) {
+        let (g, s) = erdos_renyi::generate(14, p, seed);
+        let cg = CGraph::new(&g, s).unwrap();
+        for (kind, reference) in THRESHOLD_KINDS {
+            let solver = kind.build::<Wide128>();
+            for k in threshold_budgets(&cg) {
+                let (placed, expect) = (solver.place(&cg, k, seed), reference(&cg, k, seed));
+                prop_assert_eq!(
+                    placed.nodes(),
+                    expect.nodes(),
+                    "{:?} diverged from its reference draw at k={}",
+                    kind,
+                    k
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rand_threshold_sessions_walked_up_and_down_land_on_place(
+        seed in 0u64..4000,
+        p in 0.08f64..0.35,
+    ) {
+        let (g, s) = erdos_renyi::generate(14, p, seed);
+        let cg = CGraph::new(&g, s).unwrap();
+        let ks = threshold_budgets(&cg);
+        for (kind, _) in THRESHOLD_KINDS {
+            let solver = kind.build::<Wide128>();
+            let mut session = solver.session(&cg, seed);
+            for &k in ks.iter().chain(ks.iter().rev()) {
+                session.advance_to(k);
+                let one_shot = solver.place(&cg, k, seed);
+                prop_assert_eq!(
+                    session.placement().nodes(),
+                    one_shot.nodes(),
+                    "{:?} session diverged from place at k={}",
                     kind,
                     k
                 );
