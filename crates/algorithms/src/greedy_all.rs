@@ -1,9 +1,11 @@
 //! Greedy_All (Algorithm 1): the `(1 − 1/e)`-approximation.
 
+use crate::session::{unfiltered_forward, Forward};
 use crate::{argmax_count, FrCache, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
+use fp_propagation::incremental::IncrementalPropagation;
+use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
 
 /// Greedy_All: each round, take the argmax over every node's exact
 /// marginal impact `I(v|A)` under the filters already chosen.
@@ -77,17 +79,19 @@ impl<C: Count> Default for GreedyAll<C> {
 /// [`ImpactEngine`] whose state survives across budget rungs, so a
 /// whole k-ladder costs one engine initialization plus one
 /// O(n + affected) round per rung — and `fr()` is an O(1) read of the
-/// engine's live `Φ`.
+/// engine's live `Φ` against denominators taken from that init. `C` is
+/// the counter the session runs at: `u64` when a [`fp_num::Wide128`]
+/// solver's `Φ(∅,V)` fits ([`fp_num::Count::NARROWS_TO_U64`]).
 pub struct GreedyAllSession<'a, C: Count> {
     engine: ImpactEngine<'a, C>,
     fr: FrCache<C>,
 }
 
 impl<'a, C: Count> GreedyAllSession<'a, C> {
-    fn new(cg: &'a CGraph) -> Self {
+    fn new(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
         Self {
-            engine: ImpactEngine::new(cg, FilterSet::empty(cg.node_count())),
-            fr: FrCache::new(),
+            fr: FrCache::seeded(ObjectiveCache::from_forward(cg, &fwd)),
+            engine: ImpactEngine::from_forward(cg, fwd),
         }
     }
 }
@@ -115,27 +119,36 @@ impl<C: Count> SolverSession for GreedyAllSession<'_, C> {
 
 impl<C: Count> Solver for GreedyAll<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        Box::new(GreedyAllSession::<C>::new(cg))
+        match unfiltered_forward::<C>(cg) {
+            Forward::U64(fwd) => Box::new(GreedyAllSession::new(cg, fwd)),
+            Forward::Declared(fwd) => Box::new(GreedyAllSession::new(cg, fwd)),
+        }
     }
 
     fn place(&self, cg: &CGraph, k: usize, _seed: u64) -> FilterSet {
-        // Same picks as a session walked `k` rungs, but the final pick
-        // skips the engine's two update passes — nobody reads the
-        // engine again on the one-shot path.
-        let mut engine = ImpactEngine::<C>::new(cg, FilterSet::empty(cg.node_count()));
-        for round in 0..k {
-            let Some(best) = engine.best_candidate() else {
-                break;
-            };
-            if round + 1 == k {
-                let mut filters = engine.into_filters();
-                filters.insert(best);
-                return filters;
-            }
-            engine.insert_filter(best);
+        match unfiltered_forward::<C>(cg) {
+            Forward::U64(fwd) => place_from(ImpactEngine::from_forward(cg, fwd), k),
+            Forward::Declared(fwd) => place_from(ImpactEngine::from_forward(cg, fwd), k),
         }
-        engine.into_filters()
     }
+}
+
+/// Same picks as a session walked `k` rungs, but the final pick skips
+/// the engine's two update passes — nobody reads the engine again on
+/// the one-shot path.
+fn place_from<C: Count>(mut engine: ImpactEngine<'_, C>, k: usize) -> FilterSet {
+    for round in 0..k {
+        let Some(best) = engine.best_candidate() else {
+            break;
+        };
+        if round + 1 == k {
+            let mut filters = engine.into_filters();
+            filters.insert(best);
+            return filters;
+        }
+        engine.insert_filter(best);
+    }
+    engine.into_filters()
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Greedy_L (Algorithm 2): prefix × out-degree, recomputed per round.
 
+use crate::session::{unfiltered_forward, Forward};
 use crate::{argmax_count, FrCache, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
 use fp_propagation::incremental::IncrementalPropagation;
-use fp_propagation::{propagate, CGraph, FilterSet, Propagation};
+use fp_propagation::{propagate, CGraph, FilterSet, ObjectiveCache, Propagation};
 
 /// Greedy_L (§4.2): score candidates by the *local* impact
 /// `I'(v) = Prefix(v) × dout(v)` — the number of copies `v` pushes to
@@ -78,7 +79,9 @@ impl<C: Count> Default for GreedyL<C> {
 /// persist in one forward kernel ([`IncrementalPropagation`], the
 /// engine's forward half without its suffix side) across budget rungs,
 /// the per-round score buffer is allocated once, and `fr()` is an O(1)
-/// read of the incrementally maintained `Φ`.
+/// read of the incrementally maintained `Φ` against denominators taken
+/// from the kernel's init. Like Greedy_All's session it counts in
+/// `u64` when a [`fp_num::Wide128`] solver's `Φ(∅,V)` fits.
 pub struct GreedyLSession<'a, C: Count> {
     cg: &'a CGraph,
     inc: IncrementalPropagation<C>,
@@ -87,12 +90,12 @@ pub struct GreedyLSession<'a, C: Count> {
 }
 
 impl<'a, C: Count> GreedyLSession<'a, C> {
-    fn new(cg: &'a CGraph) -> Self {
+    fn new(cg: &'a CGraph, inc: IncrementalPropagation<C>) -> Self {
         Self {
             cg,
-            inc: IncrementalPropagation::new(cg, FilterSet::empty(cg.node_count())),
+            fr: FrCache::seeded(ObjectiveCache::from_forward(cg, &inc)),
+            inc,
             scores: Vec::with_capacity(cg.node_count()),
-            fr: FrCache::new(),
         }
     }
 }
@@ -132,7 +135,10 @@ impl<C: Count> SolverSession for GreedyLSession<'_, C> {
 
 impl<C: Count> Solver for GreedyL<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        Box::new(GreedyLSession::<C>::new(cg))
+        match unfiltered_forward::<C>(cg) {
+            Forward::U64(inc) => Box::new(GreedyLSession::new(cg, inc)),
+            Forward::Declared(inc) => Box::new(GreedyLSession::new(cg, inc)),
+        }
     }
 }
 

@@ -1,9 +1,11 @@
 //! Greedy_Max: impacts computed once, top-k.
 
-use crate::{top_k_by_count, RankedSession, Solver, SolverSession};
+use crate::session::{unfiltered_forward, Forward};
+use crate::{top_k_by_count, FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
+use fp_propagation::incremental::IncrementalPropagation;
+use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
 
 /// Greedy_Max (§4.2 "computational speedups"): compute the impact
 /// `I(v) = (Prefix(v) − 1) × Suffix(v)` of every node *once* (no
@@ -14,7 +16,8 @@ use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
 /// correlation between filters placed on the same path" — the paper's
 /// Figure 10 pathology, reproduced in the citation-like dataset tests.
 ///
-/// Scores come off a freshly initialized [`ImpactEngine`].
+/// Scores come off a freshly initialized [`ImpactEngine`], in `u64`
+/// when a [`fp_num::Wide128`] solver's `Φ(∅,V)` fits.
 pub struct GreedyMax<C> {
     _count: core::marker::PhantomData<C>,
 }
@@ -46,19 +49,30 @@ impl<C: Count> Default for GreedyMax<C> {
 
 impl<C: Count> Solver for GreedyMax<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        // Scores never change (Greedy_Max ignores already-placed
-        // filters), so the whole ladder is the descending-score order:
-        // ranking every positive candidate once makes each prefix the
-        // solver's top-k placement.
-        let engine = ImpactEngine::<C>::new(cg, FilterSet::empty(cg.node_count()));
-        let mut scores = Vec::new();
-        engine.impacts_into(&mut scores);
-        let ranked = top_k_by_count(&scores, cg.node_count())
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        Box::new(RankedSession::<C>::new(cg, ranked))
+        match unfiltered_forward::<C>(cg) {
+            Forward::U64(fwd) => ranked_session(cg, fwd),
+            Forward::Declared(fwd) => ranked_session(cg, fwd),
+        }
     }
+}
+
+/// Scores never change (Greedy_Max ignores already-placed filters), so
+/// the whole ladder is the descending-score order: ranking every
+/// positive candidate once makes each prefix the solver's top-k
+/// placement. The FR denominators come from the same engine init.
+fn ranked_session<'a, C: Count>(
+    cg: &'a CGraph,
+    fwd: IncrementalPropagation<C>,
+) -> Box<dyn SolverSession + 'a> {
+    let fr = FrCache::seeded(ObjectiveCache::from_forward(cg, &fwd));
+    let engine = ImpactEngine::from_forward(cg, fwd);
+    let mut scores = Vec::new();
+    engine.impacts_into(&mut scores);
+    let ranked = top_k_by_count(&scores, cg.node_count())
+        .into_iter()
+        .map(NodeId::new)
+        .collect();
+    Box::new(RankedSession::with_fr(cg, ranked, fr))
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! CELF-style lazy Greedy_All.
 
+use crate::session::{unfiltered_forward, Forward};
 use crate::{FrCache, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::{impacts, phi_total, CGraph, FilterSet, ImpactEngine};
+use fp_propagation::incremental::IncrementalPropagation;
+use fp_propagation::{impacts, phi_total, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,9 +140,10 @@ pub struct LazyGreedySession<'a, C: Count> {
 }
 
 impl<'a, C: Count> LazyGreedySession<'a, C> {
-    fn new(cg: &'a CGraph, evaluations: &'a AtomicU64) -> Self {
+    fn new(cg: &'a CGraph, fwd: IncrementalPropagation<C>, evaluations: &'a AtomicU64) -> Self {
         let n = cg.node_count();
-        let engine = ImpactEngine::<C>::new(cg, FilterSet::empty(n));
+        let fr = FrCache::seeded(ObjectiveCache::from_forward(cg, &fwd));
+        let engine = ImpactEngine::from_forward(cg, fwd);
         // Seed the heap with the exact round-0 impacts, straight off
         // the freshly initialized engine (one batch — counted as 1).
         // Heap orders by (gain, Reverse(node)) so ties break toward the
@@ -160,7 +163,7 @@ impl<'a, C: Count> LazyGreedySession<'a, C> {
             round: 1,
             evals: 1,
             evaluations,
-            fr: FrCache::new(),
+            fr,
         }
     }
 }
@@ -217,19 +220,23 @@ impl<C: Count> SolverSession for LazyGreedySession<'_, C> {
 
 impl<C: Count> Solver for LazyGreedyAll<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        Box::new(LazyGreedySession::<C>::new(cg, &self.evaluations))
+        let evaluations = &self.evaluations;
+        match unfiltered_forward::<C>(cg) {
+            Forward::U64(fwd) => Box::new(LazyGreedySession::new(cg, fwd, evaluations)),
+            Forward::Declared(fwd) => Box::new(LazyGreedySession::new(cg, fwd, evaluations)),
+        }
     }
 
-    fn place(&self, cg: &CGraph, k: usize, _seed: u64) -> FilterSet {
+    fn place(&self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
         if k == 0 {
             // No rounds means no evaluations — skip the session's
             // engine initialization and heap seeding entirely.
             self.evaluations.store(0, Ordering::Relaxed);
             return FilterSet::empty(cg.node_count());
         }
-        let mut session = LazyGreedySession::<C>::new(cg, &self.evaluations);
+        let mut session = self.session(cg, seed);
         session.advance_to(k);
-        Box::new(session).into_placement()
+        session.into_placement()
     }
 }
 

@@ -11,22 +11,29 @@
 //!   `advance_to(k)` redraws the placement at budget `k` from the trial
 //!   seed and `next_filter` reports `None`.
 //!
-//! All of them share [`FrCache`], the lazy FR denominator pair: a
-//! session computes `Φ(∅,V)` and `F(V)` at most once, on the first
-//! [`SolverSession::fr`] call, and every later evaluation reuses them —
+//! All of them share [`FrCache`], the FR denominator pair: a session
+//! holds `Φ(∅,V)` and `F(V)` once and every evaluation reuses them —
 //! this is what retired the full `ObjectiveCache::f_of` pass per curve
-//! point that the pre-session sweep paid.
+//! point that the pre-session sweep paid. Engine-backed sessions take
+//! the pair from their own engine init; the others compute it on the
+//! first [`SolverSession::fr`] call.
+//!
+//! Engine-backed sessions also pick their counter here
+//! ([`unfiltered_forward`]): a solver declared at
+//! [`fp_num::Wide128`] counts in `u64` whenever `Φ(∅,V)` fits.
 
 use crate::{Solver, SolverSession};
 use fp_graph::NodeId;
-use fp_num::Count;
+use fp_num::{Count, Sat64};
+use fp_propagation::incremental::IncrementalPropagation;
 use fp_propagation::{phi_total, CGraph, FilterSet, ObjectiveCache};
 
-/// A lazily built [`ObjectiveCache`]: the FR denominators (`Φ(∅,V)`,
-/// `F(V)`) are computed at most once, on the session's first
-/// [`SolverSession::fr`] call, and every later evaluation reuses them.
-/// All arithmetic lives in [`ObjectiveCache`] itself, so session FRs
-/// are bit-identical to the pass-based path by construction.
+/// A session's FR denominators (`Φ(∅,V)`, `F(V)`), held once for the
+/// session's lifetime: either seeded from the session's own engine init
+/// ([`FrCache::seeded`]) or computed on the first
+/// [`SolverSession::fr`] call. All arithmetic lives in
+/// [`ObjectiveCache`] itself, so session FRs are bit-identical to the
+/// pass-based path by construction.
 #[derive(Clone, Debug, Default)]
 pub struct FrCache<C> {
     cache: Option<ObjectiveCache<C>>,
@@ -38,9 +45,17 @@ impl<C: Count> FrCache<C> {
         Self { cache: None }
     }
 
+    /// A cache holding denominators already computed — what an
+    /// engine-backed session takes from its forward kernel
+    /// ([`ObjectiveCache::from_forward`]), so its first `fr()` runs no
+    /// pass.
+    pub fn seeded(cache: ObjectiveCache<C>) -> Self {
+        Self { cache: Some(cache) }
+    }
+
     /// `FR(A)` given the live `Φ(A, V)` (what engine-backed sessions
-    /// hold); two one-time forward passes for the denominators, O(1)
-    /// after that.
+    /// hold); one forward pass for the denominators unless seeded,
+    /// O(1) after that.
     pub fn fr(&mut self, cg: &CGraph, phi_current: &C) -> f64 {
         self.cache
             .get_or_insert_with(|| ObjectiveCache::new(cg))
@@ -72,14 +87,51 @@ pub struct RankedSession<'a, C> {
 impl<'a, C: Count> RankedSession<'a, C> {
     /// Wrap a ranked candidate list (best first, already deduplicated).
     pub fn new(cg: &'a CGraph, ranked: Vec<NodeId>) -> Self {
+        Self::with_fr(cg, ranked, FrCache::new())
+    }
+
+    /// [`RankedSession::new`] with denominators the ranking already
+    /// produced (Greedy_Max ranks off an engine init).
+    pub fn with_fr(cg: &'a CGraph, ranked: Vec<NodeId>, fr: FrCache<C>) -> Self {
         Self {
             cg,
             ranked,
             cursor: 0,
             placement: FilterSet::empty(cg.node_count()),
-            fr: FrCache::new(),
+            fr,
         }
     }
+}
+
+/// The unfiltered forward kernel an engine-backed solve starts from, at
+/// the counter it will run at.
+pub(crate) enum Forward<C> {
+    /// `Φ(∅,V)` fits `u64`, so every count of the solve does (see
+    /// [`Count::NARROWS_TO_U64`]).
+    U64(IncrementalPropagation<Sat64>),
+    /// The declared counter `C`.
+    Declared(IncrementalPropagation<C>),
+}
+
+/// Build the forward kernel of an engine-backed solve declared at `C`.
+///
+/// A counter that narrows ([`Count::NARROWS_TO_U64`]) first runs the
+/// pass in `u64`: unsaturated, that kernel is the solve's; saturated,
+/// the pass is redone at `C` and `fp_engine_u64_fallbacks_total`
+/// counts the solve. Other counters run at `C` directly.
+pub(crate) fn unfiltered_forward<C: Count>(cg: &CGraph) -> Forward<C> {
+    let empty = || FilterSet::empty(cg.node_count());
+    if C::NARROWS_TO_U64 {
+        // Looked up before the pass so `/metrics` lists it from the
+        // first narrowable solve on, at zero until a fallback.
+        let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
+        let fwd = IncrementalPropagation::<Sat64>::new(cg, empty());
+        if !fwd.phi().is_saturated() {
+            return Forward::U64(fwd);
+        }
+        fallbacks.inc();
+    }
+    Forward::Declared(IncrementalPropagation::new(cg, empty()))
 }
 
 impl<C: Count> SolverSession for RankedSession<'_, C> {
@@ -141,7 +193,7 @@ pub fn solve_ladder_with(
 mod tests {
     use super::*;
     use fp_graph::DiGraph;
-    use fp_num::Sat64;
+    use fp_num::{Sat64, Wide128};
     use fp_propagation::filter_ratio;
 
     fn figure1() -> CGraph {
@@ -178,6 +230,26 @@ mod tests {
         assert_eq!(s.next_filter(), Some(NodeId::new(6)));
         assert_eq!(s.next_filter(), None, "ladder exhausted");
         assert_eq!(Box::new(s).into_placement().len(), 2);
+    }
+
+    #[test]
+    fn a_solve_too_deep_for_u64_counts_a_fallback() {
+        // 70 diamonds in a row: the last join receives 2^70 copies.
+        let mut g = DiGraph::with_nodes(1);
+        let mut tail = NodeId::new(0);
+        for _ in 0..70 {
+            let (a, b, join) = (g.add_node(), g.add_node(), g.add_node());
+            for (u, v) in [(tail, a), (tail, b), (a, join), (b, join)] {
+                g.add_edge(u, v);
+            }
+            tail = join;
+        }
+        let cg = CGraph::new(&g, NodeId::new(0)).unwrap();
+        // Other tests share the registry, so compare deltas.
+        let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
+        let before = fallbacks.get();
+        crate::GreedyAll::<Wide128>::new().place(&cg, 2, 0);
+        assert!(fallbacks.get() > before, "the u64 init saturated");
     }
 
     #[test]

@@ -71,10 +71,11 @@ pub trait SolverSession {
     /// placement, read from the session's live state.
     ///
     /// Engine-backed sessions answer in O(1) from the incrementally
-    /// maintained `Φ(A, V)`; sessions without live propagation state
-    /// pay one forward pass. Denominators (`Φ(∅,V)`, `F(V)`) are
-    /// computed lazily on first use and cached for the session's
-    /// lifetime, so a whole FR curve costs the two passes once.
+    /// maintained `Φ(A, V)`, against denominators (`Φ(∅,V)`, `F(V)`)
+    /// taken from their engine init; sessions without live propagation
+    /// state pay one forward pass per call, plus one on first use for
+    /// the denominators, which are then cached for the session's
+    /// lifetime.
     fn fr(&mut self) -> f64;
 
     /// Bring the placement to budget `k`.

@@ -34,11 +34,27 @@
 //! ```
 
 use fp_core::cli::{parse_count, MAX_PARALLEL};
+use std::io::{ErrorKind, Write};
 use std::time::Duration;
 
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(1);
+}
+
+/// Write `text` to stdout. A reader that closed the pipe early
+/// (`repro fig04 | head`) wants no more output: exit quietly, with
+/// success.
+fn print_stdout(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail(&format!("cannot write to stdout: {e}")),
+    }
 }
 
 /// Everything `parse` extracts from argv.
@@ -168,7 +184,7 @@ fn main() {
             Err(e) => fail(&e),
         };
         match out_file {
-            None => print!("{doc}"),
+            None => print_stdout(&doc),
             Some(path) => {
                 if let Err(e) = std::fs::write(&path, &doc) {
                     fail(&format!("cannot write {path}: {e}"));
@@ -204,7 +220,7 @@ fn main() {
             continue;
         }
         match session.run_figure(name) {
-            Ok(tables) => fp_bench::print_figure(&tables),
+            Ok(tables) => print_stdout(&fp_bench::figure_text(&tables)),
             Err(e) => fail(&e),
         }
     }

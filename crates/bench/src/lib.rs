@@ -400,12 +400,17 @@ pub fn fig11(scale: f64) -> Vec<(String, Table)> {
     fig11_with(&ReproSession::ephemeral(scale)).expect("print-only session cannot fail")
 }
 
+/// A figure's tables as text, each under an `== title ==` line.
+pub fn figure_text(tables: &[(String, Table)]) -> String {
+    tables
+        .iter()
+        .map(|(title, table)| format!("== {title} ==\n{table}\n"))
+        .collect()
+}
+
 /// Print a figure's tables to stdout.
 pub fn print_figure(tables: &[(String, Table)]) {
-    for (title, table) in tables {
-        println!("== {title} ==");
-        println!("{table}");
-    }
+    print!("{}", figure_text(tables));
 }
 
 /// The layered-graph ladder `benches/scaling.rs` climbs (nodes per

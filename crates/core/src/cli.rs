@@ -2900,56 +2900,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_sweep_dumps_spans_and_trace_summary_aggregates_them() {
-        let dir = temp_dir("trace");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("sweep.trace.json");
-        let trace_str = trace_path.to_str().unwrap();
-
-        let out = run_with_input(
-            &args(&[
-                "sweep", "--source", "s", "--kmax", "2", "--trials", "2", "--trace", trace_str,
-            ]),
-            FIG1,
-        )
-        .unwrap();
-        assert!(out.contains("span(s) written to"), "{out}");
-
-        // The dump is valid JSON in the Chrome trace-event envelope and
-        // holds engine spans from the sweep.
-        let text = std::fs::read_to_string(&trace_path).unwrap();
-        let doc = fp_results::Json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        assert!(!events.is_empty(), "a sweep records spans");
-
-        // `fp trace --summary` renders the per-name aggregate table.
-        let summary = run_with_input(&args(&["trace", "--summary", trace_str]), "").unwrap();
-        assert!(summary.contains("span(s) across"), "{summary}");
-        assert!(summary.contains("sweep.cell.curve"), "{summary}");
-        assert!(summary.contains("count"), "{summary}");
-        // Figure 1's labels ascend along every edge, so its one freeze
-        // kept the label order, and the summary says so.
-        let freeze = summary
-            .lines()
-            .find(|l| l.contains("cgraph.freeze"))
-            .unwrap_or_else(|| panic!("no freeze row: {summary}"));
-        assert!(freeze.contains("identity=1 nodes=7"), "{freeze}");
-
-        // Tracing is a side channel: the traced table equals untraced.
-        fp_obs::tracer().disable();
-        let untraced = run_with_input(
-            &args(&["sweep", "--source", "s", "--kmax", "2", "--trials", "2"]),
-            FIG1,
-        )
-        .unwrap();
-        let traced_table = out.split_once("written to").unwrap().1;
-        let traced_table = traced_table.split_once('\n').unwrap().1;
-        assert_eq!(traced_table, untraced);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn trace_summary_rejects_missing_and_malformed_dumps() {
         let e = run_with_input(&args(&["trace"]), "").unwrap_err();
         assert!(e.contains("--summary"), "{e}");

@@ -185,8 +185,9 @@ impl OnlinePlacement {
     }
 
     /// The placement's Filter Ratio on the *current* graph, from a
-    /// fresh objective cache (two O(|E|) passes — a checkpoint
-    /// measurement, not something to call per event).
+    /// fresh objective cache (two O(|E|) passes: the cache's one and
+    /// the placement's — a checkpoint measurement, not something to
+    /// call per event).
     pub fn quality(&self) -> f64 {
         let cg = self.engine.cgraph();
         let cache = ObjectiveCache::<Wide128>::new(cg);

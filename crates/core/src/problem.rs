@@ -12,9 +12,11 @@ use fp_propagation::{CGraph, FilterSet, ObjectiveCache};
 /// maximal connected acyclic subgraph rooted at the source is extracted
 /// first; [`Problem::was_cyclic`] reports whether that happened.
 ///
-/// All internal arithmetic uses [`Wide128`] (saturating `u128`) — the
-/// cross-validation test suite pins its agreement with exact
-/// [`fp_num::BigCount`] on every dataset in the evaluation.
+/// All internal arithmetic is declared at [`Wide128`] (saturating
+/// `u128`) — the cross-validation test suite pins its agreement with
+/// exact [`fp_num::BigCount`] on every dataset in the evaluation. The
+/// engine-backed solvers count in `u64` when `Φ(∅,V)` fits, which gives
+/// the same bits ([`fp_num::Count::NARROWS_TO_U64`]).
 pub struct Problem {
     cg: CGraph,
     cache: ObjectiveCache<Wide128>,

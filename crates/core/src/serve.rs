@@ -238,9 +238,10 @@ impl std::fmt::Debug for SessionHandle {
 }
 
 impl SessionHandle {
-    /// Lifecycle state: `"warming"` (building the FR denominators) or
-    /// `"ready"`. Expired sessions are removed from the table, so the
-    /// `"expired"` state is observable only as a later 404.
+    /// Lifecycle state: `"warming"` (building the solver session and its
+    /// FR denominators) or `"ready"`. Expired sessions are removed from
+    /// the table, so the `"expired"` state is observable only as a later
+    /// 404.
     pub fn state_name(&self) -> &'static str {
         match self.state.load(Ordering::Acquire) {
             STATE_WARMING => "warming",
@@ -484,8 +485,9 @@ fn run_session(
                 }
             },
         };
-        // Budget 0's FR read does the one-time denominator passes — the
-        // "warming" work a fresh session pays up front. After a
+        // The session's build and budget 0's FR read are the "warming"
+        // work a fresh session pays up front (the read runs the one
+        // denominator pass only for sessions without an engine). After a
         // mutation, the predicted surviving prefix is re-walked here too.
         epoch.fill(warm_to, None);
         state.store(STATE_READY, Ordering::Release);

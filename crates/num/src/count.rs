@@ -88,6 +88,19 @@ pub trait Count:
 
     /// Human-readable name of the counter implementation (for reports).
     fn type_name() -> &'static str;
+
+    /// Whether engine-backed solvers declared at this counter may count
+    /// in `u64` ([`crate::Sat64`]) instead, when a `u64` forward pass
+    /// finds `Φ(∅,V)` unsaturated.
+    ///
+    /// That is exact: every reception, suffix, impact and Greedy_L
+    /// score counts distinct source paths, so none exceeds `Φ(∅,V)`,
+    /// and below `2⁶⁴` a `u64` compares, subtracts and converts to
+    /// `f64` bit for bit like a `u128`. Only [`crate::Wide128`] sets
+    /// it: [`crate::BigCount`] stays the un-narrowed validation oracle,
+    /// [`crate::Approx64`] is inexact (its `f64` sums would become
+    /// integer sums), and [`crate::Sat64`] already is `u64`.
+    const NARROWS_TO_U64: bool = false;
 }
 
 #[cfg(test)]

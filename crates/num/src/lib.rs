@@ -7,7 +7,9 @@
 //! [`Count`] trait, with four interchangeable implementations:
 //!
 //! * [`Sat64`] — saturating `u64`; fastest, fine for sparse graphs.
-//! * [`Wide128`] — saturating `u128`; the default for all experiments.
+//! * [`Wide128`] — saturating `u128`; the default for all experiments
+//!   (engine-backed solvers count in `u64` when `Φ(∅,V)` fits —
+//!   [`Count::NARROWS_TO_U64`]).
 //! * [`Approx64`] — `f64` magnitudes; approximate but never saturates.
 //! * [`BigCount`] — arbitrary-precision unsigned integer; exact ground
 //!   truth used by the test suite to validate the saturating types.

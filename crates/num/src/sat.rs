@@ -7,7 +7,7 @@
 use crate::Count;
 
 macro_rules! saturating_count {
-    ($name:ident, $inner:ty, $doc:literal) => {
+    ($name:ident, $inner:ty, $narrows:literal, $doc:literal) => {
         #[doc = $doc]
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
         pub struct $name(pub $inner);
@@ -77,6 +77,8 @@ macro_rules! saturating_count {
             fn type_name() -> &'static str {
                 stringify!($name)
             }
+
+            const NARROWS_TO_U64: bool = $narrows;
         }
 
         impl core::fmt::Display for $name {
@@ -100,12 +102,16 @@ macro_rules! saturating_count {
 saturating_count!(
     Sat64,
     u64,
+    false,
     "Saturating `u64` counter — fastest, adequate for sparse graphs."
 );
 saturating_count!(
     Wide128,
     u128,
-    "Saturating `u128` counter — the default counter for all experiments."
+    true,
+    "Saturating `u128` counter — the declared counter of every experiment; \
+     engine-backed solvers count in `u64` when `Φ(∅,V)` fits \
+     ([`Count::NARROWS_TO_U64`])."
 );
 
 #[cfg(test)]

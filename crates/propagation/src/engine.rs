@@ -504,7 +504,15 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// Initialize from an existing filter set: one forward and one
     /// backward O(|E|) sweep.
     pub fn new(cg: &'a CGraph, filters: FilterSet) -> Self {
-        Self::init(EngineGraph::Shared(cg), filters)
+        Self::from_forward(cg, IncrementalPropagation::new(cg, filters))
+    }
+
+    /// Like [`ImpactEngine::new`], around a forward kernel already
+    /// built on `cg` (and holding its filter set): only the backward
+    /// sweep runs. This is how a solver that sized its counter from a
+    /// forward pass keeps that pass as the engine's forward half.
+    pub fn from_forward(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
+        Self::init(EngineGraph::Shared(cg), fwd)
     }
 
     /// Like [`ImpactEngine::new`], but taking ownership of the graph:
@@ -512,13 +520,14 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// borrow (what long-lived stream drivers need) and structural
     /// mutations never clone.
     pub fn from_owned(cg: CGraph, filters: FilterSet) -> ImpactEngine<'static, C> {
-        ImpactEngine::init(EngineGraph::Owned(cg), filters)
+        let fwd = IncrementalPropagation::new(&cg, filters);
+        ImpactEngine::init(EngineGraph::Owned(cg), fwd)
     }
 
-    /// The shared cold-start: both O(|E|) sweeps plus the Φ sum.
-    fn init(graph: EngineGraph<'a>, filters: FilterSet) -> Self {
+    /// The shared cold-start around a built forward kernel: the
+    /// backward O(|E|) sweep.
+    fn init(graph: EngineGraph<'a>, fwd: IncrementalPropagation<C>) -> Self {
         let cg = graph.get();
-        let fwd = IncrementalPropagation::new(cg, filters);
         let (suffix, gated) = init_suffix_gated(cg, fwd.filters());
         let mut backward = DirtyFrontier::default();
         backward.reset(cg.node_count());

@@ -1,5 +1,6 @@
 //! The objective `F(A) = Φ(∅,V) − Φ(A,V)` and the Filter Ratio.
 
+use crate::incremental::IncrementalPropagation;
 use crate::{propagate, CGraph, FilterSet};
 use fp_num::{ratio_or, Count};
 
@@ -26,7 +27,14 @@ pub fn f_value<C: Count>(cg: &CGraph, filters: &FilterSet) -> C {
 
 /// Precomputed `Φ(∅,V)` and `F(V)` for a c-graph, so that evaluating
 /// many filter sets (greedy iterations, FR curves) costs one forward
-/// pass each instead of three.
+/// pass each instead of two.
+///
+/// `F(V) = Φ(∅,V) − Φ(V,V)` needs no pass of its own: with every node
+/// filtered, each node that holds the item — the source, and every node
+/// receiving a copy — emits exactly one copy per out-edge, so `Φ(V,V)`
+/// is the number of edges leaving those nodes. Which nodes receive a
+/// copy does not depend on the filter set, so the unfiltered pass
+/// already tells.
 ///
 /// ```
 /// use fp_graph::{DiGraph, NodeId};
@@ -47,14 +55,34 @@ pub struct ObjectiveCache<C> {
 }
 
 impl<C: Count> ObjectiveCache<C> {
-    /// Build the cache (two forward passes).
+    /// Build the cache (one forward pass).
     pub fn new(cg: &CGraph) -> Self {
-        let n = cg.node_count();
-        let phi_empty = phi_total::<C>(cg, &FilterSet::empty(n));
-        let phi_all = phi_total::<C>(cg, &FilterSet::all(n));
+        let fwd = IncrementalPropagation::new(cg, FilterSet::empty(cg.node_count()));
+        Self::from_forward(cg, &fwd)
+    }
+
+    /// The cache of an unfiltered forward kernel's state — what an
+    /// engine-backed session holds right after its init — with no pass:
+    /// the kernel's `Φ` is `Φ(∅,V)`, and `Φ(V,V)` is the number of
+    /// out-edges of the source and of every node receiving a copy.
+    ///
+    /// # Panics
+    /// Panics if the kernel holds any filter.
+    pub fn from_forward(cg: &CGraph, fwd: &IncrementalPropagation<C>) -> Self {
+        assert!(
+            fwd.filters().is_empty(),
+            "FR denominators need the unfiltered state"
+        );
+        let csr = cg.csr();
+        let source = cg.source();
+        let phi_all: u64 = cg
+            .nodes()
+            .filter(|&v| v == source || !fwd.received(v).is_zero())
+            .map(|v| csr.out_degree(v) as u64)
+            .sum();
         Self {
-            f_all: phi_empty.saturating_sub(&phi_all),
-            phi_empty,
+            f_all: fwd.phi().saturating_sub(&C::from_u64(phi_all)),
+            phi_empty: fwd.phi().clone(),
         }
     }
 
