@@ -1,11 +1,10 @@
 //! Greedy_All (Algorithm 1): the `(1 − 1/e)`-approximation.
 
-use crate::session::{unfiltered_forward, Forward};
-use crate::{argmax_count, FrCache, Solver, SolverSession};
+use crate::lazy_greedy::celf_session;
+use crate::{argmax_count, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::IncrementalPropagation;
-use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
+use fp_propagation::{impacts, CGraph, FilterSet};
 
 /// Greedy_All: each round, take the argmax over every node's exact
 /// marginal impact `I(v|A)` under the filters already chosen.
@@ -14,14 +13,17 @@ use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
 /// the Nemhauser–Wolsey–Fisher `(1 − 1/e)` guarantee (Theorem 3), and
 /// is *optimal* for `k = 1`.
 ///
-/// Marginals come from the [`ImpactEngine`], which keeps prefix and
-/// suffix state up to date incrementally: after the initial O(|E|)
-/// sweeps a round costs an O(n) argmax scan plus an
-/// O(affected ∪ ancestors-of-pick) update, with zero per-round
-/// allocation — instead of the two fresh O(|E|) sweeps per round the
-/// naive path pays (kept as [`GreedyAll::place_full_recompute`], the
-/// equivalence oracle). Rounds stop early once no candidate has
-/// positive impact — extra filters would be dead weight.
+/// The argmax is found CELF-style, in the session
+/// [`crate::LazyGreedyAll`] runs too: submodularity makes a stale
+/// impact an upper bound, so each round re-scores only the candidates
+/// that can still win, each through a
+/// [`fp_propagation::DeferredEngine`] that settles the forward pass
+/// only through the candidate it scores. Ties break toward the smaller
+/// node id, so the picks are the eager argmax's — the paper's
+/// two fresh O(|E|) sweeps per round live on as
+/// [`GreedyAll::place_full_recompute`], the equivalence oracle. Rounds
+/// stop early once no candidate has positive impact — extra filters
+/// would be dead weight.
 ///
 /// ```
 /// use fp_algorithms::{GreedyAll, Solver};
@@ -75,80 +77,10 @@ impl<C: Count> Default for GreedyAll<C> {
     }
 }
 
-/// The anytime session behind [`GreedyAll`]: one persistent
-/// [`ImpactEngine`] whose state survives across budget rungs, so a
-/// whole k-ladder costs one engine initialization plus one
-/// O(n + affected) round per rung — and `fr()` is an O(1) read of the
-/// engine's live `Φ` against denominators taken from that init. `C` is
-/// the counter the session runs at: `u64` when a [`fp_num::Wide128`]
-/// solver's `Φ(∅,V)` fits ([`fp_num::Count::NARROWS_TO_U64`]).
-pub struct GreedyAllSession<'a, C: Count> {
-    engine: ImpactEngine<'a, C>,
-    fr: FrCache<C>,
-}
-
-impl<'a, C: Count> GreedyAllSession<'a, C> {
-    fn new(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
-        Self {
-            fr: FrCache::seeded(ObjectiveCache::from_forward(cg, &fwd)),
-            engine: ImpactEngine::from_forward(cg, fwd),
-        }
-    }
-}
-
-impl<C: Count> SolverSession for GreedyAllSession<'_, C> {
-    fn next_filter(&mut self) -> Option<NodeId> {
-        let best = self.engine.best_candidate()?;
-        self.engine.insert_filter(best);
-        Some(best)
-    }
-
-    fn placement(&self) -> &FilterSet {
-        self.engine.filters()
-    }
-
-    fn fr(&mut self) -> f64 {
-        let phi = self.engine.phi().clone();
-        self.fr.fr(self.engine.cgraph(), &phi)
-    }
-
-    fn into_placement(self: Box<Self>) -> FilterSet {
-        self.engine.into_filters()
-    }
-}
-
 impl<C: Count> Solver for GreedyAll<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        match unfiltered_forward::<C>(cg) {
-            Forward::U64(fwd) => Box::new(GreedyAllSession::new(cg, fwd)),
-            Forward::Declared(fwd) => Box::new(GreedyAllSession::new(cg, fwd)),
-        }
+        celf_session::<C>(cg, None)
     }
-
-    fn place(&self, cg: &CGraph, k: usize, _seed: u64) -> FilterSet {
-        match unfiltered_forward::<C>(cg) {
-            Forward::U64(fwd) => place_from(ImpactEngine::from_forward(cg, fwd), k),
-            Forward::Declared(fwd) => place_from(ImpactEngine::from_forward(cg, fwd), k),
-        }
-    }
-}
-
-/// Same picks as a session walked `k` rungs, but the final pick skips
-/// the engine's two update passes — nobody reads the engine again on
-/// the one-shot path.
-fn place_from<C: Count>(mut engine: ImpactEngine<'_, C>, k: usize) -> FilterSet {
-    for round in 0..k {
-        let Some(best) = engine.best_candidate() else {
-            break;
-        };
-        if round + 1 == k {
-            let mut filters = engine.into_filters();
-            filters.insert(best);
-            return filters;
-        }
-        engine.insert_filter(best);
-    }
-    engine.into_filters()
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! Greedy_L (Algorithm 2): prefix × out-degree, recomputed per round.
 
-use crate::session::{unfiltered_forward, Forward};
 use crate::{argmax_count, FrCache, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::IncrementalPropagation;
+use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
 use fp_propagation::{propagate, CGraph, FilterSet, ObjectiveCache, Propagation};
 
 /// Greedy_L (§4.2): score candidates by the *local* impact

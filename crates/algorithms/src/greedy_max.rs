@@ -1,10 +1,9 @@
 //! Greedy_Max: impacts computed once, top-k.
 
-use crate::session::{unfiltered_forward, Forward};
 use crate::{top_k_by_count, FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::IncrementalPropagation;
+use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
 use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
 
 /// Greedy_Max (§4.2 "computational speedups"): compute the impact

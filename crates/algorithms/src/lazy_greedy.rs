@@ -1,17 +1,20 @@
-//! CELF-style lazy Greedy_All.
+//! CELF-style lazy Greedy_All, and the CELF session both Greedy_All
+//! solvers run.
 
-use crate::session::{unfiltered_forward, Forward};
-use crate::{FrCache, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::IncrementalPropagation;
-use fp_propagation::{impacts, phi_total, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
+use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
+use fp_propagation::{
+    impacts, phi_total, CGraph, DeferredEngine, FilterSet, ImpactEngine, ObjectiveCache,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::{Solver, SolverSession};
+
 /// Lazy (CELF) Greedy_All: identical selections to [`crate::GreedyAll`],
-/// usually far fewer marginal-gain evaluations.
+/// with an evaluation count.
 ///
 /// Submodularity of `F` means a node's marginal gain can only shrink as
 /// filters are added, so a stale gain is a valid upper bound. The solver
@@ -21,15 +24,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [Leskovec et al., KDD'07] — one of the "computational speedups" the
 /// paper calls for.
 ///
-/// Re-scoring goes through the [`ImpactEngine`], which keeps exact
-/// prefix/suffix state under the filters chosen so far: one stale entry
-/// costs O(1) (a subtraction and a multiplication on current state)
-/// instead of the full O(|E|) forward pass the pre-engine implementation
-/// paid (kept as [`LazyGreedyAll::place_full_recompute`], the
-/// equivalence oracle). Engine impacts only shrink as filters are
-/// inserted — received counts and suffixes are both non-increasing and
-/// the product is monotone even for saturating counters — so the CELF
-/// upper-bound invariant holds on this path too.
+/// Both Greedy_All solvers run this one session; this one also reports
+/// how many exact evaluations its last solve made
+/// ([`LazyGreedyAll::evaluations`]). Re-scoring goes through a
+/// [`DeferredEngine`], which keeps exact prefix/suffix state under the
+/// filters chosen so far and settles the forward pass only through the
+/// node it scores, instead of the full O(|E|) forward pass the
+/// pre-engine implementation paid (kept as
+/// [`LazyGreedyAll::place_full_recompute`], the equivalence oracle).
+/// Engine impacts only shrink as filters are inserted — received counts
+/// and suffixes are both non-increasing and the product is monotone
+/// even for saturating counters — so the CELF upper-bound invariant
+/// holds on this path too.
 pub struct LazyGreedyAll<C> {
     evaluations: AtomicU64,
     _count: core::marker::PhantomData<C>,
@@ -122,85 +128,124 @@ impl<C: Count> Default for LazyGreedyAll<C> {
     }
 }
 
-/// The anytime session behind [`LazyGreedyAll`]: the CELF max-heap and
-/// the incremental [`ImpactEngine`] both persist across budget rungs,
-/// so a k-ladder pays the heap seeding once and each rung costs only
-/// the pops-and-rescores that rung genuinely needs.
-pub struct LazyGreedySession<'a, C: Count> {
-    engine: ImpactEngine<'a, C>,
-    heap: BinaryHeap<(C, Reverse<usize>)>,
-    /// Round in which each node's gain was last computed.
-    fresh_round: Vec<u32>,
-    round: u32,
+/// A CELF heap entry: `(gain bound, node, picks made when it was
+/// scored)`. Entries order by bound, then toward the smaller node id —
+/// exactly the eager argmax's tie-break; the third field never decides,
+/// since a node appears at most once. It marks an entry re-scored since
+/// the last pick, which is therefore exact.
+type Entry<C> = (C, Reverse<u32>, u32);
+
+/// The anytime session behind [`crate::GreedyAll`] and
+/// [`LazyGreedyAll`]: CELF over a [`DeferredEngine`], both persisting
+/// across budget rungs.
+///
+/// * The bound heap is seeded at the first pick, from the engine's
+///   unfiltered impacts, so budget 0 costs the engine init alone.
+/// * A pick re-scores stale candidates until one beats the next bound
+///   (ties toward the smaller node id, as the eager argmax breaks
+///   them). Each re-score settles the forward pass only through that
+///   candidate.
+/// * `fr()` needs `Φ(A,V)`, which the session keeps as
+///   `Φ(∅,V) − Σ I(pick | picks before it)` — the marginal-gain
+///   identity `Φ(A ∪ v) = Φ(A) − I(v|A)` — so no read settles the
+///   frontier. While `Φ(∅,V)` is unsaturated every count of an exact
+///   counter is exact, and this is the engine's `Φ` bit for bit; where
+///   `Φ(∅,V)` saturates, `fr()` settles fully and reads the engine's
+///   `Φ` instead.
+pub(crate) struct CelfSession<'a, C: Count> {
+    engine: DeferredEngine<'a, C>,
+    heap: Option<BinaryHeap<Entry<C>>>,
+    picks: u32,
+    denominators: ObjectiveCache<C>,
+    /// `Φ(A,V)` from the picks' gains; `None` where `Φ(∅,V)` saturates.
+    phi: Option<C>,
+    /// Exact evaluations so far (the heap seed counts as one), mirrored
+    /// into the owning solver's counter when it keeps one.
     evals: u64,
-    /// The owning solver's evaluation counter, kept current so
-    /// [`LazyGreedyAll::evaluations`] reports mid-ladder numbers too.
-    evaluations: &'a AtomicU64,
-    fr: FrCache<C>,
+    evaluations: Option<&'a AtomicU64>,
 }
 
-impl<'a, C: Count> LazyGreedySession<'a, C> {
-    fn new(cg: &'a CGraph, fwd: IncrementalPropagation<C>, evaluations: &'a AtomicU64) -> Self {
-        let n = cg.node_count();
-        let fr = FrCache::seeded(ObjectiveCache::from_forward(cg, &fwd));
-        let engine = ImpactEngine::from_forward(cg, fwd);
-        // Seed the heap with the exact round-0 impacts, straight off
-        // the freshly initialized engine (one batch — counted as 1).
-        // Heap orders by (gain, Reverse(node)) so ties break toward the
-        // smaller node id, matching the eager implementation.
-        let heap: BinaryHeap<(C, Reverse<usize>)> = cg
-            .nodes()
-            .filter_map(|v| {
-                let g = engine.impact(v);
-                (!g.is_zero()).then_some((g, Reverse(v.index())))
-            })
-            .collect();
-        evaluations.store(1, Ordering::Relaxed);
-        Self {
-            engine,
-            heap,
-            fresh_round: vec![0; n],
-            round: 1,
-            evals: 1,
-            evaluations,
-            fr,
-        }
+/// Count one exact evaluation into `evals` and the solver's counter.
+fn count_eval(evals: &mut u64, evaluations: Option<&AtomicU64>) {
+    *evals += 1;
+    if let Some(counter) = evaluations {
+        counter.store(*evals, Ordering::Relaxed);
     }
 }
 
-impl<C: Count> SolverSession for LazyGreedySession<'_, C> {
+impl<'a, C: Count> CelfSession<'a, C> {
+    fn new(
+        cg: &'a CGraph,
+        fwd: IncrementalPropagation<C>,
+        evaluations: Option<&'a AtomicU64>,
+    ) -> Self {
+        let denominators = ObjectiveCache::from_forward(cg, &fwd);
+        let phi_empty = denominators.phi_empty();
+        let phi = (!phi_empty.is_saturated()).then(|| phi_empty.clone());
+        if let Some(counter) = evaluations {
+            counter.store(0, Ordering::Relaxed);
+        }
+        Self {
+            engine: DeferredEngine::new(ImpactEngine::from_forward(cg, fwd)),
+            heap: None,
+            picks: 0,
+            denominators,
+            phi,
+            evals: 0,
+            evaluations,
+        }
+    }
+
+    /// The heap of every positive unfiltered impact (one batch of
+    /// evaluations), sized exactly: it is the session's largest buffer
+    /// after the engine.
+    fn seed(&mut self) -> BinaryHeap<Entry<C>> {
+        let engine = self.engine.settle();
+        let positive = engine.positive_impacts().count();
+        let mut entries = Vec::with_capacity(positive);
+        entries.extend(
+            engine
+                .positive_impacts()
+                .map(|(v, gain)| (gain, Reverse(v.index() as u32), 0)),
+        );
+        count_eval(&mut self.evals, self.evaluations);
+        BinaryHeap::from(entries)
+    }
+}
+
+impl<C: Count> SolverSession for CelfSession<'_, C> {
     fn next_filter(&mut self) -> Option<NodeId> {
+        if self.heap.is_none() {
+            self.heap = Some(self.seed());
+        }
+        let heap = self.heap.as_mut().expect("seeded");
         loop {
-            let (gain, Reverse(v)) = self.heap.pop()?;
-            if gain.is_zero() {
-                return None;
+            let (mut gain, Reverse(id), scored) = heap.pop()?;
+            let v = NodeId::new(id as usize);
+            if scored != self.picks {
+                // Stale: re-score exactly, settling only through `v`.
+                gain = self.engine.impact(v);
+                count_eval(&mut self.evals, self.evaluations);
+                if gain.is_zero() {
+                    continue;
+                }
+                // Take it now if it still beats the next-best bound.
+                let beaten = heap.peek().is_some_and(|(next, Reverse(u), _)| {
+                    gain < *next || (gain == *next && *u < id)
+                });
+                if beaten {
+                    heap.push((gain, Reverse(id), self.picks));
+                    continue;
+                }
             }
-            if self.fresh_round[v] == self.round {
-                // Fresh for this round — by the upper-bound invariant it
-                // dominates everything below it.
-                self.engine.insert_filter(NodeId::new(v));
-                self.round += 1;
-                return Some(NodeId::new(v));
+            // Fresh for this pick: by the upper-bound invariant it
+            // dominates everything below it.
+            self.engine.insert_filter(v);
+            self.picks += 1;
+            if let Some(phi) = &mut self.phi {
+                *phi = phi.saturating_sub(&gain);
             }
-            // Stale: re-score exactly from engine state, O(1).
-            let exact = self.engine.impact(NodeId::new(v));
-            self.evals += 1;
-            self.evaluations.store(self.evals, Ordering::Relaxed);
-            self.fresh_round[v] = self.round;
-            if exact.is_zero() {
-                continue;
-            }
-            // If it still beats the next-best stale bound, take it now.
-            let take = match self.heap.peek() {
-                None => true,
-                Some((next, Reverse(u))) => exact > *next || (exact == *next && v < *u),
-            };
-            if take {
-                self.engine.insert_filter(NodeId::new(v));
-                self.round += 1;
-                return Some(NodeId::new(v));
-            }
-            self.heap.push((exact, Reverse(v)));
+            return Some(v);
         }
     }
 
@@ -209,8 +254,12 @@ impl<C: Count> SolverSession for LazyGreedySession<'_, C> {
     }
 
     fn fr(&mut self) -> f64 {
-        let phi = self.engine.phi().clone();
-        self.fr.fr(self.engine.cgraph(), &phi)
+        match &self.phi {
+            Some(phi) => self.denominators.filter_ratio_from_phi(phi),
+            None => self
+                .denominators
+                .filter_ratio_from_phi(self.engine.settle().phi()),
+        }
     }
 
     fn into_placement(self: Box<Self>) -> FilterSet {
@@ -218,25 +267,21 @@ impl<C: Count> SolverSession for LazyGreedySession<'_, C> {
     }
 }
 
+/// A CELF session on `cg` for a solver declared at `C`, counting its
+/// evaluations into `evaluations` when given.
+pub(crate) fn celf_session<'a, C: Count>(
+    cg: &'a CGraph,
+    evaluations: Option<&'a AtomicU64>,
+) -> Box<dyn SolverSession + 'a> {
+    match unfiltered_forward::<C>(cg) {
+        Forward::U64(fwd) => Box::new(CelfSession::new(cg, fwd, evaluations)),
+        Forward::Declared(fwd) => Box::new(CelfSession::new(cg, fwd, evaluations)),
+    }
+}
+
 impl<C: Count> Solver for LazyGreedyAll<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        let evaluations = &self.evaluations;
-        match unfiltered_forward::<C>(cg) {
-            Forward::U64(fwd) => Box::new(LazyGreedySession::new(cg, fwd, evaluations)),
-            Forward::Declared(fwd) => Box::new(LazyGreedySession::new(cg, fwd, evaluations)),
-        }
-    }
-
-    fn place(&self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
-        if k == 0 {
-            // No rounds means no evaluations — skip the session's
-            // engine initialization and heap seeding entirely.
-            self.evaluations.store(0, Ordering::Relaxed);
-            return FilterSet::empty(cg.node_count());
-        }
-        let mut session = self.session(cg, seed);
-        session.advance_to(k);
-        session.into_placement()
+        celf_session::<C>(cg, Some(&self.evaluations))
     }
 }
 

@@ -11,21 +11,21 @@
 //!   `advance_to(k)` redraws the placement at budget `k` from the trial
 //!   seed and `next_filter` reports `None`.
 //!
-//! All of them share [`FrCache`], the FR denominator pair: a session
-//! holds `Φ(∅,V)` and `F(V)` once and every evaluation reuses them —
-//! this is what retired the full `ObjectiveCache::f_of` pass per curve
-//! point that the pre-session sweep paid. Engine-backed sessions take
-//! the pair from their own engine init; the others compute it on the
-//! first [`SolverSession::fr`] call.
+//! All of them share the FR denominator pair (`Φ(∅,V)`, `F(V)`): a
+//! session holds it once and every evaluation reuses it — this is what
+//! retired the full `ObjectiveCache::f_of` pass per curve point that
+//! the pre-session sweep paid. Engine-backed sessions take the pair
+//! from their own engine init; the others compute it on the first
+//! [`SolverSession::fr`] call ([`FrCache`]).
 //!
-//! Engine-backed sessions also pick their counter here
-//! ([`unfiltered_forward`]): a solver declared at
-//! [`fp_num::Wide128`] counts in `u64` whenever `Φ(∅,V)` fits.
+//! Engine-backed sessions pick their counter with
+//! [`fp_propagation::incremental::unfiltered_forward`]: a solver
+//! declared at [`fp_num::Wide128`] counts in `u64` whenever `Φ(∅,V)`
+//! fits.
 
 use crate::{Solver, SolverSession};
 use fp_graph::NodeId;
-use fp_num::{Count, Sat64};
-use fp_propagation::incremental::IncrementalPropagation;
+use fp_num::Count;
 use fp_propagation::{phi_total, CGraph, FilterSet, ObjectiveCache};
 
 /// A session's FR denominators (`Φ(∅,V)`, `F(V)`), held once for the
@@ -101,37 +101,6 @@ impl<'a, C: Count> RankedSession<'a, C> {
             fr,
         }
     }
-}
-
-/// The unfiltered forward kernel an engine-backed solve starts from, at
-/// the counter it will run at.
-pub(crate) enum Forward<C> {
-    /// `Φ(∅,V)` fits `u64`, so every count of the solve does (see
-    /// [`Count::NARROWS_TO_U64`]).
-    U64(IncrementalPropagation<Sat64>),
-    /// The declared counter `C`.
-    Declared(IncrementalPropagation<C>),
-}
-
-/// Build the forward kernel of an engine-backed solve declared at `C`.
-///
-/// A counter that narrows ([`Count::NARROWS_TO_U64`]) first runs the
-/// pass in `u64`: unsaturated, that kernel is the solve's; saturated,
-/// the pass is redone at `C` and `fp_engine_u64_fallbacks_total`
-/// counts the solve. Other counters run at `C` directly.
-pub(crate) fn unfiltered_forward<C: Count>(cg: &CGraph) -> Forward<C> {
-    let empty = || FilterSet::empty(cg.node_count());
-    if C::NARROWS_TO_U64 {
-        // Looked up before the pass so `/metrics` lists it from the
-        // first narrowable solve on, at zero until a fallback.
-        let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
-        let fwd = IncrementalPropagation::<Sat64>::new(cg, empty());
-        if !fwd.phi().is_saturated() {
-            return Forward::U64(fwd);
-        }
-        fallbacks.inc();
-    }
-    Forward::Declared(IncrementalPropagation::new(cg, empty()))
 }
 
 impl<C: Count> SolverSession for RankedSession<'_, C> {

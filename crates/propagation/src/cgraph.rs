@@ -17,7 +17,8 @@ pub struct CGraph {
     csr: Csr,
     source: NodeId,
     topo: Vec<NodeId>,
-    /// `topo_pos[v.index()]` = position of `v` in `topo`.
+    /// `topo_pos[v.index()]` = position of `v` in `topo`; empty when
+    /// `topo` is the identity order, where the position is the id.
     topo_pos: Vec<u32>,
 }
 
@@ -51,11 +52,13 @@ impl CGraph {
         }
         let span = fp_obs::span("cgraph.freeze");
         let topo = topo_order(&csr)?;
-        let mut topo_pos = vec![0u32; n];
-        let mut identity = true;
-        for (i, &v) in topo.iter().enumerate() {
-            topo_pos[v.index()] = i as u32;
-            identity &= v.index() == i;
+        let identity = topo.iter().enumerate().all(|(i, &v)| v.index() == i);
+        let mut topo_pos = Vec::new();
+        if !identity {
+            topo_pos.resize(n, 0u32);
+            for (i, &v) in topo.iter().enumerate() {
+                topo_pos[v.index()] = i as u32;
+            }
         }
         let _span = span
             .arg("nodes", n as i64)
@@ -88,10 +91,15 @@ impl CGraph {
         &self.topo
     }
 
-    /// Position of `v` in the topological order.
+    /// Position of `v` in the topological order (its id when the
+    /// order is the identity).
     #[inline]
     pub fn topo_position(&self, v: NodeId) -> usize {
-        self.topo_pos[v.index()] as usize
+        if self.topo_pos.is_empty() {
+            v.index()
+        } else {
+            self.topo_pos[v.index()] as usize
+        }
     }
 
     /// Number of nodes.
@@ -131,7 +139,7 @@ impl CGraph {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if self.topo_pos[u.index()] < self.topo_pos[v.index()] {
+        if self.topo_position(u) < self.topo_position(v) {
             // The cached order already places u before v, which both
             // proves the insertion is acyclic and stays valid, so the
             // edge splices straight into the CSR — the hot path for

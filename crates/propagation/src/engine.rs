@@ -31,6 +31,10 @@
 //! (O(|E|)), cloning the graph on the first such mutation when the
 //! engine was built over a shared borrow.
 //!
+//! [`DeferredEngine`] wraps the engine for greedy solvers that read
+//! only a few nodes per round (CELF): its inserts leave the forward
+//! pass pending, and each read settles it only through the node read.
+//!
 //! The engine's values are bit-identical to the naive path — the
 //! equivalence proptests in `tests/engine_equivalence.rs` pin
 //! `received == propagate().received`, `suffix == suffix_sensitivity()`
@@ -93,7 +97,12 @@ fn init_suffix_gated<C: Count>(cg: &CGraph, filters: &FilterSet) -> (Vec<C>, Vec
 /// idempotent, so visiting an unchanged node is sound), marking becomes
 /// a no-op, and the per-edge bookkeeping vanishes. Walk cost is bounded
 /// by the affected span of the order either way.
-#[derive(Clone, Debug, Default)]
+///
+/// The forward walk is also *resumable*: [`DirtyFrontier::next_up`]
+/// stops at a given position and leaves the rest pending, and a pass
+/// can begin with work pending once the frontier is settled through
+/// its start. Dense mode then persists until a walk reaches the end.
+#[derive(Clone, Debug)]
 pub(crate) struct DirtyFrontier {
     dirty: Vec<bool>,
     cursor: usize,
@@ -106,23 +115,33 @@ impl DirtyFrontier {
     /// (numerator/denominator of the flip test `pending > remaining/8`).
     const DENSE_DENOMINATOR: usize = 8;
 
-    /// Size (or resize) the flag vector for an `n`-node graph and drop
-    /// any stale contents.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.dirty.clear();
-        self.dirty.resize(n, false);
-        self.cursor = 0;
-        self.pending = 0;
-        self.dense = false;
+    /// A frontier for an `n`-node graph, with nothing pending.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            dirty: vec![false; n],
+            cursor: 0,
+            pending: 0,
+            dense: false,
+        }
+    }
+
+    /// Whether no work is pending: nothing marked, no dense span left.
+    #[inline]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending == 0 && !self.dense
     }
 
     /// Start a pass at topological position `pos` (the mutated node's
     /// own slot; the walk skips it since it is never marked — the
     /// caller reprocesses the mutation site itself before the pass).
+    /// Work still pending must lie past `pos` (the caller settled
+    /// through it), so the walk from `pos` reaches all of it.
     pub(crate) fn begin(&mut self, pos: usize) {
-        debug_assert_eq!(self.pending, 0, "previous pass must be drained");
+        debug_assert!(
+            self.is_idle() || self.cursor >= pos,
+            "pending work before the new pass"
+        );
         self.cursor = pos;
-        self.dense = false;
     }
 
     /// Whether the current pass has gone dense (callers skip the
@@ -143,19 +162,36 @@ impl DirtyFrontier {
         }
     }
 
-    /// Next node to reprocess, walking `topo` forward from the cursor.
-    pub(crate) fn next_up(&mut self, topo: &[NodeId]) -> Option<NodeId> {
+    /// Clear `v`'s mark, if any, as the walk reaches it; returns
+    /// whether it was marked.
+    #[inline]
+    fn take(&mut self, v: NodeId) -> bool {
+        if !self.dirty[v.index()] {
+            return false;
+        }
+        self.dirty[v.index()] = false;
+        self.pending -= 1;
+        true
+    }
+
+    /// Next node to reprocess at topological position `through` or
+    /// before, walking `topo` forward from the cursor; `None` once
+    /// every position through `through` is clean (the rest stays
+    /// pending for a later call).
+    #[inline]
+    pub(crate) fn next_up(&mut self, topo: &[NodeId], through: usize) -> Option<NodeId> {
         if self.dense {
-            self.cursor += 1;
-            if self.cursor >= topo.len() {
+            if self.cursor + 1 >= topo.len() {
                 debug_assert_eq!(self.pending, 0, "marks must lie within the span");
+                self.dense = false;
                 return None;
             }
-            let v = topo[self.cursor];
-            if self.dirty[v.index()] {
-                self.dirty[v.index()] = false;
-                self.pending -= 1;
+            if self.cursor >= through {
+                return None;
             }
+            self.cursor += 1;
+            let v = topo[self.cursor];
+            self.take(v);
             return Some(v);
         }
         if self.pending == 0 {
@@ -163,32 +199,30 @@ impl DirtyFrontier {
         }
         if self.pending * Self::DENSE_DENOMINATOR > topo.len() - self.cursor {
             self.dense = true;
-            return self.next_up(topo);
+            return self.next_up(topo, through);
         }
-        loop {
+        while self.cursor < through {
             self.cursor += 1;
             let v = topo[self.cursor];
-            if self.dirty[v.index()] {
-                self.dirty[v.index()] = false;
-                self.pending -= 1;
+            if self.take(v) {
                 return Some(v);
             }
         }
+        None
     }
 
     /// Next node to reprocess, walking `topo` backward from the cursor.
+    #[inline]
     pub(crate) fn next_down(&mut self, topo: &[NodeId]) -> Option<NodeId> {
         if self.dense {
             if self.cursor == 0 {
                 debug_assert_eq!(self.pending, 0, "marks must lie within the span");
+                self.dense = false;
                 return None;
             }
             self.cursor -= 1;
             let v = topo[self.cursor];
-            if self.dirty[v.index()] {
-                self.dirty[v.index()] = false;
-                self.pending -= 1;
-            }
+            self.take(v);
             return Some(v);
         }
         if self.pending == 0 {
@@ -201,9 +235,7 @@ impl DirtyFrontier {
         loop {
             self.cursor -= 1;
             let v = topo[self.cursor];
-            if self.dirty[v.index()] {
-                self.dirty[v.index()] = false;
-                self.pending -= 1;
+            if self.take(v) {
                 return Some(v);
             }
         }
@@ -529,8 +561,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     fn init(graph: EngineGraph<'a>, fwd: IncrementalPropagation<C>) -> Self {
         let cg = graph.get();
         let (suffix, gated) = init_suffix_gated(cg, fwd.filters());
-        let mut backward = DirtyFrontier::default();
-        backward.reset(cg.node_count());
+        let backward = DirtyFrontier::new(cg.node_count());
         Self {
             graph,
             fwd,
@@ -607,14 +638,11 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         out.extend((0..n).map(|v| self.impact(NodeId::new(v))));
     }
 
-    /// The next greedy pick: the candidate with the largest positive
-    /// impact, ties toward the smaller node id — exactly
-    /// `argmax_count(&impacts(cg, filters))`. `None` when no candidate
-    /// has positive impact. One O(n) scan, no allocation.
-    pub fn best_candidate(&self) -> Option<NodeId> {
+    /// Every candidate with positive impact, with that impact, in node
+    /// order: one O(n) scan, no allocation.
+    pub fn positive_impacts(&self) -> impl Iterator<Item = (NodeId, C)> + '_ {
         let one = C::one();
-        let mut best: Option<(NodeId, C)> = None;
-        for v in self.graph.get().nodes() {
+        self.graph.get().nodes().filter_map(move |v| {
             // `(recv − 1)₊ × gated` equals `impact`: the gated entry is
             // already zero for the source and for members of `A`, and
             // multiplying by zero is zero for every counter type.
@@ -623,9 +651,17 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 .received(v)
                 .saturating_sub(&one)
                 .mul(&self.gated[v.index()]);
-            if imp.is_zero() {
-                continue;
-            }
+            (!imp.is_zero()).then_some((v, imp))
+        })
+    }
+
+    /// The next greedy pick: the candidate with the largest positive
+    /// impact, ties toward the smaller node id — exactly
+    /// `argmax_count(&impacts(cg, filters))`. `None` when no candidate
+    /// has positive impact. One O(n) scan, no allocation.
+    pub fn best_candidate(&self) -> Option<NodeId> {
+        let mut best: Option<(NodeId, C)> = None;
+        for (v, imp) in self.positive_impacts() {
             match &best {
                 Some((_, b)) if imp <= *b => {}
                 _ => best = Some((v, imp)),
@@ -700,6 +736,23 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 )
             }
         };
+        self.observe(span, (fwd, fwd_dense), (bwd, bwd_dense));
+        Ok(ApplyOutcome {
+            changed: true,
+            forward_affected: fwd,
+            backward_affected: bwd,
+            reordered,
+        })
+    }
+
+    /// Count one mutation and its two frontier walks (`(nodes, whether
+    /// the walk went dense)`), and close its span with the sizes.
+    fn observe(
+        &self,
+        span: fp_obs::Span<'static>,
+        (fwd, fwd_dense): (usize, bool),
+        (bwd, bwd_dense): (usize, bool),
+    ) {
         let metrics = &self.metrics;
         metrics.mutations.inc();
         metrics.forward_frontier.observe(fwd as u64);
@@ -708,12 +761,6 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
             .dense_flips
             .add(u64::from(fwd_dense) + u64::from(bwd_dense));
         let _span = span.arg("fwd", fwd as i64).arg("bwd", bwd as i64);
-        Ok(ApplyOutcome {
-            changed: true,
-            forward_affected: fwd,
-            backward_affected: bwd,
-            reordered,
-        })
     }
 
     /// Add `v` as a filter; returns `true` if `v` was newly inserted.
@@ -805,8 +852,10 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         let topo = cg.topo();
         let one = C::one();
         let mut processed = 0usize;
+        let mut dense = false;
         while let Some(u) = self.backward.next_down(topo) {
             processed += 1;
+            dense |= self.backward.is_dense();
             // Same op order as the oracle's gated loop (`s += 1` then a
             // possibly-zero suffix term per child), so even saturating
             // counters clamp identically.
@@ -839,7 +888,123 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 }
             }
         }
-        (processed, self.backward.is_dense())
+        (processed, dense)
+    }
+}
+
+/// An [`ImpactEngine`] whose filter inserts leave the forward pass
+/// pending, and whose reads settle it only as far as they need.
+///
+/// An insert at `v` flips `v`'s emission, marks its children and runs
+/// the backward (suffix) pass, which only reaches `v`'s ancestors. A
+/// read of `received(v)` or `impact(v)` then settles the forward
+/// frontier through `v`'s topological position — a reception depends
+/// only on nodes before it in the order — and no further. A CELF greedy
+/// that only re-scores a few candidates early in the order therefore
+/// pays for those, not for the dense pass every pick would trigger on
+/// the eager engine. Every value read is the eager engine's bit for bit
+/// (`tests/engine_equivalence.rs`).
+///
+/// The wrapped engine is reachable only through [`DeferredEngine::settle`],
+/// which drains the frontier first, so no read sees an unsettled value.
+///
+/// ```
+/// use fp_graph::{DiGraph, NodeId};
+/// use fp_num::Sat64;
+/// use fp_propagation::{CGraph, DeferredEngine, FilterSet, ImpactEngine};
+///
+/// // The paper's Figure 1: filtering z2 (node 4) leaves w one copy.
+/// let g = DiGraph::from_pairs(
+///     7,
+///     [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)],
+/// ).unwrap();
+/// let cg = CGraph::new(&g, NodeId::new(0)).unwrap();
+/// let mut lazy = DeferredEngine::new(ImpactEngine::<Sat64>::new(&cg, FilterSet::empty(7)));
+/// assert_eq!(lazy.impact(NodeId::new(4)).get(), 1);
+/// assert!(lazy.insert_filter(NodeId::new(4)));
+/// assert_eq!(lazy.received(NodeId::new(6)).get(), 3);
+/// assert_eq!(lazy.settle().phi().get(), 9);
+/// ```
+#[derive(Clone, Debug)]
+pub struct DeferredEngine<'a, C> {
+    engine: ImpactEngine<'a, C>,
+    /// Forward nodes settled since the last insert was counted, and
+    /// whether any of those walks went dense: the next insert reports
+    /// them as its forward frontier.
+    settled: (usize, bool),
+}
+
+impl<'a, C: Count> DeferredEngine<'a, C> {
+    /// Take over an engine (every `ImpactEngine` is settled).
+    pub fn new(engine: ImpactEngine<'a, C>) -> Self {
+        Self {
+            engine,
+            settled: (0, false),
+        }
+    }
+
+    /// Current filter set (always final: only receptions are deferred).
+    pub fn filters(&self) -> &FilterSet {
+        self.engine.filters()
+    }
+
+    /// Surrender the filter set.
+    pub fn into_filters(self) -> FilterSet {
+        self.engine.into_filters()
+    }
+
+    /// Add `v` as a filter, deferring the forward pass; returns `true`
+    /// if `v` was newly inserted. Counted in the engine's metrics like
+    /// [`ImpactEngine::insert_filter`], with the nodes settled since
+    /// the previous insert as its forward frontier.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    pub fn insert_filter(&mut self, v: NodeId) -> bool {
+        if self.engine.filters().contains(v) {
+            return false;
+        }
+        let span = fp_obs::span("engine.insert");
+        // `v`'s own reception must be final before its emission flips.
+        self.settle_through(self.engine.cgraph().topo_position(v));
+        let engine = &mut self.engine;
+        engine.fwd.flip(engine.graph.get(), v, Drift::Shrink);
+        // `v` no longer passes the gate its parents apply.
+        engine.gated[v.index()] = C::zero();
+        engine.metrics.inserts.inc();
+        let bwd = engine.update_backward(v, Drift::Shrink);
+        engine.observe(span, std::mem::take(&mut self.settled), bwd);
+        true
+    }
+
+    /// Settle the forward frontier through topological position
+    /// `through` (`usize::MAX`: to the end).
+    fn settle_through(&mut self, through: usize) {
+        let engine = &mut self.engine;
+        let (nodes, dense) = engine
+            .fwd
+            .settle_through(engine.graph.get(), through, Drift::Shrink);
+        self.settled.0 += nodes;
+        self.settled.1 |= dense;
+    }
+
+    /// Copies received by `v` under the current set.
+    pub fn received(&mut self, v: NodeId) -> &C {
+        self.settle_through(self.engine.cgraph().topo_position(v));
+        self.engine.fwd.received(v)
+    }
+
+    /// Exact marginal impact `I(v|A)` (see [`ImpactEngine::impact`]).
+    pub fn impact(&mut self, v: NodeId) -> C {
+        self.settle_through(self.engine.cgraph().topo_position(v));
+        self.engine.impact(v)
+    }
+
+    /// Drain the forward frontier to the end and hand out the engine,
+    /// every value of it settled.
+    pub fn settle(&mut self) -> &ImpactEngine<'a, C> {
+        self.settle_through(usize::MAX);
+        &self.engine
     }
 }
 

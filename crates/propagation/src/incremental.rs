@@ -16,11 +16,19 @@
 //! the suffix side Greedy_All also needs. The kernel never borrows the
 //! graph — every method that walks edges takes the [`CGraph`] — so an
 //! engine can own its graph and still hold the kernel.
+//!
+//! The dirty frontier is *resumable*: a filter insert can flip the
+//! node's emission and mark its children without walking them, and a
+//! later settle walks the frontier only through a given topological
+//! position. That is how [`crate::DeferredEngine`] answers a read of
+//! `received(v)` without the rest of a dense pass. Every public method
+//! of the kernel drains to the end, so its reads always see settled
+//! values.
 
 use crate::engine::{DirtyFrontier, Drift};
 use crate::{propagate_into, CGraph, FilterSet};
 use fp_graph::NodeId;
-use fp_num::Count;
+use fp_num::{Count, Sat64};
 
 /// Received/emitted/Φ state that updates in `O(affected)` per filter
 /// insertion instead of `O(|E|)` per evaluation.
@@ -62,14 +70,12 @@ impl<C: Count> IncrementalPropagation<C> {
         for r in &received {
             phi.add_assign(r);
         }
-        let mut frontier = DirtyFrontier::default();
-        frontier.reset(cg.node_count());
         Self {
             filters,
             received,
             emitted,
             phi,
-            frontier,
+            frontier: DirtyFrontier::new(cg.node_count()),
         }
     }
 
@@ -91,6 +97,10 @@ impl<C: Count> IncrementalPropagation<C> {
     /// incremental value (`MAX − deltas`) and a re-clamped fresh sum can
     /// differ. Use an exact counter where Φ may exceed the ceiling.
     pub fn phi(&self) -> &C {
+        debug_assert!(
+            self.frontier.is_idle(),
+            "Φ read before the frontier settled"
+        );
         &self.phi
     }
 
@@ -118,16 +128,25 @@ impl<C: Count> IncrementalPropagation<C> {
 
     /// Insert (`Shrink`) or remove (`Grow`) the filter at `v` — the
     /// caller has checked that membership flips — and run the forward
-    /// pass: `v`'s reception is unchanged, only its emission can flip.
-    /// Returns `(nodes reprocessed, whether the pass went dense)`.
+    /// pass to the end: `v`'s reception is unchanged, only its emission
+    /// can flip. Returns `(nodes reprocessed, whether the pass went
+    /// dense)`.
     pub(crate) fn flip_filter(&mut self, cg: &CGraph, v: NodeId, drift: Drift) -> (usize, bool) {
+        self.flip(cg, v, drift);
+        self.settle_through(cg, usize::MAX, drift)
+    }
+
+    /// Flip `v`'s filter membership and mark what its new emission
+    /// dirties, without walking it; the frontier must be settled
+    /// through `v`, so that `v`'s own reception is final.
+    pub(crate) fn flip(&mut self, cg: &CGraph, v: NodeId, drift: Drift) {
         let flipped = match drift {
             Drift::Shrink => self.filters.insert(v),
             Drift::Grow => self.filters.remove(v),
         };
         debug_assert!(flipped, "filter membership must flip");
         let recv = self.received[v.index()].clone();
-        self.reemit(cg, v, &recv, drift)
+        self.reemit(cg, v, &recv);
     }
 
     /// Forward pass for an *edge* mutation whose head is `v` (the graph
@@ -141,7 +160,8 @@ impl<C: Count> IncrementalPropagation<C> {
         drift: Drift,
     ) -> (usize, bool) {
         let recv = self.resum(cg, v, drift);
-        self.reemit(cg, v, &recv, drift)
+        self.reemit(cg, v, &recv);
+        self.settle_through(cg, usize::MAX, drift)
     }
 
     /// What `v` emits per out-edge given its reception `recv`.
@@ -186,22 +206,37 @@ impl<C: Count> IncrementalPropagation<C> {
         recv
     }
 
-    /// Set `v`'s emission for reception `recv`; if it changed, walk the
-    /// dirty frontier downstream of `v` in topological order.
-    fn reemit(&mut self, cg: &CGraph, v: NodeId, recv: &C, drift: Drift) -> (usize, bool) {
+    /// Set `v`'s emission for reception `recv`; if it changed, mark
+    /// `v`'s children dirty, starting (or widening) the frontier at
+    /// `v`'s position.
+    fn reemit(&mut self, cg: &CGraph, v: NodeId, recv: &C) {
         let new_emit = self.emission_of(cg, v, recv);
         if new_emit == self.emitted[v.index()] {
-            return (0, false);
+            return;
         }
         self.emitted[v.index()] = new_emit;
-        let csr = cg.csr();
         self.frontier.begin(cg.topo_position(v));
-        for &c in csr.children(v) {
+        for &c in cg.csr().children(v) {
             self.frontier.mark(c);
         }
+    }
+
+    /// Walk the dirty frontier in topological order through position
+    /// `through` (`usize::MAX`: to the end), so every reception and
+    /// emission up to there is final; work past it stays pending.
+    /// Returns `(nodes reprocessed, whether the walk went dense)`.
+    pub(crate) fn settle_through(
+        &mut self,
+        cg: &CGraph,
+        through: usize,
+        drift: Drift,
+    ) -> (usize, bool) {
+        let (csr, topo) = (cg.csr(), cg.topo());
         let mut processed = 0usize;
-        while let Some(u) = self.frontier.next_up(cg.topo()) {
+        let mut dense = false;
+        while let Some(u) = self.frontier.next_up(topo, through) {
             processed += 1;
+            dense |= self.frontier.is_dense();
             let recv = self.resum(cg, u, drift);
             let new_emit = self.emission_of(cg, u, &recv);
             if new_emit != self.emitted[u.index()] {
@@ -213,8 +248,41 @@ impl<C: Count> IncrementalPropagation<C> {
                 }
             }
         }
-        (processed, self.frontier.is_dense())
+        (processed, dense)
     }
+}
+
+/// An unfiltered forward kernel, at the counter a solve declared at `C`
+/// runs at.
+pub enum Forward<C> {
+    /// `Φ(∅,V)` fits `u64`, so every count of the solve does (see
+    /// [`Count::NARROWS_TO_U64`]).
+    U64(IncrementalPropagation<Sat64>),
+    /// The declared counter `C`.
+    Declared(IncrementalPropagation<C>),
+}
+
+/// The unfiltered forward kernel of a solve declared at `C`: the one
+/// narrowing rule the engine-backed solvers and [`crate::ObjectiveCache`]
+/// share.
+///
+/// A counter that narrows ([`Count::NARROWS_TO_U64`]) first runs the
+/// pass in `u64`: unsaturated, that kernel is the solve's; saturated,
+/// the pass is redone at `C` and `fp_engine_u64_fallbacks_total`
+/// counts the fallback. Other counters run at `C` directly.
+pub fn unfiltered_forward<C: Count>(cg: &CGraph) -> Forward<C> {
+    let empty = || FilterSet::empty(cg.node_count());
+    if C::NARROWS_TO_U64 {
+        // Looked up before the pass so `/metrics` lists it from the
+        // first narrowable solve on, at zero until a fallback.
+        let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
+        let fwd = IncrementalPropagation::<Sat64>::new(cg, empty());
+        if !fwd.phi().is_saturated() {
+            return Forward::U64(fwd);
+        }
+        fallbacks.inc();
+    }
+    Forward::Declared(IncrementalPropagation::new(cg, empty()))
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //!   *incrementally* in both directions under filter insertions
 //!   (O(affected ∪ ancestors) per greedy round, zero per-round
 //!   allocation); `impacts` stays as its correctness oracle.
+//!   [`DeferredEngine`] wraps it for CELF: inserts leave the forward
+//!   pass pending and a read settles it only through the node read.
 //! * [`objective`] — `Φ`, `F`, and the Filter Ratio `FR`.
 //! * [`plist`] — the paper's original quadratic `plist` bookkeeping,
 //!   kept as an independently-derived validation oracle.
@@ -50,7 +52,7 @@ pub mod simulate;
 mod suffix;
 
 pub use cgraph::CGraph;
-pub use engine::{ApplyOutcome, ImpactEngine, Mutation, MutationError};
+pub use engine::{ApplyOutcome, DeferredEngine, ImpactEngine, Mutation, MutationError};
 pub use filter_set::FilterSet;
 pub use impact::impacts;
 pub use objective::{f_value, filter_ratio, phi_per_node, phi_total, ObjectiveCache};

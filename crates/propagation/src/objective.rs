@@ -1,6 +1,6 @@
 //! The objective `F(A) = Φ(∅,V) − Φ(A,V)` and the Filter Ratio.
 
-use crate::incremental::IncrementalPropagation;
+use crate::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
 use crate::{propagate, CGraph, FilterSet};
 use fp_num::{ratio_or, Count};
 
@@ -55,10 +55,21 @@ pub struct ObjectiveCache<C> {
 }
 
 impl<C: Count> ObjectiveCache<C> {
-    /// Build the cache (one forward pass).
+    /// Build the cache (one forward pass). A counter that narrows
+    /// ([`Count::NARROWS_TO_U64`]) runs it in `u64` by the rule the
+    /// engine-backed solvers use ([`unfiltered_forward`]) and widens
+    /// the exact pair.
     pub fn new(cg: &CGraph) -> Self {
-        let fwd = IncrementalPropagation::new(cg, FilterSet::empty(cg.node_count()));
-        Self::from_forward(cg, &fwd)
+        match unfiltered_forward::<C>(cg) {
+            Forward::U64(fwd) => {
+                let narrow = ObjectiveCache::from_forward(cg, &fwd);
+                Self {
+                    phi_empty: C::from_u64(narrow.phi_empty.get()),
+                    f_all: C::from_u64(narrow.f_all.get()),
+                }
+            }
+            Forward::Declared(fwd) => Self::from_forward(cg, &fwd),
+        }
     }
 
     /// The cache of an unfiltered forward kernel's state — what an

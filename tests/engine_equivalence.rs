@@ -12,7 +12,11 @@
 //! * every engine-backed solver places identically to its
 //!   full-recompute oracle (`SolverKind::place_oracle`), which is what
 //!   keeps stored run directories byte-stable across the engine
-//!   rewrite.
+//!   rewrite;
+//! * a `DeferredEngine` driven through random interleavings of deferred
+//!   filter inserts and settling reads answers every read like a fresh
+//!   `propagate`/`impacts`, and once fully settled equals an eager
+//!   engine fed the same inserts bit for bit.
 
 use fp_core::algorithms::{GreedyAll, LazyGreedyAll, MultiGreedy, Solver};
 use fp_core::datasets::erdos_renyi;
@@ -20,7 +24,7 @@ use fp_core::num::Sat64;
 use fp_core::prelude::*;
 use fp_core::propagation::incremental::IncrementalPropagation;
 use fp_core::propagation::{
-    impacts, phi_total, propagate, suffix_sensitivity, ImpactEngine, Mutation,
+    impacts, phi_total, propagate, suffix_sensitivity, DeferredEngine, ImpactEngine, Mutation,
 };
 use proptest::prelude::*;
 
@@ -256,8 +260,97 @@ fn scores_match_for<C: Count>(
     Ok(())
 }
 
+/// A random DAG whose labels are shuffled, so its topological order is
+/// Kahn's layering rather than the identity (`relabel`), or kept as
+/// generated (identity order).
+fn random_cgraph(seed: u64, p: f64, relabel: bool) -> CGraph {
+    let (g, s) = erdos_renyi::generate(18, p, seed);
+    if !relabel {
+        return CGraph::new(&g, s).unwrap();
+    }
+    let n = g.node_count();
+    let perm = insertion_sequence(n, seed ^ 0x7E7E);
+    let edges: Vec<(usize, usize)> = g
+        .edges()
+        .map(|(u, v)| (perm[u.index()].index(), perm[v.index()].index()))
+        .collect();
+    let shuffled = DiGraph::from_pairs(n, edges).unwrap();
+    CGraph::new(&shuffled, perm[s.index()]).unwrap()
+}
+
+/// Interleave deferred inserts with settling reads of `received` and
+/// `impact`, each checked against a fresh pass under the filters placed
+/// so far; then settle fully and compare every value with an eager
+/// engine that took the same inserts.
+fn deferred_reads_match_for<C: Count>(
+    cg: &CGraph,
+    ops: &[(u32, usize)],
+) -> Result<(), proptest::TestCaseError> {
+    let n = cg.node_count();
+    let mut deferred = DeferredEngine::new(ImpactEngine::<C>::new(cg, FilterSet::empty(n)));
+    let mut eager = ImpactEngine::<C>::new(cg, FilterSet::empty(n));
+    for (step, &(op, node)) in ops.iter().enumerate() {
+        let v = NodeId::new(node % n);
+        match op % 3 {
+            0 => {
+                prop_assert_eq!(deferred.insert_filter(v), eager.insert_filter(v));
+            }
+            1 => {
+                let fresh = propagate::<C>(cg, deferred.filters());
+                prop_assert_eq!(
+                    deferred.received(v),
+                    &fresh.received[v.index()],
+                    "received({:?}) at step {}",
+                    v,
+                    step
+                );
+            }
+            _ => {
+                let oracle: Vec<C> = impacts(cg, deferred.filters());
+                prop_assert_eq!(
+                    deferred.impact(v),
+                    oracle[v.index()].clone(),
+                    "impact({:?}) at step {}",
+                    v,
+                    step
+                );
+            }
+        }
+    }
+    let settled = deferred.settle();
+    prop_assert_eq!(settled.filters().nodes(), eager.filters().nodes());
+    for v in cg.nodes() {
+        prop_assert_eq!(settled.received(v), eager.received(v), "received({:?})", v);
+        prop_assert_eq!(settled.emitted(v), eager.emitted(v), "emitted({:?})", v);
+        prop_assert_eq!(settled.suffix(v), eager.suffix(v), "suffix({:?})", v);
+        prop_assert_eq!(settled.impact(v), eager.impact(v), "impact({:?})", v);
+    }
+    prop_assert_eq!(settled.phi(), eager.phi());
+    assert_engine_matches_oracle(settled, cg, "after the full settle")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn deferred_inserts_and_settled_reads_match_sat64(
+        seed in 0u64..4000,
+        p in 0.08f64..0.4,
+        relabel in any::<bool>(),
+        ops in proptest::collection::vec((any::<u32>(), any::<usize>()), 0..40),
+    ) {
+        deferred_reads_match_for::<Sat64>(&random_cgraph(seed, p, relabel), &ops)?;
+    }
+
+    #[test]
+    fn deferred_inserts_and_settled_reads_match_wide128(
+        seed in 0u64..4000,
+        p in 0.08f64..0.4,
+        relabel in any::<bool>(),
+        ops in proptest::collection::vec((any::<u32>(), any::<usize>()), 0..40),
+    ) {
+        deferred_reads_match_for::<Wide128>(&random_cgraph(seed, p, relabel), &ops)?;
+    }
 
     #[test]
     fn engine_scores_equal_the_oracle_sat64(

@@ -19,13 +19,18 @@
 //!   `filter_ratio`, budget for budget;
 //! * Rand_I's and Rand_W's threshold draws nest in `k`, equal the draw
 //!   loops they replaced bit for bit, and do not depend on the budgets
-//!   a session visited before.
+//!   a session visited before;
+//! * the CELF session both Greedy_All solvers run, walked over unsorted
+//!   budgets with duplicates, sits on the eager full-recompute
+//!   placement with its pass-based FR at every rung — on random DAGs
+//!   and on a deep diamond chain whose candidates sit last in the
+//!   topological order.
 
-use fp_core::algorithms::RandW;
+use fp_core::algorithms::{solve_ladder_with, GreedyAll, RandW};
 use fp_core::datasets::erdos_renyi;
 use fp_core::num::Sat64;
 use fp_core::prelude::*;
-use fp_core::propagation::ObjectiveCache;
+use fp_core::propagation::{filter_ratio, ObjectiveCache};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -140,8 +145,106 @@ fn ladder_matches_for<C: Count>(
     Ok(())
 }
 
+/// Both Greedy_All solvers' ladders over `ks` against
+/// [`GreedyAll::place_full_recompute`] and [`filter_ratio`]:
+/// `(k, placement, FR bits)` equal at every rung, in `ks`'s order.
+fn greedy_all_ladders_match<C: Count>(
+    cg: &CGraph,
+    ks: &[usize],
+) -> Result<(), proptest::TestCaseError> {
+    for kind in [SolverKind::GreedyAll, SolverKind::LazyGreedyAll] {
+        let ladder = solve_ladder_with(kind.build::<C>().as_ref(), cg, ks, 0);
+        prop_assert_eq!(ladder.len(), ks.len());
+        for ((k, placement, fr), &asked) in ladder.iter().zip(ks) {
+            prop_assert_eq!(*k, asked);
+            let oracle = GreedyAll::<C>::place_full_recompute(cg, asked);
+            prop_assert_eq!(
+                placement.nodes(),
+                oracle.nodes(),
+                "{:?} placement diverged at k={}",
+                kind,
+                asked
+            );
+            let expect = filter_ratio::<C>(cg, &oracle);
+            prop_assert_eq!(
+                fr.to_bits(),
+                expect.to_bits(),
+                "{:?} FR diverged at k={} ({} vs {})",
+                kind,
+                asked,
+                fr,
+                expect
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `diamonds` diamonds in a row, each join also feeding a sink, after
+/// `leaves` sinks hanging off the source. The chain is labelled
+/// backwards, so the order is Kahn's layering with every candidate
+/// behind the leaves: the last nodes of the order.
+fn diamond_chain_after_leaves(leaves: usize, diamonds: usize) -> CGraph {
+    let n = 1 + leaves + 4 * diamonds;
+    // Chain node `i` (0-based, in chain order) gets the `i`-th largest id.
+    let chain = |i: usize| NodeId::new(n - 1 - i);
+    let mut pairs: Vec<(usize, usize)> = (1..=leaves).map(|l| (0, l)).collect();
+    let mut tail = NodeId::new(0);
+    for d in 0..diamonds {
+        let (a, b, join, sink) = (
+            chain(4 * d),
+            chain(4 * d + 1),
+            chain(4 * d + 2),
+            chain(4 * d + 3),
+        );
+        for (u, v) in [(tail, a), (tail, b), (a, join), (b, join), (join, sink)] {
+            pairs.push((u.index(), v.index()));
+        }
+        tail = join;
+    }
+    let g = DiGraph::from_pairs(n, pairs).unwrap();
+    CGraph::new(&g, NodeId::new(0)).unwrap()
+}
+
+/// Twelve budgets, unsorted, with duplicates, past the early stop.
+const CHAIN_BUDGETS: [usize; 12] = [7, 0, 3, 3, 12, 1, 200, 5, 2, 12, 40, 9];
+
+#[test]
+fn greedy_all_ladders_match_the_eager_oracle_on_a_diamond_chain() {
+    // Φ(∅,V) near 2^31 fits every counter; Sat64 and Wide128 both run
+    // the session in u64.
+    let cg = diamond_chain_after_leaves(25, 30);
+    let order = cg.topo().to_vec();
+    assert!(
+        order[..26].iter().all(|v| v.index() <= 25),
+        "the source and the leaves come first"
+    );
+    assert!(
+        order.iter().enumerate().any(|(i, v)| v.index() != i),
+        "Kahn's order, not the identity"
+    );
+    greedy_all_ladders_match::<Sat64>(&cg, &CHAIN_BUDGETS).unwrap();
+    greedy_all_ladders_match::<Wide128>(&cg, &CHAIN_BUDGETS).unwrap();
+    // 70 diamonds: Φ(∅,V) passes u64::MAX, so the Wide128 solvers fall
+    // back to Wide128, where the FR still comes from the picks' gains.
+    let deep = diamond_chain_after_leaves(25, 70);
+    greedy_all_ladders_match::<Wide128>(&deep, &CHAIN_BUDGETS).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn greedy_all_ladders_match_the_eager_oracle_on_random_dags(
+        seed in 0u64..4000,
+        p in 0.08f64..0.35,
+        ks in proptest::collection::vec(0usize..18, 1..10),
+    ) {
+        let (g, s) = erdos_renyi::generate(16, p, seed);
+        let cg = CGraph::new(&g, s).unwrap();
+        greedy_all_ladders_match::<Sat64>(&cg, &ks)?;
+        greedy_all_ladders_match::<Wide128>(&cg, &ks)?;
+    }
 
     #[test]
     fn sessions_match_one_shot_and_oracle_sat64(
