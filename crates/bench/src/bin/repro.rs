@@ -9,11 +9,8 @@
 //!                     are cache hits; CDF/runtime tables as *.csv)
 //!     --jobs N        in-process sweep threads (0 = one per core;
 //!                     at most 256)
-//!     --workers N     sweep worker processes (0 = in-process; at most
-//!                     256); same stored bytes as in-process runs
 //!     --budget SECS   wall-clock cap; later figures are skipped and a
 //!                     sweep interrupted mid-flight is discarded
-//!                     (with --workers it only gates between figures)
 //!     --trace FILE    dump Chrome trace-event JSON of the run (spans
 //!                     use monotonic clocks only — the figures' bytes
 //!                     are identical traced or not)
@@ -73,7 +70,6 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
     let mut out_file = None;
     let mut trace_file = None;
     let mut mem_budget = None;
-    let mut jobs_given = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -90,11 +86,6 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
             "--jobs" => {
                 let value = it.next().ok_or("--jobs needs a value")?;
                 opts.jobs = parse_count("jobs", value, MAX_PARALLEL)?;
-                jobs_given = true;
-            }
-            "--workers" => {
-                let value = it.next().ok_or("--workers needs a value")?;
-                opts.workers = parse_count("workers", value, MAX_PARALLEL)?;
             }
             "--budget" => {
                 let secs: f64 = it
@@ -113,13 +104,6 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             figure => selected.push(figure.to_string()),
         }
-    }
-    if opts.workers > 0 && jobs_given {
-        return Err(
-            "--jobs sizes the in-process thread runner and --workers replaces it with a \
-             process pool; pass one or the other"
-                .to_string(),
-        );
     }
     Ok(Parsed {
         selected,
@@ -142,19 +126,6 @@ fn dump_trace(path: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Hidden `repro worker`: serve the process-pool protocol (the
-    // `--workers` dispatcher re-execs this binary with this argument).
-    if args.first().map(String::as_str) == Some("worker") {
-        if args.len() > 1 {
-            fail("worker takes no flags");
-        }
-        if let Err(e) = fp_core::worker::serve(std::io::stdin().lock(), std::io::stdout()) {
-            fail(&e);
-        }
-        return;
-    }
-
     let Parsed {
         selected,
         opts,
@@ -245,15 +216,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_process_counts_are_capped() {
-        for flag in ["--jobs", "--workers"] {
-            let cap = MAX_PARALLEL.to_string();
-            assert!(parse(&argv(&[flag, &cap])).is_ok(), "{flag} at the cap");
-            let over = (MAX_PARALLEL + 1).to_string();
-            let Err(e) = parse(&argv(&[flag, &over])) else {
-                panic!("{flag} {over} accepted");
-            };
-            assert!(e.contains(flag), "{e}");
-        }
+    fn thread_counts_are_capped_and_workers_is_no_flag() {
+        let cap = MAX_PARALLEL.to_string();
+        assert!(parse(&argv(&["--jobs", &cap])).is_ok(), "--jobs at the cap");
+        let over = (MAX_PARALLEL + 1).to_string();
+        let Err(e) = parse(&argv(&["--jobs", &over])) else {
+            panic!("--jobs {over} accepted");
+        };
+        assert!(e.contains("--jobs"), "{e}");
+        let Err(e) = parse(&argv(&["--workers", "2"])) else {
+            panic!("--workers accepted");
+        };
+        assert!(e.contains("unknown flag --workers"), "{e}");
     }
 }

@@ -49,11 +49,6 @@ pub struct ReproOptions {
     pub scale: f64,
     /// In-process sweep threads (0 = one per core).
     pub jobs: usize,
-    /// Sweep worker *processes* (0 = in-process threads). When set,
-    /// sweeps run on a pool of `repro worker` children — same bits as
-    /// in-process (DESIGN.md §7); `--budget` then only gates *between*
-    /// figures, since a worker pool cannot be interrupted mid-sweep.
-    pub workers: usize,
     /// Where to persist results; `None` = print-only.
     pub out: Option<PathBuf>,
     /// Wall-clock cap for the whole run.
@@ -65,7 +60,6 @@ impl Default for ReproOptions {
         Self {
             scale: 1.0,
             jobs: 0,
-            workers: 0,
             out: None,
             budget: None,
         }
@@ -156,22 +150,9 @@ impl ReproSession {
         if self.out_of_budget() {
             return Ok(None);
         }
-        let result = if self.opts.workers > 0 {
-            // Process pool: this same binary re-exec'd as `worker`.
-            let spawner = fp_results::WorkerSpawner::current_exe()?;
-            fp_results::run_sweep_workers(
-                &spawner,
-                g,
-                source,
-                &cfg,
-                &fp_results::PoolOptions::with_workers(self.opts.workers),
-            )?
-        } else {
-            let problem = Problem::new(g, source).map_err(|e| e.to_string())?;
-            let Some(result) = run_sweep_with(&problem, &cfg, &self.runner_options()) else {
-                return Ok(None); // deadline interrupted: discard, don't store
-            };
-            result
+        let problem = Problem::new(g, source).map_err(|e| e.to_string())?;
+        let Some(result) = run_sweep_with(&problem, &cfg, &self.runner_options()) else {
+            return Ok(None); // deadline interrupted: discard, don't store
         };
         self.sweeps_run.set(self.sweeps_run.get() + 1);
         if let Some(store) = &self.store {

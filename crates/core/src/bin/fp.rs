@@ -7,9 +7,6 @@ use std::io::{ErrorKind, Write};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match fp_core::cli::run(&args) {
-        // The hidden `worker` subcommand owns stdout for its frame
-        // protocol and returns an empty string — print nothing then.
-        Ok(out) if out.is_empty() => {}
         Ok(out) => {
             let mut stdout = std::io::stdout().lock();
             match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {

@@ -5,7 +5,7 @@
 //!             [--seed N] [--format table|csv|dot]
 //! fp sweep    --input edges.txt --source <label> --kmax 10
 //!             [--trials 25] [--seed N] [--format table|csv]
-//!             [--out DIR] [--jobs N] [--workers N]
+//!             [--out DIR] [--jobs N] [--listen ADDR --token T]
 //! fp sweep    --dataset power-law:1000000:3:7 --kmax 10 [--mem-budget 512M]
 //! fp dataset  (--input edges.txt | --gen SPEC) [--stats true]
 //!             [--out FILE] [--mem-budget BYTES]
@@ -13,6 +13,7 @@
 //! fp report   --list DIR
 //! fp diff     --a DIR --b DIR [--epsilon E]
 //! fp gc       --out DIR --keep N | --max-age SECS
+//! fp worker   --connect HOST:PORT --token T [--retries N]
 //! fp stats    --input edges.txt
 //! fp generate --dataset layered-sparse|layered-dense|quote|twitter|citation
 //!             [--seed N] [--scale F]
@@ -47,12 +48,13 @@
 //! `--max-age SECS` the age) — cache hits count as uses, so a run that
 //! keeps answering sweeps stays young however old its bytes are.
 //!
-//! `sweep --workers N` evaluates the sweep on `N` worker *processes*
-//! instead of in-process threads: each worker is this same binary
-//! re-exec'd with the hidden `worker` subcommand, fed cells over the
-//! `fp-results::protocol` pipe protocol (DESIGN.md §7). The stored
-//! bytes are identical to an in-process run's — `--jobs`/`--workers`
-//! are scheduling knobs, never part of the result.
+//! `sweep --listen ADDR --token T` evaluates the sweep on worker
+//! *processes* instead of in-process threads: `fp worker --connect`
+//! processes dial in over TCP, authenticate with the shared token, and
+//! are fed cells over the `fp-results::protocol` frame protocol
+//! (DESIGN.md §7, §13). The stored bytes are identical to an
+//! in-process run's — `--jobs`/`--listen` are scheduling knobs, never
+//! part of the result.
 //!
 //! `serve` runs the long-lived placement daemon (see [`crate::serve`]
 //! and DESIGN.md §10); `loadtest` drives an in-process daemon with
@@ -79,8 +81,8 @@ use fp_datasets::stats::DegreeStats;
 use fp_graph::{from_edge_list, to_dot, to_edge_list, DiGraph, NodeId};
 use fp_propagation::CGraph;
 use fp_results::{
-    csv::sweep_csv, worker::PoolOptions, worker::WorkerSpawner, DatasetFingerprint, GcPolicy,
-    NetOptions, RunManifest, RunStore, RunnerOptions, SweepListener, ToJson,
+    csv::sweep_csv, DatasetFingerprint, GcPolicy, NetOptions, RunManifest, RunStore, RunnerOptions,
+    SweepListener, ToJson,
 };
 use fp_scale::{
     parse_bytes, stream_stats, Csr32, EdgeStream, FileEdgeStream, MemBudget, ScaleError,
@@ -125,7 +127,6 @@ const FLAG_SPEC: &[(&str, &[&str])] = &[
             "format",
             "out",
             "jobs",
-            "workers",
             "listen",
             "token",
             "trace",
@@ -206,8 +207,8 @@ const MAX_SWEEP_CELLS: usize = 1 << 20;
 /// default is 200).
 const MAX_EVENTS: usize = 1 << 22;
 
-/// The most threads or processes `--jobs`, `--workers` and `--clients`
-/// may start (`fp sweep`, `fp loadtest` and `repro`).
+/// The most threads `--jobs` and `--clients` may start (`fp sweep`,
+/// `fp loadtest` and `repro`).
 pub const MAX_PARALLEL: usize = 256;
 
 /// The most requests one `fp loadtest` phase may issue over all its
@@ -223,9 +224,8 @@ const MAX_LOADTEST_KMAX: usize = 4095;
 const MAX_MUTATIONS: usize = 1 << 16;
 
 /// Parse `text` as the count flag `--name`, refusing values above
-/// `max`: every count that sizes an allocation, a thread pool or a
-/// process pool is checked here, before anything is allocated or
-/// started.
+/// `max`: every count that sizes an allocation or a thread pool is
+/// checked here, before anything is allocated or started.
 pub fn parse_count(name: &str, text: &str, max: usize) -> Result<usize, String> {
     let n: usize = text
         .parse()
@@ -413,7 +413,7 @@ fn sweep_with_store(
 fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<String, String> {
     let streamed = flags.get("dataset");
     if streamed.is_some() {
-        for incompatible in ["input", "source", "workers", "listen", "token"] {
+        for incompatible in ["input", "source", "listen", "token"] {
             if flags.contains_key(incompatible) {
                 return Err(format!(
                     "--dataset streams a generated graph into an in-process solve; \
@@ -434,20 +434,12 @@ fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<Str
             .map_err(|_| "--seed must be an integer".to_string())
     })?;
     let jobs = count_flag(flags, "jobs", Some(0), MAX_PARALLEL)?;
-    let workers = count_flag(flags, "workers", Some(0), MAX_PARALLEL)?;
-    if workers > 0 && flags.contains_key("jobs") {
-        return Err(
-            "--jobs sizes the in-process thread runner and --workers replaces it with a \
-             process pool; pass one or the other"
-                .to_string(),
-        );
-    }
     let listen = flags.get("listen").map(String::as_str);
     if listen.is_some() {
-        if workers > 0 || flags.contains_key("jobs") {
+        if flags.contains_key("jobs") {
             return Err(
                 "--listen hands every cell to remote workers over TCP; it cannot be \
-                 combined with --jobs or --workers"
+                 combined with --jobs"
                     .to_string(),
             );
         }
@@ -501,28 +493,19 @@ fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<Str
         let source_label = required(flags, "source")?;
         let input = input.ok_or_else(|| "missing required flag --input".to_string())?;
         let (g, _, source) = load_graph(input, source_label)?;
-        // The three sweep backends: in-process threads (--jobs), a pool
-        // of re-exec'd worker processes (--workers), or remote TCP
-        // workers dialing into --listen. Identical bits any way.
+        // The two sweep backends: in-process threads (--jobs), or
+        // worker processes dialing into --listen over TCP. Identical
+        // bits either way.
         let compute = || -> Result<SweepResult, String> {
             if let Some(addr) = listen {
                 let token = required(flags, "token")?;
-                let listener = SweepListener::bind(addr, NetOptions::new(token))?;
+                let listener = SweepListener::bind(addr, NetOptions::new(token).from_env()?)?;
                 eprintln!(
                     "fp sweep: listening on {} for remote workers \
                      (join with `fp worker --connect ADDR --token ...`)",
                     listener.local_addr()
                 );
-                listener.run(&g, source, &cfg, &PoolOptions::default().from_env()?)
-            } else if workers > 0 {
-                let spawner = WorkerSpawner::current_exe()?;
-                fp_results::run_sweep_workers(
-                    &spawner,
-                    &g,
-                    source,
-                    &cfg,
-                    &PoolOptions::with_workers(workers).from_env()?,
-                )
+                listener.run(&g, source, &cfg)
             } else {
                 let problem = Problem::new(&g, source).map_err(|e| e.to_string())?;
                 Ok(
@@ -547,6 +530,19 @@ fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<Str
     } else {
         header + &table.to_string()
     })
+}
+
+/// Dial a `fp sweep --listen` dispatcher and serve cells until it says
+/// shutdown.
+fn cmd_worker(flags: &HashMap<String, String>) -> Result<String, String> {
+    let addr = required(flags, "connect")?;
+    let token = required(flags, "token")?;
+    let retries: u32 = flags.get("retries").map_or(Ok(5), |s| {
+        s.parse()
+            .map_err(|_| "--retries must be a non-negative integer".to_string())
+    })?;
+    let summary = crate::worker::serve_connect(addr, token, retries)?;
+    Ok(summary + "\n")
 }
 
 fn cmd_report(flags: &HashMap<String, String>) -> Result<String, String> {
@@ -1419,28 +1415,24 @@ fn cmd_online(flags: &HashMap<String, String>, input: &str) -> Result<String, St
     }
 }
 
-/// Usage text. `worker` with no flags (the process-pool child behind
-/// `sweep --workers`) stays undocumented: it speaks a binary frame
-/// protocol on stdin/stdout and is never typed by a person. `worker
-/// --connect` *is* typed by a person — it joins a remote sweep.
+/// Usage text.
 pub const USAGE: &str =
     "usage: fp <solve|sweep|worker|report|diff|gc|stats|generate|dataset|serve|loadtest|online|trace> [flags]
   solve    --input FILE --source LABEL --solver NAME --k N [--seed N] [--format table|csv|dot]
   sweep    --input FILE --source LABEL --kmax N [--trials N] [--seed N] [--format table|csv]
-           [--out DIR] [--jobs N] [--workers N] [--listen ADDR --token T] [--trace FILE]
+           [--out DIR] [--jobs N] [--listen ADDR --token T] [--trace FILE]
   sweep    --dataset SPEC --kmax N [--mem-budget BYTES] [--trials N] [--seed N]
            [--format table|csv] [--out DIR] [--jobs N] [--trace FILE]
            (--out persists the run; identical reruns are cache hits;
-            --workers evaluates on worker processes — same bytes as in-process;
-            --listen ADDR accepts remote `fp worker --connect` workers over TCP,
-            authenticated by the shared --token — still the same bytes;
+            --listen ADDR evaluates on `fp worker --connect` processes over TCP,
+            authenticated by the shared --token — same bytes as in-process;
             --trace dumps Chrome trace-event JSON of the run;
             --dataset SPEC streams a generator straight into a compact CSR —
             no edge list is ever materialized — and solves in-process;
             --mem-budget BYTES caps tracked graph memory, failing with a typed
             error instead of the OOM killer; suffixes K/M/G, 1024-based;
             --kmax and --trials may ask for at most 1048576 sweep cells, and
-            --jobs and --workers for at most 256 threads or processes)
+            --jobs for at most 256 threads)
   worker   --connect HOST:PORT --token T [--retries N]
            (join a remote sweep as a worker: dial the dispatcher's --listen
             socket, authenticate, evaluate cells until the sweep completes;
@@ -1504,37 +1496,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let Some((command, rest)) = args.split_first() else {
         return Err(USAGE.to_string());
     };
-    if command == "worker" {
-        let flags = parse_flags(rest)?;
-        reject_unknown_flags(command, &flags)?;
-        return match flags.get("connect") {
-            // Remote: dial a `fp sweep --listen` dispatcher and serve
-            // cells until it says shutdown.
-            Some(addr) => {
-                let token = required(&flags, "token")?;
-                let retries: u32 = flags.get("retries").map_or(Ok(5), |s| {
-                    s.parse()
-                        .map_err(|_| "--retries must be a non-negative integer".to_string())
-                })?;
-                let summary = crate::worker::serve_connect(addr, token, retries)?;
-                Ok(summary + "\n")
-            }
-            // Local: serve the process-pool protocol on real
-            // stdin/stdout until the dispatcher shuts us down. Prints
-            // nothing; spawned by `sweep --workers`, not a person.
-            None => {
-                if !flags.is_empty() {
-                    return Err(
-                        "worker --token/--retries only apply with --connect HOST:PORT".to_string(),
-                    );
-                }
-                // `Stdout` (not the lock) so the heartbeat thread can
-                // share it.
-                crate::worker::serve(std::io::stdin().lock(), std::io::stdout())?;
-                Ok(String::new())
-            }
-        };
-    }
     let flags = parse_flags(rest)?;
     reject_unknown_flags(command, &flags)?;
     let read_input = || -> Result<String, String> {
@@ -1552,6 +1513,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             };
             cmd_sweep(&flags, input.as_deref())
         }
+        "worker" => cmd_worker(&flags),
         "report" => cmd_report(&flags),
         "diff" => cmd_diff(&flags),
         "gc" => cmd_gc(&flags),
@@ -1588,7 +1550,7 @@ pub fn run_with_input(args: &[String], input: &str) -> Result<String, String> {
         "loadtest" => cmd_loadtest(&flags),
         "online" => cmd_online(&flags, input),
         "trace" => cmd_trace(&flags),
-        "worker" => Err("worker serves the pool protocol on real stdin/stdout".to_string()),
+        "worker" => Err("worker dials a live dispatcher; use `fp worker` directly".to_string()),
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -1888,12 +1850,21 @@ mod tests {
         };
         let err = sweep(&["--listen", "127.0.0.1:0", "--token", "t", "--jobs", "2"]);
         assert!(err.contains("--listen"), "{err}");
-        let err = sweep(&["--listen", "127.0.0.1:0", "--token", "t", "--workers", "2"]);
-        assert!(err.contains("--listen"), "{err}");
         let err = sweep(&["--listen", "127.0.0.1:0"]);
         assert!(err.contains("token"), "{err}");
         let err = sweep(&["--token", "t"]);
         assert!(err.contains("--token only applies with --listen"), "{err}");
+    }
+
+    #[test]
+    fn sweep_has_no_workers_flag() {
+        // Worker processes join a sweep through --listen only.
+        let err = run_with_input(
+            &args(&["sweep", "--source", "s", "--kmax", "1", "--workers", "2"]),
+            FIG1,
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown flag --workers"), "{err}");
     }
 
     #[test]
@@ -2113,7 +2084,6 @@ mod tests {
     fn sweep_dataset_excludes_edge_list_and_distributed_flags() {
         for (extra, flagged) in [
             (vec!["--source", "s"], "--source"),
-            (vec!["--workers", "2"], "--workers"),
             (vec!["--listen", "127.0.0.1:0", "--token", "t"], "--listen"),
         ] {
             let mut a = args(&["sweep", "--dataset", "erdos:5:0.5:1", "--kmax", "1"]);
@@ -2140,6 +2110,8 @@ mod tests {
 
     #[test]
     fn worker_flags_demand_a_connect_target() {
+        let err = run(&args(&["worker"])).unwrap_err();
+        assert!(err.contains("--connect"), "{err}");
         let err = run(&args(&["worker", "--token", "t"])).unwrap_err();
         assert!(err.contains("--connect"), "{err}");
         let err = run(&args(&[
@@ -2402,25 +2374,6 @@ mod tests {
             .unwrap_err();
         assert!(e.contains("--format applies to --run"), "{e}");
 
-        // --jobs and --workers are different backends; together they
-        // are refused instead of silently ignoring one.
-        let e = run_with_input(
-            &args(&[
-                "sweep",
-                "--source",
-                "s",
-                "--kmax",
-                "1",
-                "--jobs",
-                "2",
-                "--workers",
-                "2",
-            ]),
-            FIG1,
-        )
-        .unwrap_err();
-        assert!(e.contains("one or the other"), "{e}");
-
         // A missing directory is an error, not an empty table.
         let e =
             run_with_input(&args(&["report", "--list", "/nonexistent/fp-store"]), "").unwrap_err();
@@ -2663,7 +2616,6 @@ mod tests {
             ("--trials", "-1"),
             ("--seed", "0x10"),
             ("--jobs", "many"),
-            ("--workers", "-3"),
         ] {
             let mut a = vec!["sweep", "--source", "s", "--kmax", "2"];
             if flag == "--kmax" {
@@ -2682,7 +2634,6 @@ mod tests {
         // case here starts a thread or allocates for the count.
         for (name, cap) in [
             ("jobs", MAX_PARALLEL),
-            ("workers", MAX_PARALLEL),
             ("clients", MAX_PARALLEL),
             ("events", MAX_EVENTS),
         ] {
@@ -2713,10 +2664,6 @@ mod tests {
             (
                 vec!["sweep", "--source", "s", "--kmax", "2", "--jobs", "257"],
                 "--jobs",
-            ),
-            (
-                vec!["sweep", "--source", "s", "--kmax", "2", "--workers", "257"],
-                "--workers",
             ),
             (
                 vec!["sweep", "--source", "s", "--kmax", "10000000000"],

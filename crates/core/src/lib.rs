@@ -11,7 +11,7 @@
 //! to remove the most redundancy? This crate is the full system:
 //!
 //! * [`graph`] — the directed-graph substrate (adjacency/CSR,
-//!   traversals, topological order, SCCs, trees, I/O);
+//!   traversals, topological order, trees, I/O);
 //! * [`num`] — counting arithmetic (path counts overflow `u64` fast);
 //! * [`propagation`] — the propagation model, objective `F`, impacts,
 //!   simulators, and the probabilistic / multi-item / leaky-filter

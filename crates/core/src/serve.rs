@@ -53,7 +53,7 @@ use fp_num::Wide128;
 use fp_propagation::{CGraph, Mutation};
 use fp_results::hash::Fnv64;
 use fp_results::protocol::{
-    read_frame, write_frame, Frame, ServeCall, ServeReply, ServeRequest, MAX_FRAME_LEN,
+    read_body, read_frame, write_frame, Frame, ServeCall, ServeReply, ServeRequest, MAX_FRAME_LEN,
     PROTOCOL_VERSION,
 };
 use fp_results::{Json, ToJson};
@@ -1429,10 +1429,7 @@ fn read_http_request(reader: &mut impl BufRead) -> Result<Option<HttpRequest>, (
     if content_len > MAX_FRAME_LEN as usize {
         return Err((413, format!("body of {content_len} bytes is too large")));
     }
-    let mut body = vec![0u8; content_len];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| (400, format!("truncated body: {e}")))?;
+    let body = read_body(reader, content_len).map_err(|e| (400, format!("truncated body: {e}")))?;
     let body = String::from_utf8(body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
     Ok(Some(HttpRequest {
         method,

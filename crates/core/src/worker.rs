@@ -1,36 +1,27 @@
-//! The worker side of the process-pool sweep: `fp worker` /
-//! `repro worker`.
+//! The worker side of the sweep fabric: `fp worker --connect`.
 //!
-//! [`serve`] speaks the [`fp_results::protocol`] frame protocol on a
-//! reader/writer pair (the real binaries pass stdin/stdout): say
-//! hello, receive the sweep context, then answer cell requests until
-//! a shutdown frame or a clean EOF. The graph arrives as explicit
-//! structure (node count + index pairs + source index), so the
+//! [`serve_connect`] dials a dispatcher's `fp sweep --listen` socket,
+//! authenticates with the shared `--token`, and speaks the
+//! [`fp_results::protocol`] frame protocol: say hello, receive the
+//! sweep context, then answer cell requests until a shutdown frame.
+//! Lost connections reconnect with capped exponential backoff; a
+//! `shutdown` frame ends the worker for good. The graph arrives as
+//! explicit structure (node count + index pairs + source index), so the
 //! [`Problem`] built here is *identical* — index for index — to the
 //! dispatcher's, and every evaluated cell lands the same bits the
 //! in-process runner would produce.
 //!
 //! While a session is open the worker emits a `heartbeat` frame every
-//! [`HEARTBEAT_INTERVAL`] from a
-//! side thread, so the dispatcher can tell "slow cell" from "hung
-//! process": a worker stuck inside a cell still heartbeats (and is
-//! governed by the per-cell deadline), while a worker wedged in the
-//! transport stops heartbeating and is declared lost. Data frames
-//! (hello, responses) route through the [`fp_results::net::Chaos`]
-//! fault injector, so `FP_CHAOS=drop@N` and friends perturb real
-//! worker processes deterministically in tests.
-//!
-//! [`serve_connect`] is the remote flavour: dial a dispatcher's
-//! `--listen` socket, authenticate with the shared `--token`, and
-//! serve the same session protocol. Lost connections reconnect with
-//! capped exponential backoff; a `shutdown` frame ends the worker for
-//! good.
-//!
-//! The stdio subcommand is hidden: it is an implementation detail of
-//! `--workers N`, spawned by [`fp_results::worker`]'s dispatcher, not
-//! something a person types. Errors (malformed frames, an impossible
-//! graph) return `Err` and the binary exits non-zero; the dispatcher
-//! treats that as a crash and re-queues the in-flight cells.
+//! [`HEARTBEAT_INTERVAL`] from a side thread, so the dispatcher can
+//! tell "slow cell" from "hung process": a worker stuck inside a cell
+//! still heartbeats (and is governed by the per-cell deadline), while a
+//! worker wedged in the transport stops heartbeating and is declared
+//! lost. Data frames (hello, responses) route through the
+//! [`fp_results::net::Chaos`] fault injector, so `FP_CHAOS=drop@N` and
+//! friends perturb real worker processes deterministically in tests.
+//! A malformed frame or an impossible graph ends the session with an
+//! `Err`; the dispatcher treats that as a crash and re-queues the
+//! in-flight cells.
 
 use crate::Problem;
 use fp_graph::{DiGraph, NodeId};
@@ -59,15 +50,8 @@ enum SessionEnd {
     Shutdown,
     /// The transport reached EOF without a `shutdown` frame — the
     /// dispatcher dropped us (declared lost, crashed, or finished
-    /// without a goodbye). A remote worker may reconnect.
+    /// without a goodbye). The worker may reconnect.
     Dropped,
-}
-
-/// Serve one worker session over `input`/`output` until shutdown or
-/// clean EOF (the stdio entry point behind `fp worker`).
-pub fn serve(input: impl Read, output: impl Write + Send) -> Result<(), String> {
-    let chaos = Chaos::from_env()?;
-    serve_session(input, output, None, &chaos).map(|_| ())
 }
 
 /// Dial `addr`, authenticate with `token`, and serve sweep cells until
@@ -86,7 +70,7 @@ pub fn serve_connect(addr: &str, token: &str, retries: u32) -> Result<String, St
     let mut failures = 0u32;
     loop {
         let outcome = dial(addr).and_then(|(read_half, write_half)| {
-            serve_session(read_half, write_half, Some(token), &chaos)
+            serve_session(read_half, write_half, token, &chaos)
         });
         match outcome {
             Ok((served, SessionEnd::Shutdown)) => {
@@ -144,37 +128,32 @@ fn dial(addr: &str) -> Result<(TcpStream, TcpStream), String> {
     Ok((read_half, stream))
 }
 
-/// Serve one session: hello (with `token` when remote), init, then
-/// requests until shutdown/EOF, heartbeating from a side thread the
-/// whole time. Returns how many cells were answered and how the
-/// session ended.
+/// Serve one session: hello with `token`, init, then requests until
+/// shutdown/EOF, heartbeating from a side thread the whole time.
+/// Returns how many cells were answered and how the session ended.
 fn serve_session(
     mut input: impl Read,
     output: impl Write + Send,
-    token: Option<&str>,
+    token: &str,
     chaos: &Chaos,
 ) -> Result<(usize, SessionEnd), String> {
     let fail_after: Option<usize> = std::env::var(FAIL_AFTER_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
-    let remote = token.is_some();
 
     let out = Mutex::new(output);
-    let hello = match token {
-        Some(t) => WorkerHello::with_token(t),
-        None => WorkerHello::current(),
-    };
-    chaos.write_data_frame(&mut *lock(&out), &Frame::Hello(hello))?;
+    chaos.write_data_frame(
+        &mut *lock(&out),
+        &Frame::Hello(WorkerHello::with_token(token)),
+    )?;
 
     let init = match read_frame(&mut input)? {
         Some(Frame::Init(init)) => init,
         Some(other) => return Err(format!("expected init, got {other:?}")),
-        // Pre-init EOF: over stdio the dispatcher simply went away
-        // (nothing to do); over TCP it means our hello was refused.
-        None if remote => {
+        // Pre-init EOF: the dispatcher refused our hello.
+        None => {
             return Err("dispatcher closed before init (bad token or protocol version?)".into())
         }
-        None => return Ok((0, SessionEnd::Dropped)),
     };
     let (problem, ks) = build_problem(init)?;
 
@@ -205,7 +184,7 @@ fn heartbeat_loop(out: &Mutex<impl Write>, stop: &AtomicBool) {
     }
 }
 
-/// The request/response loop shared by stdio and TCP sessions.
+/// The request/response loop of one session.
 fn serve_cells(
     input: &mut impl Read,
     out: &Mutex<impl Write>,
@@ -269,6 +248,14 @@ mod tests {
     use fp_results::sweep::{reduce_cells, run_sweep_cells, sweep_cells, CellOut};
     use fp_results::RunnerOptions;
 
+    const TOKEN: &str = "sesame";
+
+    /// One session over in-memory byte streams, as [`serve_connect`]
+    /// runs it over a socket.
+    fn session(input: impl Read, output: impl Write + Send) -> Result<(usize, SessionEnd), String> {
+        serve_session(input, output, TOKEN, &Chaos::inert())
+    }
+
     fn diamond_init(ks: Vec<usize>) -> SweepInit {
         SweepInit {
             nodes: 4,
@@ -278,8 +265,8 @@ mod tests {
         }
     }
 
-    /// Drive a full conversation against `serve` through in-memory
-    /// pipes and return the responses. Heartbeats may be interleaved
+    /// Drive a full conversation against a session through in-memory
+    /// byte streams and return the responses. Heartbeats may be interleaved
     /// anywhere in the output; they carry no data and are skipped.
     fn converse(init: SweepInit, cells: &[fp_results::sweep::Cell]) -> Vec<CellOut> {
         let mut dispatcher_out = Vec::new();
@@ -297,11 +284,15 @@ mod tests {
         write_frame(&mut dispatcher_out, &Frame::Shutdown).unwrap();
 
         let mut worker_out = Vec::new();
-        serve(dispatcher_out.as_slice(), &mut worker_out).unwrap();
+        let ended = session(dispatcher_out.as_slice(), &mut worker_out).unwrap();
+        assert_eq!(ended, (cells.len(), SessionEnd::Shutdown));
 
         let mut r = worker_out.as_slice();
         match next_data_frame(&mut r) {
-            Some(Frame::Hello(h)) => assert_eq!(h.version, PROTOCOL_VERSION),
+            Some(Frame::Hello(h)) => {
+                assert_eq!(h.version, PROTOCOL_VERSION);
+                assert_eq!(h.token, TOKEN);
+            }
             other => panic!("expected hello, got {other:?}"),
         }
         let mut outputs = Vec::new();
@@ -354,35 +345,24 @@ mod tests {
     }
 
     #[test]
-    fn eof_before_init_is_a_clean_exit() {
-        let mut worker_out = Vec::new();
-        serve(&[][..], &mut worker_out).unwrap();
-        // It still said hello first.
-        assert!(matches!(
-            next_data_frame(&mut worker_out.as_slice()),
-            Some(Frame::Hello(_))
-        ));
-    }
-
-    #[test]
     fn remote_session_treats_preinit_eof_as_a_refusal() {
-        let err = serve_session(&[][..], Vec::new(), Some("sesame"), &Chaos::inert()).unwrap_err();
+        let err = session(&[][..], Vec::new()).unwrap_err();
         assert!(err.contains("bad token or protocol version"), "{err}");
     }
 
     #[test]
     fn remote_hello_carries_the_token() {
         let mut worker_out = Vec::new();
-        let _ = serve_session(&[][..], &mut worker_out, Some("sesame"), &Chaos::inert());
+        let _ = session(&[][..], &mut worker_out);
         match next_data_frame(&mut worker_out.as_slice()) {
-            Some(Frame::Hello(h)) => assert_eq!(h.token.as_deref(), Some("sesame")),
+            Some(Frame::Hello(h)) => assert_eq!(h.token, TOKEN),
             other => panic!("expected hello, got {other:?}"),
         }
     }
 
     #[test]
     fn a_session_heartbeats_while_waiting_on_a_slow_dispatcher() {
-        // A pipe that delivers init and then stalls long enough for
+        // A stream that delivers init and then stalls long enough for
         // at least one heartbeat before EOF.
         struct SlowThenEof(Vec<u8>, bool);
         impl Read for SlowThenEof {
@@ -403,7 +383,8 @@ mod tests {
         let mut framed = Vec::new();
         write_frame(&mut framed, &Frame::Init(diamond_init(vec![0]))).unwrap();
         let mut worker_out = Vec::new();
-        serve(SlowThenEof(framed, false), &mut worker_out).unwrap();
+        let ended = session(SlowThenEof(framed, false), &mut worker_out).unwrap();
+        assert_eq!(ended, (0, SessionEnd::Dropped));
         let mut r = worker_out.as_slice();
         let mut beats = 0usize;
         while let Some(frame) = read_frame(&mut r).unwrap() {
@@ -438,7 +419,7 @@ mod tests {
     #[test]
     fn garbage_input_is_a_described_error() {
         let garbage = b"this is not a frame stream".to_vec();
-        let err = serve(garbage.as_slice(), Vec::new()).unwrap_err();
+        let err = session(garbage.as_slice(), Vec::new()).unwrap_err();
         assert!(err.contains("frame") || err.contains("exceeds"), "{err}");
     }
 
@@ -455,7 +436,7 @@ mod tests {
             }),
         )
         .unwrap();
-        let err = serve(dispatcher_out.as_slice(), Vec::new()).unwrap_err();
+        let err = session(dispatcher_out.as_slice(), Vec::new()).unwrap_err();
         assert!(err.contains("expected init"), "{err}");
     }
 
@@ -469,7 +450,7 @@ mod tests {
         };
         let mut dispatcher_out = Vec::new();
         write_frame(&mut dispatcher_out, &Frame::Init(bad)).unwrap();
-        let err = serve(dispatcher_out.as_slice(), Vec::new()).unwrap_err();
+        let err = session(dispatcher_out.as_slice(), Vec::new()).unwrap_err();
         assert!(err.contains("invalid graph"), "{err}");
 
         let bad_source = SweepInit {
@@ -480,7 +461,7 @@ mod tests {
         };
         let mut dispatcher_out = Vec::new();
         write_frame(&mut dispatcher_out, &Frame::Init(bad_source)).unwrap();
-        let err = serve(dispatcher_out.as_slice(), Vec::new()).unwrap_err();
+        let err = session(dispatcher_out.as_slice(), Vec::new()).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
     }
 }

@@ -1,8 +1,8 @@
-//! End-to-end tests of the remote sweep fabric: a TCP dispatcher
-//! (`SweepListener` / `fp sweep --listen`) fed by real `fp worker
-//! --connect` processes, under fault injection.
+//! End-to-end tests of the multi-process sweep fabric: a TCP
+//! dispatcher (`SweepListener` / `fp sweep --listen`) fed by real
+//! `fp worker --connect` processes, under fault injection.
 //!
-//! The contracts under test are the ones the ISSUE pins:
+//! The contracts under test:
 //!
 //! 1. a TCP sweep with one killed worker and one hung worker produces
 //!    the **bit-identical** result of a single-process run, with zero
@@ -12,10 +12,18 @@
 //!    slow-loris handshakes) are closed without a reply and never
 //!    perturb the sweep;
 //! 3. a worker that crashes mid-session (chaos truncate) reconnects
-//!    with backoff and keeps serving.
+//!    with backoff and keeps serving;
+//! 4. `fp sweep --listen --out DIR` writes the same run directory as
+//!    `--jobs`, and a worker that dies mid-sweep leaves exactly one
+//!    complete run and no staging debris;
+//! 5. more workers than cells neither change the result nor wedge the
+//!    listener.
+//!
+//! A worker that dials in after the sweep has ended finds no listener
+//! and exits non-zero once its retries run out, so tests reap workers
+//! without asserting the exit status of one that may arrive late.
 
 use fp_core::prelude::*;
-use fp_results::worker::PoolOptions;
 use fp_results::{NetOptions, SweepListener};
 use std::io::{BufRead as _, Read as _, Write as _};
 use std::net::TcpStream;
@@ -29,7 +37,8 @@ fn fp_exe() -> &'static str {
 
 const TOKEN: &str = "fabric-secret";
 
-/// Same layered edge list the local pool tests use.
+/// A small layered edge list with enough structure that solvers
+/// disagree and randomized trials matter.
 const EDGES: &str = "s a\ns b\ns c\na d\na e\nb d\nb e\nc e\nd f\nd g\ne f\ne g\nf h\ng h\n";
 
 fn fabric_problem() -> (DiGraph, NodeId, SweepConfig) {
@@ -81,42 +90,48 @@ fn spawn_worker(addr: &str, token: &str, envs: &[(&str, &str)]) -> Child {
     cmd.spawn().expect("fp worker spawns")
 }
 
-/// A pool tuned for tests: lost workers are declared dead after ~1.2s
-/// of silence instead of the production 5s.
-fn fast_pool() -> PoolOptions {
-    PoolOptions {
+/// Options tuned for tests: lost workers are declared dead after
+/// ~1.2s of silence instead of the production 5s.
+fn fast_opts() -> NetOptions {
+    NetOptions {
         heartbeat_timeout: Duration::from_millis(1200),
-        ..PoolOptions::default()
+        ..NetOptions::new(TOKEN)
+    }
+}
+
+/// Kill (if still running) and wait for every worker, whatever its
+/// exit status.
+fn reap(workers: impl IntoIterator<Item = Child>) {
+    for mut w in workers {
+        let _ = w.kill();
+        let _ = w.wait();
     }
 }
 
 #[test]
 fn tcp_sweep_survives_killed_and_hung_workers_bit_for_bit() {
     let (g, source, cfg) = fabric_problem();
-    let listener = SweepListener::bind("127.0.0.1:0", NetOptions::new(TOKEN)).unwrap();
+    let listener = SweepListener::bind("127.0.0.1:0", fast_opts()).unwrap();
     let addr = listener.local_addr().to_string();
 
     // One worker exits(17) for good after two served cells, one hangs
     // mid-write on its third data frame (its heartbeats stop with it —
     // the writer is held), one healthy survivor carries the sweep home.
-    let mut doomed = spawn_worker(&addr, TOKEN, &[("FP_WORKER_FAIL_AFTER", "2")]);
-    let mut hung = spawn_worker(&addr, TOKEN, &[("FP_CHAOS", "hang@3")]);
-    let mut healthy = spawn_worker(&addr, TOKEN, &[]);
+    let doomed = spawn_worker(&addr, TOKEN, &[("FP_WORKER_FAIL_AFTER", "2")]);
+    let hung = spawn_worker(&addr, TOKEN, &[("FP_CHAOS", "hang@3")]);
+    let healthy = spawn_worker(&addr, TOKEN, &[]);
 
-    let via_tcp = listener.run(&g, source, &cfg, &fast_pool()).unwrap();
+    let via_tcp = listener.run(&g, source, &cfg).unwrap();
     assert_bits_equal(&via_tcp, &reference(&g, source, &cfg), "kill+hang");
 
-    // The hung worker sleeps for an hour by design; reap it ourselves.
-    let _ = hung.kill();
-    let _ = hung.wait();
-    let _ = doomed.wait();
-    let _ = healthy.wait();
+    // The hung worker sleeps for an hour by design.
+    reap([hung, doomed, healthy]);
 }
 
 #[test]
 fn chaos_truncate_crash_reconnects_and_finishes_bit_for_bit() {
     let (g, source, cfg) = fabric_problem();
-    let listener = SweepListener::bind("127.0.0.1:0", NetOptions::new(TOKEN)).unwrap();
+    let listener = SweepListener::bind("127.0.0.1:0", fast_opts()).unwrap();
     let addr = listener.local_addr().to_string();
 
     // The chaotic worker truncates its first response mid-frame and
@@ -124,14 +139,13 @@ fn chaos_truncate_crash_reconnects_and_finishes_bit_for_bit() {
     // reconnect (after backoff) serves clean. A delayed worker stalls
     // one write by 300ms — under the heartbeat timeout, so it is
     // merely slow, never declared lost.
-    let mut chaotic = spawn_worker(&addr, TOKEN, &[("FP_CHAOS", "truncate@2")]);
-    let mut delayed = spawn_worker(&addr, TOKEN, &[("FP_CHAOS", "delay@2:300")]);
+    let chaotic = spawn_worker(&addr, TOKEN, &[("FP_CHAOS", "truncate@2")]);
+    let delayed = spawn_worker(&addr, TOKEN, &[("FP_CHAOS", "delay@2:300")]);
 
-    let via_tcp = listener.run(&g, source, &cfg, &fast_pool()).unwrap();
+    let via_tcp = listener.run(&g, source, &cfg).unwrap();
     assert_bits_equal(&via_tcp, &reference(&g, source, &cfg), "truncate+delay");
 
-    let _ = chaotic.wait();
-    let _ = delayed.wait();
+    reap([chaotic, delayed]);
 }
 
 /// Write raw bytes to the listener and assert the dispatcher closes
@@ -165,14 +179,13 @@ fn adversarial_connections_never_perturb_the_sweep() {
     let opts = NetOptions {
         // Short enough that the slow-loris probe resolves quickly.
         hello_timeout: Duration::from_millis(400),
-        ..NetOptions::new(TOKEN)
+        ..fast_opts()
     };
     let listener = SweepListener::bind("127.0.0.1:0", opts).unwrap();
     let addr = listener.local_addr().to_string();
-    let pool = fast_pool();
 
     let via_tcp = std::thread::scope(|scope| {
-        let run = scope.spawn(|| listener.run(&g, source, &cfg, &pool));
+        let run = scope.spawn(|| listener.run(&g, source, &cfg));
 
         // Every shape of hostile client, against the live listener.
         let wrong_token =
@@ -217,45 +230,131 @@ fn adversarial_connections_never_perturb_the_sweep() {
 
         // After all that abuse, one honest worker completes the sweep
         // and the bits are exactly the single-process bits.
-        let mut honest = spawn_worker(&addr, TOKEN, &[]);
+        let honest = spawn_worker(&addr, TOKEN, &[]);
         let via_tcp = run.join().unwrap().unwrap();
-        let _ = honest.wait();
+        reap([honest]);
         via_tcp
     });
     assert_bits_equal(&via_tcp, &reference(&g, source, &cfg), "post-abuse");
 }
 
+/// A fresh scratch directory holding `edges.txt`.
+fn work_dir() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fp-net-it-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("edges.txt"), EDGES).unwrap();
+    dir
+}
+
+/// `fp sweep` over `edges.txt` in `work`, storing under `out`.
+fn sweep_args(kmax: &str, trials: &str, out: &str) -> Vec<String> {
+    [
+        "sweep",
+        "--input",
+        "edges.txt",
+        "--source",
+        "s",
+        "--kmax",
+        kmax,
+        "--trials",
+        trials,
+        "--seed",
+        "7",
+        "--out",
+        out,
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect()
+}
+
+/// A running `fp sweep --listen` dispatcher: the child, the address
+/// scraped off its stderr banner, and a thread draining the rest of
+/// its stderr (so it can never block on a full pipe).
+struct CliDispatcher {
+    child: Child,
+    addr: String,
+    banner: String,
+    stderr: std::thread::JoinHandle<String>,
+}
+
+impl CliDispatcher {
+    fn start(args: Vec<String>, work: &std::path::Path) -> Self {
+        let mut child = Command::new(fp_exe())
+            .args(args)
+            .args(["--listen", "127.0.0.1:0", "--token", TOKEN])
+            .current_dir(work)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("dispatcher spawns");
+        let mut banner = String::new();
+        let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+        stderr.read_line(&mut banner).unwrap();
+        let addr = banner
+            .split("listening on ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
+            .to_string();
+        let stderr = std::thread::spawn(move || {
+            let mut rest = String::new();
+            let _ = stderr.read_to_string(&mut rest);
+            rest
+        });
+        Self {
+            child,
+            addr,
+            banner,
+            stderr,
+        }
+    }
+
+    /// Wait for the sweep and require it to succeed.
+    fn finish(self) {
+        let out = self.child.wait_with_output().expect("dispatcher finishes");
+        let tail = self.stderr.join().unwrap();
+        assert!(
+            out.status.success(),
+            "tcp sweep failed:\n{}{tail}",
+            self.banner
+        );
+    }
+}
+
+/// Every (relative path, bytes) under `root`, sorted.
+fn dir_contents(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    fn walk(root: &std::path::Path, dir: &std::path::Path, out: &mut Vec<(String, Vec<u8>)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().display().to_string();
+                out.push((rel, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, root, &mut out);
+    out.sort();
+    out
+}
+
 #[test]
 fn cli_tcp_sweep_run_dir_matches_local_jobs_byte_for_byte() {
-    let work = {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "fp-net-it-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    };
-    let input = work.join("edges.txt");
-    std::fs::write(&input, EDGES).unwrap();
-    let input = input.to_str().unwrap().to_string();
-
-    let base = |out: &str| -> Vec<String> {
-        [
-            "sweep", "--input", &input, "--source", "s", "--kmax", "3", "--trials", "2", "--seed",
-            "7", "--out", out,
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
-    };
+    let work = work_dir();
 
     // Reference run over in-process threads.
     let local = Command::new(fp_exe())
-        .args(base("run-local"))
+        .args(sweep_args("3", "2", "run-local"))
         .args(["--jobs", "2"])
         .current_dir(&work)
         .output()
@@ -266,38 +365,11 @@ fn cli_tcp_sweep_run_dir_matches_local_jobs_byte_for_byte() {
         String::from_utf8_lossy(&local.stderr)
     );
 
-    // The same sweep over TCP: start the dispatcher, scrape the bound
-    // port off its stderr banner, join two workers.
-    let mut dispatcher = Command::new(fp_exe())
-        .args(base("run-tcp"))
-        .args(["--listen", "127.0.0.1:0", "--token", TOKEN])
-        .current_dir(&work)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("dispatcher spawns");
-    let mut banner = String::new();
-    let mut stderr = std::io::BufReader::new(dispatcher.stderr.take().unwrap());
-    stderr.read_line(&mut banner).unwrap();
-    let addr = banner
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split(' ').next())
-        .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
-        .to_string();
-    // Keep draining stderr so the dispatcher can never block on a
-    // full pipe.
-    let drain = std::thread::spawn(move || {
-        let mut rest = String::new();
-        let _ = stderr.read_to_string(&mut rest);
-        rest
-    });
-
-    let w1 = spawn_worker(&addr, TOKEN, &[]);
-    let w2 = spawn_worker(&addr, TOKEN, &[]);
-    let out = dispatcher.wait_with_output().expect("dispatcher finishes");
-    let tail = drain.join().unwrap();
-    assert!(out.status.success(), "tcp sweep failed:\n{banner}{tail}");
+    // The same sweep over TCP, fed by two workers.
+    let dispatcher = CliDispatcher::start(sweep_args("3", "2", "run-tcp"), &work);
+    let w1 = spawn_worker(&dispatcher.addr, TOKEN, &[]);
+    let w2 = spawn_worker(&dispatcher.addr, TOKEN, &[]);
+    dispatcher.finish();
 
     // Workers exit cleanly and report what they served.
     for (i, w) in [w1, w2].into_iter().enumerate() {
@@ -311,23 +383,6 @@ fn cli_tcp_sweep_run_dir_matches_local_jobs_byte_for_byte() {
     }
 
     // Byte-identical run directories, exactly like the CI `diff -r`.
-    fn dir_contents(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {
-        fn walk(root: &std::path::Path, dir: &std::path::Path, out: &mut Vec<(String, Vec<u8>)>) {
-            for entry in std::fs::read_dir(dir).unwrap() {
-                let path = entry.unwrap().path();
-                if path.is_dir() {
-                    walk(root, &path, out);
-                } else {
-                    let rel = path.strip_prefix(root).unwrap().display().to_string();
-                    out.push((rel, std::fs::read(&path).unwrap()));
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(root, root, &mut out);
-        out.sort();
-        out
-    }
     let a = dir_contents(&work.join("run-local"));
     let b = dir_contents(&work.join("run-tcp"));
     assert!(!a.is_empty(), "local run stored something");
@@ -341,4 +396,51 @@ fn cli_tcp_sweep_run_dir_matches_local_jobs_byte_for_byte() {
     }
 
     let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn a_worker_dying_mid_sweep_does_not_corrupt_the_store() {
+    let work = work_dir();
+    let dispatcher = CliDispatcher::start(sweep_args("3", "2", "store"), &work);
+
+    // The doomed worker is the only one until it dies on its third
+    // request (after two served cells), so it certainly joined the
+    // sweep and died inside it; the healthy one then carries it home.
+    let mut doomed = spawn_worker(&dispatcher.addr, TOKEN, &[("FP_WORKER_FAIL_AFTER", "2")]);
+    let status = doomed.wait().expect("doomed worker exits");
+    assert_eq!(status.code(), Some(17), "the worker died mid-sweep");
+    let healthy = spawn_worker(&dispatcher.addr, TOKEN, &[]);
+    dispatcher.finish();
+    reap([healthy]);
+
+    let store = RunStore::open(work.join("store")).unwrap();
+    let runs = store.list().unwrap();
+    assert_eq!(runs.len(), 1, "exactly one complete run: {runs:?}");
+    let loaded = store.load(&runs[0].id).unwrap().expect("loadable");
+    assert_eq!(loaded.result.series.len(), 7, "all seven solvers stored");
+    // Only the dispatcher writes the store, so a crashed worker leaves
+    // no staging debris at all.
+    assert_eq!(store.sweep_staging(Duration::ZERO).unwrap(), 0);
+
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn more_workers_than_cells_neither_change_the_result_nor_wedge() {
+    let (g, source, _) = fabric_problem();
+    let cfg = SweepConfig {
+        ks: vec![0, 1],
+        trials: 1,
+        seed: 5,
+        solvers: vec![SolverKind::GreedyAll], // one curve cell
+    };
+    let listener = SweepListener::bind("127.0.0.1:0", fast_opts()).unwrap();
+    let addr = listener.local_addr().to_string();
+    let workers: Vec<Child> = (0..8).map(|_| spawn_worker(&addr, TOKEN, &[])).collect();
+
+    let via_tcp = listener.run(&g, source, &cfg).unwrap();
+    assert_eq!(via_tcp, reference(&g, source, &cfg));
+
+    // Most of the eight found the sweep already over.
+    reap(workers);
 }

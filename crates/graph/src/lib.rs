@@ -8,9 +8,9 @@
 //!   or transforming graphs.
 //! * [`Csr`] — a frozen compressed-sparse-row snapshot with both edge
 //!   directions, the representation every propagation pass runs on.
-//! * Topological ordering ([`topo_order`]), DFS/BFS traversals with
-//!   discovery times ([`DfsResult`], [`bfs_levels`]), Tarjan SCCs
-//!   ([`tarjan_scc`]), and reachability over a home-grown [`BitSet`].
+//! * Topological ordering ([`topo_order`]), DFS traversal with
+//!   discovery times ([`DfsResult`]), and forward reachability over a
+//!   home-grown [`BitSet`].
 //! * Rooted-tree utilities ([`CTree`]) including the binary-tree
 //!   transformation the paper's tree DP requires.
 //! * Plain-text edge-list and DOT I/O.
@@ -25,7 +25,6 @@ mod error;
 mod id;
 mod io;
 mod reach;
-mod scc;
 mod source;
 mod topo;
 mod traversal;
@@ -37,9 +36,8 @@ pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::NodeId;
 pub use io::{from_edge_list, quote_input, to_dot, to_edge_list};
-pub use reach::{ancestors_of, reachable_from};
-pub use scc::{condensation, tarjan_scc};
+pub use reach::reachable_from;
 pub use source::{sinks, sources};
 pub use topo::{is_topological_order, topo_order};
-pub use traversal::{bfs_levels, dfs_from, DfsResult};
-pub use tree::{is_ctree, BinaryTree, BinaryTreeNode, CTree};
+pub use traversal::{dfs_from, DfsResult};
+pub use tree::{BinaryTree, BinaryTreeNode, CTree};

@@ -1,4 +1,4 @@
-//! Reachability queries over [`crate::BitSet`]s.
+//! Forward reachability over a [`crate::BitSet`].
 
 use crate::{BitSet, Csr, NodeId};
 
@@ -9,21 +9,6 @@ pub fn reachable_from(g: &Csr, root: NodeId) -> BitSet {
     seen.insert(root.index());
     while let Some(u) = stack.pop() {
         for &v in g.children(u) {
-            if seen.insert(v.index()) {
-                stack.push(v);
-            }
-        }
-    }
-    seen
-}
-
-/// The set of nodes that can reach `target` (including `target`).
-pub fn ancestors_of(g: &Csr, target: NodeId) -> BitSet {
-    let mut seen = BitSet::new(g.node_count());
-    let mut stack = vec![target];
-    seen.insert(target.index());
-    while let Some(u) = stack.pop() {
-        for &v in g.parents(u) {
             if seen.insert(v.index()) {
                 stack.push(v);
             }
@@ -50,30 +35,8 @@ mod tests {
     }
 
     #[test]
-    fn backward_reachability() {
-        let g = graph(6, &[(0, 2), (1, 2), (2, 3), (4, 5)]);
-        let a = ancestors_of(&g, NodeId::new(3));
-        let got: Vec<usize> = a.iter().collect();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn cycles_do_not_loop_forever() {
         let g = graph(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(reachable_from(&g, NodeId::new(1)).len(), 3);
-        assert_eq!(ancestors_of(&g, NodeId::new(1)).len(), 3);
-    }
-
-    #[test]
-    fn forward_and_backward_are_duals() {
-        let g = graph(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]);
-        // v reachable from u  <=>  u is an ancestor of v.
-        for u in 0..5 {
-            let fwd = reachable_from(&g, NodeId::new(u));
-            for v in 0..5 {
-                let bwd = ancestors_of(&g, NodeId::new(v));
-                assert_eq!(fwd.contains(v), bwd.contains(u), "u={u} v={v}");
-            }
-        }
     }
 }

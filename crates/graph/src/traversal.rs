@@ -1,9 +1,9 @@
-//! Depth- and breadth-first traversals.
+//! Depth-first traversal.
 //!
 //! The Acyclic extraction (paper §4.3) needs a DFS from the source with
-//! discovery times and the set of tree edges; dataset statistics need
-//! BFS levels. Both are iterative (no recursion — paper-scale graphs are
-//! ~100k nodes deep in the worst case).
+//! discovery times and the set of tree edges. It is iterative (no
+//! recursion — paper-scale graphs are ~100k nodes deep in the worst
+//! case).
 
 use crate::{Csr, NodeId};
 
@@ -74,34 +74,6 @@ pub fn dfs_from(g: &Csr, root: NodeId) -> DfsResult {
     }
 }
 
-/// BFS from `root`; returns `level[v] = Some(distance)` for reached
-/// nodes and the nodes grouped by level.
-pub fn bfs_levels(g: &Csr, root: NodeId) -> (Vec<Option<u32>>, Vec<Vec<NodeId>>) {
-    let n = g.node_count();
-    let mut level: Vec<Option<u32>> = vec![None; n];
-    let mut by_level: Vec<Vec<NodeId>> = vec![vec![root]];
-    level[root.index()] = Some(0);
-    let mut frontier = vec![root];
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        let depth = by_level.len() as u32;
-        for &u in &frontier {
-            for &v in g.children(u) {
-                if level[v.index()].is_none() {
-                    level[v.index()] = Some(depth);
-                    next.push(v);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        by_level.push(next.clone());
-        frontier = next;
-    }
-    (level, by_level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,18 +119,5 @@ mod tests {
         let g = graph(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4)]);
         let dfs = dfs_from(&g, NodeId::new(0));
         assert_eq!(dfs.tree_edges.len(), dfs.reached_count() - 1);
-    }
-
-    #[test]
-    fn bfs_levels_are_shortest_distances() {
-        let g = graph(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)]);
-        let (level, by_level) = bfs_levels(&g, NodeId::new(0));
-        assert_eq!(level[0], Some(0));
-        assert_eq!(level[1], Some(1));
-        assert_eq!(level[3], Some(2));
-        assert_eq!(level[4], Some(1), "direct edge beats the long path");
-        assert_eq!(level[5], None);
-        assert_eq!(by_level[0], vec![NodeId::new(0)]);
-        assert_eq!(by_level.len(), 3);
     }
 }

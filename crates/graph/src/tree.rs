@@ -270,11 +270,6 @@ impl BinaryTree {
     }
 }
 
-/// Whether `g` minus `source` is a tree (convenience wrapper).
-pub fn is_ctree(g: &DiGraph, source: NodeId) -> bool {
-    CTree::from_digraph(g, source).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,7 +393,7 @@ mod tests {
         let mut g = DiGraph::from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let s = g.add_node();
         g.add_edge(s, NodeId::new(0));
-        assert!(!is_ctree(&g, s));
+        assert!(CTree::from_digraph(&g, s).is_err());
     }
 
     #[test]

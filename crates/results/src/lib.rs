@@ -22,22 +22,21 @@
 //! * [`csv`] — the figure-table CSV rendering shared by the store and
 //!   the `fp` CLI.
 //! * [`protocol`] — length-prefixed JSON frames for shipping sweep
-//!   cells to worker *processes* (`fp worker`).
-//! * [`net`] — the wire fabric under the pool: deadline reads over a
-//!   reader-thread channel, the constant-time token handshake, the TCP
-//!   [`SweepListener`] remote workers dial into, and the `FP_CHAOS`
-//!   deterministic fault injector.
-//! * [`worker`] — the process-pool dispatcher: spawns (or accepts)
-//!   workers, streams cells through a credit window under heartbeat
-//!   and per-cell deadlines, restarts or sheds lost workers and
-//!   re-queues their in-flight cells; bit-identical to the in-process
-//!   runner.
+//!   cells to worker *processes* (`fp worker --connect`) and for the
+//!   `fp serve` frame transport.
+//! * [`net`] — the multi-process sweep fabric: the TCP
+//!   [`SweepListener`] workers dial into, the constant-time token
+//!   handshake, a dispatcher that streams cells through a credit window
+//!   under heartbeat and per-cell deadlines and re-queues a lost
+//!   worker's in-flight cells (bit-identical to the in-process runner),
+//!   and the `FP_CHAOS` deterministic fault injector.
 //!
 //! `fp-core` builds [`sweep::SweepBackend`] on `Problem` and the `fp`
-//! CLI exposes the store as `fp sweep --out DIR --jobs N --workers N`
-//! and `fp report --run DIR` / `--list DIR`; `fp-bench`'s `repro`
-//! persists every figure through it. See DESIGN.md §6–§7 for the
-//! subsystem rationale and README.md for the workflow.
+//! CLI exposes the store as `fp sweep --out DIR --jobs N` (or
+//! `--listen ADDR --token T` for remote workers) and
+//! `fp report --run DIR` / `--list DIR`; `fp-bench`'s `repro` persists
+//! every figure through it. See DESIGN.md §6–§7 for the subsystem
+//! rationale and README.md for the workflow.
 
 pub mod csv;
 pub mod hash;
@@ -48,7 +47,6 @@ pub mod protocol;
 pub mod runner;
 pub mod store;
 pub mod sweep;
-pub mod worker;
 
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use model::{solver_from_label, SolverSeries, SweepConfig, SweepResult};
@@ -56,4 +54,3 @@ pub use net::{Chaos, ChaosAction, ChaosSpec, NetOptions, SweepListener};
 pub use runner::{available_cores, run_parallel, RunOutcome, RunnerOptions};
 pub use store::{DatasetFingerprint, GcPolicy, RunListEntry, RunManifest, RunStore, StoredRun};
 pub use sweep::{run_sweep_cells, SweepBackend};
-pub use worker::{run_sweep_workers, PoolOptions, WorkerSpawner};

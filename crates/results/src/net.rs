@@ -1,44 +1,79 @@
-//! The wire fabric under the sweep pool: deadline reads, auth, TCP,
+//! The multi-process sweep fabric: a TCP dispatcher that remote
+//! `fp worker --connect` processes join, with deadline reads, auth,
 //! and deterministic fault injection.
 //!
-//! The process-pool dispatcher ([`crate::worker`]) and the remote
-//! listener ([`SweepListener`]) both talk to workers through a
-//! `WorkerConn`: a frame writer plus a **background reader thread**
-//! feeding a channel, so every receive takes a timeout
-//! (`FrameReceiver::recv`) even on transports without native read
-//! deadlines (std pipes). A hung peer can therefore never block a
-//! dispatcher thread — the receive times out, the connection is closed
-//! (killing the child or shutting the socket down, which also unblocks
-//! the reader thread), and the in-flight cells go back on the queue.
+//! [`SweepListener::run`] schedules the same (solver, k, trial) cells
+//! as the in-process runner ([`crate::runner`]), but each cell is
+//! evaluated by a **worker process** speaking the [`crate::protocol`]
+//! frame protocol. Scheduling is self-balancing the same way the
+//! thread runner's stealing is: every worker holds up to a small
+//! **credit window** of in-flight cells (two) and is topped up from a
+//! shared queue the moment it answers, so fast workers naturally take
+//! more cells and no worker idles while work remains — and one slow
+//! machine never gates the queue, because the others keep pulling
+//! around it.
 //!
-//! **Auth.** A remote worker's first frame must be a hello carrying
-//! the dispatcher's shared token and the exact
-//! [`PROTOCOL_VERSION`]; `expect_hello` compares tokens in constant
-//! time ([`constant_time_eq`]) and any failure — wrong token, wrong
-//! version, a non-hello frame, garbage bytes, or a hello that never
-//! completes within the handshake deadline (slow loris) — closes the
-//! connection without a reply. Local pipe workers skip the token: the
-//! parent/child relationship is the trust anchor.
+//! Each connection is a `WorkerConn`: a frame writer plus a
+//! **background reader thread** feeding a channel, so every receive
+//! takes a timeout (`FrameReceiver::recv`). A hung peer can therefore
+//! never block a dispatcher thread — the receive times out, the socket
+//! is shut down (which also unblocks the reader thread), and the
+//! in-flight cells go back on the queue.
+//!
+//! **Failure taxonomy.** Every way a worker can go wrong maps onto one
+//! recovery path (DESIGN.md §13):
+//!
+//! * *Crash or disconnect* — the process exits, the socket errors or
+//!   reaches EOF, or the worker writes a malformed frame, answers an
+//!   unknown id, or answers with the wrong output shape. The
+//!   connection is torn down and its in-flight cells re-queued; the
+//!   worker may reconnect and start fresh.
+//! * *Hang* — the process stays alive but goes silent. Workers send
+//!   [`Frame::Heartbeat`] every [`HEARTBEAT_INTERVAL`]; silence past
+//!   [`NetOptions::heartbeat_timeout`] is a loss.
+//! * *Slow / wedged mid-cell* — heartbeats still flow but an answer
+//!   never comes. The oldest in-flight cell carries a soft deadline
+//!   ([`NetOptions::cell_deadline`]); past it the worker is declared
+//!   lost and its cells re-queued for the survivors.
+//!
+//! The sweep only errors out when cells remain and no worker has been
+//! connected for [`NetOptions::join_timeout`].
+//!
+//! **Determinism.** Results land in per-cell slots keyed by cell index
+//! and are reduced by [`reduce_cells`] in configuration order; floats
+//! cross the wire losslessly (shortest-round-trip JSON). The sweep
+//! result is therefore bit-identical to the in-process runner's for
+//! every worker count and loss schedule — the property the
+//! `distributed-determinism` and `chaos-determinism` CI jobs pin with
+//! byte-level `diff -r`s of run directories.
+//!
+//! **Auth.** A worker's first frame must be a hello carrying the
+//! dispatcher's shared token and the exact [`PROTOCOL_VERSION`];
+//! `expect_hello` compares tokens in constant time
+//! ([`constant_time_eq`]) and any failure — wrong token, wrong version,
+//! a non-hello frame, garbage bytes, or a hello that never completes
+//! within the handshake deadline (slow loris) — closes the connection
+//! without a reply.
 //!
 //! **Chaos.** `FP_CHAOS=drop@N | delay@N:MS | truncate@N | hang@N`
 //! arms a deterministic fault on the worker's N-th *data* frame
 //! (hello + responses; heartbeats are excluded so timing never shifts
 //! which frame is hit). The fault fires once per process — or once per
 //! `FP_CHAOS_ONCE_FILE` when several processes share a spec — so a
-//! restarted or reconnected worker recovers, which is exactly the
-//! recovery path the chaos tests pin byte-identical run dirs on.
+//! reconnected worker recovers, which is exactly the recovery path the
+//! chaos tests pin byte-identical run dirs on.
 
 use crate::model::{SweepConfig, SweepResult};
-use crate::protocol::{write_frame, Frame, SweepInit, WorkerHello, PROTOCOL_VERSION};
-use crate::worker::{dispatch_conn, DispatchEnd, PoolOptions, SweepState};
+use crate::protocol::{write_frame, CellRequest, Frame, SweepInit, PROTOCOL_VERSION};
+use crate::sweep::{reduce_cells, sweep_cells, Cell, CellOut};
 use fp_graph::{DiGraph, NodeId};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 /// How often a worker emits [`Frame::Heartbeat`] while serving.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
@@ -55,6 +90,16 @@ pub const CHAOS_ONCE_FILE_ENV: &str = "FP_CHAOS_ONCE_FILE";
 /// How long a chaos `hang` sleeps: long enough that only deadline
 /// machinery (or an external kill) ever ends it.
 const CHAOS_HANG: Duration = Duration::from_secs(3600);
+
+/// In-flight cells per worker connection. More than one keeps a worker
+/// busy across the request/response round trip; results are
+/// bit-identical for any window.
+const CREDIT_WINDOW: usize = 2;
+
+/// Environment override for [`NetOptions::heartbeat_timeout`] (ms).
+pub const HEARTBEAT_TIMEOUT_ENV: &str = "FP_POOL_HEARTBEAT_TIMEOUT_MS";
+/// Environment override for [`NetOptions::cell_deadline`] (ms).
+pub const CELL_DEADLINE_ENV: &str = "FP_POOL_CELL_DEADLINE_MS";
 
 // ---------------------------------------------------------------------
 // Constant-time token comparison
@@ -241,7 +286,7 @@ use crate::json::ToJson; // for ChaosAction::Truncate's partial body
 
 /// One received item, or the reason there isn't one.
 #[derive(Debug)]
-pub(crate) enum RecvOutcome {
+enum RecvOutcome {
     /// A well-formed frame.
     Frame(Frame),
     /// Clean EOF at a frame boundary (or the reader thread is gone).
@@ -254,15 +299,14 @@ pub(crate) enum RecvOutcome {
 
 /// Frames arriving from a background reader thread. The thread blocks
 /// in `read_frame`; [`recv`](Self::recv) blocks at most the caller's
-/// timeout. Closing the underlying transport (killing the child,
-/// `TcpStream::shutdown`) unblocks the thread, which then exits on the
-/// resulting EOF/error.
-pub(crate) struct FrameReceiver {
+/// timeout. Shutting the socket down unblocks the thread, which then
+/// exits on the resulting EOF/error.
+struct FrameReceiver {
     rx: mpsc::Receiver<Result<Option<Frame>, String>>,
 }
 
 impl FrameReceiver {
-    pub(crate) fn spawn(mut r: impl Read + Send + 'static) -> Self {
+    fn spawn(mut r: impl Read + Send + 'static) -> Self {
         let (tx, rx) = mpsc::channel();
         // Detached on purpose: the thread owns nothing but the read
         // half and dies with it.
@@ -278,7 +322,7 @@ impl FrameReceiver {
         Self { rx }
     }
 
-    pub(crate) fn recv(&self, timeout: Duration) -> RecvOutcome {
+    fn recv(&self, timeout: Duration) -> RecvOutcome {
         match self.rx.recv_timeout(timeout) {
             Ok(Ok(Some(frame))) => RecvOutcome::Frame(frame),
             Ok(Ok(None)) => RecvOutcome::Eof,
@@ -290,102 +334,58 @@ impl FrameReceiver {
 }
 
 // ---------------------------------------------------------------------
-// One worker connection, transport-agnostic
+// One worker connection
 // ---------------------------------------------------------------------
 
-enum ConnKind {
-    /// A local child; closing = kill + reap (EOF unblocks the reader).
-    Child(Child),
-    /// A TCP peer; closing = `shutdown(Both)` (ditto).
-    Tcp(TcpStream),
-}
-
 /// A live worker from the dispatcher's side: deadline receives plus a
-/// plain frame writer, over either transport.
-pub(crate) struct WorkerConn {
-    writer: Option<Box<dyn Write + Send>>,
+/// plain frame writer on the socket.
+struct WorkerConn {
+    stream: TcpStream,
     frames: FrameReceiver,
-    kind: ConnKind,
     /// Short peer description for diagnostics.
-    pub(crate) peer: String,
+    peer: String,
 }
 
 impl WorkerConn {
-    /// Wrap a freshly spawned child whose stdin/stdout are piped.
-    pub(crate) fn from_child(mut child: Child) -> Self {
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let peer = format!("worker pid {}", child.id());
-        Self {
-            writer: Some(Box::new(std::io::BufWriter::new(stdin))),
-            frames: FrameReceiver::spawn(std::io::BufReader::new(stdout)),
-            kind: ConnKind::Child(child),
-            peer,
-        }
-    }
-
     /// Wrap an accepted TCP stream.
-    pub(crate) fn from_tcp(stream: TcpStream, peer: SocketAddr) -> Result<Self, String> {
+    fn from_tcp(stream: TcpStream, peer: SocketAddr) -> Result<Self, String> {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
         let read_half = stream
             .try_clone()
             .map_err(|e| format!("cannot clone stream for {peer}: {e}"))?;
         Ok(Self {
-            writer: Some(Box::new(stream.try_clone().map_err(|e| e.to_string())?)),
+            stream,
             frames: FrameReceiver::spawn(std::io::BufReader::new(read_half)),
-            kind: ConnKind::Tcp(stream),
             peer: format!("worker {peer}"),
         })
     }
 
-    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), String> {
-        let w = self.writer.as_mut().ok_or("connection already closed")?;
-        write_frame(w, frame)
+    fn send(&mut self, frame: &Frame) -> Result<(), String> {
+        write_frame(&mut self.stream, frame)
     }
 
-    pub(crate) fn recv(&self, timeout: Duration) -> RecvOutcome {
+    fn recv(&self, timeout: Duration) -> RecvOutcome {
         self.frames.recv(timeout)
     }
 
-    /// Tear the transport down hard; also unblocks the reader thread.
-    pub(crate) fn close(&mut self) {
-        self.writer = None;
-        match &mut self.kind {
-            ConnKind::Child(child) => {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            ConnKind::Tcp(stream) => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
+    /// Tear the connection down hard; also unblocks the reader thread.
+    fn close(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 
-    /// Ask the worker to exit, then let it go cleanly.
-    pub(crate) fn shutdown_clean(mut self) {
+    /// Ask the worker to exit, then half-close so it sees a clean EOF.
+    fn shutdown_clean(mut self) {
         let _ = self.send(&Frame::Shutdown);
-        self.writer = None; // closes stdin (flushes); TCP keeps its socket
-        match self.kind {
-            ConnKind::Child(mut child) => {
-                let _ = child.wait();
-            }
-            ConnKind::Tcp(stream) => {
-                let _ = stream.shutdown(Shutdown::Write);
-            }
-        }
+        let _ = self.stream.shutdown(Shutdown::Write);
     }
 }
 
 /// Complete the dispatcher's half of the handshake: one hello within
-/// `timeout`, exact protocol version, and — when `want_token` is set —
-/// a constant-time token match. Every failure mode is an `Err`; the
-/// caller closes the connection without replying.
-pub(crate) fn expect_hello(
-    conn: &WorkerConn,
-    want_token: Option<&str>,
-    timeout: Duration,
-) -> Result<WorkerHello, String> {
+/// `timeout`, exact protocol version, and a constant-time match of
+/// `want_token`. Every failure mode is an `Err`; the caller closes the
+/// connection without replying.
+fn expect_hello(conn: &WorkerConn, want_token: &str, timeout: Duration) -> Result<(), String> {
     match conn.recv(timeout) {
         RecvOutcome::Frame(Frame::Hello(hello)) => {
             if hello.version != PROTOCOL_VERSION {
@@ -394,16 +394,10 @@ pub(crate) fn expect_hello(
                     hello.version
                 ));
             }
-            if let Some(want) = want_token {
-                let ok = hello
-                    .token
-                    .as_deref()
-                    .is_some_and(|got| constant_time_eq(got, want));
-                if !ok {
-                    return Err("hello token mismatch".into());
-                }
+            if !constant_time_eq(&hello.token, want_token) {
+                return Err("hello token mismatch".into());
             }
-            Ok(hello)
+            Ok(())
         }
         RecvOutcome::Frame(other) => Err(format!("expected hello, got {other:?}")),
         RecvOutcome::Eof => Err("worker exited before saying hello".into()),
@@ -412,6 +406,240 @@ pub(crate) fn expect_hello(
             timeout.as_millis()
         )),
         RecvOutcome::Failed(e) => Err(e),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The dispatcher: shared sweep state and one loop per connection
+// ---------------------------------------------------------------------
+
+/// Shared sweep progress: the cell queue, the result slots, and the
+/// flags every connection handler coordinates through.
+struct SweepState {
+    cells: Vec<Cell>,
+    queue: Mutex<VecDeque<usize>>,
+    results: Mutex<Vec<Option<CellOut>>>,
+    pending: AtomicUsize,
+    failures: Mutex<Vec<String>>,
+    abort: AtomicBool,
+    /// Last join or cell completion; the listener's join-timeout clock.
+    liveness: Mutex<Instant>,
+}
+
+impl SweepState {
+    fn new(cells: Vec<Cell>) -> Self {
+        let n = cells.len();
+        Self {
+            cells,
+            queue: Mutex::new((0..n).collect()),
+            results: Mutex::new(vec![None; n]),
+            pending: AtomicUsize::new(n),
+            failures: Mutex::new(Vec::new()),
+            abort: AtomicBool::new(false),
+            liveness: Mutex::new(Instant::now()),
+        }
+    }
+
+    fn cell(&self, idx: usize) -> &Cell {
+        &self.cells[idx]
+    }
+
+    fn pending(&self) -> usize {
+        self.pending.load(Ordering::Acquire)
+    }
+
+    fn pop(&self) -> Option<usize> {
+        let mut q = self.queue.lock().expect("queue lock");
+        let popped = q.pop_front();
+        fp_obs::gauge("fp_pool_queue_depth").set(q.len() as i64);
+        popped
+    }
+
+    fn requeue(&self, idx: usize) {
+        fp_obs::counter("fp_pool_requeues_total").inc();
+        let mut q = self.queue.lock().expect("queue lock");
+        q.push_front(idx);
+        fp_obs::gauge("fp_pool_queue_depth").set(q.len() as i64);
+    }
+
+    fn complete(&self, idx: usize, out: CellOut) {
+        self.results.lock().expect("results lock")[idx] = Some(out);
+        self.pending.fetch_sub(1, Ordering::Release);
+        self.touch();
+    }
+
+    fn fail(&self, msg: String) {
+        self.failures.lock().expect("failures lock").push(msg);
+    }
+
+    fn abort(&self) {
+        self.abort.store(true, Ordering::Release);
+    }
+
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Acquire)
+    }
+
+    /// Bump the liveness clock (a worker joined or a cell landed).
+    fn touch(&self) {
+        *self.liveness.lock().expect("liveness lock") = Instant::now();
+    }
+
+    fn idle_for(&self) -> Duration {
+        self.liveness.lock().expect("liveness lock").elapsed()
+    }
+
+    /// Reduce into the final result, or describe why the sweep could
+    /// not complete.
+    fn finish(self, cfg: &SweepConfig) -> Result<SweepResult, String> {
+        let outputs = self.results.into_inner().expect("results lock");
+        if outputs.iter().any(Option::is_none) {
+            let seen = self.failures.into_inner().expect("failures lock");
+            return Err(format!(
+                "the sweep failed before every cell completed: {}",
+                if seen.is_empty() {
+                    "no diagnostics".to_string()
+                } else {
+                    seen.join("; ")
+                }
+            ));
+        }
+        Ok(reduce_cells(
+            cfg,
+            outputs.into_iter().map(|o| o.expect("checked")).collect(),
+        ))
+    }
+}
+
+/// How one connection's dispatch ended.
+enum DispatchEnd {
+    /// The sweep drained; the connection is healthy (shut it down
+    /// cleanly).
+    Done,
+    /// The worker was declared lost; its in-flight cells are already
+    /// re-queued.
+    Lost(String),
+}
+
+/// Feed one connected worker from the shared queue until the sweep
+/// drains or the worker is lost.
+///
+/// Keeps up to `CREDIT_WINDOW` cells in flight, counts heartbeats, and
+/// enforces the two loss deadlines (heartbeat silence, oldest-cell
+/// age). On loss every in-flight cell is re-queued before returning,
+/// so no cell is ever stranded on a dead connection.
+fn dispatch_conn(conn: &mut WorkerConn, state: &SweepState, opts: &NetOptions) -> DispatchEnd {
+    let mut inflight: VecDeque<(u64, usize, Instant)> = VecDeque::new();
+    let mut last_frame = Instant::now();
+    let heartbeats = fp_obs::counter("fp_pool_heartbeats_total");
+
+    macro_rules! lost {
+        ($reason:expr) => {{
+            fp_obs::counter("fp_pool_disconnects_total").inc();
+            for (_, idx, _) in inflight.drain(..) {
+                state.requeue(idx);
+            }
+            return DispatchEnd::Lost($reason);
+        }};
+    }
+
+    loop {
+        if state.aborted() {
+            for (_, idx, _) in inflight.drain(..) {
+                state.requeue(idx);
+            }
+            return DispatchEnd::Done;
+        }
+        // Top the credit window up from the shared queue.
+        while inflight.len() < CREDIT_WINDOW {
+            let Some(idx) = state.pop() else { break };
+            let frame = Frame::Request(CellRequest {
+                id: idx as u64,
+                cell: *state.cell(idx),
+            });
+            if let Err(e) = conn.send(&frame) {
+                state.requeue(idx);
+                lost!(format!("send failed: {e}"));
+            }
+            inflight.push_back((idx as u64, idx, Instant::now()));
+        }
+
+        if inflight.is_empty() {
+            if state.pending() == 0 {
+                return DispatchEnd::Done;
+            }
+            // Idle, but cells are pending elsewhere: a lost peer may
+            // yet re-queue them. Poll briefly so this worker stays
+            // responsive to both the queue and its own connection.
+            match conn.recv(Duration::from_millis(10)) {
+                RecvOutcome::Frame(Frame::Heartbeat) => {
+                    heartbeats.inc();
+                    last_frame = Instant::now();
+                }
+                RecvOutcome::Frame(other) => {
+                    lost!(format!("unexpected frame while idle: {other:?}"))
+                }
+                RecvOutcome::TimedOut => {
+                    if last_frame.elapsed() > opts.heartbeat_timeout {
+                        lost!(format!(
+                            "no heartbeat for {}ms while idle",
+                            opts.heartbeat_timeout.as_millis()
+                        ));
+                    }
+                }
+                RecvOutcome::Eof => lost!("disconnected while idle".into()),
+                RecvOutcome::Failed(e) => lost!(e),
+            }
+            continue;
+        }
+
+        // Two clocks: total silence (heartbeat timeout) and the age of
+        // the oldest in-flight cell (soft deadline). Wait only as long
+        // as the nearer one allows.
+        let now = Instant::now();
+        let Some(hb_left) = opts
+            .heartbeat_timeout
+            .checked_sub(now.duration_since(last_frame))
+        else {
+            lost!(format!(
+                "no heartbeat for {}ms with {} cell(s) in flight",
+                opts.heartbeat_timeout.as_millis(),
+                inflight.len()
+            ));
+        };
+        let (_, oldest_idx, oldest_sent) = *inflight.front().expect("non-empty");
+        let Some(cell_left) = opts
+            .cell_deadline
+            .checked_sub(now.duration_since(oldest_sent))
+        else {
+            lost!(format!(
+                "cell {oldest_idx} exceeded its {}ms soft deadline",
+                opts.cell_deadline.as_millis()
+            ));
+        };
+
+        match conn.recv(hb_left.min(cell_left)) {
+            RecvOutcome::Frame(Frame::Response(resp)) => {
+                last_frame = Instant::now();
+                let Some(pos) = inflight.iter().position(|&(id, _, _)| id == resp.id) else {
+                    lost!(format!("answered cell {} which was not in flight", resp.id));
+                };
+                let (_, idx, _) = inflight.remove(pos).expect("position");
+                if !resp.output.matches(state.cell(idx)) {
+                    state.requeue(idx);
+                    lost!(format!("cell {idx}: output shape does not match the cell"));
+                }
+                state.complete(idx, resp.output);
+            }
+            RecvOutcome::Frame(Frame::Heartbeat) => {
+                heartbeats.inc();
+                last_frame = Instant::now();
+            }
+            RecvOutcome::Frame(other) => lost!(format!("expected a response, got {other:?}")),
+            RecvOutcome::TimedOut => {} // next iteration names the tripped deadline
+            RecvOutcome::Eof => lost!("worker exited mid-cell".into()),
+            RecvOutcome::Failed(e) => lost!(e),
+        }
     }
 }
 
@@ -430,27 +658,62 @@ pub struct NetOptions {
     /// With cells pending, no live worker, and no new connection for
     /// this long, the sweep gives up instead of waiting forever.
     pub join_timeout: Duration,
+    /// Declare a worker lost after this much total silence (no
+    /// response *and* no heartbeat). Heartbeats flow every
+    /// [`HEARTBEAT_INTERVAL`], so this bounds hang detection, not cell
+    /// duration.
+    pub heartbeat_timeout: Duration,
+    /// Soft deadline for the *oldest* in-flight cell: a worker that
+    /// heartbeats happily but never answers is declared lost when its
+    /// oldest cell ages past this, and the cells are re-queued.
+    pub cell_deadline: Duration,
 }
 
 impl NetOptions {
-    /// Defaults around `token`: 5s hello deadline, 60s join patience.
+    /// Defaults around `token`: 5s hello deadline, 60s join patience,
+    /// 5s heartbeat timeout, 300s cell deadline.
     pub fn new(token: impl Into<String>) -> Self {
         Self {
             token: token.into(),
             hello_timeout: Duration::from_secs(5),
             join_timeout: Duration::from_secs(60),
+            heartbeat_timeout: Duration::from_secs(5),
+            cell_deadline: Duration::from_secs(300),
         }
+    }
+
+    /// Apply the `FP_POOL_*` environment overrides (heartbeat timeout,
+    /// cell deadline) on top of `self`. Unparsable values are loud
+    /// errors — a chaos harness that typos a deadline should not
+    /// silently run with the default.
+    pub fn from_env(mut self) -> Result<Self, String> {
+        let read = |key: &str| -> Result<Option<u64>, String> {
+            match std::env::var(key) {
+                Ok(raw) => raw
+                    .parse()
+                    .map(Some)
+                    .map_err(|_| format!("bad {key} {raw:?}: expected an integer")),
+                Err(_) => Ok(None),
+            }
+        };
+        if let Some(ms) = read(HEARTBEAT_TIMEOUT_ENV)? {
+            self.heartbeat_timeout = Duration::from_millis(ms);
+        }
+        if let Some(ms) = read(CELL_DEADLINE_ENV)? {
+            self.cell_deadline = Duration::from_millis(ms);
+        }
+        Ok(self)
     }
 }
 
 /// A sweep dispatcher that accepts remote workers over TCP.
 ///
 /// Workers dial in (`fp worker --connect HOST:PORT --token T`),
-/// authenticate, receive the init frame, and then stream cells exactly
-/// like local pipe children — same credit window, heartbeats, and
-/// deadlines (`worker::dispatch_conn`). A worker lost mid-run
-/// has its in-flight cells re-queued for the survivors (or for its own
-/// reconnect); results stay bit-identical for any worker topology.
+/// authenticate, receive the init frame, and then stream cells through
+/// the credit window under heartbeats and deadlines (`dispatch_conn`).
+/// A worker lost mid-run has its in-flight cells re-queued for the
+/// survivors (or for its own reconnect); results stay bit-identical for
+/// any worker topology.
 #[derive(Debug)]
 pub struct SweepListener {
     listener: TcpListener,
@@ -474,21 +737,18 @@ impl SweepListener {
     }
 
     /// Accept workers and run `cfg`'s sweep to completion on whoever
-    /// shows up. Bit-identical to the in-process runner and the local
-    /// pool. Errors when the sweep cannot complete: cells pending but
-    /// no worker connected (or reconnected) within
-    /// [`NetOptions::join_timeout`].
+    /// shows up. Bit-identical to the in-process runner. Errors when
+    /// the sweep cannot complete: cells pending but no worker connected
+    /// (or reconnected) within [`NetOptions::join_timeout`].
     pub fn run(
         &self,
         g: &DiGraph,
         source: NodeId,
         cfg: &SweepConfig,
-        pool: &PoolOptions,
     ) -> Result<SweepResult, String> {
-        let cells = crate::sweep::sweep_cells(cfg);
-        let state = SweepState::new(cells);
+        let state = SweepState::new(sweep_cells(cfg));
         if state.pending() == 0 {
-            return state.finish(cfg, 0);
+            return state.finish(cfg);
         }
         let init = SweepInit {
             nodes: g.node_count(),
@@ -508,7 +768,7 @@ impl SweepListener {
                 match self.listener.accept() {
                     Ok((stream, peer)) => {
                         scope.spawn(move || {
-                            self.serve_worker(stream, peer, init_ref, state_ref, pool, live_ref);
+                            self.serve_worker(stream, peer, init_ref, state_ref, live_ref);
                             gauge_ref.set(live_ref.load(Ordering::Relaxed) as i64);
                         });
                         live_gauge.set(live.load(Ordering::Relaxed) as i64);
@@ -535,7 +795,7 @@ impl SweepListener {
             // Dispatcher threads notice pending == 0 (or the abort
             // flag) on their own and wind down; the scope joins them.
         });
-        state.finish(cfg, 0)
+        state.finish(cfg)
     }
 
     /// One accepted connection: authenticate, init, dispatch.
@@ -545,7 +805,6 @@ impl SweepListener {
         peer: SocketAddr,
         init: &SweepInit,
         state: &SweepState,
-        pool: &PoolOptions,
         live: &AtomicUsize,
     ) {
         let mut conn = match WorkerConn::from_tcp(stream, peer) {
@@ -555,8 +814,8 @@ impl SweepListener {
                 return;
             }
         };
-        let admitted = expect_hello(&conn, Some(&self.opts.token), self.opts.hello_timeout)
-            .and_then(|_| conn.send(&Frame::Init(init.clone())));
+        let admitted = expect_hello(&conn, &self.opts.token, self.opts.hello_timeout)
+            .and_then(|()| conn.send(&Frame::Init(init.clone())));
         if let Err(e) = admitted {
             // Bad hellos get no reply, just a closed connection; the
             // reason is kept for the sweep's own diagnostics.
@@ -566,13 +825,12 @@ impl SweepListener {
         }
         live.fetch_add(1, Ordering::AcqRel);
         state.touch();
-        let outcome = dispatch_conn(&mut conn, state, pool);
+        let outcome = dispatch_conn(&mut conn, state, &self.opts);
         live.fetch_sub(1, Ordering::AcqRel);
         match outcome {
-            DispatchEnd::Done(_completed) => conn.shutdown_clean(),
-            DispatchEnd::Lost(reason, _progressed) => {
-                // A remote loss never draws the restart budget — the
-                // worker is free to reconnect and start fresh.
+            DispatchEnd::Done => conn.shutdown_clean(),
+            DispatchEnd::Lost(reason) => {
+                // The worker is free to reconnect and start fresh.
                 state.fail(format!("{}: {reason}", conn.peer));
                 conn.close();
             }
@@ -722,7 +980,7 @@ mod tests {
 
     #[test]
     fn frame_receiver_times_out_instead_of_blocking() {
-        // A reader that never yields bytes: the pipe stays open, the
+        // A reader that never yields bytes: the stream stays open, the
         // receive must come back as TimedOut, not hang.
         struct Stuck;
         impl Read for Stuck {
@@ -763,5 +1021,60 @@ mod tests {
     fn listener_requires_a_token() {
         let err = SweepListener::bind("127.0.0.1:0", NetOptions::new("")).unwrap_err();
         assert!(err.contains("token"), "{err}");
+    }
+
+    #[test]
+    fn sweep_state_requeue_and_complete_balance_pending() {
+        let cfg = SweepConfig {
+            ks: vec![0, 1, 2],
+            trials: 2,
+            seed: 3,
+            solvers: vec![
+                fp_algorithms::SolverKind::GreedyAll,
+                fp_algorithms::SolverKind::RandK,
+            ],
+        };
+        let cells = sweep_cells(&cfg);
+        let n = cells.len();
+        let state = SweepState::new(cells);
+        assert_eq!(state.pending(), n);
+        let idx = state.pop().unwrap();
+        state.requeue(idx);
+        assert_eq!(state.pop(), Some(idx), "requeue goes to the front");
+        state.complete(idx, CellOut::Curve(vec![]));
+        assert_eq!(state.pending(), n - 1);
+    }
+
+    #[test]
+    fn a_sweep_nobody_joins_is_an_error_not_a_partial_result() {
+        let g = DiGraph::from_pairs(2, [(0, 1)]).unwrap();
+        let cfg = SweepConfig {
+            ks: vec![0, 1],
+            trials: 1,
+            seed: 0,
+            solvers: vec![fp_algorithms::SolverKind::GreedyAll],
+        };
+        let opts = NetOptions {
+            join_timeout: Duration::from_millis(50),
+            ..NetOptions::new("t")
+        };
+        let listener = SweepListener::bind("127.0.0.1:0", opts).unwrap();
+        let err = listener.run(&g, NodeId::new(0), &cfg).unwrap_err();
+        assert!(err.contains("failed before every cell completed"), "{err}");
+        assert!(err.contains("no worker connected"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_sweep_needs_no_worker() {
+        let g = DiGraph::from_pairs(2, [(0, 1)]).unwrap();
+        let cfg = SweepConfig {
+            ks: vec![0, 1],
+            trials: 1,
+            seed: 0,
+            solvers: vec![],
+        };
+        let listener = SweepListener::bind("127.0.0.1:0", NetOptions::new("t")).unwrap();
+        let res = listener.run(&g, NodeId::new(0), &cfg).unwrap();
+        assert!(res.series.is_empty());
     }
 }

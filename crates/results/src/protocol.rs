@@ -1,31 +1,30 @@
 //! The `fp worker` wire protocol: length-prefixed JSON frames.
 //!
-//! The process-pool backend ([`crate::worker`]) talks to each worker
-//! child over its stdin/stdout. Every message is a **frame**: a 4-byte
-//! big-endian length prefix followed by that many bytes of canonical
-//! compact JSON (the lossless [`crate::json`] writer — the same model
-//! the run store hashes, so `f64` FR samples cross the pipe
-//! bit-exactly).
+//! The sweep fabric ([`crate::net`]) talks to each `fp worker
+//! --connect` process over one TCP connection. Every message is a
+//! **frame**: a 4-byte big-endian length prefix followed by that many
+//! bytes of canonical compact JSON (the lossless [`crate::json`] writer
+//! — the same model the run store hashes, so `f64` FR samples cross
+//! the wire bit-exactly).
 //!
 //! Conversation, dispatcher (D) side vs worker (W) side:
 //!
 //! ```text
-//! W → D   hello     { version, pid[, token] }  # first bytes on stdout
+//! W → D   hello     { version, pid, token }   # first bytes on the socket
 //! D → W   init      { nodes, edges, source, ks }
 //! D → W   request   { id, cell }              # up to a window in flight
 //! W → D   response  { id, output }            #   answers in order
 //! W → D   heartbeat {}                        # periodic "still alive"
-//! D → W   shutdown  {}                        # then stdin closes
+//! D → W   shutdown  {}                        # then the dispatcher half-closes
 //! ```
 //!
-//! The same frames cross a TCP socket when a remote worker joins via
-//! `fp worker --connect` (DESIGN.md §13). There the hello doubles as
-//! the **auth handshake**: it must carry the dispatcher's shared
-//! `token` (compared in constant time — see [`crate::net`]) and the
-//! exact [`PROTOCOL_VERSION`], or the dispatcher closes the connection
-//! without replying. [`Frame::Heartbeat`] frames flow worker →
-//! dispatcher on both transports so a peer that *hangs* (as opposed to
-//! crashing) is detected by silence rather than stalling the sweep.
+//! The hello doubles as the **auth handshake** (DESIGN.md §13): it must
+//! carry the dispatcher's shared `token` (compared in constant time —
+//! see [`crate::net`]) and the exact [`PROTOCOL_VERSION`], or the
+//! dispatcher closes the connection without replying.
+//! [`Frame::Heartbeat`] frames flow worker → dispatcher so a peer that
+//! *hangs* (as opposed to crashing) is detected by silence rather than
+//! stalling the sweep.
 //!
 //! The dataset crosses as explicit structure (`nodes` + index pairs +
 //! `source` index), not as an edge-list *text*: re-parsing text assigns
@@ -36,8 +35,10 @@
 //! Framing errors (truncated prefix or body, a length above
 //! [`MAX_FRAME_LEN`], malformed JSON, an unknown `type`) are all loud
 //! `Err`s; only a clean EOF *between* frames reads as `Ok(None)`. The
-//! dispatcher treats any of them as a worker crash: the in-flight cell
-//! is re-queued and the worker restarted (see DESIGN.md §7).
+//! dispatcher treats any of them as a worker crash: the in-flight cells
+//! are re-queued for the surviving workers or the worker's own
+//! reconnect (see DESIGN.md §7). A body is read as its bytes arrive
+//! ([`read_body`]), so a length prefix alone reserves no memory.
 //!
 //! # The serve extension
 //!
@@ -74,12 +75,12 @@ use fp_algorithms::SolverKind;
 use std::io::{ErrorKind, Read, Write};
 
 /// Protocol revision; the dispatcher refuses a worker whose hello
-/// carries a different one. Version 2 added the optional hello `token`
-/// and the `heartbeat` frame.
+/// carries a different one. Version 2 added the hello `token` and the
+/// `heartbeat` frame.
 pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Upper bound on a frame body, so a corrupt length prefix fails fast
-/// instead of attempting a multi-gigabyte allocation.
+/// instead of reading a multi-gigabyte body.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// The worker's opening message.
@@ -89,26 +90,18 @@ pub struct WorkerHello {
     pub version: u64,
     /// The worker's process id (for diagnostics).
     pub pid: u64,
-    /// Shared secret for remote (TCP) workers; `None` over local
-    /// pipes, where the parent/child relationship is the trust anchor.
-    pub token: Option<String>,
+    /// The shared secret the dispatcher demands.
+    pub token: String,
 }
 
 impl WorkerHello {
-    /// A hello for the current process at the current version.
-    pub fn current() -> Self {
+    /// A hello for the current process at the current version,
+    /// carrying the dispatcher's shared secret.
+    pub fn with_token(token: &str) -> Self {
         Self {
             version: PROTOCOL_VERSION,
             pid: std::process::id() as u64,
-            token: None,
-        }
-    }
-
-    /// A hello carrying the shared secret a TCP dispatcher demands.
-    pub fn with_token(token: &str) -> Self {
-        Self {
-            token: Some(token.to_string()),
-            ..Self::current()
+            token: token.to_string(),
         }
     }
 }
@@ -249,7 +242,7 @@ pub struct ServeReply {
     pub body: Json,
 }
 
-/// Every message that can cross the pipe.
+/// Every message that can cross the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Worker → dispatcher handshake.
@@ -478,17 +471,12 @@ impl FromJson for ServeCall {
 impl ToJson for Frame {
     fn to_json(&self) -> Json {
         match self {
-            Frame::Hello(h) => {
-                let mut members = vec![
-                    ("type", Json::Str("hello".into())),
-                    ("version", h.version.to_json()),
-                    ("pid", h.pid.to_json()),
-                ];
-                if let Some(token) = &h.token {
-                    members.push(("token", token.to_json()));
-                }
-                Json::object(members)
-            }
+            Frame::Hello(h) => Json::object([
+                ("type", Json::Str("hello".into())),
+                ("version", h.version.to_json()),
+                ("pid", h.pid.to_json()),
+                ("token", h.token.to_json()),
+            ]),
             Frame::Init(init) => Json::object([
                 ("type", Json::Str("init".into())),
                 ("nodes", init.nodes.to_json()),
@@ -546,14 +534,7 @@ impl FromJson for Frame {
             Some("hello") => Ok(Frame::Hello(WorkerHello {
                 version: v.expect("version")?.as_u64().ok_or("bad version")?,
                 pid: v.expect("pid")?.as_u64().ok_or("bad pid")?,
-                token: v
-                    .get("token")
-                    .map(|t| {
-                        t.as_str()
-                            .map(str::to_string)
-                            .ok_or("bad token".to_string())
-                    })
-                    .transpose()?,
+                token: v.expect("token")?.as_str().ok_or("bad token")?.to_string(),
             })),
             Some("init") => Ok(Frame::Init(SweepInit {
                 nodes: v.expect("nodes")?.as_usize().ok_or("bad nodes")?,
@@ -640,14 +621,30 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, String> {
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt stream?)"
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)
+    let body = read_body(r, len as usize)
         .map_err(|e| format!("truncated frame: EOF inside a {len}-byte body: {e}"))?;
     let text = String::from_utf8(body).map_err(|e| format!("frame is not UTF-8: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("frame is not JSON: {e}"))?;
     Frame::from_json(&json)
         .map(Some)
         .map_err(|e| format!("bad frame: {e}"))
+}
+
+/// Read exactly `len` bytes of a body whose length the peer declared.
+/// The buffer starts empty and grows only as bytes arrive, so a peer
+/// that declares a large body and sends none of it holds no memory for
+/// it. Callers cap `len` first. A short body is the error `read_exact`
+/// gives.
+pub fn read_body(r: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(std::io::Error::new(
+            ErrorKind::UnexpectedEof,
+            "failed to fill whole buffer",
+        ));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -666,7 +663,7 @@ mod tests {
     #[test]
     fn every_frame_kind_roundtrips() {
         let frames = [
-            Frame::Hello(WorkerHello::current()),
+            Frame::Hello(WorkerHello::with_token("sesame")),
             Frame::Init(SweepInit {
                 nodes: 5,
                 edges: vec![(0, 1), (1, 2), (1, 4)],
@@ -723,7 +720,7 @@ mod tests {
     #[test]
     fn multiple_frames_stream_back_to_back() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Hello(WorkerHello::current())).unwrap();
+        write_frame(&mut buf, &Frame::Hello(WorkerHello::with_token("sesame"))).unwrap();
         write_frame(&mut buf, &Frame::Shutdown).unwrap();
         let mut r = buf.as_slice();
         assert!(matches!(read_frame(&mut r).unwrap(), Some(Frame::Hello(_))));
@@ -743,7 +740,7 @@ mod tests {
     #[test]
     fn truncated_body_is_an_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Hello(WorkerHello::current())).unwrap();
+        write_frame(&mut buf, &Frame::Hello(WorkerHello::with_token("sesame"))).unwrap();
         buf.truncate(buf.len() - 3);
         let err = read_frame(&mut buf.as_slice()).unwrap_err();
         assert!(err.contains("truncated frame"), "{err}");
@@ -806,16 +803,50 @@ mod tests {
     }
 
     #[test]
-    fn tokenless_hello_omits_the_field_on_the_wire() {
-        // Local-pipe hellos must not grow a `token` member: the wire
-        // bytes are part of the determinism story and a `null` would
-        // also confuse v2 parsers expecting a string.
-        let body = Frame::Hello(WorkerHello::current()).to_json().to_compact();
-        assert!(!body.contains("token"), "{body}");
-        let with = Frame::Hello(WorkerHello::with_token("t"))
-            .to_json()
-            .to_compact();
-        assert!(with.contains("\"token\":\"t\""), "{with}");
+    fn a_hello_carries_its_token_and_a_tokenless_one_is_refused() {
+        let hello = Frame::Hello(WorkerHello {
+            version: PROTOCOL_VERSION,
+            pid: 1,
+            token: "t".into(),
+        });
+        assert_eq!(
+            hello.to_json().to_compact(),
+            r#"{"type":"hello","version":2,"pid":1,"token":"t"}"#
+        );
+        let body = br#"{"type":"hello","version":2,"pid":1}"#;
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(body);
+        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        assert!(err.contains("token"), "{err}");
+    }
+
+    #[test]
+    fn a_declared_length_reserves_nothing_until_its_bytes_arrive() {
+        // A 64 MiB prefix followed by ten bytes and EOF: the reader must
+        // fail as truncated without ever asking for a large buffer.
+        struct Watched<'a> {
+            bytes: &'a [u8],
+            largest_read: usize,
+        }
+        impl Read for Watched<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest_read = self.largest_read.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut wire = MAX_FRAME_LEN.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"0123456789");
+        let mut r = Watched {
+            bytes: &wire,
+            largest_read: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert!(err.contains("truncated frame"), "{err}");
+        assert!(r.largest_read < 4096, "asked for {} bytes", r.largest_read);
+
+        let err = read_body(&mut &b"abc"[..], 4).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert_eq!(read_body(&mut &b"abcd"[..], 4).unwrap(), b"abcd");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! (config, dataset, result) — no timestamps, wall-clock readings, or
 //! scheduling knobs are written. That is what lets the
 //! `distributed-determinism` CI job `diff -r` an in-process run
-//! directory against a `--workers` one and demand byte equality.
+//! directory against a `--listen` one and demand byte equality.
 //! Wall-clock metadata lives in the filesystem instead: `fp report
 //! --list` reports each run's `manifest.json` modification time.
 
@@ -135,7 +135,7 @@ impl FromJson for DatasetFingerprint {
 /// Everything recorded about a run besides its numbers.
 ///
 /// Deliberately **content-only**: no timestamps, wall-clock readings,
-/// or scheduling knobs (`--jobs`/`--workers`), so the manifest bytes —
+/// or scheduling knobs (`--jobs`/`--listen`), so the manifest bytes —
 /// and with them the whole run directory — are identical however and
 /// whenever the sweep was computed. When a run happened is filesystem
 /// metadata (`fp report --list` shows it); how long it took belongs in

@@ -33,9 +33,9 @@ pub trait SweepBackend: Sync {
 
 /// One unit of schedulable work.
 ///
-/// Public because the process-pool backend ([`crate::worker`]) ships
-/// cells to worker processes over the wire ([`crate::protocol`]); the
-/// in-process runner and the pool schedule exactly the same cells.
+/// Public because the sweep fabric ([`crate::net`]) ships cells to
+/// worker processes over the wire ([`crate::protocol`]); the in-process
+/// runner and the fabric schedule exactly the same cells.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cell {
     /// A deterministic solver's full curve.
@@ -103,7 +103,7 @@ pub fn sweep_cells(cfg: &SweepConfig) -> Vec<Cell> {
 
 /// Evaluate one cell against a backend (`ks` is the sweep's budget
 /// axis, which curve cells span). Both sweep backends go through this:
-/// the in-process runner directly, the process pool inside each worker.
+/// the in-process runner directly, the fabric inside each worker.
 pub fn eval_cell<B: SweepBackend>(backend: &B, ks: &[usize], cell: &Cell) -> CellOut {
     fp_obs::counter("fp_sweep_cells_total").inc();
     match *cell {
