@@ -1,6 +1,6 @@
 //! Greedy_L (Algorithm 2): prefix × out-degree, recomputed per round.
 
-use crate::{argmax_count, FrCache, Solver, SolverSession};
+use crate::{argmax_count, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
 use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
@@ -85,14 +85,14 @@ pub struct GreedyLSession<'a, C: Count> {
     cg: &'a CGraph,
     inc: IncrementalPropagation<C>,
     scores: Vec<C>,
-    fr: FrCache<C>,
+    denominators: ObjectiveCache<C>,
 }
 
 impl<'a, C: Count> GreedyLSession<'a, C> {
     fn new(cg: &'a CGraph, inc: IncrementalPropagation<C>) -> Self {
         Self {
             cg,
-            fr: FrCache::seeded(ObjectiveCache::from_forward(cg, &inc)),
+            denominators: ObjectiveCache::from_forward(cg, &inc),
             inc,
             scores: Vec::with_capacity(cg.node_count()),
         }
@@ -123,8 +123,7 @@ impl<C: Count> SolverSession for GreedyLSession<'_, C> {
     }
 
     fn fr(&mut self) -> f64 {
-        let phi = self.inc.phi().clone();
-        self.fr.fr(self.cg, &phi)
+        self.denominators.filter_ratio_from_phi(self.inc.phi())
     }
 
     fn into_placement(self: Box<Self>) -> FilterSet {

@@ -4,7 +4,7 @@ use crate::{top_k_by_count, FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
 use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
-use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
+use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
 
 /// Greedy_Max (§4.2 "computational speedups"): compute the impact
 /// `I(v) = (Prefix(v) − 1) × Suffix(v)` of every node *once* (no
@@ -16,7 +16,8 @@ use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine, ObjectiveCache};
 /// Figure 10 pathology, reproduced in the citation-like dataset tests.
 ///
 /// Scores come off a freshly initialized [`ImpactEngine`], in `u64`
-/// when a [`fp_num::Wide128`] solver's `Φ(∅,V)` fits.
+/// when a [`fp_num::Wide128`] solver's `Φ(∅,V)` fits; the session keeps
+/// that engine's forward kernel to read FR.
 pub struct GreedyMax<C> {
     _count: core::marker::PhantomData<C>,
 }
@@ -48,22 +49,33 @@ impl<C: Count> Default for GreedyMax<C> {
 
 impl<C: Count> Solver for GreedyMax<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        match unfiltered_forward::<C>(cg) {
-            Forward::U64(fwd) => ranked_session(cg, fwd),
-            Forward::Declared(fwd) => ranked_session(cg, fwd),
-        }
+        let (ranked, fwd) = match unfiltered_forward::<C>(cg) {
+            Forward::U64(fwd) => {
+                let (ranked, fwd) = rank(cg, fwd);
+                (ranked, Forward::U64(fwd))
+            }
+            Forward::Declared(fwd) => {
+                let (ranked, fwd) = rank(cg, fwd);
+                (ranked, Forward::Declared(fwd))
+            }
+        };
+        Box::new(RankedSession::with_fr(
+            cg,
+            ranked,
+            FrCache::from_forward(cg, fwd),
+        ))
     }
 }
 
 /// Scores never change (Greedy_Max ignores already-placed filters), so
 /// the whole ladder is the descending-score order: ranking every
 /// positive candidate once makes each prefix the solver's top-k
-/// placement. The FR denominators come from the same engine init.
-fn ranked_session<'a, C: Count>(
-    cg: &'a CGraph,
+/// placement. The unfiltered kernel comes back for the session's FR
+/// reads.
+fn rank<C: Count>(
+    cg: &CGraph,
     fwd: IncrementalPropagation<C>,
-) -> Box<dyn SolverSession + 'a> {
-    let fr = FrCache::seeded(ObjectiveCache::from_forward(cg, &fwd));
+) -> (Vec<NodeId>, IncrementalPropagation<C>) {
     let engine = ImpactEngine::from_forward(cg, fwd);
     let mut scores = Vec::new();
     engine.impacts_into(&mut scores);
@@ -71,7 +83,7 @@ fn ranked_session<'a, C: Count>(
         .into_iter()
         .map(NodeId::new)
         .collect();
-    Box::new(RankedSession::with_fr(cg, ranked, fr))
+    (ranked, engine.into_forward())
 }
 
 #[cfg(test)]

@@ -12,8 +12,11 @@
 //! contains its draw at every smaller budget. One budget step can still
 //! add several filters (in node order, not pick order), so earlier
 //! budgets are not count prefixes of the draw:
-//! [`SolverSession::next_filter`] reports `None` and
-//! [`SolverSession::advance_to`] redraws.
+//! [`SolverSession::next_filter`] reports `None`. A session takes the
+//! draw once, keeping `(u_v, w(v))` per node, and
+//! [`SolverSession::advance_to`] only compares those against budget
+//! `k`'s threshold; a one-shot [`Solver::place`] streams the same draw
+//! and keeps no per-node arrays.
 
 use crate::{FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
@@ -61,8 +64,17 @@ impl RandI {
 
 impl Solver for RandI {
     fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
-        Box::new(ThresholdSession::new(cg, seed, |_, _| 1.0))
+        Box::new(ThresholdSession::new(cg, seed, unit_weight))
     }
+
+    fn place(&self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
+        threshold_place(cg, k, seed, unit_weight)
+    }
+}
+
+/// Rand_I's weight: every node alike.
+fn unit_weight(_: &CGraph, _: NodeId) -> f64 {
+    1.0
 }
 
 /// Rand_W: node `v` becomes a filter with probability `w(v)·k/n`, where
@@ -93,34 +105,79 @@ impl Solver for RandW {
     fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
         Box::new(ThresholdSession::new(cg, seed, Self::weight))
     }
+
+    fn place(&self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
+        threshold_place(cg, k, seed, Self::weight)
+    }
 }
 
-/// The session behind Rand_I and Rand_W: the threshold draw of the
-/// module docs, with node weight `weight`. `advance_to(k)` replaces the
-/// placement with the draw at `k`, a pure function of `(k, seed)`, so
-/// the session lands on [`Solver::place`]'s placement whatever budgets
-/// it visited before.
-struct ThresholdSession<'a, W> {
+/// The threshold draw of the module docs, streamed: `(v, u_v, w(v))`
+/// for every non-source node, in node order.
+fn draw<'a>(
     cg: &'a CGraph,
     seed: u64,
-    weight: W,
+    weight: impl Fn(&CGraph, NodeId) -> f64 + 'a,
+) -> impl Iterator<Item = (NodeId, f64, f64)> + 'a {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    cg.nodes()
+        .filter(move |&v| v != cg.source())
+        .map(move |v| (v, rng.random::<f64>(), weight(cg, v)))
+}
+
+/// Budget `k`'s test of a node drawn at `u` with weight `w`:
+/// `u < min(1, w·k/n)`. `u ≤ 1 − 2⁻⁵³`, so a clamped threshold of 1
+/// always places, and `u = 1` never does.
+fn admits(cg: &CGraph, k: usize) -> impl Fn(f64, f64) -> bool {
+    let scale = k as f64 / cg.node_count() as f64;
+    move |u, w| u < (w * scale).min(1.0)
+}
+
+/// The draw at budget `k`, in ascending node order, with no per-node
+/// state: what a one-shot `place` needs, and all it pays for.
+fn threshold_place(
+    cg: &CGraph,
+    k: usize,
+    seed: u64,
+    weight: impl Fn(&CGraph, NodeId) -> f64,
+) -> FilterSet {
+    let admits = admits(cg, k);
+    let chosen = draw(cg, seed, weight)
+        .filter(|&(_, u, w)| admits(u, w))
+        .map(|(v, _, _)| v);
+    FilterSet::from_nodes(cg.node_count(), chosen)
+}
+
+/// The session behind Rand_I and Rand_W: the trial's draw, taken once
+/// at the start, and the placement at the budget last asked.
+/// `advance_to(k)` recomputes the placement from the kept draw alone —
+/// a pure function of `(k, seed)` with no ChaCha8 or weight work — so
+/// the session lands on [`Solver::place`]'s placement whatever budgets
+/// it visited before.
+struct ThresholdSession<'a> {
+    cg: &'a CGraph,
+    /// `(u_v, w(v))` by node index; the source's `u = 1` is never
+    /// placed.
+    draw: Vec<(f64, f64)>,
     placement: FilterSet,
     fr: FrCache<Wide128>,
 }
 
-impl<'a, W: Fn(&CGraph, NodeId) -> f64> ThresholdSession<'a, W> {
-    fn new(cg: &'a CGraph, seed: u64, weight: W) -> Self {
+impl<'a> ThresholdSession<'a> {
+    fn new(cg: &'a CGraph, seed: u64, weight: impl Fn(&CGraph, NodeId) -> f64) -> Self {
+        let mut kept = vec![(1.0, 0.0); cg.node_count()];
+        for (v, u, w) in draw(cg, seed, weight) {
+            kept[v.index()] = (u, w);
+        }
         Self {
             cg,
-            seed,
-            weight,
+            draw: kept,
             placement: FilterSet::empty(cg.node_count()),
             fr: FrCache::new(),
         }
     }
 }
 
-impl<W: Fn(&CGraph, NodeId) -> f64> SolverSession for ThresholdSession<'_, W> {
+impl SolverSession for ThresholdSession<'_> {
     fn next_filter(&mut self) -> Option<NodeId> {
         None
     }
@@ -134,16 +191,14 @@ impl<W: Fn(&CGraph, NodeId) -> f64> SolverSession for ThresholdSession<'_, W> {
     }
 
     fn advance_to(&mut self, k: usize) {
-        let cg = self.cg;
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let scale = k as f64 / cg.node_count() as f64;
-        self.placement = FilterSet::empty(cg.node_count());
-        for v in cg.nodes().filter(|&v| v != cg.source()) {
-            // `u_v ≤ 1 − 2⁻⁵³`, so a clamped threshold of 1 always places.
-            if rng.random::<f64>() < ((self.weight)(cg, v) * scale).min(1.0) {
-                self.placement.insert(v);
-            }
-        }
+        let admits = admits(self.cg, k);
+        let chosen = self
+            .draw
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(u, w))| admits(u, w))
+            .map(|(i, _)| NodeId::new(i));
+        self.placement = FilterSet::from_nodes(self.cg.node_count(), chosen);
     }
 
     fn into_placement(self: Box<Self>) -> FilterSet {
@@ -259,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn non_nested_sessions_redraw_per_budget() {
+    fn non_nested_sessions_answer_any_budget_order_like_place() {
         let cg = figure1();
         let solver = RandI::new();
         let mut session = solver.session(&cg, 7);

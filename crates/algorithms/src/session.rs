@@ -7,66 +7,112 @@
 //! * [`RankedSession`] — solvers whose whole ladder is known up front
 //!   as a ranked candidate list (Greedy_Max, Greedy_1, betweenness,
 //!   Rand_K's shuffle): `next_filter` just pops the next candidate;
-//! * the threshold draw of Rand_I/Rand_W (private to `random.rs`):
-//!   `advance_to(k)` redraws the placement at budget `k` from the trial
-//!   seed and `next_filter` reports `None`.
+//! * the threshold draw of Rand_I/Rand_W (private to `random.rs`): the
+//!   session draws once, `advance_to(k)` compares that draw against
+//!   budget `k`'s thresholds, and `next_filter` reports `None`.
 //!
-//! All of them share the FR denominator pair (`Φ(∅,V)`, `F(V)`): a
-//! session holds it once and every evaluation reuses it — this is what
-//! retired the full `ObjectiveCache::f_of` pass per curve point that
-//! the pre-session sweep paid. Engine-backed sessions take the pair
-//! from their own engine init; the others compute it on the first
-//! [`SolverSession::fr`] call ([`FrCache`]).
+//! Every session reads FR from a live forward kernel, against the FR
+//! denominators (`Φ(∅,V)`, `F(V)`) of that kernel's unfiltered init —
+//! no session runs a forward pass per read. Engine-backed sessions read
+//! their own engine; the others hold a kernel in a [`FrCache`], which
+//! follows their placement filter by filter.
 //!
-//! Engine-backed sessions pick their counter with
-//! [`fp_propagation::incremental::unfiltered_forward`]: a solver
+//! Kernels pick their counter with
+//! [`fp_propagation::incremental::unfiltered_forward`]: a session
 //! declared at [`fp_num::Wide128`] counts in `u64` whenever `Φ(∅,V)`
 //! fits.
 
 use crate::{Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
+use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
 use fp_propagation::{phi_total, CGraph, FilterSet, ObjectiveCache};
 
-/// A session's FR denominators (`Φ(∅,V)`, `F(V)`), held once for the
-/// session's lifetime: either seeded from the session's own engine init
-/// ([`FrCache::seeded`]) or computed on the first
-/// [`SolverSession::fr`] call. All arithmetic lives in
-/// [`ObjectiveCache`] itself, so session FRs are bit-identical to the
-/// pass-based path by construction.
+/// The FR of a placement built by a session with no forward kernel of
+/// its own (ranked, threshold and Monte-Carlo sessions), read from a
+/// kernel this cache holds for the session's lifetime.
+///
+/// The kernel is built unfiltered on the first read — so a one-shot
+/// `place`, which reads no FR, never builds one — at the counter
+/// [`unfiltered_forward`] picks, and its init gives the denominators
+/// ([`ObjectiveCache::from_unfiltered`]). Each read flips only the
+/// filters that differ from the placement it read last: on a ladder,
+/// the picks appended since; on a threshold draw, the nodes a new
+/// budget added or dropped. Wherever the counter does not clamp, the
+/// kernel's `Φ` is a fresh pass's, so FRs are bit-identical to
+/// [`ObjectiveCache::filter_ratio`]; where the declared counter
+/// saturates, every read runs that pass instead.
 #[derive(Clone, Debug, Default)]
 pub struct FrCache<C> {
-    cache: Option<ObjectiveCache<C>>,
+    /// The kernel and the denominators of its unfiltered init.
+    kernel: Option<(Forward<C>, ObjectiveCache<C>)>,
 }
 
 impl<C: Count> FrCache<C> {
-    /// An empty cache (denominators computed on first use).
+    /// A cache that builds its kernel on the first read.
     pub fn new() -> Self {
-        Self { cache: None }
+        Self { kernel: None }
     }
 
-    /// A cache holding denominators already computed — what an
-    /// engine-backed session takes from its forward kernel
-    /// ([`ObjectiveCache::from_forward`]), so its first `fr()` runs no
-    /// pass.
-    pub fn seeded(cache: ObjectiveCache<C>) -> Self {
-        Self { cache: Some(cache) }
+    /// A cache around an unfiltered kernel the session already built
+    /// (Greedy_Max ranks off one), so no read runs a pass to build it.
+    ///
+    /// # Panics
+    /// Panics if the kernel holds any filter.
+    pub fn from_forward(cg: &CGraph, fwd: Forward<C>) -> Self {
+        let denominators = ObjectiveCache::from_unfiltered(cg, &fwd);
+        Self {
+            kernel: Some((fwd, denominators)),
+        }
     }
 
-    /// `FR(A)` given the live `Φ(A, V)` (what engine-backed sessions
-    /// hold); one forward pass for the denominators unless seeded,
-    /// O(1) after that.
-    pub fn fr(&mut self, cg: &CGraph, phi_current: &C) -> f64 {
-        self.cache
-            .get_or_insert_with(|| ObjectiveCache::new(cg))
-            .filter_ratio_from_phi(phi_current)
+    /// `FR(placement)`: the kernel follows `placement`, then `Φ` is
+    /// read off it (one forward pass to build the kernel on first use).
+    pub fn fr_of(&mut self, cg: &CGraph, placement: &FilterSet) -> f64 {
+        let (fwd, denominators) = self.kernel.get_or_insert_with(|| {
+            let fwd = unfiltered_forward::<C>(cg);
+            let denominators = ObjectiveCache::from_unfiltered(cg, &fwd);
+            (fwd, denominators)
+        });
+        let phi = match fwd {
+            Forward::U64(fwd) => {
+                follow(fwd, cg, placement);
+                C::from_u64(fwd.phi().get())
+            }
+            // A clamped kernel Φ (the ceiling minus deltas) can differ
+            // from a pass's re-clamped sum; the pass is the definition.
+            Forward::Declared(_) if denominators.phi_empty().is_saturated() => {
+                phi_total(cg, placement)
+            }
+            Forward::Declared(fwd) => {
+                follow(fwd, cg, placement);
+                fwd.phi().clone()
+            }
+        };
+        denominators.filter_ratio_from_phi(&phi)
     }
+}
 
-    /// `FR(A)` for a placement with no live Φ available (one forward
-    /// pass per call, plus the one-time denominators).
-    pub fn fr_of(&mut self, cg: &CGraph, filters: &FilterSet) -> f64 {
-        let phi: C = phi_total(cg, filters);
-        self.fr(cg, &phi)
+/// Flip `fwd`'s filters to `placement`'s: past their common prefix —
+/// all of what `fwd` holds, on a ladder, which only appends — drop what
+/// the placement lost, then add what it gained.
+fn follow<K: Count>(fwd: &mut IncrementalPropagation<K>, cg: &CGraph, placement: &FilterSet) {
+    let held = fwd.filters().nodes();
+    let common = held
+        .iter()
+        .zip(placement.nodes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    let dropped: Vec<NodeId> = held[common..]
+        .iter()
+        .copied()
+        .filter(|&v| !placement.contains(v))
+        .collect();
+    for v in dropped {
+        fwd.remove_filter(cg, v);
+    }
+    for &v in &placement.nodes()[common..] {
+        fwd.insert_filter(cg, v);
     }
 }
 
@@ -90,8 +136,8 @@ impl<'a, C: Count> RankedSession<'a, C> {
         Self::with_fr(cg, ranked, FrCache::new())
     }
 
-    /// [`RankedSession::new`] with denominators the ranking already
-    /// produced (Greedy_Max ranks off an engine init).
+    /// [`RankedSession::new`] with the kernel the ranking already built
+    /// (Greedy_Max ranks off an engine init).
     pub fn with_fr(cg: &'a CGraph, ranked: Vec<NodeId>, fr: FrCache<C>) -> Self {
         Self {
             cg,
@@ -199,6 +245,28 @@ mod tests {
         assert_eq!(s.next_filter(), Some(NodeId::new(6)));
         assert_eq!(s.next_filter(), None, "ladder exhausted");
         assert_eq!(Box::new(s).into_placement().len(), 2);
+    }
+
+    #[test]
+    fn fr_cache_follows_placements_that_grow_shrink_and_reorder() {
+        let cg = figure1();
+        let mut cache = FrCache::<Wide128>::new();
+        for nodes in [
+            vec![],
+            vec![4],
+            vec![4, 1],
+            vec![1],
+            vec![2, 1, 6],
+            vec![6, 2],
+            vec![],
+        ] {
+            let placement = FilterSet::from_nodes(7, nodes.iter().map(|&i| NodeId::new(i)));
+            assert_eq!(
+                cache.fr_of(&cg, &placement).to_bits(),
+                filter_ratio::<Wide128>(&cg, &placement).to_bits(),
+                "after reading {nodes:?}"
+            );
+        }
     }
 
     #[test]

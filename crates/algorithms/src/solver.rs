@@ -51,10 +51,11 @@ pub trait Solver: Send + Sync {
 /// [`SolverSession::advance_to`] is just a bounded walk. `Rand_I` and
 /// `Rand_W` draw one threshold per node instead: their draw at `k`
 /// contains every draw at a smaller budget, but one budget step can add
-/// several filters, so they *redraw* on `advance_to` and return `None`
-/// from `next_filter`. Either way, after `advance_to(k)` the placement
-/// is bit-identical to [`Solver::place`]`(cg, k, seed)` (pinned by the
-/// ladder-equivalence proptests).
+/// several filters, so `advance_to` recomputes the placement from the
+/// session's one draw and `next_filter` returns `None`. Either way,
+/// after `advance_to(k)` the placement is bit-identical to
+/// [`Solver::place`]`(cg, k, seed)` (pinned by the ladder-equivalence
+/// proptests).
 pub trait SolverSession {
     /// Extend the ladder by one rung: pick, commit, and return the next
     /// filter. `None` when no remaining candidate helps (greedy early
@@ -68,24 +69,25 @@ pub trait SolverSession {
     fn placement(&self) -> &FilterSet;
 
     /// The paper's Filter Ratio `FR(A) = F(A)/F(V)` of the current
-    /// placement, read from the session's live state.
+    /// placement, read from a live forward kernel's `Φ(A, V)` against
+    /// the denominators (`Φ(∅,V)`, `F(V)`) of that kernel's init.
     ///
-    /// Engine-backed sessions answer in O(1) from the incrementally
-    /// maintained `Φ(A, V)`, against denominators (`Φ(∅,V)`, `F(V)`)
-    /// taken from their engine init; sessions without live propagation
-    /// state pay one forward pass per call, plus one on first use for
-    /// the denominators, which are then cached for the session's
-    /// lifetime.
+    /// Engine-backed sessions read their own engine in O(1). The
+    /// others keep a kernel beside the placement ([`crate::FrCache`]):
+    /// the first read builds it (one forward pass), and each read
+    /// flips only the filters that changed since the last one. Only
+    /// where the declared counter saturates does a read run a pass.
     fn fr(&mut self) -> f64;
 
     /// Bring the placement to budget `k`.
     ///
     /// Ladder sessions step [`SolverSession::next_filter`] until the
     /// placement holds `k` filters (or the solver stops early);
-    /// `Rand_I`/`Rand_W` sessions replace the placement with the draw at
-    /// budget `k`. Walking budgets in ascending order is the cheap
-    /// direction — a ladder session never drops a filter, so asking for
-    /// a *smaller* budget than already placed is a no-op there.
+    /// `Rand_I`/`Rand_W` sessions replace the placement with their
+    /// draw's placement at budget `k`. Walking budgets in ascending
+    /// order is the cheap direction — a ladder session never drops a
+    /// filter, so asking for a *smaller* budget than already placed is a
+    /// no-op there.
     fn advance_to(&mut self, k: usize) {
         while self.placement().len() < k {
             if self.next_filter().is_none() {
@@ -185,9 +187,10 @@ impl SolverKind {
     /// false: their draws nest in `k`, but one budget step can add
     /// several filters, in node order, so an earlier budget is not a
     /// count prefix of a later draw and [`SolverSession::advance_to`]
-    /// *redraws* instead of extending. Long-running services use this to
-    /// decide whether a warm session's history can answer a smaller
-    /// budget than it has already reached.
+    /// recomputes the placement from the session's one draw instead of
+    /// extending. Long-running services use this to decide whether a
+    /// warm session's history can answer a smaller budget than it has
+    /// already reached.
     ///
     /// ```
     /// use fp_algorithms::SolverKind;

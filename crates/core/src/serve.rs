@@ -14,8 +14,9 @@
 //! this cheap, not different: each keeps one solver session per graph
 //! version. Prefix-nested solvers extend its ladder and cache the FR
 //! per rung; the non-nested randomized baselines (`Rand_I`/`Rand_W`,
-//! see [`SolverKind::is_prefix_nested`]) redraw on it per budget — a
-//! pure function of `(k, seed)` — and memoize. FR floats cross the wire
+//! see [`SolverKind::is_prefix_nested`]) recompute their placement per
+//! budget from the session's one draw — a pure function of
+//! `(k, seed)` — and memoize. FR floats cross the wire
 //! through the lossless [`fp_results::json`] writer, so "bit-identical"
 //! survives serialization.
 //!
@@ -486,9 +487,10 @@ fn run_session(
             },
         };
         // The session's build and budget 0's FR read are the "warming"
-        // work a fresh session pays up front (the read runs the one
-        // denominator pass only for sessions without an engine). After a
-        // mutation, the predicted surviving prefix is re-walked here too.
+        // work a fresh session pays up front (for a session without an
+        // engine of its own, the read builds the forward kernel that
+        // later reads flip). After a mutation, the predicted surviving
+        // prefix is re-walked here too.
         epoch.fill(warm_to, None);
         state.store(STATE_READY, Ordering::Release);
         let next = loop {

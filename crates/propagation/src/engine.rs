@@ -595,6 +595,13 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         self.fwd.into_filters()
     }
 
+    /// Surrender the forward half, dropping the suffix side: the
+    /// inverse of [`ImpactEngine::from_forward`], for a caller done
+    /// with impacts that still reads receptions and `Φ`.
+    pub fn into_forward(self) -> IncrementalPropagation<C> {
+        self.fwd
+    }
+
     /// Current `Φ(A, V)`, maintained by the forward kernel (see
     /// [`IncrementalPropagation::phi`] for how it behaves once a
     /// saturating counter has clamped).

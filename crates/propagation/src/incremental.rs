@@ -126,6 +126,17 @@ impl<C: Count> IncrementalPropagation<C> {
         true
     }
 
+    /// Remove `v` as a filter, updating only affected descendants of
+    /// `v` — the flip [`crate::Mutation::RemoveFilter`] runs on an
+    /// engine's forward half. Returns `true` if `v` was a filter.
+    pub fn remove_filter(&mut self, cg: &CGraph, v: NodeId) -> bool {
+        if !self.filters.contains(v) {
+            return false;
+        }
+        self.flip_filter(cg, v, Drift::Grow);
+        true
+    }
+
     /// Insert (`Shrink`) or remove (`Grow`) the filter at `v` — the
     /// caller has checked that membership flips — and run the forward
     /// pass to the end: `v`'s reception is unchanged, only its emission
@@ -254,6 +265,7 @@ impl<C: Count> IncrementalPropagation<C> {
 
 /// An unfiltered forward kernel, at the counter a solve declared at `C`
 /// runs at.
+#[derive(Clone, Debug)]
 pub enum Forward<C> {
     /// `Φ(∅,V)` fits `u64`, so every count of the solve does (see
     /// [`Count::NARROWS_TO_U64`]).
@@ -323,6 +335,28 @@ mod tests {
             assert_eq!(inc.received, fresh.received);
             assert_eq!(inc.emitted, fresh.emitted);
         }
+    }
+
+    #[test]
+    fn matches_full_recompute_after_each_removal() {
+        let cg = figure1();
+        let mut inc = IncrementalPropagation::<Wide128>::new(&cg, FilterSet::empty(7));
+        for v in [4usize, 1, 6, 2, 3] {
+            inc.insert_filter(&cg, NodeId::new(v));
+        }
+        assert!(
+            !inc.remove_filter(&cg, NodeId::new(5)),
+            "5 was never a filter"
+        );
+        for v in [1usize, 6, 4, 3, 2] {
+            assert!(inc.remove_filter(&cg, NodeId::new(v)));
+            let full: Wide128 = phi_total(&cg, inc.filters());
+            assert_eq!(*inc.phi(), full, "after removing {v}");
+            let fresh = propagate::<Wide128>(&cg, inc.filters());
+            assert_eq!(inc.received, fresh.received);
+            assert_eq!(inc.emitted, fresh.emitted);
+        }
+        assert!(inc.filters().is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
 use crate::{propagate, CGraph, FilterSet};
-use fp_num::{ratio_or, Count};
+use fp_num::{ratio_or, Count, Sat64};
 
 /// `Φ(A, v)` for every node: the copies each node receives under `A`.
 pub fn phi_per_node<C: Count>(cg: &CGraph, filters: &FilterSet) -> Vec<C> {
@@ -27,7 +27,9 @@ pub fn f_value<C: Count>(cg: &CGraph, filters: &FilterSet) -> C {
 
 /// Precomputed `Φ(∅,V)` and `F(V)` for a c-graph, so that evaluating
 /// many filter sets (greedy iterations, FR curves) costs one forward
-/// pass each instead of two.
+/// pass each instead of two. Where the cache's own pass counted in
+/// `u64` (`Φ(∅,V)` fits), so does every `Φ(A,V) ≤ Φ(∅,V)`, and those
+/// passes count in `u64` too.
 ///
 /// `F(V) = Φ(∅,V) − Φ(V,V)` needs no pass of its own: with every node
 /// filtered, each node that holds the item — the source, and every node
@@ -52,6 +54,10 @@ pub fn f_value<C: Count>(cg: &CGraph, filters: &FilterSet) -> C {
 pub struct ObjectiveCache<C> {
     phi_empty: C,
     f_all: C,
+    /// Whether the pair came from a `u64` kernel (see
+    /// [`unfiltered_forward`]): then [`ObjectiveCache::f_of`] counts in
+    /// `u64` too.
+    narrowed: bool,
 }
 
 impl<C: Count> ObjectiveCache<C> {
@@ -60,15 +66,26 @@ impl<C: Count> ObjectiveCache<C> {
     /// engine-backed solvers use ([`unfiltered_forward`]) and widens
     /// the exact pair.
     pub fn new(cg: &CGraph) -> Self {
-        match unfiltered_forward::<C>(cg) {
+        Self::from_unfiltered(cg, &unfiltered_forward::<C>(cg))
+    }
+
+    /// [`ObjectiveCache::from_forward`] of the kernel
+    /// [`unfiltered_forward`] built, with a `u64` kernel's exact pair
+    /// widened to `C`.
+    ///
+    /// # Panics
+    /// Panics if the kernel holds any filter.
+    pub fn from_unfiltered(cg: &CGraph, fwd: &Forward<C>) -> Self {
+        match fwd {
             Forward::U64(fwd) => {
-                let narrow = ObjectiveCache::from_forward(cg, &fwd);
+                let narrow = ObjectiveCache::from_forward(cg, fwd);
                 Self {
                     phi_empty: C::from_u64(narrow.phi_empty.get()),
                     f_all: C::from_u64(narrow.f_all.get()),
+                    narrowed: true,
                 }
             }
-            Forward::Declared(fwd) => Self::from_forward(cg, &fwd),
+            Forward::Declared(fwd) => Self::from_forward(cg, fwd),
         }
     }
 
@@ -94,6 +111,7 @@ impl<C: Count> ObjectiveCache<C> {
         Self {
             f_all: fwd.phi().saturating_sub(&C::from_u64(phi_all)),
             phi_empty: fwd.phi().clone(),
+            narrowed: false,
         }
     }
 
@@ -107,9 +125,15 @@ impl<C: Count> ObjectiveCache<C> {
         &self.f_all
     }
 
-    /// `F(A)` for the given filter set (one forward pass).
+    /// `F(A)` for the given filter set (one forward pass, in `u64`
+    /// when the cache's own pass was).
     pub fn f_of(&self, cg: &CGraph, filters: &FilterSet) -> C {
-        self.phi_empty.saturating_sub(&phi_total::<C>(cg, filters))
+        let phi = if self.narrowed {
+            C::from_u64(phi_total::<Sat64>(cg, filters).get())
+        } else {
+            phi_total::<C>(cg, filters)
+        };
+        self.phi_empty.saturating_sub(&phi)
     }
 
     /// `FR(A) = F(A) / F(V)` (§5 of the paper).

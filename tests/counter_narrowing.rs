@@ -15,11 +15,18 @@
 //!   solvers built at exact `BigCount`, at every budget of a ladder, on
 //!   the generated graphs whose `Φ(∅,V)` comes nearest `u64::MAX` and
 //!   on a graph too deep for `u64`, where the solvers fall back to
-//!   `Wide128`.
+//!   `Wide128` and `fp_engine_u64_fallbacks_total` counts it;
+//! * the sessions with no engine of their own (Greedy_1, Rand_K,
+//!   Rand_I, Rand_W, betweenness), which read FR from a forward kernel
+//!   that follows their placement, read a `Wide128` pass's FR bits at
+//!   every stop of a walk up and back down the same ladders — and, with
+//!   Greedy_Max, on a chain deep enough that `Wide128` saturates too,
+//!   where the kernel's own `Φ` would be wrong and reads fall back to
+//!   the pass.
 
 use fp_core::algorithms::{Solver, SolverKind};
 use fp_core::datasets::layered::{self, LayeredParams};
-use fp_core::num::{Approx64, Sat64};
+use fp_core::num::{ratio_or, Approx64, Sat64};
 use fp_core::prelude::*;
 use fp_core::propagation::incremental::IncrementalPropagation;
 use fp_core::propagation::{phi_total, ObjectiveCache};
@@ -33,6 +40,16 @@ const NARROWING_KINDS: [SolverKind; 4] = [
     SolverKind::LazyGreedyAll,
     SolverKind::GreedyL,
     SolverKind::GreedyMax,
+];
+
+/// The sessions with no engine of their own, whose FR comes from a
+/// kernel beside the session (all declared at `Wide128`).
+const KERNEL_READ_KINDS: [SolverKind; 5] = [
+    SolverKind::GreedyOne,
+    SolverKind::RandK,
+    SolverKind::RandI,
+    SolverKind::RandW,
+    SolverKind::Betweenness,
 ];
 
 /// `(Φ(∅,V), F(V))` as `ObjectiveCache::new` computed them before it
@@ -152,6 +169,29 @@ fn assert_wide128_matches_bigcount(cg: &CGraph, kmax: usize, place_ks: &[usize])
     }
 }
 
+/// Each kind's `Wide128` session, walked up `0..=kmax` and back down,
+/// reads at every stop the FR of one `Wide128` pass over its placement
+/// against the two-pass denominators, bit for bit.
+fn assert_kernel_reads_match_the_pass(cg: &CGraph, kinds: &[SolverKind], kmax: usize) {
+    let (phi_empty, f_all) = two_pass::<Wide128>(cg);
+    for &kind in kinds {
+        let solver = kind.build::<Wide128>();
+        let mut session = solver.session(cg, 5);
+        for k in (0..=kmax).chain((0..=kmax).rev()) {
+            session.advance_to(k);
+            let phi: Wide128 = phi_total(cg, session.placement());
+            let want = ratio_or(&phi_empty.saturating_sub(&phi), &f_all, 1.0);
+            assert_eq!(
+                session.fr().to_bits(),
+                want.to_bits(),
+                "{} FR bits at k={k} ({} filters)",
+                kind.label(),
+                session.placement().len()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -190,6 +230,7 @@ fn narrowed_solvers_match_bigcount_on_the_generated_graphs_nearest_u64_max() {
         let phi = ObjectiveCache::<BigCount>::new(&cg).phi_empty().to_f64();
         assert!((7.0e18..u64::MAX as f64).contains(&phi), "Φ(∅,V) = {phi:e}");
         assert_wide128_matches_bigcount(&cg, kmax, &[0, 1, 2, 10, kmax - 1, kmax]);
+        assert_kernel_reads_match_the_pass(&cg, &KERNEL_READ_KINDS, kmax);
     }
 }
 
@@ -199,9 +240,40 @@ fn solvers_fall_back_to_wide128_where_u64_saturates_and_match_bigcount() {
     // The fallback engages exactly when the u64 pass saturates.
     assert!(ObjectiveCache::<Sat64>::new(&cg).phi_empty().is_saturated());
     assert_wide128_matches_bigcount(&cg, 12, &[0, 1, 5, 12]);
+    assert_kernel_reads_match_the_pass(&cg, &KERNEL_READ_KINDS, 12);
+    // A kernel-read session's first FR read builds its kernel by the
+    // same rule, and counts the fallback. Other tests share the
+    // registry, so compare deltas.
+    let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
+    for kind in KERNEL_READ_KINDS {
+        let solver = kind.build::<Wide128>();
+        let mut session = solver.session(&cg, 0);
+        let before = fallbacks.get();
+        session.fr();
+        assert!(fallbacks.get() > before, "{} read in u64", kind.label());
+    }
     // Counting in u64 here would give other answers: this is why the
     // solvers must fall back.
     let exact = session_ladder(SolverKind::GreedyAll.build::<BigCount>().as_ref(), &cg, 12);
     let sat = session_ladder(SolverKind::GreedyAll.build::<Sat64>().as_ref(), &cg, 12);
     assert_ne!(sat, exact, "u64 saturates and diverges on this graph");
+}
+
+#[test]
+fn kernel_reads_fall_back_to_the_pass_where_wide128_saturates() {
+    // 130 diamonds: the last join alone receives 2^130 copies.
+    let cg = diamond_chain(130);
+    let (phi_empty, _) = two_pass::<Wide128>(&cg);
+    assert!(phi_empty.is_saturated(), "Φ(∅,V) ≈ 2^133");
+    // The kernel's Φ, ceiling minus deltas, is not the pass's here.
+    let mut fwd = IncrementalPropagation::<Wide128>::new(&cg, FilterSet::empty(cg.node_count()));
+    fwd.insert_filter(&cg, NodeId::new(3));
+    assert_ne!(
+        *fwd.phi(),
+        phi_total::<Wide128>(&cg, fwd.filters()),
+        "a clamped kernel drifts from the pass"
+    );
+    let mut kinds = vec![SolverKind::GreedyMax];
+    kinds.extend(KERNEL_READ_KINDS);
+    assert_kernel_reads_match_the_pass(&cg, &kinds, 12);
 }

@@ -19,7 +19,8 @@
 //!   `filter_ratio`, budget for budget;
 //! * Rand_I's and Rand_W's threshold draws nest in `k`, equal the draw
 //!   loops they replaced bit for bit, and do not depend on the budgets
-//!   a session visited before;
+//!   a session visited before — placements and FR bits alike, on a
+//!   walk up the budgets and back down;
 //! * the CELF session both Greedy_All solvers run, walked over unsorted
 //!   budgets with duplicates, sits on the eager full-recompute
 //!   placement with its pass-based FR at every rung — on random DAGs
@@ -453,6 +454,7 @@ proptest! {
         let (g, s) = erdos_renyi::generate(14, p, seed);
         let cg = CGraph::new(&g, s).unwrap();
         let ks = threshold_budgets(&cg);
+        let cache = ObjectiveCache::<Wide128>::new(&cg);
         for (kind, _) in THRESHOLD_KINDS {
             let solver = kind.build::<Wide128>();
             let mut session = solver.session(&cg, seed);
@@ -463,6 +465,15 @@ proptest! {
                     session.placement().nodes(),
                     one_shot.nodes(),
                     "{:?} session diverged from place at k={}",
+                    kind,
+                    k
+                );
+                // The way down drops filters from the session's kernel.
+                let expect = cache.filter_ratio(&cg, session.placement());
+                prop_assert_eq!(
+                    session.fr().to_bits(),
+                    expect.to_bits(),
+                    "{:?} fr diverged at k={}",
                     kind,
                     k
                 );
