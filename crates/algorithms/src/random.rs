@@ -15,8 +15,7 @@
 //! [`SolverSession::next_filter`] reports `None`. A session takes the
 //! draw once, keeping `(u_v, w(v))` per node, and
 //! [`SolverSession::advance_to`] only compares those against budget
-//! `k`'s threshold; a one-shot [`Solver::place`] streams the same draw
-//! and keeps no per-node arrays.
+//! `k`'s threshold.
 
 use crate::{FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
@@ -64,17 +63,8 @@ impl RandI {
 
 impl Solver for RandI {
     fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
-        Box::new(ThresholdSession::new(cg, seed, unit_weight))
+        Box::new(ThresholdSession::new(cg, seed, |_, _| 1.0))
     }
-
-    fn place(&self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
-        threshold_place(cg, k, seed, unit_weight)
-    }
-}
-
-/// Rand_I's weight: every node alike.
-fn unit_weight(_: &CGraph, _: NodeId) -> f64 {
-    1.0
 }
 
 /// Rand_W: node `v` becomes a filter with probability `w(v)·k/n`, where
@@ -105,54 +95,14 @@ impl Solver for RandW {
     fn session<'a>(&'a self, cg: &'a CGraph, seed: u64) -> Box<dyn SolverSession + 'a> {
         Box::new(ThresholdSession::new(cg, seed, Self::weight))
     }
-
-    fn place(&self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
-        threshold_place(cg, k, seed, Self::weight)
-    }
 }
 
-/// The threshold draw of the module docs, streamed: `(v, u_v, w(v))`
-/// for every non-source node, in node order.
-fn draw<'a>(
-    cg: &'a CGraph,
-    seed: u64,
-    weight: impl Fn(&CGraph, NodeId) -> f64 + 'a,
-) -> impl Iterator<Item = (NodeId, f64, f64)> + 'a {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    cg.nodes()
-        .filter(move |&v| v != cg.source())
-        .map(move |v| (v, rng.random::<f64>(), weight(cg, v)))
-}
-
-/// Budget `k`'s test of a node drawn at `u` with weight `w`:
-/// `u < min(1, w·k/n)`. `u ≤ 1 − 2⁻⁵³`, so a clamped threshold of 1
-/// always places, and `u = 1` never does.
-fn admits(cg: &CGraph, k: usize) -> impl Fn(f64, f64) -> bool {
-    let scale = k as f64 / cg.node_count() as f64;
-    move |u, w| u < (w * scale).min(1.0)
-}
-
-/// The draw at budget `k`, in ascending node order, with no per-node
-/// state: what a one-shot `place` needs, and all it pays for.
-fn threshold_place(
-    cg: &CGraph,
-    k: usize,
-    seed: u64,
-    weight: impl Fn(&CGraph, NodeId) -> f64,
-) -> FilterSet {
-    let admits = admits(cg, k);
-    let chosen = draw(cg, seed, weight)
-        .filter(|&(_, u, w)| admits(u, w))
-        .map(|(v, _, _)| v);
-    FilterSet::from_nodes(cg.node_count(), chosen)
-}
-
-/// The session behind Rand_I and Rand_W: the trial's draw, taken once
-/// at the start, and the placement at the budget last asked.
-/// `advance_to(k)` recomputes the placement from the kept draw alone —
-/// a pure function of `(k, seed)` with no ChaCha8 or weight work — so
-/// the session lands on [`Solver::place`]'s placement whatever budgets
-/// it visited before.
+/// The session behind Rand_I and Rand_W: the threshold draw of the
+/// module docs, taken once at the start, and the placement at the
+/// budget last asked. `advance_to(k)` recomputes the placement from the
+/// kept draw alone — a pure function of `(k, seed)` with no ChaCha8 or
+/// weight work — so the session lands on [`Solver::place`]'s placement
+/// whatever budgets it visited before.
 struct ThresholdSession<'a> {
     cg: &'a CGraph,
     /// `(u_v, w(v))` by node index; the source's `u = 1` is never
@@ -164,13 +114,20 @@ struct ThresholdSession<'a> {
 
 impl<'a> ThresholdSession<'a> {
     fn new(cg: &'a CGraph, seed: u64, weight: impl Fn(&CGraph, NodeId) -> f64) -> Self {
-        let mut kept = vec![(1.0, 0.0); cg.node_count()];
-        for (v, u, w) in draw(cg, seed, weight) {
-            kept[v.index()] = (u, w);
-        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let draw = cg
+            .nodes()
+            .map(|v| {
+                if v == cg.source() {
+                    (1.0, 0.0)
+                } else {
+                    (rng.random::<f64>(), weight(cg, v))
+                }
+            })
+            .collect();
         Self {
             cg,
-            draw: kept,
+            draw,
             placement: FilterSet::empty(cg.node_count()),
             fr: FrCache::new(),
         }
@@ -191,12 +148,13 @@ impl SolverSession for ThresholdSession<'_> {
     }
 
     fn advance_to(&mut self, k: usize) {
-        let admits = admits(self.cg, k);
+        let scale = k as f64 / self.cg.node_count() as f64;
+        // `u_v ≤ 1 − 2⁻⁵³`, so a clamped threshold of 1 always places.
         let chosen = self
             .draw
             .iter()
             .enumerate()
-            .filter(|&(_, &(u, w))| admits(u, w))
+            .filter(|&(_, &(u, w))| u < (w * scale).min(1.0))
             .map(|(i, _)| NodeId::new(i));
         self.placement = FilterSet::from_nodes(self.cg.node_count(), chosen);
     }

@@ -15,7 +15,7 @@
 //! denominators (`Φ(∅,V)`, `F(V)`) of that kernel's unfiltered init —
 //! no session runs a forward pass per read. Engine-backed sessions read
 //! their own engine; the others hold a kernel in a [`FrCache`], which
-//! follows their placement filter by filter.
+//! flips the filters their placement changed since the last read.
 //!
 //! Kernels pick their counter with
 //! [`fp_propagation::incremental::unfiltered_forward`]: a session
@@ -25,7 +25,7 @@
 use crate::{Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
+use fp_propagation::incremental::{unfiltered_forward, Forward};
 use fp_propagation::{phi_total, CGraph, FilterSet, ObjectiveCache};
 
 /// The FR of a placement built by a session with no forward kernel of
@@ -36,12 +36,16 @@ use fp_propagation::{phi_total, CGraph, FilterSet, ObjectiveCache};
 /// `place`, which reads no FR, never builds one — at the counter
 /// [`unfiltered_forward`] picks, and its init gives the denominators
 /// ([`ObjectiveCache::from_unfiltered`]). Each read flips only the
-/// filters that differ from the placement it read last: on a ladder,
-/// the picks appended since; on a threshold draw, the nodes a new
-/// budget added or dropped. Wherever the counter does not clamp, the
-/// kernel's `Φ` is a fresh pass's, so FRs are bit-identical to
+/// filters that differ from the placement it read last
+/// ([`IncrementalPropagation::follow`]): on a ladder, the picks
+/// appended since; on a threshold draw, the nodes a new budget added or
+/// dropped, each batch in one walk, so no read costs more than a pass
+/// per direction. Wherever the counter does not clamp, the kernel's `Φ`
+/// is a fresh pass's, so FRs are bit-identical to
 /// [`ObjectiveCache::filter_ratio`]; where the declared counter
 /// saturates, every read runs that pass instead.
+///
+/// [`IncrementalPropagation::follow`]: fp_propagation::incremental::IncrementalPropagation::follow
 #[derive(Clone, Debug, Default)]
 pub struct FrCache<C> {
     /// The kernel and the denominators of its unfiltered init.
@@ -76,7 +80,7 @@ impl<C: Count> FrCache<C> {
         });
         let phi = match fwd {
             Forward::U64(fwd) => {
-                follow(fwd, cg, placement);
+                fwd.follow(cg, placement);
                 C::from_u64(fwd.phi().get())
             }
             // A clamped kernel Φ (the ceiling minus deltas) can differ
@@ -85,34 +89,11 @@ impl<C: Count> FrCache<C> {
                 phi_total(cg, placement)
             }
             Forward::Declared(fwd) => {
-                follow(fwd, cg, placement);
+                fwd.follow(cg, placement);
                 fwd.phi().clone()
             }
         };
         denominators.filter_ratio_from_phi(&phi)
-    }
-}
-
-/// Flip `fwd`'s filters to `placement`'s: past their common prefix —
-/// all of what `fwd` holds, on a ladder, which only appends — drop what
-/// the placement lost, then add what it gained.
-fn follow<K: Count>(fwd: &mut IncrementalPropagation<K>, cg: &CGraph, placement: &FilterSet) {
-    let held = fwd.filters().nodes();
-    let common = held
-        .iter()
-        .zip(placement.nodes())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let dropped: Vec<NodeId> = held[common..]
-        .iter()
-        .copied()
-        .filter(|&v| !placement.contains(v))
-        .collect();
-    for v in dropped {
-        fwd.remove_filter(cg, v);
-    }
-    for &v in &placement.nodes()[common..] {
-        fwd.insert_filter(cg, v);
     }
 }
 
@@ -207,6 +188,7 @@ pub fn solve_ladder_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverKind;
     use fp_graph::DiGraph;
     use fp_num::{Sat64, Wide128};
     use fp_propagation::filter_ratio;
@@ -248,28 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn fr_cache_follows_placements_that_grow_shrink_and_reorder() {
-        let cg = figure1();
-        let mut cache = FrCache::<Wide128>::new();
-        for nodes in [
-            vec![],
-            vec![4],
-            vec![4, 1],
-            vec![1],
-            vec![2, 1, 6],
-            vec![6, 2],
-            vec![],
-        ] {
-            let placement = FilterSet::from_nodes(7, nodes.iter().map(|&i| NodeId::new(i)));
-            assert_eq!(
-                cache.fr_of(&cg, &placement).to_bits(),
-                filter_ratio::<Wide128>(&cg, &placement).to_bits(),
-                "after reading {nodes:?}"
-            );
-        }
-    }
-
-    #[test]
     fn a_solve_too_deep_for_u64_counts_a_fallback() {
         // 70 diamonds in a row: the last join receives 2^70 copies.
         let mut g = DiGraph::with_nodes(1);
@@ -287,6 +247,21 @@ mod tests {
         let before = fallbacks.get();
         crate::GreedyAll::<Wide128>::new().place(&cg, 2, 0);
         assert!(fallbacks.get() > before, "the u64 init saturated");
+        // A session with no engine of its own builds its FR kernel by
+        // the same rule, on its first read.
+        for kind in [
+            SolverKind::GreedyOne,
+            SolverKind::RandK,
+            SolverKind::RandI,
+            SolverKind::RandW,
+            SolverKind::Betweenness,
+        ] {
+            let solver = kind.build::<Wide128>();
+            let mut session = solver.session(&cg, 0);
+            let before = fallbacks.get();
+            session.fr();
+            assert!(fallbacks.get() > before, "{} read in u64", kind.label());
+        }
     }
 
     #[test]

@@ -131,11 +131,12 @@ impl DirtyFrontier {
         self.pending == 0 && !self.dense
     }
 
-    /// Start a pass at topological position `pos` (the mutated node's
-    /// own slot; the walk skips it since it is never marked — the
-    /// caller reprocesses the mutation site itself before the pass).
-    /// Work still pending must lie past `pos` (the caller settled
-    /// through it), so the walk from `pos` reaches all of it.
+    /// Start a pass at topological position `pos`, which the walk
+    /// skips: the mutated node's own slot (the caller reprocesses the
+    /// mutation site itself before the pass), or the slot just before a
+    /// batch of marked nodes. Work still pending must lie past `pos`
+    /// (the caller settled through it), so the walk from `pos` reaches
+    /// all of it.
     pub(crate) fn begin(&mut self, pos: usize) {
         debug_assert!(
             self.is_idle() || self.cursor >= pos,

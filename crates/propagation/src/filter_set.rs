@@ -68,6 +68,20 @@ impl FilterSet {
         }
     }
 
+    /// Keep only the filters `keep` accepts, in their insertion order:
+    /// one pass over the order, where [`FilterSet::remove`] shifts it
+    /// once per filter.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        let members = &mut self.members;
+        self.order.retain(|&v| {
+            let kept = keep(v);
+            if !kept {
+                members.remove(v.index());
+            }
+            kept
+        });
+    }
+
     /// Whether `v` is a filter.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
@@ -120,6 +134,15 @@ mod tests {
         assert_eq!(s.nodes(), &[NodeId::new(7), NodeId::new(4)]);
         assert!(!s.contains(NodeId::new(1)));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn retain_drops_the_rejected_and_keeps_order() {
+        let mut s = FilterSet::from_nodes(10, [7, 1, 4, 2].map(NodeId::new));
+        s.retain(|v| v.index() != 1 && v.index() != 2);
+        assert_eq!(s.nodes(), &[NodeId::new(7), NodeId::new(4)]);
+        assert!(!s.contains(NodeId::new(1)) && !s.contains(NodeId::new(2)));
+        assert!(s.insert(NodeId::new(1)), "a dropped filter can return");
     }
 
     #[test]

@@ -126,15 +126,60 @@ impl<C: Count> IncrementalPropagation<C> {
         true
     }
 
-    /// Remove `v` as a filter, updating only affected descendants of
-    /// `v` — the flip [`crate::Mutation::RemoveFilter`] runs on an
-    /// engine's forward half. Returns `true` if `v` was a filter.
-    pub fn remove_filter(&mut self, cg: &CGraph, v: NodeId) -> bool {
-        if !self.filters.contains(v) {
-            return false;
+    /// Bring the filter set to `placement`'s, updating only affected
+    /// descendants, and return the number of nodes reprocessed.
+    ///
+    /// Past the common prefix of the two insertion orders — all the
+    /// kernel holds, when `placement` only appended to it, as a ladder
+    /// does — the filters `placement` lacks are dropped, then the ones
+    /// it adds are inserted. Each batch re-emits in one forward walk,
+    /// so a node is reprocessed at most once per direction however many
+    /// filters differ: at most two passes' worth. Kept filters keep
+    /// their order; added ones follow in `placement`'s.
+    pub fn follow(&mut self, cg: &CGraph, placement: &FilterSet) -> usize {
+        let held = self.filters.nodes();
+        let common = held
+            .iter()
+            .zip(placement.nodes())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let dropped: Vec<NodeId> = held[common..]
+            .iter()
+            .copied()
+            .filter(|&v| !placement.contains(v))
+            .collect();
+        if !dropped.is_empty() {
+            self.filters.retain(|v| placement.contains(v));
         }
-        self.flip_filter(cg, v, Drift::Grow);
-        true
+        // Drops only raise receptions and inserts only lower them, so
+        // each batch walks on its own, the inserts' membership flipping
+        // only once the drops have settled.
+        let processed = self.reemit_all(cg, &dropped, Drift::Grow);
+        let added: Vec<NodeId> = placement.nodes()[common..]
+            .iter()
+            .copied()
+            .filter(|&v| self.filters.insert(v))
+            .collect();
+        processed + self.reemit_all(cg, &added, Drift::Shrink)
+    }
+
+    /// Re-emit `flipped`, whose filter membership already flipped, in
+    /// one forward walk: each is marked dirty, so the walk reaches it in
+    /// topological order, after every earlier flip of the batch, and
+    /// reprocesses it like any node whose inputs changed. Returns the
+    /// number of nodes reprocessed.
+    fn reemit_all(&mut self, cg: &CGraph, flipped: &[NodeId], drift: Drift) -> usize {
+        // The first node in the order has no parents: filtered or not,
+        // it emits one (the source) or nothing, so no walk reaches it.
+        let marked = flipped.iter().filter(|&&v| cg.topo_position(v) > 0);
+        let Some(first) = marked.clone().map(|&v| cg.topo_position(v)).min() else {
+            return 0;
+        };
+        self.frontier.begin(first - 1);
+        for &v in marked {
+            self.frontier.mark(v);
+        }
+        self.settle_through(cg, usize::MAX, drift).0
     }
 
     /// Insert (`Shrink`) or remove (`Grow`) the filter at `v` — the
@@ -337,26 +382,62 @@ mod tests {
         }
     }
 
+    /// The kernel after `follow` must be a fresh pass over `placement`.
+    fn assert_follows(
+        cg: &CGraph,
+        inc: &mut IncrementalPropagation<Wide128>,
+        placement: &FilterSet,
+    ) {
+        inc.follow(cg, placement);
+        let fresh = propagate::<Wide128>(cg, placement);
+        assert_eq!(
+            inc.received, fresh.received,
+            "after following {placement:?}"
+        );
+        assert_eq!(inc.emitted, fresh.emitted);
+        assert_eq!(*inc.phi(), phi_total::<Wide128>(cg, placement));
+        assert!(inc.filters().nodes().iter().all(|&v| placement.contains(v)));
+        assert_eq!(inc.filters().len(), placement.len());
+    }
+
     #[test]
-    fn matches_full_recompute_after_each_removal() {
+    fn follow_matches_full_recompute_as_placements_grow_shrink_and_reorder() {
         let cg = figure1();
         let mut inc = IncrementalPropagation::<Wide128>::new(&cg, FilterSet::empty(7));
-        for v in [4usize, 1, 6, 2, 3] {
-            inc.insert_filter(&cg, NodeId::new(v));
+        for nodes in [
+            vec![4],
+            vec![4, 1, 6, 2, 3],
+            vec![1, 3],
+            vec![3, 5, 1],
+            vec![6, 2],
+            vec![0, 6],
+            vec![],
+        ] {
+            let placement = FilterSet::from_nodes(7, nodes.into_iter().map(NodeId::new));
+            assert_follows(&cg, &mut inc, &placement);
         }
-        assert!(
-            !inc.remove_filter(&cg, NodeId::new(5)),
-            "5 was never a filter"
-        );
-        for v in [1usize, 6, 4, 3, 2] {
-            assert!(inc.remove_filter(&cg, NodeId::new(v)));
-            let full: Wide128 = phi_total(&cg, inc.filters());
-            assert_eq!(*inc.phi(), full, "after removing {v}");
-            let fresh = propagate::<Wide128>(&cg, inc.filters());
-            assert_eq!(inc.received, fresh.received);
-            assert_eq!(inc.emitted, fresh.emitted);
-        }
-        assert!(inc.filters().is_empty());
+    }
+
+    #[test]
+    fn follow_walks_each_node_once_per_direction() {
+        // Node i is fed by i−1 and i−2, so one filter flip changes every
+        // later reception. Flipped one at a time, filters inserted
+        // first-first, or dropped last-first, would walk the tail once
+        // per filter.
+        let n = 64;
+        let pairs =
+            (1..n).flat_map(|i| [(i - 1, i)].into_iter().chain((i >= 2).then(|| (i - 2, i))));
+        let g = DiGraph::from_pairs(n, pairs).unwrap();
+        let cg = CGraph::new(&g, NodeId::new(0)).unwrap();
+        let ascending = FilterSet::from_nodes(n, (1..n).map(NodeId::new));
+        let mut inc = IncrementalPropagation::<Wide128>::new(&cg, FilterSet::empty(n));
+        assert!(inc.follow(&cg, &ascending) < n, "one walk inserts them all");
+        assert_follows(&cg, &mut inc, &ascending);
+        let descending = FilterSet::from_nodes(n, (1..n).rev().map(NodeId::new));
+        let mut inc = IncrementalPropagation::<Wide128>::new(&cg, descending);
+        let none = FilterSet::empty(n);
+        assert!(inc.follow(&cg, &none) < n, "one walk drops them all");
+        assert_follows(&cg, &mut inc, &none);
     }
 
     #[test]
