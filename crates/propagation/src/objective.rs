@@ -27,9 +27,9 @@ pub fn f_value<C: Count>(cg: &CGraph, filters: &FilterSet) -> C {
 
 /// Precomputed `Φ(∅,V)` and `F(V)` for a c-graph, so that evaluating
 /// many filter sets (greedy iterations, FR curves) costs one forward
-/// pass each instead of two. Where the cache's own pass counted in
-/// `u64` (`Φ(∅,V)` fits), so does every `Φ(A,V) ≤ Φ(∅,V)`, and those
-/// passes count in `u64` too.
+/// pass each instead of two. Where `Φ(∅,V)` fits `u64`, so does every
+/// `Φ(A,V) ≤ Φ(∅,V)`, and a counter that narrows
+/// ([`Count::NARROWS_TO_U64`]) runs those passes in `u64`.
 ///
 /// `F(V) = Φ(∅,V) − Φ(V,V)` needs no pass of its own: with every node
 /// filtered, each node that holds the item — the source, and every node
@@ -54,10 +54,6 @@ pub fn f_value<C: Count>(cg: &CGraph, filters: &FilterSet) -> C {
 pub struct ObjectiveCache<C> {
     phi_empty: C,
     f_all: C,
-    /// Whether the pair came from a `u64` kernel (see
-    /// [`unfiltered_forward`]): then [`ObjectiveCache::f_of`] counts in
-    /// `u64` too.
-    narrowed: bool,
 }
 
 impl<C: Count> ObjectiveCache<C> {
@@ -82,7 +78,6 @@ impl<C: Count> ObjectiveCache<C> {
                 Self {
                     phi_empty: C::from_u64(narrow.phi_empty.get()),
                     f_all: C::from_u64(narrow.f_all.get()),
-                    narrowed: true,
                 }
             }
             Forward::Declared(fwd) => Self::from_forward(cg, fwd),
@@ -111,7 +106,6 @@ impl<C: Count> ObjectiveCache<C> {
         Self {
             f_all: fwd.phi().saturating_sub(&C::from_u64(phi_all)),
             phi_empty: fwd.phi().clone(),
-            narrowed: false,
         }
     }
 
@@ -126,9 +120,9 @@ impl<C: Count> ObjectiveCache<C> {
     }
 
     /// `F(A)` for the given filter set (one forward pass, in `u64`
-    /// when the cache's own pass was).
+    /// where `Φ(∅,V)` fits and the counter narrows).
     pub fn f_of(&self, cg: &CGraph, filters: &FilterSet) -> C {
-        let phi = if self.narrowed {
+        let phi = if C::NARROWS_TO_U64 && self.phi_empty < C::from_u64(u64::MAX) {
             C::from_u64(phi_total::<Sat64>(cg, filters).get())
         } else {
             phi_total::<C>(cg, filters)
