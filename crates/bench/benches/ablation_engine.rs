@@ -5,9 +5,9 @@
 //! allocations per round; the `ImpactEngine` pays the sweeps once and
 //! then only O(affected ∪ ancestors-of-pick) incremental updates per
 //! round, with zero per-round allocation. This bench quantifies the gap
-//! on the same layered-graph ladder `benches/scaling.rs` uses (the
-//! ROADMAP's named hot-path target), k = 10 — the numbers behind the
-//! `scaling` section of `BENCH_baseline.json`.
+//! on the layered-graph ladder [`fp_bench::SCALING_LADDER`], k = 10.
+//! Placements are asserted identical across the two paths before
+//! anything is timed, so a run is also an engine-vs-oracle check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fp_core::algorithms::{GreedyAll, Solver};

@@ -6,9 +6,8 @@
 //! O(Σₖ solve(k)). The session path walks one
 //! `SolverSession` up the axis: one engine initialization, one greedy
 //! round per rung, FR read from the live Φ — O(solve(k_max)). This
-//! bench quantifies the gap for Greedy_All on the same layered-graph
-//! ladder `benches/scaling.rs` uses, ks = 0..=10 — the numbers behind
-//! the `ladder` section of `BENCH_baseline.json`.
+//! bench quantifies the gap for Greedy_All on the layered-graph ladder
+//! [`fp_bench::SCALING_LADDER`], ks = 0..=10.
 //!
 //! Placements and FR bits are asserted identical across the two paths
 //! before anything is timed.

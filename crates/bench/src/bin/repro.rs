@@ -14,20 +14,12 @@
 //!     --trace FILE    dump Chrome trace-event JSON of the run (spans
 //!                     use monotonic clocks only — the figures' bytes
 //!                     are identical traced or not)
-//!     --mem-budget BYTES
-//!                     cap the process-wide scale accountant (accepts
-//!                     K/M/G suffixes); a streamed build that would
-//!                     exceed it fails with a typed error, not OOM. In
-//!                     baseline mode this is also the budget the
-//!                     `large_scale` cell is charged against (default
-//!                     256M).
 //!
-//! cargo run --release -p fp-bench --bin repro -- baseline [--fast] [--out FILE]
+//! cargo run --release -p fp-bench --bin repro -- baseline [--fast] [--out FILE] [--trace FILE]
 //!     time every figure once and write a BENCH_baseline.json document
-//!     (default: stdout) for future PRs to compare against; the
-//!     large_scale section streams a 10^6-node power-law graph into
-//!     the compact CSR under the memory budget (full size even with
-//!     --fast — the streamed path is cheap at a million nodes)
+//!     (default: stdout) of per-figure walls; each figure runs with one
+//!     sweep thread per core and no budget, so --jobs and --budget are
+//!     refused here
 //! ```
 
 use fp_core::cli::{parse_count, MAX_PARALLEL};
@@ -60,24 +52,21 @@ struct Parsed {
     opts: fp_bench::ReproOptions,
     out_file: Option<String>,
     trace_file: Option<String>,
-    mem_budget: Option<u64>,
 }
 
 /// Split argv into figure selections and `--flag value` options.
+/// `baseline` mode takes no figures, and refuses the flags it would
+/// otherwise drop (`--jobs`, `--budget`).
 fn parse(args: &[String]) -> Result<Parsed, String> {
     let mut selected = Vec::new();
     let mut opts = fp_bench::ReproOptions::default();
     let mut out_file = None;
     let mut trace_file = None;
-    let mut mem_budget = None;
+    let mut run_only_flag = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--fast" => opts.scale = 0.1,
-            "--mem-budget" => {
-                let value = it.next().ok_or("--mem-budget needs a value")?;
-                mem_budget = Some(fp_core::scale::parse_bytes(value)?);
-            }
             "--out" => {
                 let value = it.next().ok_or("--out needs a value")?;
                 opts.out = Some(value.into());
@@ -86,6 +75,7 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
             "--jobs" => {
                 let value = it.next().ok_or("--jobs needs a value")?;
                 opts.jobs = parse_count("jobs", value, MAX_PARALLEL)?;
+                run_only_flag.get_or_insert("--jobs");
             }
             "--budget" => {
                 let secs: f64 = it
@@ -97,6 +87,7 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
                     return Err("--budget must be non-negative seconds".to_string());
                 }
                 opts.budget = Some(Duration::from_secs_f64(secs));
+                run_only_flag.get_or_insert("--budget");
             }
             "--trace" => {
                 trace_file = Some(it.next().ok_or("--trace needs a value")?.clone());
@@ -105,12 +96,22 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
             figure => selected.push(figure.to_string()),
         }
     }
+    if selected.first().map(String::as_str) == Some("baseline") {
+        if selected.len() > 1 {
+            return Err("baseline takes no figure arguments".to_string());
+        }
+        if let Some(flag) = run_only_flag {
+            return Err(format!(
+                "{flag} does not apply to baseline, which times every figure \
+                 with one sweep thread per core and no budget"
+            ));
+        }
+    }
     Ok(Parsed {
         selected,
         opts,
         out_file,
         trace_file,
-        mem_budget,
     })
 }
 
@@ -131,26 +132,17 @@ fn main() {
         opts,
         out_file,
         trace_file,
-        mem_budget,
     } = match parse(&args) {
         Ok(parsed) => parsed,
         Err(e) => fail(&e),
     };
-    if let Some(cap) = mem_budget {
-        // Cap the process-wide scale accountant too, so any streamed
-        // build in this run fails with a typed error instead of OOM.
-        fp_core::scale::set_global_cap(Some(cap));
-    }
     if trace_file.is_some() {
         fp_obs::tracer().enable();
     }
 
     // `repro baseline`: time the figures, emit BENCH_baseline.json.
     if selected.first().map(String::as_str) == Some("baseline") {
-        if selected.len() > 1 {
-            fail("baseline takes no figure arguments");
-        }
-        let doc = match fp_bench::baseline_json(opts.scale, mem_budget) {
+        let doc = match fp_bench::baseline_json(opts.scale) {
             Ok(doc) => doc.to_pretty(),
             Err(e) => fail(&e),
         };
@@ -224,9 +216,25 @@ mod tests {
             panic!("--jobs {over} accepted");
         };
         assert!(e.contains("--jobs"), "{e}");
-        let Err(e) = parse(&argv(&["--workers", "2"])) else {
-            panic!("--workers accepted");
-        };
-        assert!(e.contains("unknown flag --workers"), "{e}");
+        for (flag, value) in [("--workers", "2"), ("--mem-budget", "1M")] {
+            let Err(e) = parse(&argv(&[flag, value])) else {
+                panic!("{flag} accepted");
+            };
+            assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
+        }
+        // Baseline mode times every figure on an ephemeral session, so
+        // it refuses the flags it would drop, and any figure names.
+        for (argv_, flag) in [
+            (&["baseline", "--jobs", "2"][..], "--jobs"),
+            (&["--budget", "60", "baseline"][..], "--budget"),
+            (&["baseline", "fig04"][..], "figure"),
+        ] {
+            let Err(e) = parse(&argv(argv_)) else {
+                panic!("{argv_:?} accepted");
+            };
+            assert!(e.contains(flag), "{argv_:?}: {e}");
+        }
+        assert!(parse(&argv(&["baseline", "--fast", "--out", "b.json"])).is_ok());
+        assert!(parse(&argv(&["fig04", "--jobs", "2", "--budget", "60"])).is_ok());
     }
 }

@@ -1,10 +1,11 @@
-//! Shared figure-regeneration logic for the benchmark harnesses and
-//! the `repro` binary.
+//! Figure regeneration for the `repro` binary.
 //!
-//! Each `figNN` function computes the data series of the corresponding
-//! figure in the paper's §5 and returns it as a formatted table.
-//! EXPERIMENTS.md records the expected shapes and how they compare to
-//! the paper.
+//! Each `figNN_with` function computes the data series of the
+//! corresponding figure in the paper's §5 and returns it as a formatted
+//! table. EXPERIMENTS.md records the expected shapes and how they
+//! compare to the paper. [`baseline_json`] times every figure once
+//! (`repro baseline`); the speed of the system itself is measured by
+//! the `perfbench/` workloads, not here.
 //!
 //! Figures run inside a [`ReproSession`], which carries the
 //! experiment-results subsystem end to end:
@@ -17,10 +18,6 @@
 //! * `--budget SECS` caps wall time: figures that would start after the
 //!   budget is spent are skipped, and a sweep the deadline interrupts
 //!   is discarded rather than stored half-done.
-//!
-//! The zero-argument `figNN()` wrappers (used by the `cargo bench`
-//! harnesses) run an ephemeral session: no store, no budget, one
-//! worker per core.
 
 use fp_core::datasets::citation_like::{self, CitationLikeParams};
 use fp_core::datasets::layered::{self, LayeredParams};
@@ -92,8 +89,8 @@ impl ReproSession {
         })
     }
 
-    /// Print-only session at the given scale (what the zero-argument
-    /// `figNN()` wrappers and the bench harnesses use).
+    /// Print-only session at the given scale (what [`baseline_json`]
+    /// times each figure in).
     pub fn ephemeral(scale: f64) -> Self {
         Self::new(ReproOptions {
             scale,
@@ -346,41 +343,6 @@ pub fn fig11_with(s: &ReproSession) -> Result<Vec<(String, Table)>, String> {
     Ok(vec![(name, table)])
 }
 
-/// Figure 4 via an ephemeral session (bench-harness entry point).
-pub fn fig04() -> Vec<(String, Table)> {
-    fig04_with(&ReproSession::ephemeral(1.0)).expect("print-only session cannot fail")
-}
-
-/// Figure 5 via an ephemeral session (bench-harness entry point).
-pub fn fig05() -> Vec<(String, Table)> {
-    fig05_with(&ReproSession::ephemeral(1.0)).expect("print-only session cannot fail")
-}
-
-/// Figure 6 via an ephemeral session (bench-harness entry point).
-pub fn fig06() -> Vec<(String, Table)> {
-    fig06_with(&ReproSession::ephemeral(1.0)).expect("print-only session cannot fail")
-}
-
-/// Figure 7 via an ephemeral session (bench-harness entry point).
-pub fn fig07() -> Vec<(String, Table)> {
-    fig07_with(&ReproSession::ephemeral(1.0)).expect("print-only session cannot fail")
-}
-
-/// Figure 8 via an ephemeral session (bench-harness entry point).
-pub fn fig08(scale: f64) -> Vec<(String, Table)> {
-    fig08_with(&ReproSession::ephemeral(scale)).expect("print-only session cannot fail")
-}
-
-/// Figure 9 via an ephemeral session (bench-harness entry point).
-pub fn fig09() -> Vec<(String, Table)> {
-    fig09_with(&ReproSession::ephemeral(1.0)).expect("print-only session cannot fail")
-}
-
-/// Figure 11 via an ephemeral session (bench-harness entry point).
-pub fn fig11(scale: f64) -> Vec<(String, Table)> {
-    fig11_with(&ReproSession::ephemeral(scale)).expect("print-only session cannot fail")
-}
-
 /// A figure's tables as text, each under an `== title ==` line.
 pub fn figure_text(tables: &[(String, Table)]) -> String {
     tables
@@ -389,326 +351,16 @@ pub fn figure_text(tables: &[(String, Table)]) -> String {
         .collect()
 }
 
-/// Print a figure's tables to stdout.
-pub fn print_figure(tables: &[(String, Table)]) {
-    print!("{}", figure_text(tables));
-}
-
-/// The layered-graph ladder `benches/scaling.rs` climbs (nodes per
-/// level; 10 levels, x/y = 1/4, the paper's sparse shape).
+/// The layered-graph ladder the `ablation_engine` and `ablation_ladder`
+/// benches climb (nodes per level; 10 levels, x/y = 1/4, the paper's
+/// sparse shape).
 pub const SCALING_LADDER: [usize; 4] = [25, 50, 100, 200];
 
-/// Wall-clock Greedy_All (k = 10) on one `SCALING_LADDER` rung, both
-/// paths: the incremental `ImpactEngine` solver and the full-recompute
-/// oracle. Placements are asserted identical before anything is timed;
-/// each path is timed `reps` times and the minimum is reported (the
-/// usual wall-clock floor estimator — ambient noise only ever adds).
-pub fn scaling_entry(per_level: usize, reps: usize) -> Json {
-    use fp_core::algorithms::{GreedyAll, Solver};
-    let lg = layered::generate(&LayeredParams {
-        levels: 10,
-        expected_per_level: per_level,
-        x: 1.0,
-        y: 4.0,
-        seed: SEED,
-    });
-    let cg = CGraph::new(&lg.graph, lg.source).expect("DAG");
-    let engine = GreedyAll::<Wide128>::new().place(&cg, 10, 0);
-    let oracle = GreedyAll::<Wide128>::place_full_recompute(&cg, 10);
-    assert_eq!(
-        engine.nodes(),
-        oracle.nodes(),
-        "paths must place identically"
-    );
-
-    let time_min = |f: &dyn Fn() -> usize| -> f64 {
-        (0..reps.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let len = f();
-                let wall = start.elapsed().as_secs_f64();
-                assert!(len <= 10);
-                wall
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let engine_secs = time_min(&|| GreedyAll::<Wide128>::new().place(&cg, 10, 0).len());
-    let oracle_secs = time_min(&|| GreedyAll::<Wide128>::place_full_recompute(&cg, 10).len());
-    Json::object([
-        ("per_level", per_level.to_json()),
-        ("nodes", lg.graph.node_count().to_json()),
-        ("edges", lg.graph.edge_count().to_json()),
-        ("engine_secs", Json::Float(engine_secs)),
-        ("oracle_secs", Json::Float(oracle_secs)),
-        ("speedup", Json::Float(oracle_secs / engine_secs)),
-    ])
-}
-
-/// Wall-clock for one whole Greedy_All FR **curve cell** (ks = 0..=10)
-/// on one `SCALING_LADDER` rung, both paths: the session walk behind
-/// `deterministic_curve` (one engine, FR from live Φ) and the per-k
-/// baseline (a fresh solve plus a fresh `f_of` pass per budget).
-/// Curves are asserted identical — budgets, placements, FR bits —
-/// before anything is timed; each path is timed `reps` times and the
-/// minimum is reported.
-pub fn ladder_entry(per_level: usize, reps: usize) -> Json {
-    let lg = layered::generate(&LayeredParams {
-        levels: 10,
-        expected_per_level: per_level,
-        x: 1.0,
-        y: 4.0,
-        seed: SEED,
-    });
-    let problem = Problem::new(&lg.graph, lg.source).expect("DAG");
-    let ks: Vec<usize> = (0..=10).collect();
-
-    let session = |p: &Problem| -> Vec<(usize, f64)> {
-        p.solve_ladder(SolverKind::GreedyAll, &ks, 0)
-            .into_iter()
-            .map(|(k, _, fr)| (k, fr))
-            .collect()
-    };
-    let per_k = |p: &Problem| -> Vec<(usize, f64)> {
-        ks.iter()
-            .map(|&k| (k, p.filter_ratio(&p.solve(SolverKind::GreedyAll, k))))
-            .collect()
-    };
-    let a = session(&problem);
-    let b = per_k(&problem);
-    assert_eq!(a.len(), b.len());
-    for ((ka, fra), (kb, frb)) in a.iter().zip(&b) {
-        assert_eq!(ka, kb);
-        assert_eq!(fra.to_bits(), frb.to_bits(), "curves must be bit-identical");
-    }
-
-    let time_min = |f: &dyn Fn() -> usize| -> f64 {
-        (0..reps.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let len = f();
-                let wall = start.elapsed().as_secs_f64();
-                assert_eq!(len, ks.len());
-                wall
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let session_secs = time_min(&|| session(&problem).len());
-    let per_k_secs = time_min(&|| per_k(&problem).len());
-    Json::object([
-        ("per_level", per_level.to_json()),
-        ("nodes", lg.graph.node_count().to_json()),
-        ("edges", lg.graph.edge_count().to_json()),
-        ("ks", ks.len().to_json()),
-        ("session_secs", Json::Float(session_secs)),
-        ("per_k_secs", Json::Float(per_k_secs)),
-        ("speedup", Json::Float(per_k_secs / session_secs)),
-    ])
-}
-
-/// The `serve` section of the baseline: a loadtest against an
-/// in-process `fp serve` daemon — 8 concurrent clients, 50 placement
-/// queries each, budgets interleaving over `0..=8` on the layered
-/// sparse graph. Every response is verified bit-identical to the batch
-/// ladder before any number is reported, so the recorded p50/p99 are
-/// latencies of *correct* answers.
-pub fn serve_entry() -> Result<Json, String> {
-    let cfg = fp_core::loadtest::LoadtestConfig::default();
-    let report =
-        fp_core::loadtest::run_loadtest(fp_core::registry::GraphRegistry::with_builtins(), &cfg)?;
-    Ok(report.to_json())
-}
-
-/// The `online` section of the baseline: a filter placement maintained
-/// live under a deterministic edge-mutation stream on the layered
-/// graph (per_level 200 = the n2001 scaling rung), measured two ways.
-///
-/// The **curve** replays the same stream once per drift threshold and
-/// records repair cost (repair rounds, greedy picks) against final
-/// quality (the live placement's FR vs a cold rebuild's FR on the
-/// final graph) — counts and FRs only, all deterministic. The
-/// **timing** compares the online path (incremental engine, repairs
-/// only when drift crosses the default 0.05 threshold) against the
-/// rebuild-per-mutation baseline (a cold Greedy_All solve after every
-/// event); both process the identical stream, and before any timing
-/// the threshold-0 driver's placement is asserted bit-identical to a
-/// cold rebuild on the final graph.
-pub fn online_entry(per_level: usize, events: usize, reps: usize) -> Json {
-    use fp_core::online::{greedy_rebuild, mutation_stream, OnlineConfig, OnlinePlacement};
-    use fp_core::propagation::{Mutation, ObjectiveCache};
-
-    let lg = layered::generate(&LayeredParams {
-        levels: 10,
-        expected_per_level: per_level,
-        x: 1.0,
-        y: 4.0,
-        seed: SEED,
-    });
-    let problem = Problem::new(&lg.graph, lg.source).expect("DAG");
-    let base = problem.cgraph();
-    let stream = mutation_stream(base, events, SEED);
-    let k = 8usize;
-
-    // Repair-cost-vs-quality curve over the threshold sweep.
-    let mut curve = Vec::new();
-    for t in [0.0, 0.01, 0.05, 0.25] {
-        let mut driver = OnlinePlacement::new(
-            base.clone(),
-            OnlineConfig {
-                k,
-                drift_threshold: t,
-            },
-        );
-        for &m in &stream {
-            driver.apply_event(m).expect("stream is applicable");
-        }
-        let stats = driver.stats();
-        let final_fr = driver.quality();
-        let cg = driver.engine().cgraph();
-        let rebuilt = greedy_rebuild(cg, k);
-        let cache = ObjectiveCache::<Wide128>::new(cg);
-        let rebuild_fr = cache.filter_ratio(cg, &rebuilt);
-        if t == 0.0 {
-            // Repair-on-anything must land exactly where a cold solve
-            // on the final graph lands — the equivalence every timing
-            // claim below leans on.
-            assert_eq!(
-                driver.placement().nodes(),
-                rebuilt.nodes(),
-                "threshold-0 online placement diverged from a cold rebuild"
-            );
-        }
-        curve.push(Json::object([
-            ("threshold", Json::Float(t)),
-            ("repairs", stats.repairs.to_json()),
-            ("repair_picks", stats.repair_picks.to_json()),
-            ("final_fr", Json::Float(final_fr)),
-            ("rebuild_fr", Json::Float(rebuild_fr)),
-        ]));
-    }
-
-    let time_min = |f: &dyn Fn() -> usize| -> f64 {
-        (0..reps.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let len = f();
-                let wall = start.elapsed().as_secs_f64();
-                assert!(len > 0);
-                wall
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let online_secs = time_min(&|| {
-        let mut driver = OnlinePlacement::new(base.clone(), OnlineConfig::default());
-        for &m in &stream {
-            driver.apply_event(m).expect("stream is applicable");
-        }
-        driver.placement().len()
-    });
-    let rebuild_secs = time_min(&|| {
-        let mut cg = base.clone();
-        let mut placed = 0;
-        for &m in &stream {
-            match m {
-                Mutation::InsertEdge { from, to } => {
-                    cg.insert_edge(from, to).expect("stream is applicable");
-                }
-                Mutation::RemoveEdge { from, to } => {
-                    assert!(cg.remove_edge(from, to), "stream is applicable");
-                }
-                _ => unreachable!("mutation_stream emits edge events only"),
-            }
-            placed += greedy_rebuild(&cg, k).len();
-        }
-        placed
-    });
-
-    Json::object([
-        ("per_level", per_level.to_json()),
-        ("nodes", lg.graph.node_count().to_json()),
-        ("edges", lg.graph.edge_count().to_json()),
-        ("events", events.to_json()),
-        ("k", k.to_json()),
-        ("curve", Json::Array(curve)),
-        ("online_secs", Json::Float(online_secs)),
-        ("rebuild_secs", Json::Float(rebuild_secs)),
-        ("speedup", Json::Float(rebuild_secs / online_secs)),
-    ])
-}
-
-/// Default memory budget for the baseline's `large_scale` cell:
-/// 256 MiB, roughly 8× the compact-CSR footprint of the 10^6-node,
-/// mean-degree-3 reference graph — tight enough that an accidental
-/// materialized edge list at that scale would trip it.
-pub const LARGE_SCALE_BUDGET: u64 = 256 * 1024 * 1024;
-
-/// The `large_scale` baseline cell: a power-law DAG streamed straight
-/// into the compact u32 CSR — generator chunks feeding the two-pass
-/// [`Csr32`] build, never a materialized edge `Vec` — then Greedy_All
-/// k = 10 on the result, all charged against a declared [`MemBudget`].
-/// Reports build and solve wall-clock plus the accountant's peak, the
-/// number the ROADMAP's million-node target is judged by. The checked-in
-/// baseline runs `nodes = 10^6`; the smoke test and CI use smaller
-/// graphs, same code path.
-///
-/// [`Csr32`]: fp_core::scale::Csr32
-/// [`MemBudget`]: fp_core::scale::MemBudget
-pub fn large_scale_entry(nodes: usize, mean_degree: usize, budget_bytes: u64) -> Json {
-    use fp_core::algorithms::{GreedyAll, Solver};
-    use fp_core::datasets::power_law::{PowerLawParams, PowerLawStream};
-    use fp_core::scale::{Csr32, MemBudget};
-
-    let budget = MemBudget::new(Some(budget_bytes));
-    let mut stream = PowerLawStream::new(&PowerLawParams {
-        nodes,
-        mean_degree,
-        seed: SEED,
-    });
-    let start = Instant::now();
-    let csr32 = Csr32::from_stream(&mut stream, &budget)
-        .expect("declared budget must cover the streamed build");
-    let build_secs = start.elapsed().as_secs_f64();
-    let graph_bytes = csr32.bytes();
-    let (n, m) = (csr32.node_count(), csr32.edge_count());
-
-    let csr = csr32.into_csr();
-    let cg = CGraph::from_csr(csr, NodeId::new(0)).expect("power-law graphs are DAGs");
-    let start = Instant::now();
-    let placement = GreedyAll::<Wide128>::new().place(&cg, 10, 0);
-    let solve_secs = start.elapsed().as_secs_f64();
-    let peak_bytes = budget.peak();
-    budget.release(graph_bytes);
-
-    Json::object([
-        ("nodes", n.to_json()),
-        ("edges", m.to_json()),
-        ("budget_bytes", budget_bytes.to_json()),
-        ("graph_bytes", graph_bytes.to_json()),
-        ("peak_bytes", peak_bytes.to_json()),
-        ("build_secs", Json::Float(build_secs)),
-        ("solve_secs", Json::Float(solve_secs)),
-        ("filters", placement.len().to_json()),
-    ])
-}
-
-/// Time every figure at the given scale and render the measurements as
-/// the `BENCH_baseline.json` document (see that file at the repo root
-/// for the checked-in reference run). Schema 2 added the `scaling`
-/// section: Greedy_All k = 10 on the `benches/scaling.rs` layered
-/// ladder, engine vs full-recompute oracle (the ROADMAP's named
-/// hot-path target, so speedup claims cite this file like-for-like).
-/// Schema 3 adds the `ladder` section: the whole-curve cell, session
-/// walk vs per-k re-solves (the numbers behind the anytime-session
-/// redesign). Schema 4 adds the `serve` section: daemon latency under
-/// concurrent clients (see [`serve_entry`] and `fp loadtest`). Schema
-/// 5 adds the `online` section: live-graph maintenance, online engine
-/// vs rebuild-per-mutation, plus the repair-cost-vs-quality threshold
-/// curve (see [`online_entry`] and `fp online`). Schema 6 adds the
-/// `large_scale` section: a 10^6-node power-law graph streamed into
-/// the compact CSR and solved under a memory budget (see
-/// [`large_scale_entry`]; always the full million nodes — the streamed
-/// path is cheap enough that `--fast` doesn't scale it down —
-/// `mem_budget` overrides the default [`LARGE_SCALE_BUDGET`] cap).
-pub fn baseline_json(scale: f64, mem_budget: Option<u64>) -> Result<Json, String> {
+/// Time every figure at the given scale and render the walls as the
+/// `BENCH_baseline.json` document (schema 7; see that file at the repo
+/// root for the checked-in reference run). Each figure runs in a fresh
+/// ephemeral session: no store, no budget, one sweep thread per core.
+pub fn baseline_json(scale: f64) -> Result<Json, String> {
     let mut entries = Vec::new();
     for name in FIGURES {
         let session = ReproSession::ephemeral(scale);
@@ -721,19 +373,8 @@ pub fn baseline_json(scale: f64, mem_budget: Option<u64>) -> Result<Json, String
             ("tables", tables.len().to_json()),
         ]));
     }
-    let scaling: Vec<Json> = SCALING_LADDER
-        .iter()
-        .map(|&per_level| scaling_entry(per_level, 5))
-        .collect();
-    let ladder: Vec<Json> = SCALING_LADDER
-        .iter()
-        .map(|&per_level| ladder_entry(per_level, 5))
-        .collect();
-    let serve = serve_entry()?;
-    let online = online_entry(200, 64, 3);
-    let large_scale = large_scale_entry(1_000_000, 3, mem_budget.unwrap_or(LARGE_SCALE_BUDGET));
     Ok(Json::object([
-        ("schema", "fp-bench-baseline/6".to_string().to_json()),
+        ("schema", "fp-bench-baseline/7".to_string().to_json()),
         (
             "tool",
             concat!("fp-bench ", env!("CARGO_PKG_VERSION"))
@@ -757,53 +398,5 @@ pub fn baseline_json(scale: f64, mem_budget: Option<u64>) -> Result<Json, String
         ("cores", fp_results::available_cores().to_json()),
         ("scale", Json::Float(scale)),
         ("entries", Json::Array(entries)),
-        ("scaling", Json::Array(scaling)),
-        ("ladder", Json::Array(ladder)),
-        ("serve", serve),
-        ("online", online),
-        ("large_scale", large_scale),
     ]))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn online_entry_reports_curve_and_speedup() {
-        let entry = online_entry(25, 16, 1);
-        let curve = entry.expect("curve").unwrap().as_array().unwrap();
-        assert_eq!(curve.len(), 4, "one row per threshold");
-        // Threshold 0 tracks rebuild quality exactly.
-        let zero = &curve[0];
-        assert_eq!(
-            zero.expect("final_fr").unwrap().as_f64().unwrap().to_bits(),
-            zero.expect("rebuild_fr")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                .to_bits()
-        );
-        // Repair cost is monotone non-increasing in the threshold.
-        let picks: Vec<usize> = curve
-            .iter()
-            .map(|row| row.expect("repair_picks").unwrap().as_usize().unwrap())
-            .collect();
-        assert!(picks.windows(2).all(|w| w[0] >= w[1]), "{picks:?}");
-        assert!(entry.expect("speedup").unwrap().as_f64().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn large_scale_entry_stays_within_its_declared_budget() {
-        let budget = 4 * 1024 * 1024;
-        let entry = large_scale_entry(20_000, 3, budget);
-        assert_eq!(entry.expect("nodes").unwrap().as_usize().unwrap(), 20_000);
-        let edges = entry.expect("edges").unwrap().as_usize().unwrap();
-        assert!(edges >= 20_000, "power-law graph is connected: {edges}");
-        let peak = entry.expect("peak_bytes").unwrap().as_u64().unwrap();
-        let graph = entry.expect("graph_bytes").unwrap().as_u64().unwrap();
-        assert!(peak <= budget, "peak {peak} must respect the cap {budget}");
-        assert!(peak >= graph, "peak covers at least the retained graph");
-        assert!(entry.expect("filters").unwrap().as_usize().unwrap() <= 10);
-    }
 }

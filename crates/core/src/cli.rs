@@ -19,9 +19,8 @@
 //!             [--seed N] [--scale F]
 //! fp serve    [--addr HOST:PORT] [--ttl-secs N] [--trace FILE]
 //! fp loadtest [--graph NAME] [--solver NAME] [--seed N] [--clients N]
-//!             [--requests N] [--kmax N] [--baseline FILE]
-//!             [--transport frame|http] [--mutations N]
-//!             [--check FILE [--tolerance F]]
+//!             [--requests N] [--kmax N] [--transport frame|http]
+//!             [--mutations N] [--retries N]
 //! fp online   --input edges.txt --source <label> [--k N] [--events N]
 //!             [--seed N] [--thresholds F,F,...] [--format table|csv]
 //!             [--out DIR]
@@ -68,10 +67,7 @@
 //! table in lockstep.
 
 use crate::experiment::{run_sweep_with, SweepConfig, SweepResult};
-use crate::loadtest::{
-    check_against_baseline, merge_serve_section, run_loadtest, LoadtestConfig, Transport,
-    DEFAULT_CHECK_TOLERANCE,
-};
+use crate::loadtest::{run_loadtest, LoadtestConfig, Transport};
 use crate::registry::GraphRegistry;
 use crate::report::{cdf_table, sweep_table, Table};
 use crate::serve::{ApiState, Server, DEFAULT_ADDR};
@@ -154,10 +150,7 @@ const FLAG_SPEC: &[(&str, &[&str])] = &[
             "clients",
             "requests",
             "kmax",
-            "baseline",
             "transport",
-            "check",
-            "tolerance",
             "mutations",
             "retries",
         ],
@@ -1134,19 +1127,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
 }
 
 /// `fp loadtest [--graph NAME] [--solver NAME] [--seed N] [--clients N]
-/// [--requests N] [--kmax N] [--transport frame|http] [--baseline FILE]
-/// [--check FILE [--tolerance F]]`: drive an in-process daemon with
-/// concurrent clients and report verified latency.
+/// [--requests N] [--kmax N] [--transport frame|http] [--mutations N]
+/// [--retries N]`: drive an in-process daemon with concurrent clients
+/// and report verified latency.
 ///
 /// Every response is checked bit-for-bit against the batch ladder
 /// before any latency is reported. `--transport http` drives the HTTP
 /// endpoint instead of the frame protocol and measures a
 /// `Connection: close` phase and a keep-alive phase side by side.
-/// `--baseline FILE` folds the numbers into an existing
-/// `BENCH_baseline.json`'s `serve` section; `--check FILE` instead
-/// *compares* against that recorded section and errors (non-zero exit)
-/// when p50/p99 latency or throughput regressed beyond `--tolerance`
-/// (default [`DEFAULT_CHECK_TOLERANCE`]).
 fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
     let mut cfg = LoadtestConfig::default();
     if let Some(graph) = flags.get("graph") {
@@ -1173,25 +1161,6 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
     })?;
     if cfg.clients == 0 || cfg.requests == 0 {
         return Err("--clients and --requests must be at least 1".to_string());
-    }
-    if flags.contains_key("tolerance") && !flags.contains_key("check") {
-        return Err("--tolerance only applies with --check FILE".to_string());
-    }
-    let tolerance: f64 = flags
-        .get("tolerance")
-        .map_or(Ok(DEFAULT_CHECK_TOLERANCE), |s| {
-            s.parse()
-                .map_err(|_| "--tolerance must be a number".to_string())
-        })?;
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return Err("--tolerance must be non-negative".to_string());
-    }
-    if flags.contains_key("check") && flags.contains_key("baseline") {
-        return Err(
-            "--baseline rewrites the serve section that --check compares against; \
-             pass one or the other"
-                .to_string(),
-        );
     }
     let report = run_loadtest(GraphRegistry::with_builtins(), &cfg)?;
     let mut out = format!(
@@ -1235,29 +1204,6 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
              mutate p50 {} µs   p99 {} µs   max {} µs\n",
             report.mutations_applied, m.p50_us, m.p99_us, m.max_us,
         ));
-    }
-    if let Some(path) = flags.get("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-        let doc = fp_results::Json::parse(&text).map_err(|e| format!("{path:?}: {e}"))?;
-        let check = check_against_baseline(&report, &doc, tolerance)?;
-        out.push_str(&format!("check against {path} (tolerance {tolerance}):\n"));
-        for line in &check.lines {
-            out.push_str(&format!("  {line}\n"));
-        }
-        if check.regressed {
-            // Error so `fp` exits non-zero — the report still reaches
-            // the operator (on stderr), which is what a CI gate wants.
-            return Err(out);
-        }
-    }
-    if let Some(path) = flags.get("baseline") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-        let mut doc = fp_results::Json::parse(&text).map_err(|e| format!("{path:?}: {e}"))?;
-        merge_serve_section(&mut doc, &report);
-        std::fs::write(path, doc.to_pretty()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        out.push_str(&format!("serve section updated in {path}\n"));
     }
     Ok(out)
 }
@@ -1465,18 +1411,14 @@ pub const USAGE: &str =
             tracked graph memory — over-budget uploads are refused with 503;
             --trace dumps spans at shutdown)
   loadtest [--graph NAME] [--solver NAME] [--seed N] [--clients N] [--requests N] [--kmax N]
-           [--transport frame|http] [--mutations N] [--retries N] [--baseline FILE]
-           [--check FILE [--tolerance F]]
+           [--transport frame|http] [--mutations N] [--retries N]
            (drive an in-process daemon with concurrent clients, verify every answer
-            against the batch ladder, report p50/p99/throughput; --transport http
+            against the batch ladder, report p50/p99/max/throughput; --transport http
             measures Connection: close and keep-alive phases side by side;
             --mutations N follows up with N live edge insertions, each verified
             against a batch solve on the mutated graph;
             --retries N retries 408/503 answers with seeded jittered backoff
-            and reports the retry count;
-            --baseline folds the numbers into BENCH_baseline.json's serve section;
-            --check compares against a recorded baseline and exits non-zero on
-            regression beyond the tolerance; --clients is at most 256,
+            and reports the retry count; --clients is at most 256,
             --clients × --requests at most 1048576, --kmax at most 4095 and
             --mutations at most 65536)
   online   --input FILE --source LABEL [--k N] [--events N] [--seed N]
@@ -1694,9 +1636,6 @@ mod tests {
         assert!(e.contains("unknown flag --inptu"), "{e}");
     }
 
-    /// Every flag the spec allows is documented in [`USAGE`], and every
-    /// `--flag` token in [`USAGE`] is allowed by some command's spec —
-    /// the help text can neither under- nor over-promise.
     #[test]
     fn online_reports_one_row_per_threshold_deterministically() {
         let run = || {
@@ -1712,7 +1651,7 @@ mod tests {
                     "--seed",
                     "7",
                     "--thresholds",
-                    "0,1e9",
+                    "0,0.01,1e9",
                 ]),
                 FIG1,
             )
@@ -1733,10 +1672,17 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let always = row("0 ");
+        let small = row("0.01 ");
         let never = row("1000000000 ");
         assert!(always[2].parse::<usize>().unwrap() >= 1, "{out}");
         assert_eq!(never[2], "0", "{out}");
         assert_eq!(never[3], "0", "{out}");
+        // Repair picks never rise with the threshold.
+        let picks: Vec<usize> = [&always, &small, &never]
+            .iter()
+            .map(|row| row[3].parse().unwrap())
+            .collect();
+        assert!(picks.windows(2).all(|w| w[0] >= w[1]), "{picks:?} in {out}");
         assert!(out == run(), "fp online must be deterministic");
     }
 
@@ -2129,6 +2075,9 @@ mod tests {
         assert!(err.contains("--token"), "{err}");
     }
 
+    /// Every flag the spec allows is documented in [`USAGE`], and every
+    /// `--flag` token in [`USAGE`] is allowed by some command's spec —
+    /// the help text can neither under- nor over-promise.
     #[test]
     fn usage_and_flag_spec_agree() {
         use std::collections::BTreeSet;
@@ -2872,26 +2821,20 @@ mod tests {
         let e =
             run_with_input(&args(&["loadtest", "--transport", "carrier-pigeon"]), "").unwrap_err();
         assert!(e.contains("unknown transport"), "{e}");
-        let e = run_with_input(&args(&["loadtest", "--tolerance", "0.5"]), "").unwrap_err();
-        assert!(e.contains("--check"), "{e}");
-        let e = run_with_input(
-            &args(&[
-                "loadtest",
-                "--check",
-                "/tmp/b.json",
-                "--baseline",
-                "/tmp/b.json",
-            ]),
-            "",
-        )
-        .unwrap_err();
-        assert!(e.contains("one or the other"), "{e}");
-        let e = run_with_input(
-            &args(&["loadtest", "--check", "/tmp/b.json", "--tolerance", "soup"]),
-            "",
-        )
-        .unwrap_err();
-        assert!(e.contains("--tolerance"), "{e}");
+        // `fp loadtest` prints its numbers and gates nothing: these are
+        // unknown flags, refused before the registry is built or a
+        // client thread starts.
+        for (flag, value) in [
+            ("--baseline", "b.json"),
+            ("--check", "b.json"),
+            ("--tolerance", "0.5"),
+        ] {
+            let e = run(&args(&["loadtest", flag, value])).unwrap_err();
+            assert!(
+                e.contains(&format!("unknown flag {flag} for loadtest")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -14,16 +14,16 @@
 //!
 //! Latency percentiles use the nearest-rank method over all recorded
 //! round-trip times; throughput is total requests over wall time. The
-//! numbers land in the `serve` section of `BENCH_baseline.json` (see
-//! the `fp-bench` crate and `fp loadtest --baseline`).
+//! numbers are printed, not gated: perfbench's `serve-churn` workload
+//! is the serve latency benchmark.
 
 use crate::registry::GraphRegistry;
 use crate::serve::{ApiState, ServeClient, Server};
 use fp_algorithms::SolverKind;
-use fp_results::protocol::ServeCall;
-use fp_results::{Json, ToJson};
+use fp_results::protocol::{read_body, ServeCall};
+use fp_results::Json;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -127,16 +127,6 @@ impl PhaseNumbers {
             wall_ms: wall.as_millis() as u64,
         }
     }
-
-    fn to_json(self) -> Json {
-        Json::object([
-            ("p50_us", self.p50_us.to_json()),
-            ("p99_us", self.p99_us.to_json()),
-            ("max_us", self.max_us.to_json()),
-            ("throughput_rps", self.throughput_rps.to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
-        ])
-    }
 }
 
 /// The two HTTP phases' numbers, recorded side by side so the cost of
@@ -177,48 +167,6 @@ pub struct LoadtestReport {
     /// Total 408/503 retries clients performed across all phases
     /// (always 0 unless `--retries` is set and the daemon sheds load).
     pub retries_total: u64,
-}
-
-impl LoadtestReport {
-    /// The `serve` section recorded in `BENCH_baseline.json`.
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("graph".to_string(), self.config.graph.to_json()),
-            ("solver".to_string(), self.config.solver.to_json()),
-            ("seed".to_string(), self.config.seed.to_json()),
-            ("clients".to_string(), self.config.clients.to_json()),
-            (
-                "requests_per_client".to_string(),
-                self.config.requests.to_json(),
-            ),
-            ("kmax".to_string(), self.config.kmax.to_json()),
-            ("total_requests".to_string(), self.total_requests.to_json()),
-            ("p50_us".to_string(), self.p50_us.to_json()),
-            ("p99_us".to_string(), self.p99_us.to_json()),
-            ("max_us".to_string(), self.max_us.to_json()),
-            ("throughput_rps".to_string(), self.throughput_rps.to_json()),
-            ("wall_ms".to_string(), self.wall_ms.to_json()),
-            ("retries".to_string(), self.retries_total.to_json()),
-            ("verified".to_string(), Json::Bool(true)),
-        ];
-        if let Some(http) = &self.http {
-            members.push((
-                "http".to_string(),
-                Json::object([
-                    ("close", http.close.to_json()),
-                    ("keep_alive", http.keep_alive.to_json()),
-                ]),
-            ));
-        }
-        if let Some(mutation) = &self.mutation {
-            let mut section = mutation.to_json();
-            if let Json::Object(fields) = &mut section {
-                fields.push(("applied".to_string(), self.mutations_applied.to_json()));
-            }
-            members.push(("mutations".to_string(), section));
-        }
-        Json::Object(members)
-    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -627,75 +575,10 @@ fn read_http_reply(reader: &mut BufReader<TcpStream>) -> Result<(u16, String), S
             }
         }
     }
-    let mut body = vec![0u8; content_len];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("truncated reply body: {e}"))?;
+    let body = read_body(reader, content_len).map_err(|e| format!("truncated reply body: {e}"))?;
     String::from_utf8(body)
         .map(|b| (status, b))
         .map_err(|_| "reply body is not UTF-8".to_string())
-}
-
-/// Default relative tolerance for `fp loadtest --check`: latencies may
-/// grow and throughput may shrink by up to 50% before the check fails.
-/// Generous on purpose — shared CI machines are noisy; the gate is for
-/// order-of-magnitude regressions, not single-digit drift.
-pub const DEFAULT_CHECK_TOLERANCE: f64 = 0.5;
-
-/// The verdict of comparing a fresh report against a recorded baseline.
-#[derive(Clone, Debug)]
-pub struct BaselineCheck {
-    /// One human-readable line per compared metric.
-    pub lines: Vec<String>,
-    /// Whether any metric regressed beyond the tolerance.
-    pub regressed: bool,
-}
-
-/// Compare `report` against the `serve` section of a baseline document
-/// (the shape `fp loadtest --baseline` writes into
-/// `BENCH_baseline.json`). Within `tolerance` (relative), p50/p99 may
-/// grow and throughput may shrink; anything worse is a regression.
-pub fn check_against_baseline(
-    report: &LoadtestReport,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<BaselineCheck, String> {
-    let serve = baseline
-        .get("serve")
-        .ok_or("baseline has no serve section (run fp loadtest --baseline first)")?;
-    let base_u64 = |key: &str| -> Result<u64, String> {
-        serve
-            .expect(key)?
-            .as_u64()
-            .ok_or_else(|| format!("bad {key} in baseline serve section"))
-    };
-    let base_rps = serve
-        .expect("throughput_rps")?
-        .as_f64()
-        .ok_or("bad throughput_rps in baseline serve section")?;
-
-    let mut lines = Vec::new();
-    let mut regressed = false;
-    let mut check_latency = |name: &str, fresh: u64, base: u64| {
-        let limit = (base as f64 * (1.0 + tolerance)).ceil() as u64;
-        let ok = fresh <= limit;
-        regressed |= !ok;
-        lines.push(format!(
-            "{name}: fresh {fresh} us vs baseline {base} us (limit {limit} us) .. {}",
-            if ok { "ok" } else { "REGRESSED" }
-        ));
-    };
-    check_latency("p50_us", report.p50_us, base_u64("p50_us")?);
-    check_latency("p99_us", report.p99_us, base_u64("p99_us")?);
-    let floor = base_rps * (1.0 - tolerance);
-    let ok = report.throughput_rps >= floor;
-    regressed |= !ok;
-    lines.push(format!(
-        "throughput_rps: fresh {:.1} vs baseline {base_rps:.1} (floor {floor:.1}) .. {}",
-        report.throughput_rps,
-        if ok { "ok" } else { "REGRESSED" }
-    ));
-    Ok(BaselineCheck { lines, regressed })
 }
 
 /// Check one query reply against the batch answer, bit for bit.
@@ -733,24 +616,6 @@ fn verify_row(
     Ok(())
 }
 
-/// Set (or replace) the `serve` member of a baseline JSON document.
-///
-/// Used by `fp loadtest --baseline FILE` to fold measured serve
-/// numbers into an existing `BENCH_baseline.json` without disturbing
-/// the other sections.
-pub fn merge_serve_section(doc: &mut Json, report: &LoadtestReport) {
-    let serve = report.to_json();
-    if let Json::Object(members) = doc {
-        if let Some(slot) = members.iter_mut().find(|(k, _)| k == "serve") {
-            slot.1 = serve;
-        } else {
-            members.push(("serve".to_string(), serve));
-        }
-    } else {
-        *doc = Json::object([("serve", serve)]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,10 +651,6 @@ mod tests {
         assert!(report.p99_us <= report.max_us);
         assert!(report.throughput_rps > 0.0);
         assert!(report.http.is_none(), "frame runs record no http section");
-        let json = report.to_json();
-        assert_eq!(json.expect("verified").unwrap(), &Json::Bool(true));
-        assert_eq!(json.expect("total_requests").unwrap().as_usize(), Some(40));
-        assert!(json.get("http").is_none());
     }
 
     #[test]
@@ -812,14 +673,10 @@ mod tests {
         assert!(http.keep_alive.throughput_rps > 0.0);
         // Headline numbers are the keep-alive phase's.
         assert_eq!(report.p50_us, http.keep_alive.p50_us);
-        let json = report.to_json();
-        let section = json.expect("http").unwrap();
-        assert!(section.expect("close").unwrap().get("p50_us").is_some());
-        assert!(section
-            .expect("keep_alive")
-            .unwrap()
-            .get("p99_us")
-            .is_some());
+        assert_eq!(report.p99_us, http.keep_alive.p99_us);
+        for phase in [http.close, http.keep_alive] {
+            assert!(phase.p50_us <= phase.p99_us && phase.p99_us <= phase.max_us);
+        }
     }
 
     #[test]
@@ -838,11 +695,8 @@ mod tests {
         let report = run_loadtest(tiny_registry(), &cfg).unwrap();
         assert_eq!(report.mutations_applied, 3);
         let phase = report.mutation.expect("mutation phase recorded");
-        assert!(phase.p50_us <= phase.max_us);
-        let json = report.to_json();
-        let section = json.expect("mutations").unwrap();
-        assert_eq!(section.expect("applied").unwrap().as_usize(), Some(3));
-        assert!(section.get("p99_us").is_some());
+        assert!(phase.p50_us <= phase.p99_us && phase.p99_us <= phase.max_us);
+        assert!(phase.throughput_rps > 0.0);
     }
 
     #[test]
@@ -850,66 +704,6 @@ mod tests {
         assert_eq!(Transport::parse("frame").unwrap(), Transport::Frame);
         assert_eq!(Transport::parse("http").unwrap(), Transport::Http);
         assert!(Transport::parse("carrier-pigeon").is_err());
-    }
-
-    fn report_with(p50: u64, p99: u64, rps: f64) -> LoadtestReport {
-        LoadtestReport {
-            config: LoadtestConfig::default(),
-            total_requests: 100,
-            p50_us: p50,
-            p99_us: p99,
-            max_us: p99 * 2,
-            throughput_rps: rps,
-            wall_ms: 10,
-            http: None,
-            mutation: None,
-            mutations_applied: 0,
-            retries_total: 0,
-        }
-    }
-
-    fn baseline_doc(p50: u64, p99: u64, rps: f64) -> Json {
-        Json::object([(
-            "serve",
-            Json::object([
-                ("p50_us", p50.to_json()),
-                ("p99_us", p99.to_json()),
-                ("throughput_rps", rps.to_json()),
-            ]),
-        )])
-    }
-
-    #[test]
-    fn baseline_check_passes_within_tolerance() {
-        let report = report_with(120, 900, 900.0);
-        let check = check_against_baseline(&report, &baseline_doc(100, 800, 1000.0), 0.5).unwrap();
-        assert!(!check.regressed, "{:?}", check.lines);
-        assert_eq!(check.lines.len(), 3);
-        assert!(check.lines.iter().all(|l| l.ends_with("ok")));
-    }
-
-    #[test]
-    fn baseline_check_flags_each_regression() {
-        let base = baseline_doc(100, 800, 1000.0);
-        for (p50, p99, rps) in [(151, 800, 1000.0), (100, 1201, 1000.0), (100, 800, 499.0)] {
-            let check = check_against_baseline(&report_with(p50, p99, rps), &base, 0.5).unwrap();
-            assert!(check.regressed, "{p50} {p99} {rps}");
-            assert_eq!(
-                check
-                    .lines
-                    .iter()
-                    .filter(|l| l.ends_with("REGRESSED"))
-                    .count(),
-                1
-            );
-        }
-    }
-
-    #[test]
-    fn baseline_check_requires_a_serve_section() {
-        let report = report_with(1, 1, 1.0);
-        let err = check_against_baseline(&report, &Json::object([]), 0.5).unwrap_err();
-        assert!(err.contains("no serve section"), "{err}");
     }
 
     #[test]
@@ -958,8 +752,6 @@ mod tests {
         };
         let report = run_loadtest(tiny_registry(), &cfg).unwrap();
         assert_eq!(report.retries_total, 0, "nothing to retry against");
-        let json = report.to_json();
-        assert_eq!(json.expect("retries").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -970,30 +762,5 @@ mod tests {
         assert_eq!(percentile(&sorted, 100.0), 100);
         assert_eq!(percentile(&[7], 50.0), 7);
         assert_eq!(percentile(&[], 50.0), 0);
-    }
-
-    #[test]
-    fn merge_replaces_or_appends_the_serve_section() {
-        let cfg = LoadtestConfig {
-            graph: "fig1".into(),
-            solver: SolverKind::GreedyAll,
-            seed: 0,
-            clients: 1,
-            requests: 2,
-            kmax: 1,
-            transport: Transport::Frame,
-            mutations: 0,
-            retries: 0,
-        };
-        let report = run_loadtest(tiny_registry(), &cfg).unwrap();
-        let mut doc = Json::object([("schema", Json::Str("x/1".into()))]);
-        merge_serve_section(&mut doc, &report);
-        assert!(doc.expect("serve").is_ok());
-        // Merging again replaces rather than duplicates.
-        merge_serve_section(&mut doc, &report);
-        let Json::Object(members) = &doc else {
-            panic!()
-        };
-        assert_eq!(members.iter().filter(|(k, _)| k == "serve").count(), 1);
     }
 }

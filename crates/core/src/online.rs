@@ -21,9 +21,9 @@
 //! The threshold is the knob of the repair-cost-versus-quality trade:
 //! `0.0` repairs on any Φ movement (quality of rebuild-per-mutation,
 //! maximal repair work), `∞` never repairs (zero repair work, quality
-//! decays with the stream). `fp bench` sweeps it into the `online`
-//! section of `BENCH_baseline.json`; `fp online` replays a stream and
-//! records the per-event trace.
+//! decays with the stream). `fp online` replays one stream per
+//! threshold and reports repair cost against final quality for each;
+//! perfbench's `online-churn` workload times [`OnlinePlacement`].
 
 use fp_graph::NodeId;
 use fp_num::{Count, Wide128};

@@ -5,15 +5,17 @@
 //! order, same topological order, same solver placements. Random DAGs,
 //! pinned by proptest.
 //!
-//! Also pins the budget accountant's failure path: a build that trips
+//! Also pins the budget accountant: a build that trips
 //! `BudgetExceeded` must release every reservation it made, leaving the
-//! ledger clean and later builds unaffected.
+//! ledger clean and later builds unaffected, and a streamed generator
+//! build that fits peaks within its cap.
 //!
 //! `dag_edges` draws u < v DAGs, which freeze in the identity order;
 //! the relabelling proptest below keeps the Kahn order covered and
 //! checks that no value depends on which order a graph froze in.
 
 use fp_core::algorithms::{GreedyAll, GreedyMax, Solver};
+use fp_core::datasets::power_law::{PowerLawParams, PowerLawStream};
 use fp_core::graph::{DiGraph, NodeId};
 use fp_core::num::{Count, Sat64, Wide128};
 use fp_core::propagation::{
@@ -263,4 +265,33 @@ fn budget_exceeded_rolls_back_and_leaves_the_ledger_clean() {
     tight.release(bytes);
     unlimited.release(free.bytes());
     assert_eq!(tight.live(), 0);
+}
+
+/// A streamed power-law build under a declared cap: the generator's
+/// chunks feed the two-pass `Csr32` build directly, so the ledger's
+/// peak covers the graph it keeps and never passes the cap.
+#[test]
+fn streamed_power_law_build_peaks_between_its_graph_and_the_cap() {
+    let cap = 4 * 1024 * 1024;
+    let budget = MemBudget::new(Some(cap));
+    let mut stream = PowerLawStream::new(&PowerLawParams {
+        nodes: 20_000,
+        mean_degree: 3,
+        seed: 2012,
+    });
+    let csr = Csr32::from_stream(&mut stream, &budget).expect("4 MiB covers 20k nodes");
+    assert_eq!(csr.node_count(), 20_000);
+    assert!(
+        csr.edge_count() >= 20_000,
+        "power-law graph is connected: {}",
+        csr.edge_count()
+    );
+    let (peak, graph) = (budget.peak(), csr.bytes());
+    assert!(peak <= cap, "peak {peak} must respect the cap {cap}");
+    assert!(
+        peak >= graph,
+        "peak {peak} covers the retained graph {graph}"
+    );
+    budget.release(graph);
+    assert_eq!(budget.live(), 0);
 }
