@@ -1,6 +1,6 @@
 //! Greedy_L (Algorithm 2): prefix × out-degree, recomputed per round.
 
-use crate::{argmax_count, Solver, SolverSession};
+use crate::{argmax_count, Celf, Gains, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
 use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
@@ -20,8 +20,11 @@ use fp_propagation::{propagate, CGraph, FilterSet, ObjectiveCache, Propagation};
 /// * prefixes are maintained *incrementally* ("the only nodes whose
 ///   value of I' changes are those after v in the topological order …
 ///   clever bookkeeping allows us to make these updates in,
-///   practically, constant time" — §5): each round costs O(affected)
-///   instead of O(|E|).
+///   practically, constant time" — §5), and picked by the [`Celf`]
+///   loop: a prefix only shrinks as filters are added, so a stale score
+///   bounds the current one, and a round re-scores a few candidates
+///   instead of all n nodes, each settling the pending forward pass
+///   only through itself.
 ///
 /// The prefix factor grows exponentially with distance from the source,
 /// so Greedy_L "tends to pick nodes further away from the source" — the
@@ -41,21 +44,12 @@ impl<C: Count> GreedyL<C> {
     /// Reference implementation with a full forward pass per round
     /// (used by tests and the incremental-bookkeeping ablation bench).
     pub fn place_full_recompute(cg: &CGraph, k: usize) -> FilterSet {
-        let csr = cg.csr();
         let mut filters = FilterSet::empty(cg.node_count());
         for _ in 0..k {
             let prop: Propagation<C> = propagate(cg, &filters);
-            let one = C::one();
             let scores: Vec<C> = cg
                 .nodes()
-                .map(|v| {
-                    if v == cg.source() || filters.contains(v) {
-                        return C::zero();
-                    }
-                    prop.received[v.index()]
-                        .saturating_sub(&one)
-                        .mul(&C::from_u64(csr.out_degree(v) as u64))
-                })
+                .map(|v| local_score(cg, &filters, v, &prop.received[v.index()]))
                 .collect();
             match argmax_count(&scores) {
                 Some(best) => {
@@ -74,60 +68,87 @@ impl<C: Count> Default for GreedyL<C> {
     }
 }
 
-/// The anytime session behind [`GreedyL`]: the filter-aware prefixes
-/// persist in one forward kernel ([`IncrementalPropagation`], the
-/// engine's forward half without its suffix side) across budget rungs,
-/// the per-round score buffer is allocated once, and `fr()` is an O(1)
-/// read of the incrementally maintained `Φ` against denominators taken
-/// from the kernel's init. Like Greedy_All's session it counts in
-/// `u64` when a [`fp_num::Wide128`] solver's `Φ(∅,V)` fits.
-pub struct GreedyLSession<'a, C: Count> {
+/// Greedy_L's gain, `(recv − 1)₊ · dout`, read from a forward kernel
+/// ([`IncrementalPropagation`], the engine's forward half without its
+/// suffix side) whose inserts leave the pass pending and whose reads
+/// settle it only through the node read.
+struct LocalGains<'a, C> {
     cg: &'a CGraph,
-    inc: IncrementalPropagation<C>,
-    scores: Vec<C>,
+    fwd: IncrementalPropagation<C>,
+}
+
+/// `v`'s Greedy_L score from its reception: zero for the source and for
+/// filters.
+fn local_score<C: Count>(cg: &CGraph, filters: &FilterSet, v: NodeId, recv: &C) -> C {
+    if v == cg.source() || filters.contains(v) {
+        return C::zero();
+    }
+    recv.saturating_sub(&C::one())
+        .mul(&C::from_u64(cg.csr().out_degree(v) as u64))
+}
+
+impl<C: Count> Gains for LocalGains<'_, C> {
+    type Gain = C;
+
+    fn positive(&mut self) -> impl Iterator<Item = (NodeId, C)> + '_ {
+        self.fwd.settle(self.cg);
+        let (cg, fwd) = (self.cg, &self.fwd);
+        cg.nodes().filter_map(move |v| {
+            let score = local_score(cg, fwd.filters(), v, fwd.received(v));
+            (!score.is_zero()).then_some((v, score))
+        })
+    }
+
+    fn gain(&mut self, v: NodeId) -> C {
+        let recv = self.fwd.received_settled(self.cg, v).clone();
+        local_score(self.cg, self.fwd.filters(), v, &recv)
+    }
+
+    fn take(&mut self, v: NodeId) {
+        self.fwd.insert_filter_deferred(self.cg, v);
+    }
+}
+
+/// The anytime session behind [`GreedyL`]: the [`Celf`] loop over the
+/// filter-aware prefixes of one forward kernel, both persisting across
+/// budget rungs. A stale score bounds the current one, because
+/// receptions only shrink as filters are added, so a pick re-scores a
+/// few candidates (each settling the pending pass only through itself)
+/// instead of scanning every node. `fr()` settles the pass and reads
+/// its `Φ` against denominators taken from the kernel's init. Like
+/// Greedy_All's session it counts in `u64` when a [`fp_num::Wide128`]
+/// solver's `Φ(∅,V)` fits.
+pub struct GreedyLSession<'a, C: Count> {
+    celf: Celf<LocalGains<'a, C>>,
     denominators: ObjectiveCache<C>,
 }
 
 impl<'a, C: Count> GreedyLSession<'a, C> {
-    fn new(cg: &'a CGraph, inc: IncrementalPropagation<C>) -> Self {
+    fn new(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
         Self {
-            cg,
-            denominators: ObjectiveCache::from_forward(cg, &inc),
-            inc,
-            scores: Vec::with_capacity(cg.node_count()),
+            denominators: ObjectiveCache::from_forward(cg, &fwd),
+            celf: Celf::new(LocalGains { cg, fwd }),
         }
     }
 }
 
 impl<C: Count> SolverSession for GreedyLSession<'_, C> {
     fn next_filter(&mut self) -> Option<NodeId> {
-        let csr = self.cg.csr();
-        let one = C::one();
-        self.scores.clear();
-        self.scores.extend(self.cg.nodes().map(|v| {
-            if v == self.cg.source() || self.inc.filters().contains(v) {
-                return C::zero();
-            }
-            self.inc
-                .received(v)
-                .saturating_sub(&one)
-                .mul(&C::from_u64(csr.out_degree(v) as u64))
-        }));
-        let best = NodeId::new(argmax_count(&self.scores)?);
-        self.inc.insert_filter(self.cg, best);
-        Some(best)
+        self.celf.next().map(|(v, _)| v)
     }
 
     fn placement(&self) -> &FilterSet {
-        self.inc.filters()
+        self.celf.gains().fwd.filters()
     }
 
     fn fr(&mut self) -> f64 {
-        self.denominators.filter_ratio_from_phi(self.inc.phi())
+        let gains = self.celf.gains_mut();
+        gains.fwd.settle(gains.cg);
+        self.denominators.filter_ratio_from_phi(gains.fwd.phi())
     }
 
     fn into_placement(self: Box<Self>) -> FilterSet {
-        self.inc.into_filters()
+        self.celf.into_gains().fwd.into_filters()
     }
 }
 

@@ -7,6 +7,7 @@ use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropag
 use fp_propagation::{
     impacts, phi_total, CGraph, DeferredEngine, FilterSet, ImpactEngine, ObjectiveCache,
 };
+use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,9 +25,9 @@ use crate::{Solver, SolverSession};
 /// [Leskovec et al., KDD'07] — one of the "computational speedups" the
 /// paper calls for.
 ///
-/// Both Greedy_All solvers run this one session; this one also reports
-/// how many exact evaluations its last solve made
-/// ([`LazyGreedyAll::evaluations`]). Re-scoring goes through a
+/// Both Greedy_All solvers run this one session, the [`Celf`] loop over
+/// `I(v|A)`; this one also reports how many exact evaluations its last
+/// solve made ([`LazyGreedyAll::evaluations`]). Re-scoring goes through a
 /// [`DeferredEngine`], which keeps exact prefix/suffix state under the
 /// filters chosen so far and settles the forward pass only through the
 /// node it scores, instead of the full O(|E|) forward pass the
@@ -128,6 +129,46 @@ impl<C: Count> Default for LazyGreedyAll<C> {
     }
 }
 
+/// What a [`Celf`] loop scores: a gain per candidate that can only
+/// shrink as picks are taken, so a gain scored before a pick bounds the
+/// gain after it.
+///
+/// Greedy_All's `I(v|A)` through a [`DeferredEngine`] has this shape by
+/// the submodularity of `F` (received counts and suffixes only shrink,
+/// and their product is monotone even for saturating counters), and so
+/// does Greedy_L's `(recv − 1)₊·dout`, whose receptions only shrink as
+/// filters are added.
+pub trait Gains {
+    /// The counter gains are scored in.
+    type Gain: Count;
+
+    /// Every candidate with a positive gain under the picks taken so
+    /// far, with that gain, in node order.
+    fn positive(&mut self) -> impl Iterator<Item = (NodeId, Self::Gain)> + '_;
+
+    /// `v`'s exact gain under the picks taken so far.
+    fn gain(&mut self, v: NodeId) -> Self::Gain;
+
+    /// Take `v` as the next pick.
+    fn take(&mut self, v: NodeId);
+}
+
+impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> Gains for DeferredEngine<'a, C, E> {
+    type Gain = C;
+
+    fn positive(&mut self) -> impl Iterator<Item = (NodeId, C)> + '_ {
+        self.settle().positive_impacts()
+    }
+
+    fn gain(&mut self, v: NodeId) -> C {
+        self.impact(v)
+    }
+
+    fn take(&mut self, v: NodeId) {
+        self.insert_filter(v);
+    }
+}
+
 /// A CELF heap entry: `(gain bound, node, picks made when it was
 /// scored)`. Entries order by bound, then toward the smaller node id —
 /// exactly the eager argmax's tie-break; the third field never decides,
@@ -135,16 +176,113 @@ impl<C: Count> Default for LazyGreedyAll<C> {
 /// the last pick, which is therefore exact.
 type Entry<C> = (C, Reverse<u32>, u32);
 
-/// The anytime session behind [`crate::GreedyAll`] and
-/// [`LazyGreedyAll`]: CELF over a [`DeferredEngine`], both persisting
-/// across budget rungs.
+/// The one CELF pick loop [Leskovec et al., KDD'07] of every greedy
+/// that re-scores between picks: an iterator of `(pick, its exact
+/// gain)` over the [`Gains`] it holds.
 ///
-/// * The bound heap is seeded at the first pick, from the engine's
-///   unfiltered impacts, so budget 0 costs the engine init alone.
+/// * The bound heap is seeded at the first pick, from every positive
+///   gain (one batch of evaluations), and sized to them exactly.
 /// * A pick re-scores stale candidates until one beats the next bound
 ///   (ties toward the smaller node id, as the eager argmax breaks
-///   them). Each re-score settles the forward pass only through that
-///   candidate.
+///   them), then takes it. By the upper-bound invariant it dominates
+///   everything below it, so the picks are the eager argmax's.
+/// * It ends once no candidate has a positive gain.
+///
+/// It runs on whatever its gains hold: an owned [`DeferredEngine`] (the
+/// Greedy_All session), a borrowed one (an online repair, on the
+/// driver's own engine) or Greedy_L's forward kernel.
+pub struct Celf<G: Gains> {
+    gains: G,
+    heap: Option<BinaryHeap<Entry<G::Gain>>>,
+    picks: u32,
+    evaluations: u64,
+}
+
+impl<G: Gains> Celf<G> {
+    /// A loop over `gains`, with nothing picked or scored yet.
+    pub fn new(gains: G) -> Self {
+        Self {
+            gains,
+            heap: None,
+            picks: 0,
+            evaluations: 0,
+        }
+    }
+
+    /// The gains the loop scores.
+    pub fn gains(&self) -> &G {
+        &self.gains
+    }
+
+    /// The gains, mutably: for reads that settle state (an FR readout),
+    /// never for a pick the loop did not make.
+    pub fn gains_mut(&mut self) -> &mut G {
+        &mut self.gains
+    }
+
+    /// Surrender the gains.
+    pub fn into_gains(self) -> G {
+        self.gains
+    }
+
+    /// Exact evaluations so far: the heap seed counts as one, and each
+    /// re-score as one more.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
+    }
+}
+
+impl<G: Gains> Iterator for Celf<G> {
+    type Item = (NodeId, G::Gain);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let gains = &mut self.gains;
+        let heap = self.heap.get_or_insert_with(|| {
+            self.evaluations += 1;
+            let mut entries = Vec::with_capacity(gains.positive().count());
+            entries.extend(
+                gains
+                    .positive()
+                    .map(|(v, gain)| (gain, Reverse(v.index() as u32), 0)),
+            );
+            BinaryHeap::from(entries)
+        });
+        loop {
+            let (mut gain, Reverse(id), scored) = heap.pop()?;
+            let v = NodeId::new(id as usize);
+            if scored != self.picks {
+                // Stale: re-score exactly.
+                gain = gains.gain(v);
+                self.evaluations += 1;
+                if gain.is_zero() {
+                    continue;
+                }
+                // Take it now if it still beats the next-best bound.
+                let beaten = heap.peek().is_some_and(|(next, Reverse(u), _)| {
+                    gain < *next || (gain == *next && *u < id)
+                });
+                if beaten {
+                    heap.push((gain, Reverse(id), self.picks));
+                    continue;
+                }
+            }
+            // Fresh for this pick: by the upper-bound invariant it
+            // dominates everything below it.
+            gains.take(v);
+            self.picks += 1;
+            return Some((v, gain));
+        }
+    }
+}
+
+/// The anytime session behind [`crate::GreedyAll`] and
+/// [`LazyGreedyAll`]: a [`Celf`] loop over a [`DeferredEngine`], both
+/// persisting across budget rungs.
+///
+/// * Budget 0 costs the engine init alone: the loop seeds its heap at
+///   the first pick, from the engine's unfiltered impacts.
+/// * Each re-score settles the forward pass only through the candidate
+///   it scores.
 /// * `fr()` needs `Φ(A,V)`, which the session keeps as
 ///   `Φ(∅,V) − Σ I(pick | picks before it)` — the marginal-gain
 ///   identity `Φ(A ∪ v) = Φ(A) − I(v|A)` — so no read settles the
@@ -153,24 +291,12 @@ type Entry<C> = (C, Reverse<u32>, u32);
 ///   `Φ(∅,V)` saturates, `fr()` settles fully and reads the engine's
 ///   `Φ` instead.
 pub(crate) struct CelfSession<'a, C: Count> {
-    engine: DeferredEngine<'a, C>,
-    heap: Option<BinaryHeap<Entry<C>>>,
-    picks: u32,
+    celf: Celf<DeferredEngine<'a, C>>,
     denominators: ObjectiveCache<C>,
     /// `Φ(A,V)` from the picks' gains; `None` where `Φ(∅,V)` saturates.
     phi: Option<C>,
-    /// Exact evaluations so far (the heap seed counts as one), mirrored
-    /// into the owning solver's counter when it keeps one.
-    evals: u64,
+    /// The owning solver's evaluation counter, when it keeps one.
     evaluations: Option<&'a AtomicU64>,
-}
-
-/// Count one exact evaluation into `evals` and the solver's counter.
-fn count_eval(evals: &mut u64, evaluations: Option<&AtomicU64>) {
-    *evals += 1;
-    if let Some(counter) = evaluations {
-        counter.store(*evals, Ordering::Relaxed);
-    }
 }
 
 impl<'a, C: Count> CelfSession<'a, C> {
@@ -186,71 +312,29 @@ impl<'a, C: Count> CelfSession<'a, C> {
             counter.store(0, Ordering::Relaxed);
         }
         Self {
-            engine: DeferredEngine::new(ImpactEngine::from_forward(cg, fwd)),
-            heap: None,
-            picks: 0,
+            celf: Celf::new(DeferredEngine::new(ImpactEngine::from_forward(cg, fwd))),
             denominators,
             phi,
-            evals: 0,
             evaluations,
         }
-    }
-
-    /// The heap of every positive unfiltered impact (one batch of
-    /// evaluations), sized exactly: it is the session's largest buffer
-    /// after the engine.
-    fn seed(&mut self) -> BinaryHeap<Entry<C>> {
-        let engine = self.engine.settle();
-        let positive = engine.positive_impacts().count();
-        let mut entries = Vec::with_capacity(positive);
-        entries.extend(
-            engine
-                .positive_impacts()
-                .map(|(v, gain)| (gain, Reverse(v.index() as u32), 0)),
-        );
-        count_eval(&mut self.evals, self.evaluations);
-        BinaryHeap::from(entries)
     }
 }
 
 impl<C: Count> SolverSession for CelfSession<'_, C> {
     fn next_filter(&mut self) -> Option<NodeId> {
-        if self.heap.is_none() {
-            self.heap = Some(self.seed());
+        let pick = self.celf.next();
+        if let Some(counter) = self.evaluations {
+            counter.store(self.celf.evaluations(), Ordering::Relaxed);
         }
-        let heap = self.heap.as_mut().expect("seeded");
-        loop {
-            let (mut gain, Reverse(id), scored) = heap.pop()?;
-            let v = NodeId::new(id as usize);
-            if scored != self.picks {
-                // Stale: re-score exactly, settling only through `v`.
-                gain = self.engine.impact(v);
-                count_eval(&mut self.evals, self.evaluations);
-                if gain.is_zero() {
-                    continue;
-                }
-                // Take it now if it still beats the next-best bound.
-                let beaten = heap.peek().is_some_and(|(next, Reverse(u), _)| {
-                    gain < *next || (gain == *next && *u < id)
-                });
-                if beaten {
-                    heap.push((gain, Reverse(id), self.picks));
-                    continue;
-                }
-            }
-            // Fresh for this pick: by the upper-bound invariant it
-            // dominates everything below it.
-            self.engine.insert_filter(v);
-            self.picks += 1;
-            if let Some(phi) = &mut self.phi {
-                *phi = phi.saturating_sub(&gain);
-            }
-            return Some(v);
+        let (v, gain) = pick?;
+        if let Some(phi) = &mut self.phi {
+            *phi = phi.saturating_sub(&gain);
         }
+        Some(v)
     }
 
     fn placement(&self) -> &FilterSet {
-        self.engine.filters()
+        self.celf.gains().filters()
     }
 
     fn fr(&mut self) -> f64 {
@@ -258,12 +342,12 @@ impl<C: Count> SolverSession for CelfSession<'_, C> {
             Some(phi) => self.denominators.filter_ratio_from_phi(phi),
             None => self
                 .denominators
-                .filter_ratio_from_phi(self.engine.settle().phi()),
+                .filter_ratio_from_phi(self.celf.gains_mut().settle().phi()),
         }
     }
 
     fn into_placement(self: Box<Self>) -> FilterSet {
-        self.engine.into_filters()
+        self.celf.into_gains().into_filters()
     }
 }
 

@@ -64,7 +64,7 @@ pub use greedy_all::GreedyAll;
 pub use greedy_l::GreedyL;
 pub use greedy_max::GreedyMax;
 pub use greedy_one::GreedyOne;
-pub use lazy_greedy::LazyGreedyAll;
+pub use lazy_greedy::{Celf, Gains, LazyGreedyAll};
 pub use multi_greedy::MultiGreedy;
 pub use random::{RandI, RandK, RandW};
 pub use session::{solve_ladder_with, walk_ladder, FrCache, RankedSession};

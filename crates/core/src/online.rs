@@ -12,11 +12,18 @@
 //! * the driver tracks **drift** — the relative movement of `Φ(A)`
 //!   since the placement was last (re)computed — and triggers a
 //!   **repair round** only when drift crosses a threshold;
-//! * a repair removes every placed filter and greedily re-inserts `k`
-//!   of them on the warm engine. Because filter removal restores
-//!   engine state exactly (the mutation identity laws), the repaired
+//! * a repair drops every placed filter in one batch
+//!   ([`ImpactEngine::clear_filters`]: one walk per direction, not one
+//!   per filter) and re-picks `k` on the warm engine with the CELF loop
+//!   Greedy_All's session runs ([`fp_algorithms::Celf`]), borrowing the
+//!   engine through a [`DeferredEngine`]: one scan seeds the bound heap,
+//!   a pick re-scores only the candidates that can still win, and the
+//!   engine is settled again before the repair returns. Because filter
+//!   removal restores engine state exactly (the mutation identity
+//!   laws) and CELF picks what the eager argmax picks, the repaired
 //!   placement is bit-identical to a cold greedy solve on the current
-//!   graph ([`greedy_rebuild`]) at a fraction of the cost.
+//!   graph ([`greedy_rebuild`], which keeps the eager argmax loop as
+//!   the independent reference) at a fraction of the cost.
 //!
 //! The threshold is the knob of the repair-cost-versus-quality trade:
 //! `0.0` repairs on any Φ movement (quality of rebuild-per-mutation,
@@ -25,10 +32,13 @@
 //! threshold and reports repair cost against final quality for each;
 //! perfbench's `online-churn` workload times [`OnlinePlacement`].
 
+use fp_algorithms::Celf;
 use fp_graph::NodeId;
 use fp_num::{Count, Wide128};
 use fp_obs::Counter;
-use fp_propagation::{CGraph, FilterSet, ImpactEngine, Mutation, MutationError, ObjectiveCache};
+use fp_propagation::{
+    CGraph, DeferredEngine, FilterSet, ImpactEngine, Mutation, MutationError, ObjectiveCache,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -90,7 +100,7 @@ pub struct OnlinePlacement {
 
 impl OnlinePlacement {
     /// Take ownership of a c-graph and place the initial `k` filters
-    /// (one cold greedy solve).
+    /// (one cold CELF solve on the driver's engine).
     pub fn new(cg: CGraph, cfg: OnlineConfig) -> Self {
         let n = cg.node_count();
         let mut driver = Self {
@@ -102,7 +112,7 @@ impl OnlinePlacement {
             events_total: fp_obs::counter("fp_online_events_total"),
             repairs_total: fp_obs::counter("fp_online_repairs_total"),
         };
-        greedy_fill(&mut driver.engine, cfg.k);
+        celf_fill(&mut driver.engine, cfg.k);
         driver.phi_ref = driver.engine.phi().to_f64();
         driver
     }
@@ -162,20 +172,18 @@ impl OnlinePlacement {
         })
     }
 
-    /// Force a repair round: drop every placed filter, greedily
-    /// re-insert up to `k`, and re-anchor the drift reference. Returns
-    /// the number of greedy picks spent. The result is bit-identical
-    /// to [`greedy_rebuild`] on the current graph — filter removal
-    /// restores engine state exactly, so the warm engine re-picks from
-    /// the same empty-set state a cold solve would start from.
+    /// Force a repair round: drop every placed filter in one batch,
+    /// re-pick up to `k` by CELF on the driver's own engine, and
+    /// re-anchor the drift reference. Returns the number of greedy
+    /// picks spent. The result is bit-identical to [`greedy_rebuild`]
+    /// on the current graph — filter removal restores engine state
+    /// exactly, so the warm engine re-picks from the same empty-set
+    /// state a cold solve would start from, and CELF picks what the
+    /// eager argmax picks.
     pub fn repair(&mut self) -> usize {
         let span = fp_obs::span("online.repair");
-        for v in self.engine.filters().nodes().to_vec() {
-            self.engine
-                .apply(Mutation::RemoveFilter(v))
-                .expect("placed filters are in range");
-        }
-        let picks = greedy_fill(&mut self.engine, self.k);
+        self.engine.clear_filters();
+        let picks = celf_fill(&mut self.engine, self.k);
         self.phi_ref = self.engine.phi().to_f64();
         self.stats.repairs += 1;
         self.stats.repair_picks += picks;
@@ -195,8 +203,19 @@ impl OnlinePlacement {
     }
 }
 
-/// Greedily insert filters until the budget is met or no candidate has
-/// positive impact; returns the number of picks.
+/// Pick up to `k` filters into `engine`'s empty filter set by CELF
+/// over deferred inserts, and leave the engine settled; returns the
+/// number of picks.
+fn celf_fill(engine: &mut ImpactEngine<'static, Wide128>, k: usize) -> usize {
+    let mut celf = Celf::new(DeferredEngine::new(engine));
+    let picks = celf.by_ref().take(k).count();
+    celf.into_gains().settle();
+    picks
+}
+
+/// Greedily insert filters, one eager argmax scan per pick, until the
+/// budget is met or no candidate has positive impact; returns the
+/// number of picks. The reference the CELF repair is checked against.
 fn greedy_fill(engine: &mut ImpactEngine<'_, Wide128>, k: usize) -> usize {
     let mut picks = 0;
     while engine.filters().len() < k {

@@ -31,9 +31,11 @@
 //! (O(|E|)), cloning the graph on the first such mutation when the
 //! engine was built over a shared borrow.
 //!
-//! [`DeferredEngine`] wraps the engine for greedy solvers that read
-//! only a few nodes per round (CELF): its inserts leave the forward
-//! pass pending, and each read settles it only through the node read.
+//! [`ImpactEngine::clear_filters`] drops every filter in one walk per
+//! direction, the batched form of one `RemoveFilter` per filter.
+//! [`DeferredEngine`] wraps the engine for greedy loops that read only
+//! a few nodes per round (CELF): its inserts leave the forward pass
+//! pending, and each read settles it only through the node read.
 //!
 //! The engine's values are bit-identical to the naive path — the
 //! equivalence proptests in `tests/engine_equivalence.rs` pin
@@ -46,6 +48,8 @@ use crate::incremental::IncrementalPropagation;
 use crate::{CGraph, FilterSet};
 use fp_graph::NodeId;
 use fp_num::Count;
+use std::borrow::BorrowMut;
+use std::marker::PhantomData;
 
 /// One reverse-topological sweep filling `suffix` and its gated shadow
 /// together. Same op order as [`crate::suffix_sensitivity_into`] with
@@ -722,22 +726,26 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                     self.update_backward(v, Drift::Grow),
                 )
             }
+            // An edge span opens before the adjacency edit, which costs
+            // O(|E| + n) and belongs to the mutation.
             Mutation::InsertEdge { from, to } => {
+                let span = fp_obs::span("engine.insert_edge");
                 reordered = match self.graph.make_owned().insert_edge(from, to) {
                     Ok(reordered) => reordered,
                     Err(e) => unreachable!("validated edge insertion cannot fail: {e}"),
                 };
                 (
-                    fp_obs::span("engine.insert_edge"),
+                    span,
                     self.fwd.update_edge_head(self.graph.get(), to, Drift::Grow),
                     self.update_backward_from_edge(from, Drift::Grow),
                 )
             }
             Mutation::RemoveEdge { from, to } => {
+                let span = fp_obs::span("engine.remove_edge");
                 let removed = self.graph.make_owned().remove_edge(from, to);
                 debug_assert!(removed, "existence validated");
                 (
-                    fp_obs::span("engine.remove_edge"),
+                    span,
                     self.fwd
                         .update_edge_head(self.graph.get(), to, Drift::Shrink),
                     self.update_backward_from_edge(from, Drift::Shrink),
@@ -751,6 +759,58 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
             backward_affected: bwd,
             reordered,
         })
+    }
+
+    /// Remove every filter at once: the batched form of one
+    /// [`Mutation::RemoveFilter`] per filter, equal to it bit for bit
+    /// (drift: grow). One forward walk re-emits every dropped node and
+    /// its descendants; one backward walk reopens every dropped gate,
+    /// marks the parents behind it and drains once from the highest
+    /// dropped position, where the per-filter path walks each direction
+    /// once per filter. Recorded as one `engine.remove_filter` span
+    /// with a `filters` arg.
+    pub fn clear_filters(&mut self) -> ApplyOutcome {
+        if self.filters().is_empty() {
+            return ApplyOutcome::default();
+        }
+        let span = fp_obs::span("engine.remove_filter");
+        let (dropped, fwd) = self.fwd.clear_filters(self.graph.get());
+        let bwd = self.reopen_gates(&dropped);
+        self.observe(span.arg("filters", dropped.len() as i64), fwd, bwd);
+        ApplyOutcome {
+            changed: true,
+            forward_affected: fwd.0,
+            backward_affected: bwd.0,
+            reordered: false,
+        }
+    }
+
+    /// Backward pass for a batch of filter removals (the filter set
+    /// already cleared): each dropped gate reopens on its unchanged
+    /// suffix, its parents are marked, and one drain from the highest
+    /// dropped position re-sums every ancestor after all of its
+    /// children — including a dropped node below another.
+    fn reopen_gates(&mut self, dropped: &[NodeId]) -> (usize, bool) {
+        let cg = self.graph.get();
+        // As in `update_backward`: the source's gate stays shut, and a
+        // zero suffix (no children) changes no parent's sum.
+        let reopened = || {
+            dropped
+                .iter()
+                .copied()
+                .filter(|&v| v != cg.source() && !self.suffix[v.index()].is_zero())
+        };
+        let Some(top) = reopened().map(|v| cg.topo_position(v)).max() else {
+            return (0, false);
+        };
+        self.backward.begin(top);
+        for v in reopened() {
+            self.gated[v.index()] = self.suffix[v.index()].clone();
+            for &p in cg.csr().parents(v) {
+                self.backward.mark(p);
+            }
+        }
+        self.drain_backward(Drift::Grow)
     }
 
     /// Count one mutation and its two frontier walks (`(nodes, whether
@@ -913,8 +973,12 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
 /// the eager engine. Every value read is the eager engine's bit for bit
 /// (`tests/engine_equivalence.rs`).
 ///
-/// The wrapped engine is reachable only through [`DeferredEngine::settle`],
-/// which drains the frontier first, so no read sees an unsettled value.
+/// It owns its engine (`E = ImpactEngine`, what a solver session
+/// keeps across rungs) or borrows one its caller holds
+/// (`E = &mut ImpactEngine`, what an online repair re-picks on). The
+/// wrapped engine is reachable only through [`DeferredEngine::settle`],
+/// which drains the frontier first, so no read sees an unsettled value;
+/// a borrower settles before handing the engine back.
 ///
 /// ```
 /// use fp_graph::{DiGraph, NodeId};
@@ -934,31 +998,29 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
 /// assert_eq!(lazy.settle().phi().get(), 9);
 /// ```
 #[derive(Clone, Debug)]
-pub struct DeferredEngine<'a, C> {
-    engine: ImpactEngine<'a, C>,
+pub struct DeferredEngine<'a, C, E = ImpactEngine<'a, C>> {
+    engine: E,
     /// Forward nodes settled since the last insert was counted, and
     /// whether any of those walks went dense: the next insert reports
     /// them as its forward frontier.
     settled: (usize, bool),
+    _engine: PhantomData<ImpactEngine<'a, C>>,
 }
 
-impl<'a, C: Count> DeferredEngine<'a, C> {
-    /// Take over an engine (every `ImpactEngine` is settled).
-    pub fn new(engine: ImpactEngine<'a, C>) -> Self {
+impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
+    /// Take over an engine, owned or borrowed (every `ImpactEngine` is
+    /// settled).
+    pub fn new(engine: E) -> Self {
         Self {
             engine,
             settled: (0, false),
+            _engine: PhantomData,
         }
     }
 
     /// Current filter set (always final: only receptions are deferred).
     pub fn filters(&self) -> &FilterSet {
-        self.engine.filters()
-    }
-
-    /// Surrender the filter set.
-    pub fn into_filters(self) -> FilterSet {
-        self.engine.into_filters()
+        self.engine.borrow().filters()
     }
 
     /// Add `v` as a filter, deferring the forward pass; returns `true`
@@ -969,13 +1031,13 @@ impl<'a, C: Count> DeferredEngine<'a, C> {
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn insert_filter(&mut self, v: NodeId) -> bool {
-        if self.engine.filters().contains(v) {
+        if self.filters().contains(v) {
             return false;
         }
         let span = fp_obs::span("engine.insert");
         // `v`'s own reception must be final before its emission flips.
-        self.settle_through(self.engine.cgraph().topo_position(v));
-        let engine = &mut self.engine;
+        self.settle_through(Some(v));
+        let engine = self.engine.borrow_mut();
         engine.fwd.flip(engine.graph.get(), v, Drift::Shrink);
         // `v` no longer passes the gate its parents apply.
         engine.gated[v.index()] = C::zero();
@@ -985,34 +1047,39 @@ impl<'a, C: Count> DeferredEngine<'a, C> {
         true
     }
 
-    /// Settle the forward frontier through topological position
-    /// `through` (`usize::MAX`: to the end).
-    fn settle_through(&mut self, through: usize) {
-        let engine = &mut self.engine;
-        let (nodes, dense) = engine
-            .fwd
-            .settle_through(engine.graph.get(), through, Drift::Shrink);
+    /// Settle the forward frontier through `v`'s topological position
+    /// (`None`: to the end), and hand out the engine.
+    fn settle_through(&mut self, v: Option<NodeId>) -> &ImpactEngine<'a, C> {
+        let engine = self.engine.borrow_mut();
+        let cg = engine.graph.get();
+        let through = v.map_or(usize::MAX, |v| cg.topo_position(v));
+        let (nodes, dense) = engine.fwd.settle_through(cg, through, Drift::Shrink);
         self.settled.0 += nodes;
         self.settled.1 |= dense;
+        engine
     }
 
     /// Copies received by `v` under the current set.
     pub fn received(&mut self, v: NodeId) -> &C {
-        self.settle_through(self.engine.cgraph().topo_position(v));
-        self.engine.fwd.received(v)
+        self.settle_through(Some(v)).fwd.received(v)
     }
 
     /// Exact marginal impact `I(v|A)` (see [`ImpactEngine::impact`]).
     pub fn impact(&mut self, v: NodeId) -> C {
-        self.settle_through(self.engine.cgraph().topo_position(v));
-        self.engine.impact(v)
+        self.settle_through(Some(v)).impact(v)
     }
 
     /// Drain the forward frontier to the end and hand out the engine,
     /// every value of it settled.
     pub fn settle(&mut self) -> &ImpactEngine<'a, C> {
-        self.settle_through(usize::MAX);
-        &self.engine
+        self.settle_through(None)
+    }
+}
+
+impl<C: Count> DeferredEngine<'_, C> {
+    /// Surrender the filter set of an owned engine.
+    pub fn into_filters(self) -> FilterSet {
+        self.engine.into_filters()
     }
 }
 

@@ -21,9 +21,12 @@
 //! node's emission and mark its children without walking them, and a
 //! later settle walks the frontier only through a given topological
 //! position. That is how [`crate::DeferredEngine`] answers a read of
-//! `received(v)` without the rest of a dense pass. Every public method
-//! of the kernel drains to the end, so its reads always see settled
-//! values.
+//! `received(v)` without the rest of a dense pass, and how Greedy_L's
+//! CELF session re-scores a candidate
+//! ([`IncrementalPropagation::insert_filter_deferred`],
+//! [`IncrementalPropagation::received_settled`]). Every other public
+//! method of the kernel drains to the end, so its reads see settled
+//! values once [`IncrementalPropagation::settle`] has run.
 
 use crate::engine::{DirtyFrontier, Drift};
 use crate::{propagate_into, CGraph, FilterSet};
@@ -126,6 +129,45 @@ impl<C: Count> IncrementalPropagation<C> {
         true
     }
 
+    /// Add `v` as a filter like [`IncrementalPropagation::insert_filter`],
+    /// but walk the forward pass only through `v` (whose reception must
+    /// be final before its emission flips) and leave the rest pending.
+    /// Until [`IncrementalPropagation::settle`] runs, read receptions
+    /// through [`IncrementalPropagation::received_settled`]. Returns
+    /// `true` if `v` was newly inserted.
+    pub fn insert_filter_deferred(&mut self, cg: &CGraph, v: NodeId) -> bool {
+        if self.filters.contains(v) {
+            return false;
+        }
+        self.settle_through(cg, cg.topo_position(v), Drift::Shrink);
+        self.flip(cg, v, Drift::Shrink);
+        true
+    }
+
+    /// Copies received by `v`, walking a pending forward pass only
+    /// through `v`'s topological position: a reception depends only on
+    /// the nodes before it.
+    pub fn received_settled(&mut self, cg: &CGraph, v: NodeId) -> &C {
+        self.settle_through(cg, cg.topo_position(v), Drift::Shrink);
+        &self.received[v.index()]
+    }
+
+    /// Walk a pending forward pass to the end.
+    pub fn settle(&mut self, cg: &CGraph) {
+        self.settle_through(cg, usize::MAX, Drift::Shrink);
+    }
+
+    /// Drop every filter in one forward walk, returning the dropped
+    /// nodes in insertion order and `(nodes reprocessed, whether the
+    /// walk went dense)`: the batched form of one
+    /// [`IncrementalPropagation::follow`] to the empty set.
+    pub(crate) fn clear_filters(&mut self, cg: &CGraph) -> (Vec<NodeId>, (usize, bool)) {
+        let dropped = self.filters.nodes().to_vec();
+        self.filters.retain(|_| false);
+        let walk = self.reemit_all(cg, &dropped, Drift::Grow);
+        (dropped, walk)
+    }
+
     /// Bring the filter set to `placement`'s, updating only affected
     /// descendants, and return the number of nodes reprocessed.
     ///
@@ -154,32 +196,32 @@ impl<C: Count> IncrementalPropagation<C> {
         // Drops only raise receptions and inserts only lower them, so
         // each batch walks on its own, the inserts' membership flipping
         // only once the drops have settled.
-        let processed = self.reemit_all(cg, &dropped, Drift::Grow);
+        let processed = self.reemit_all(cg, &dropped, Drift::Grow).0;
         let added: Vec<NodeId> = placement.nodes()[common..]
             .iter()
             .copied()
             .filter(|&v| self.filters.insert(v))
             .collect();
-        processed + self.reemit_all(cg, &added, Drift::Shrink)
+        processed + self.reemit_all(cg, &added, Drift::Shrink).0
     }
 
     /// Re-emit `flipped`, whose filter membership already flipped, in
     /// one forward walk: each is marked dirty, so the walk reaches it in
     /// topological order, after every earlier flip of the batch, and
-    /// reprocesses it like any node whose inputs changed. Returns the
-    /// number of nodes reprocessed.
-    fn reemit_all(&mut self, cg: &CGraph, flipped: &[NodeId], drift: Drift) -> usize {
+    /// reprocesses it like any node whose inputs changed. Returns
+    /// `(nodes reprocessed, whether the walk went dense)`.
+    fn reemit_all(&mut self, cg: &CGraph, flipped: &[NodeId], drift: Drift) -> (usize, bool) {
         // The first node in the order has no parents: filtered or not,
         // it emits one (the source) or nothing, so no walk reaches it.
         let marked = flipped.iter().filter(|&&v| cg.topo_position(v) > 0);
         let Some(first) = marked.clone().map(|&v| cg.topo_position(v)).min() else {
-            return 0;
+            return (0, false);
         };
         self.frontier.begin(first - 1);
         for &v in marked {
             self.frontier.mark(v);
         }
-        self.settle_through(cg, usize::MAX, drift).0
+        self.settle_through(cg, usize::MAX, drift)
     }
 
     /// Insert (`Shrink`) or remove (`Grow`) the filter at `v` — the

@@ -22,9 +22,11 @@
 //! * [`ImpactEngine`] — the same marginals kept up to date
 //!   *incrementally* in both directions under filter insertions
 //!   (O(affected ∪ ancestors) per greedy round, zero per-round
-//!   allocation); `impacts` stays as its correctness oracle.
-//!   [`DeferredEngine`] wraps it for CELF: inserts leave the forward
-//!   pass pending and a read settles it only through the node read.
+//!   allocation) and every other [`Mutation`], including the batched
+//!   drop of every filter; `impacts` stays as its correctness oracle.
+//!   [`DeferredEngine`] wraps an owned or borrowed engine for CELF:
+//!   inserts leave the forward pass pending and a read settles it only
+//!   through the node read.
 //! * [`objective`] — `Φ`, `F`, and the Filter Ratio `FR`.
 //! * [`plist`] — the paper's original quadratic `plist` bookkeeping,
 //!   kept as an independently-derived validation oracle.

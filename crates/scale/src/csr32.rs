@@ -11,7 +11,7 @@
 //! edge `Vec` exist.
 
 use crate::budget::graph_estimate;
-use crate::pass::{count_degrees, Ledger};
+use crate::pass::{count_degrees, try_room, Ledger};
 use crate::{EdgeStream, MemBudget, ScaleError};
 use fp_graph::{Csr, NodeId};
 
@@ -43,7 +43,9 @@ impl Csr32 {
     /// build leaves the ledger exactly where it started. A stream whose
     /// second pass disagrees with its first — or puts more edges on a
     /// node than the first pass counted — is
-    /// [`ScaleError::NotReplayable`].
+    /// [`ScaleError::NotReplayable`]. Every per-node and per-edge array
+    /// is allocated fallibly: one the process cannot get is
+    /// [`ScaleError::AllocationFailed`], not an abort.
     pub fn from_stream<S>(stream: &mut S, budget: &MemBudget) -> Result<Self, ScaleError>
     where
         S: EdgeStream + ?Sized,
@@ -60,17 +62,18 @@ impl Csr32 {
         // Prefix sums: counts become the `n + 1` offset arrays.
         ledger.reserve(8 * (n as u64 + 1))?;
         let prefix = |cnt: &[u32]| {
-            let mut offsets = Vec::with_capacity(cnt.len() + 1);
+            let mut offsets = Vec::new();
+            try_room(&mut offsets, cnt.len() + 1)?;
             let mut total = 0u32;
             offsets.push(0);
             for &c in cnt {
                 total += c;
                 offsets.push(total);
             }
-            offsets
+            Ok::<_, ScaleError>(offsets)
         };
-        let out_offsets = prefix(&out_cnt);
-        let in_offsets = prefix(&in_cnt);
+        let out_offsets = prefix(&out_cnt)?;
+        let in_offsets = prefix(&in_cnt)?;
         // The count arrays double as pass-2 write cursors (reset them),
         // so the transient footprint stays at one extra u32 per node
         // and direction.
@@ -82,8 +85,11 @@ impl Csr32 {
         // Pass 2: replay and fill; no node may take more edges than
         // pass 1 counted.
         ledger.reserve(8 * m as u64)?;
-        let mut out_targets = vec![NodeId::new(0); m];
-        let mut in_sources = vec![NodeId::new(0); m];
+        let (mut out_targets, mut in_sources) = (Vec::new(), Vec::new());
+        try_room(&mut out_targets, m)?;
+        try_room(&mut in_sources, m)?;
+        out_targets.resize(m, NodeId::new(0));
+        in_sources.resize(m, NodeId::new(0));
         first.replay(stream, 2, |u, v| {
             let uo = out_offsets[u] + out_cursor[u];
             let vi = in_offsets[v] + in_cursor[v];

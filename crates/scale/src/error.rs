@@ -31,6 +31,13 @@ pub enum ScaleError {
         /// Observed edge count.
         edges: u64,
     },
+    /// The allocator refused an array the streamed build needs — a
+    /// short input can name a node id near `u32::MAX` — so the build
+    /// fails with this error instead of aborting the process.
+    AllocationFailed {
+        /// Bytes the refused array would have held.
+        bytes: u64,
+    },
     /// A reservation would push live bytes past the configured cap.
     ///
     /// The reservation is rolled back before this is returned: the
@@ -76,6 +83,10 @@ impl core::fmt::Display for ScaleError {
             Self::EdgeOverflow { edges } => {
                 write!(f, "{edges} edges exceed the u32 counters of a streamed pass")
             }
+            Self::AllocationFailed { bytes } => write!(
+                f,
+                "memory allocation of {bytes} bytes refused while building a streamed graph"
+            ),
             Self::BudgetExceeded {
                 requested,
                 live,
@@ -127,6 +138,9 @@ mod tests {
             .to_string()
             .contains("u32"));
         assert!(ScaleError::Cycle { passes: 7 }.to_string().contains("7"));
+        assert!(ScaleError::AllocationFailed { bytes: 1 << 34 }
+            .to_string()
+            .contains("17179869184 bytes refused"));
         let replay = ScaleError::NotReplayable {
             pass: 2,
             first: 3,

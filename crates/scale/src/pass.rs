@@ -48,6 +48,16 @@ impl Drop for Ledger<'_> {
     }
 }
 
+/// Make room for `room` entries in `v` through `try_reserve_exact`, so
+/// that an allocation the process cannot get is
+/// [`ScaleError::AllocationFailed`], not an abort.
+pub(crate) fn try_room<T>(v: &mut Vec<T>, room: usize) -> Result<(), ScaleError> {
+    v.try_reserve_exact(room.saturating_sub(v.len()))
+        .map_err(|_| ScaleError::AllocationFailed {
+            bytes: (room as u64).saturating_mul(std::mem::size_of::<T>() as u64),
+        })
+}
+
 /// What pass 1 saw: the node count (largest id seen plus one, or the
 /// stream's hint if larger) and the edge sequence's length and
 /// fingerprint.
@@ -65,7 +75,8 @@ fn mix(hash: u64, u: u32, v: u32) -> u64 {
 
 /// Pass 1: count each node's out- and in-degree into `out_deg` and
 /// `in_deg`, grown to the stream's hint and then to the largest id
-/// seen, 8 bytes a node reserved on `ledger`.
+/// seen, 8 bytes a node reserved on `ledger`. Both arrays grow through
+/// [`try_room`].
 pub(crate) fn count_degrees<S>(
     stream: &mut S,
     ledger: &mut Ledger<'_>,
@@ -80,6 +91,8 @@ where
             return Err(ScaleError::NodeOverflow { nodes: hint });
         }
         ledger.reserve(8 * hint)?;
+        try_room(out_deg, hint as usize)?;
+        try_room(in_deg, hint as usize)?;
         out_deg.resize(hint as usize, 0);
         in_deg.resize(hint as usize, 0);
     }
@@ -93,6 +106,11 @@ where
             let top = u.max(v) as usize + 1;
             if top > out_deg.len() {
                 ledger.reserve(8 * (top - out_deg.len()) as u64)?;
+                // Room for at least twice the old length, as `resize`
+                // would grow, keeps a stream of ascending ids linear.
+                let room = top.max(2 * out_deg.len());
+                try_room(out_deg, room)?;
+                try_room(in_deg, room)?;
                 out_deg.resize(top, 0);
                 in_deg.resize(top, 0);
             }
@@ -170,6 +188,16 @@ mod tests {
             };
             edges.iter().try_for_each(|&(u, v)| sink.emit(u, v))
         }
+    }
+
+    #[test]
+    fn an_array_the_allocator_refuses_is_a_typed_error() {
+        let mut counts: Vec<u64> = Vec::new();
+        assert_eq!(
+            super::try_room(&mut counts, usize::MAX),
+            Err(ScaleError::AllocationFailed { bytes: u64::MAX })
+        );
+        assert!(counts.is_empty());
     }
 
     #[test]

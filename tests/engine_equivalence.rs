@@ -16,11 +16,20 @@
 //! * a `DeferredEngine` driven through random interleavings of deferred
 //!   filter inserts and settling reads answers every read like a fresh
 //!   `propagate`/`impacts`, and once fully settled equals an eager
-//!   engine fed the same inserts bit for bit.
+//!   engine fed the same inserts bit for bit;
+//! * the batched drop of every filter (`ImpactEngine::clear_filters`),
+//!   applied at random points of the random mutation sequences, equals
+//!   both a fresh rebuild and the same drop made one `RemoveFilter` at
+//!   a time;
+//! * an `OnlinePlacement` replaying `mutation_stream` repairs onto
+//!   Greedy_All's full-recompute placement of the current graph, with
+//!   the outcomes, stats and drift bits of the drop-then-argmax loop
+//!   its repairs replaced.
 
 use fp_core::algorithms::{GreedyAll, LazyGreedyAll, MultiGreedy, Solver};
 use fp_core::datasets::erdos_renyi;
 use fp_core::num::Sat64;
+use fp_core::online::{mutation_stream, EventOutcome, OnlineConfig, OnlinePlacement, OnlineStats};
 use fp_core::prelude::*;
 use fp_core::propagation::incremental::IncrementalPropagation;
 use fp_core::propagation::{
@@ -91,10 +100,54 @@ fn insertion_sequence(n: usize, seed: u64) -> Vec<NodeId> {
     order.into_iter().map(NodeId::new).collect()
 }
 
-/// Drive `steps` random mutations (all four [`Mutation`] kinds) through
-/// the engine while mirroring each accepted one onto a plain
-/// `CGraph`/`FilterSet` pair, checking the engine against a fresh
-/// oracle recompute on the mirror after every step.
+/// Check two engines against each other on every score and `Φ`.
+fn assert_engines_agree<C: Count>(
+    engine: &ImpactEngine<C>,
+    other: &ImpactEngine<C>,
+    context: &str,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(engine.filters().nodes(), other.filters().nodes());
+    for v in engine.cgraph().nodes() {
+        let i = v.index();
+        prop_assert_eq!(
+            engine.received(v),
+            other.received(v),
+            "received({}) {}",
+            i,
+            context
+        );
+        prop_assert_eq!(
+            engine.emitted(v),
+            other.emitted(v),
+            "emitted({}) {}",
+            i,
+            context
+        );
+        prop_assert_eq!(
+            engine.suffix(v),
+            other.suffix(v),
+            "suffix({}) {}",
+            i,
+            context
+        );
+        prop_assert_eq!(
+            engine.impact(v),
+            other.impact(v),
+            "impact({}) {}",
+            i,
+            context
+        );
+    }
+    prop_assert_eq!(engine.phi(), other.phi(), "phi {}", context);
+    Ok(())
+}
+
+/// Drive `steps` random mutations (all four [`Mutation`] kinds, plus
+/// the batched drop of every filter) through the engine while
+/// mirroring each accepted one onto a plain `CGraph`/`FilterSet` pair,
+/// checking the engine against a fresh oracle recompute on the mirror
+/// after every step, and each batched drop against the same drop made
+/// one `RemoveFilter` at a time.
 fn mutation_sequence_matches_rebuild<C: Count>(
     seed: u64,
     p: f64,
@@ -114,6 +167,19 @@ fn mutation_sequence_matches_rebuild<C: Count>(
         state
     };
     for step in 0..steps {
+        if next() % 5 == 0 {
+            let context = format!("after step {step} (batched drop) [seed {seed}]");
+            let mut sequential = engine.clone();
+            for &w in mirror_filters.nodes() {
+                sequential.apply(Mutation::RemoveFilter(w)).unwrap();
+            }
+            let out = engine.clear_filters();
+            prop_assert_eq!(out.changed, !mirror_filters.is_empty());
+            mirror_filters = FilterSet::empty(n);
+            assert_engines_agree(&engine, &sequential, &context)?;
+            assert_engine_matches_oracle(&engine, &mirror_cg, &context)?;
+            continue;
+        }
         let r = next();
         let u = NodeId::new((r >> 8) as usize % n);
         let v = NodeId::new((r >> 32) as usize % n);
@@ -169,13 +235,7 @@ fn mutation_sequence_matches_rebuild<C: Count>(
     // And the endpoint in one shot: a fresh engine built on the final
     // mirror state agrees with the mutated one on every score.
     let fresh = ImpactEngine::<C>::new(&mirror_cg, mirror_filters);
-    for v in mirror_cg.nodes() {
-        prop_assert_eq!(engine.received(v), fresh.received(v));
-        prop_assert_eq!(engine.suffix(v), fresh.suffix(v));
-        prop_assert_eq!(engine.impact(v), fresh.impact(v));
-    }
-    prop_assert_eq!(engine.phi(), fresh.phi());
-    Ok(())
+    assert_engines_agree(&engine, &fresh, "against a fresh engine")
 }
 
 /// Check the standalone forward kernel against the engine's forward
@@ -329,8 +389,140 @@ fn deferred_reads_match_for<C: Count>(
     assert_engine_matches_oracle(settled, cg, "after the full settle")
 }
 
+/// The online repair as it was before it became one batched drop plus
+/// CELF re-picks, replayed here as the reference: every filter removed
+/// with its own `RemoveFilter`, then one eager argmax scan per pick.
+struct DropThenArgmax {
+    engine: ImpactEngine<'static, Wide128>,
+    cfg: OnlineConfig,
+    phi_ref: f64,
+    stats: OnlineStats,
+}
+
+impl DropThenArgmax {
+    fn new(cg: CGraph, cfg: OnlineConfig) -> Self {
+        let n = cg.node_count();
+        let mut driver = Self {
+            engine: ImpactEngine::from_owned(cg, FilterSet::empty(n)),
+            cfg,
+            phi_ref: 0.0,
+            stats: OnlineStats::default(),
+        };
+        driver.fill();
+        driver.phi_ref = driver.engine.phi().to_f64();
+        driver
+    }
+
+    fn fill(&mut self) -> usize {
+        let mut picks = 0;
+        while self.engine.filters().len() < self.cfg.k {
+            let Some(v) = self.engine.best_candidate() else {
+                break;
+            };
+            self.engine.insert_filter(v);
+            picks += 1;
+        }
+        picks
+    }
+
+    fn drift(&self) -> f64 {
+        (self.engine.phi().to_f64() - self.phi_ref).abs() / self.phi_ref.max(1.0)
+    }
+
+    fn repair(&mut self) -> usize {
+        for v in self.engine.filters().nodes().to_vec() {
+            self.engine.apply(Mutation::RemoveFilter(v)).unwrap();
+        }
+        let picks = self.fill();
+        self.phi_ref = self.engine.phi().to_f64();
+        self.stats.repairs += 1;
+        self.stats.repair_picks += picks;
+        picks
+    }
+
+    fn apply_event(&mut self, m: Mutation) -> EventOutcome {
+        let changed = self.engine.apply(m).unwrap().changed;
+        self.stats.applied += usize::from(changed);
+        let drift = self.drift();
+        let (repaired, repair_picks) = if drift > self.cfg.drift_threshold {
+            (true, self.repair())
+        } else {
+            (false, 0)
+        };
+        EventOutcome {
+            changed,
+            drift: self.drift(),
+            repaired,
+            repair_picks,
+        }
+    }
+}
+
+/// Replay `mutation_stream` through an `OnlinePlacement` and the
+/// drop-then-argmax reference side by side: every event's outcome
+/// (drift bits included) and placement agree, every repair lands on
+/// Greedy_All's full-recompute placement of the current graph and
+/// leaves the engine settled and exact, and so does a final forced
+/// repair.
+fn online_repairs_match_for(
+    cg: CGraph,
+    cfg: OnlineConfig,
+    events: usize,
+    seed: u64,
+) -> Result<(), proptest::TestCaseError> {
+    let stream = mutation_stream(&cg, events, seed);
+    let mut live = OnlinePlacement::new(cg.clone(), cfg);
+    let mut reference = DropThenArgmax::new(cg, cfg);
+    let check = |live: &OnlinePlacement, context: &str| {
+        let current = live.engine().cgraph();
+        let oracle = GreedyAll::<Wide128>::place_full_recompute(current, cfg.k);
+        prop_assert_eq!(live.placement().nodes(), oracle.nodes(), "{}", context);
+        assert_engine_matches_oracle(live.engine(), current, context)
+    };
+    check(&live, "initial placement")?;
+    for (i, &m) in stream.iter().enumerate() {
+        let context = format!("event {i} ({m})");
+        let got = live.apply_event(m).unwrap();
+        let want = reference.apply_event(m);
+        prop_assert_eq!(got.changed, want.changed, "{}", context);
+        prop_assert_eq!(got.repaired, want.repaired, "{}", context);
+        prop_assert_eq!(got.repair_picks, want.repair_picks, "{}", context);
+        prop_assert_eq!(got.drift.to_bits(), want.drift.to_bits(), "{}", context);
+        prop_assert_eq!(
+            live.placement().nodes(),
+            reference.engine.filters().nodes(),
+            "{}",
+            context
+        );
+        if got.repaired {
+            check(&live, &context)?;
+        }
+    }
+    prop_assert_eq!(live.stats(), reference.stats);
+    prop_assert_eq!(live.repair(), reference.repair());
+    prop_assert_eq!(live.drift().to_bits(), reference.drift().to_bits());
+    check(&live, "forced repair")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn online_repairs_match_the_drop_then_argmax_loop(
+        seed in 0u64..4000,
+        p in 0.08f64..0.4,
+        shape in 0usize..24,
+        events in 0usize..40,
+    ) {
+        // Identity and shuffled-label orders, budgets 1..=4, and each
+        // threshold of {0, 0.01, ∞}.
+        let relabel = shape % 2 == 1;
+        let cfg = OnlineConfig {
+            k: 1 + shape / 2 % 4,
+            drift_threshold: [0.0, 0.01, f64::INFINITY][shape / 8],
+        };
+        online_repairs_match_for(random_cgraph(seed, p, relabel), cfg, events, seed)?;
+    }
 
     #[test]
     fn deferred_inserts_and_settled_reads_match_sat64(
