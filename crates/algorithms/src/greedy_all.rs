@@ -1,10 +1,12 @@
 //! Greedy_All (Algorithm 1): the `(1 − 1/e)`-approximation.
 
-use crate::lazy_greedy::celf_session;
+use crate::celf::celf_session;
 use crate::{argmax_count, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::{impacts, CGraph, FilterSet};
+use fp_propagation::{impacts, phi_total, CGraph, FilterSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Greedy_All: each round, take the argmax over every node's exact
 /// marginal impact `I(v|A)` under the filters already chosen.
@@ -13,17 +15,18 @@ use fp_propagation::{impacts, CGraph, FilterSet};
 /// the Nemhauser–Wolsey–Fisher `(1 − 1/e)` guarantee (Theorem 3), and
 /// is *optimal* for `k = 1`.
 ///
-/// The argmax is found CELF-style, in the session
-/// [`crate::LazyGreedyAll`] runs too: submodularity makes a stale
-/// impact an upper bound, so each round re-scores only the candidates
-/// that can still win, each through a
+/// The argmax is found CELF-style [Leskovec et al., KDD'07], one of
+/// the "computational speedups" the paper calls for: submodularity
+/// makes a stale impact an upper bound, so each round re-scores only
+/// the candidates that can still win, each through a
 /// [`fp_propagation::DeferredEngine`] that settles the forward pass
 /// only through the candidate it scores. Ties break toward the smaller
 /// node id, so the picks are the eager argmax's — the paper's
 /// two fresh O(|E|) sweeps per round live on as
-/// [`GreedyAll::place_full_recompute`], the equivalence oracle. Rounds
-/// stop early once no candidate has positive impact — extra filters
-/// would be dead weight.
+/// [`GreedyAll::place_full_recompute`], the equivalence oracle, and the
+/// pre-engine CELF loop as [`GreedyAll::place_celf_full_recompute`].
+/// Rounds stop early once no candidate has positive impact — extra
+/// filters would be dead weight.
 ///
 /// ```
 /// use fp_algorithms::{GreedyAll, Solver};
@@ -69,6 +72,71 @@ impl<C: Count> GreedyAll<C> {
         }
         filters
     }
+
+    /// Reference implementation of the CELF loop (the pre-engine
+    /// session): the same lazy queue, but every re-score is a fresh
+    /// `Φ(A) − Φ(A ∪ {v})` forward sweep and every pick re-runs
+    /// `phi_total`. Places identically to [`Solver::place`] except when
+    /// a *saturating* counter has clamped: there a Φ difference
+    /// collapses to zero while the impact formula still ranks
+    /// candidates, so the engine path keeps placing where this oracle
+    /// stops. That regime needs source path counts beyond the counter's
+    /// ceiling (2⁶⁴/2¹²⁸); the production counter is `Wide128` and the
+    /// cross-validation suite pins its agreement with exact `BigCount`
+    /// on every dataset.
+    pub fn place_celf_full_recompute(cg: &CGraph, k: usize) -> FilterSet {
+        let n = cg.node_count();
+        let mut filters = FilterSet::empty(n);
+        if k == 0 {
+            return filters;
+        }
+        let initial: Vec<C> = impacts(cg, &FilterSet::empty(n));
+        let mut heap: BinaryHeap<(C, Reverse<usize>)> = initial
+            .into_iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_zero())
+            .map(|(v, g)| (g, Reverse(v)))
+            .collect();
+
+        let mut phi_current: C = phi_total(cg, &filters);
+        let mut fresh_round = vec![0u32; n];
+        let mut round: u32 = 1;
+
+        while filters.len() < k {
+            let Some((gain, Reverse(v))) = heap.pop() else {
+                break;
+            };
+            if gain.is_zero() {
+                break;
+            }
+            if fresh_round[v] == round {
+                filters.insert(NodeId::new(v));
+                phi_current = phi_total(cg, &filters);
+                round += 1;
+                continue;
+            }
+            let mut with_v = filters.clone();
+            with_v.insert(NodeId::new(v));
+            let phi_v: C = phi_total(cg, &with_v);
+            let exact = phi_current.saturating_sub(&phi_v);
+            fresh_round[v] = round;
+            if exact.is_zero() {
+                continue;
+            }
+            let take = match heap.peek() {
+                None => true,
+                Some((next, Reverse(u))) => exact > *next || (exact == *next && v < *u),
+            };
+            if take {
+                filters.insert(NodeId::new(v));
+                phi_current = phi_v;
+                round += 1;
+            } else {
+                heap.push((exact, Reverse(v)));
+            }
+        }
+        filters
+    }
 }
 
 impl<C: Count> Default for GreedyAll<C> {
@@ -79,7 +147,7 @@ impl<C: Count> Default for GreedyAll<C> {
 
 impl<C: Count> Solver for GreedyAll<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        celf_session::<C>(cg, None)
+        celf_session::<C>(cg)
     }
 }
 
@@ -88,7 +156,7 @@ mod tests {
     use super::*;
     use fp_graph::DiGraph;
     use fp_num::{Sat64, Wide128};
-    use fp_propagation::{f_value, phi_total};
+    use fp_propagation::f_value;
 
     fn figure1() -> CGraph {
         let g = DiGraph::from_pairs(
@@ -162,12 +230,18 @@ mod tests {
     }
 
     #[test]
-    fn engine_path_matches_the_full_recompute_oracle() {
+    fn engine_path_matches_both_full_recompute_oracles() {
         let cg = figure1();
         for k in 0..=5 {
+            let placed = GreedyAll::<Sat64>::new().place(&cg, k, 0);
             assert_eq!(
-                GreedyAll::<Sat64>::new().place(&cg, k, 0).nodes(),
+                placed.nodes(),
                 GreedyAll::<Sat64>::place_full_recompute(&cg, k).nodes(),
+                "k={k}"
+            );
+            assert_eq!(
+                placed.nodes(),
+                GreedyAll::<Sat64>::place_celf_full_recompute(&cg, k).nodes(),
                 "k={k}"
             );
         }

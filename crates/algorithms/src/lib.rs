@@ -9,10 +9,9 @@
 //!
 //! DAG solvers (all implement [`Solver`]):
 //!
-//! * [`GreedyAll`] — the `(1 − 1/e)`-approximation: re-evaluates every
-//!   node's exact marginal impact each round (Algorithm 1).
-//! * [`LazyGreedyAll`] — same choices, CELF-style lazy evaluation
-//!   (an implemented "computational speedup").
+//! * [`GreedyAll`] — the `(1 − 1/e)`-approximation: takes the node of
+//!   largest exact marginal impact each round (Algorithm 1), found by
+//!   the CELF loop [`Celf`] (an implemented "computational speedup").
 //! * [`GreedyMax`] — impacts computed once, top-k (heuristic).
 //! * [`GreedyOne`] — `m(v) = din(v)·dout(v)`, top-k (the naive G_1).
 //! * [`GreedyL`] — `I'(v) = Prefix(v)·dout(v)`, recomputed per round
@@ -44,11 +43,11 @@ pub mod acyclic;
 pub mod betweenness;
 pub mod branch_bound;
 pub mod brute_force;
+mod celf;
 mod greedy_all;
 mod greedy_l;
 mod greedy_max;
 mod greedy_one;
-mod lazy_greedy;
 mod multi_greedy;
 mod random;
 pub mod reductions;
@@ -60,11 +59,11 @@ pub mod unbounded;
 
 pub use betweenness::BetweennessSolver;
 pub use branch_bound::{optimal_placement_bb, ExactResult};
+pub use celf::{Celf, Gains};
 pub use greedy_all::GreedyAll;
 pub use greedy_l::GreedyL;
 pub use greedy_max::GreedyMax;
 pub use greedy_one::GreedyOne;
-pub use lazy_greedy::{Celf, Gains, LazyGreedyAll};
 pub use multi_greedy::MultiGreedy;
 pub use random::{RandI, RandK, RandW};
 pub use session::{solve_ladder_with, walk_ladder, FrCache, RankedSession};

@@ -106,8 +106,6 @@ pub trait SolverSession {
 pub enum SolverKind {
     /// Greedy_All (Algorithm 1).
     GreedyAll,
-    /// CELF-lazy Greedy_All (identical output, fewer evaluations).
-    LazyGreedyAll,
     /// Greedy_Max.
     GreedyMax,
     /// Greedy_1.
@@ -125,6 +123,19 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
+    /// Every kind, in legend order: the paper's seven, then
+    /// Betweenness.
+    pub const ALL: [SolverKind; 8] = [
+        SolverKind::GreedyAll,
+        SolverKind::GreedyMax,
+        SolverKind::GreedyOne,
+        SolverKind::GreedyL,
+        SolverKind::RandW,
+        SolverKind::RandI,
+        SolverKind::RandK,
+        SolverKind::Betweenness,
+    ];
+
     /// All kinds the paper's figures plot, in legend order.
     pub const PAPER_SET: [SolverKind; 7] = [
         SolverKind::GreedyAll,
@@ -142,7 +153,6 @@ impl SolverKind {
     pub fn build<C: Count>(self) -> Box<dyn Solver> {
         match self {
             SolverKind::GreedyAll => Box::new(crate::GreedyAll::<C>::new()),
-            SolverKind::LazyGreedyAll => Box::new(crate::LazyGreedyAll::<C>::new()),
             SolverKind::GreedyMax => Box::new(crate::GreedyMax::<C>::new()),
             SolverKind::GreedyOne => Box::new(crate::GreedyOne::new()),
             SolverKind::GreedyL => Box::new(crate::GreedyL::<C>::new()),
@@ -163,7 +173,6 @@ impl SolverKind {
     pub fn place_oracle<C: Count>(self, cg: &CGraph, k: usize, seed: u64) -> FilterSet {
         match self {
             SolverKind::GreedyAll => crate::GreedyAll::<C>::place_full_recompute(cg, k),
-            SolverKind::LazyGreedyAll => crate::LazyGreedyAll::<C>::place_full_recompute(cg, k),
             SolverKind::GreedyMax => crate::GreedyMax::<C>::place_full_recompute(cg, k),
             SolverKind::GreedyL => crate::GreedyL::<C>::place_full_recompute(cg, k),
             other => other.build::<C>().place(cg, k, seed),
@@ -207,7 +216,6 @@ impl SolverKind {
     pub fn label(self) -> &'static str {
         match self {
             SolverKind::GreedyAll => "G_ALL",
-            SolverKind::LazyGreedyAll => "G_ALL(lazy)",
             SolverKind::GreedyMax => "G_Max",
             SolverKind::GreedyOne => "G_1",
             SolverKind::GreedyL => "G_L",
@@ -216,6 +224,28 @@ impl SolverKind {
             SolverKind::RandK => "Rand_K",
             SolverKind::Betweenness => "Betweenness",
         }
+    }
+
+    /// The kind whose [`SolverKind::label`] is `label`, compared
+    /// case-insensitively: the one parser behind every `--solver` flag,
+    /// serve's `POST /sessions` and stored run manifests.
+    ///
+    /// ```
+    /// use fp_algorithms::SolverKind;
+    /// assert_eq!(SolverKind::from_label("g_max"), Ok(SolverKind::GreedyMax));
+    /// assert!(SolverKind::from_label("nope").is_err());
+    /// ```
+    pub fn from_label(label: &str) -> Result<SolverKind, String> {
+        Self::ALL
+            .into_iter()
+            .find(|k| k.label().eq_ignore_ascii_case(label))
+            .ok_or_else(|| {
+                let names: Vec<&str> = Self::ALL.iter().map(|k| k.label()).collect();
+                format!(
+                    "unknown solver {label:?}; expected one of {}",
+                    names.join(", ")
+                )
+            })
     }
 }
 
@@ -273,17 +303,7 @@ mod tests {
 
     #[test]
     fn registry_builds_every_kind() {
-        for kind in [
-            SolverKind::GreedyAll,
-            SolverKind::LazyGreedyAll,
-            SolverKind::GreedyMax,
-            SolverKind::GreedyOne,
-            SolverKind::GreedyL,
-            SolverKind::RandW,
-            SolverKind::RandI,
-            SolverKind::RandK,
-            SolverKind::Betweenness,
-        ] {
+        for kind in SolverKind::ALL {
             kind.build::<Sat64>();
         }
     }

@@ -20,7 +20,7 @@
 //! fp serve    [--addr HOST:PORT] [--ttl-secs N] [--trace FILE]
 //! fp loadtest [--graph NAME] [--solver NAME] [--seed N] [--clients N]
 //!             [--requests N] [--kmax N] [--transport frame|http]
-//!             [--mutations N] [--retries N]
+//!             [--mutations N]
 //! fp online   --input edges.txt --source <label> [--k N] [--events N]
 //!             [--seed N] [--thresholds F,F,...] [--format table|csv]
 //!             [--out DIR]
@@ -152,7 +152,6 @@ const FLAG_SPEC: &[(&str, &[&str])] = &[
             "kmax",
             "transport",
             "mutations",
-            "retries",
         ],
     ),
     (
@@ -286,29 +285,6 @@ fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a st
         .ok_or_else(|| format!("missing required flag --{name}"))
 }
 
-fn parse_solver(name: &str) -> Result<SolverKind, String> {
-    let all = [
-        SolverKind::GreedyAll,
-        SolverKind::LazyGreedyAll,
-        SolverKind::GreedyMax,
-        SolverKind::GreedyOne,
-        SolverKind::GreedyL,
-        SolverKind::RandW,
-        SolverKind::RandI,
-        SolverKind::RandK,
-        SolverKind::Betweenness,
-    ];
-    all.into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let names: Vec<&str> = all.iter().map(|k| k.label()).collect();
-            format!(
-                "unknown solver {name:?}; expected one of {}",
-                names.join(", ")
-            )
-        })
-}
-
 fn load_graph(text: &str, source_label: &str) -> Result<(DiGraph, Vec<String>, NodeId), String> {
     let (g, labels) = from_edge_list(text).map_err(|e| e.to_string())?;
     let source = labels
@@ -321,7 +297,7 @@ fn load_graph(text: &str, source_label: &str) -> Result<(DiGraph, Vec<String>, N
 
 fn cmd_solve(flags: &HashMap<String, String>, input: &str) -> Result<String, String> {
     let (g, labels, source) = load_graph(input, required(flags, "source")?)?;
-    let solver = parse_solver(required(flags, "solver")?)?;
+    let solver = SolverKind::from_label(required(flags, "solver")?)?;
     let k = count_flag(flags, "k", None, usize::MAX)?;
     let seed: u64 = flags.get("seed").map_or(Ok(0), |s| {
         s.parse()
@@ -1127,9 +1103,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
 }
 
 /// `fp loadtest [--graph NAME] [--solver NAME] [--seed N] [--clients N]
-/// [--requests N] [--kmax N] [--transport frame|http] [--mutations N]
-/// [--retries N]`: drive an in-process daemon with concurrent clients
-/// and report verified latency.
+/// [--requests N] [--kmax N] [--transport frame|http] [--mutations N]`:
+/// drive an in-process daemon with concurrent clients and report
+/// verified latency.
 ///
 /// Every response is checked bit-for-bit against the batch ladder
 /// before any latency is reported. `--transport http` drives the HTTP
@@ -1141,7 +1117,7 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
         cfg.graph = graph.clone();
     }
     if let Some(solver) = flags.get("solver") {
-        cfg.solver = parse_solver(solver)?;
+        cfg.solver = SolverKind::from_label(solver)?;
     }
     cfg.seed = flags.get("seed").map_or(Ok(cfg.seed), |s| {
         s.parse()
@@ -1155,10 +1131,6 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
         .get("transport")
         .map_or(Ok(cfg.transport), |s| Transport::parse(s))?;
     cfg.mutations = count_flag(flags, "mutations", Some(cfg.mutations), MAX_MUTATIONS)?;
-    cfg.retries = flags.get("retries").map_or(Ok(cfg.retries), |s| {
-        s.parse()
-            .map_err(|_| "--retries must be a non-negative integer".to_string())
-    })?;
     if cfg.clients == 0 || cfg.requests == 0 {
         return Err("--clients and --requests must be at least 1".to_string());
     }
@@ -1180,12 +1152,6 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<String, String> {
         report.throughput_rps,
         report.wall_ms,
     );
-    if cfg.retries > 0 || report.retries_total > 0 {
-        out.push_str(&format!(
-            "retries: {} (408/503 responses retried, budget {} per request)\n",
-            report.retries_total, cfg.retries,
-        ));
-    }
     if let Some(http) = &report.http {
         let phase = |name: &str, p: &crate::loadtest::PhaseNumbers| {
             format!(
@@ -1411,14 +1377,12 @@ pub const USAGE: &str =
             tracked graph memory — over-budget uploads are refused with 503;
             --trace dumps spans at shutdown)
   loadtest [--graph NAME] [--solver NAME] [--seed N] [--clients N] [--requests N] [--kmax N]
-           [--transport frame|http] [--mutations N] [--retries N]
+           [--transport frame|http] [--mutations N]
            (drive an in-process daemon with concurrent clients, verify every answer
             against the batch ladder, report p50/p99/max/throughput; --transport http
             measures Connection: close and keep-alive phases side by side;
             --mutations N follows up with N live edge insertions, each verified
-            against a batch solve on the mutated graph;
-            --retries N retries 408/503 answers with seeded jittered backoff
-            and reports the retry count; --clients is at most 256,
+            against a batch solve on the mutated graph; --clients is at most 256,
             --clients × --requests at most 1048576, --kmax at most 4095 and
             --mutations at most 65536)
   online   --input FILE --source LABEL [--k N] [--events N] [--seed N]
@@ -1586,21 +1550,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("nope"));
-        let e = run_with_input(
-            &args(&["solve", "--source", "s", "--solver", "wat", "--k", "1"]),
-            FIG1,
-        )
-        .unwrap_err();
-        assert!(e.contains("unknown solver"));
+        // An unknown name, `G_ALL(lazy)` among them, is refused with
+        // the eight labels listed.
+        for name in ["wat", "G_ALL(lazy)"] {
+            let e = run_with_input(
+                &args(&["solve", "--source", "s", "--solver", name, "--k", "1"]),
+                FIG1,
+            )
+            .unwrap_err();
+            assert!(e.contains("unknown solver"), "{e}");
+            let (_, listed) = e.split_once("expected one of ").unwrap();
+            let labels: Vec<&str> = SolverKind::ALL.iter().map(|k| k.label()).collect();
+            assert_eq!(listed, labels.join(", "));
+        }
         let e = run_with_input(&args(&["frobnicate"]), "").unwrap_err();
         assert!(e.contains("unknown command"));
     }
 
     #[test]
     fn solver_names_are_case_insensitive() {
-        assert_eq!(parse_solver("g_all").unwrap(), SolverKind::GreedyAll);
-        assert_eq!(parse_solver("G_MAX").unwrap(), SolverKind::GreedyMax);
-        assert_eq!(parse_solver("rand_k").unwrap(), SolverKind::RandK);
+        for (name, label) in [("g_all", "G_ALL"), ("G_MAX", "G_Max"), ("rand_k", "Rand_K")] {
+            let out = run_with_input(
+                &args(&["solve", "--source", "s", "--solver", name, "--k", "1"]),
+                FIG1,
+            )
+            .unwrap();
+            assert!(out.contains(&format!("solver: {label} ")), "{out}");
+        }
     }
 
     #[test]
@@ -1629,6 +1605,9 @@ mod tests {
 
         let e = run_with_input(&args(&["gc", "--out", "/tmp", "--kep", "2"]), "").unwrap_err();
         assert!(e.contains("unknown flag --kep for gc"), "{e}");
+        // `fp loadtest` has no retry path: its daemon sends no 408/503.
+        let e = run_with_input(&args(&["loadtest", "--retries", "3"]), "").unwrap_err();
+        assert!(e.contains("unknown flag --retries for loadtest"), "{e}");
 
         // `run` (the file-reading dispatcher) gates too, before
         // touching the filesystem.
@@ -1771,12 +1750,6 @@ mod tests {
         // loadtest module's own tests.
         let err = run_with_input(&args(&["loadtest", "--mutations", "x"]), "").unwrap_err();
         assert!(err.contains("--mutations"), "{err}");
-    }
-
-    #[test]
-    fn loadtest_rejects_a_malformed_retries_budget() {
-        let err = run_with_input(&args(&["loadtest", "--retries", "many"]), "").unwrap_err();
-        assert!(err.contains("--retries"), "{err}");
     }
 
     #[test]

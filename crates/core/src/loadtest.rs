@@ -1,8 +1,8 @@
 //! `fp loadtest`: measure the serve daemon under concurrent traffic.
 //!
 //! The harness spins an in-process [`Server`] on an ephemeral port,
-//! opens one warm session, and drives `clients` concurrent frame
-//! connections, each issuing `requests` placement queries with budgets
+//! opens one warm session, and drives `clients` concurrent clients over
+//! frames or HTTP, each issuing `requests` placement queries with budgets
 //! cycling through `0..=kmax` (each client starts at a different
 //! offset, so budgets interleave adversarially across clients).
 //!
@@ -77,12 +77,6 @@ pub struct LoadtestConfig {
     /// mutation is followed by a full re-query verified against a
     /// batch solve on a locally mutated copy of the graph.
     pub mutations: usize,
-    /// How many times a client re-issues a request answered 408 or 503
-    /// before giving up (0 = fail on the first such answer). Backoff
-    /// between attempts is exponential with *deterministic* jitter —
-    /// seeded by (seed, client, request, attempt) — so two runs of the
-    /// same config sleep identically.
-    pub retries: u32,
 }
 
 impl Default for LoadtestConfig {
@@ -96,7 +90,6 @@ impl Default for LoadtestConfig {
             kmax: 8,
             transport: Transport::Frame,
             mutations: 0,
-            retries: 0,
         }
     }
 }
@@ -164,9 +157,6 @@ pub struct LoadtestReport {
     /// Mutations actually applied (less than requested only when the
     /// graph runs out of absent forward edges to insert).
     pub mutations_applied: usize,
-    /// Total 408/503 retries clients performed across all phases
-    /// (always 0 unless `--retries` is set and the daemon sheds load).
-    pub retries_total: u64,
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -220,31 +210,13 @@ pub fn run_loadtest(
         .ok_or("session id missing from open reply")?
         .to_string();
 
-    let (headline, total, http, retries_total) = match cfg.transport {
-        Transport::Frame => {
-            let (latencies, retries, wall) = drive_frame_clients(addr, &session, cfg, &expected)?;
-            let total = latencies.len();
-            (
-                PhaseNumbers::from_samples(latencies, wall),
-                total,
-                None,
-                retries,
-            )
-        }
+    let drive = |mode| drive_clients(addr, &session, cfg, &expected, mode);
+    let (headline, http) = match cfg.transport {
+        Transport::Frame => (drive(Mode::Frame)?, None),
         Transport::Http => {
-            let (close_lat, close_retries, close_wall) =
-                drive_http_clients(addr, &session, cfg, &expected, false)?;
-            let (ka_lat, ka_retries, ka_wall) =
-                drive_http_clients(addr, &session, cfg, &expected, true)?;
-            let total = ka_lat.len();
-            let close = PhaseNumbers::from_samples(close_lat, close_wall);
-            let keep_alive = PhaseNumbers::from_samples(ka_lat, ka_wall);
-            (
-                keep_alive,
-                total,
-                Some(HttpNumbers { close, keep_alive }),
-                close_retries + ka_retries,
-            )
+            let close = drive(Mode::Http { keep_alive: false })?;
+            let keep_alive = drive(Mode::Http { keep_alive: true })?;
+            (keep_alive, Some(HttpNumbers { close, keep_alive }))
         }
     };
     let (mutation, mutations_applied) = if cfg.mutations > 0 {
@@ -259,7 +231,7 @@ pub fn run_loadtest(
 
     Ok(LoadtestReport {
         config: cfg.clone(),
-        total_requests: total,
+        total_requests: cfg.clients * cfg.requests,
         p50_us: headline.p50_us,
         p99_us: headline.p99_us,
         max_us: headline.max_us,
@@ -268,24 +240,7 @@ pub fn run_loadtest(
         http,
         mutation,
         mutations_applied,
-        retries_total,
     })
-}
-
-/// Deterministic jittered backoff before retry `attempt` (1-based) of
-/// one request: 4ms · 2^(attempt-1), capped at 100ms, scaled by a
-/// jitter factor in [0.5, 1.5) hashed from (seed, client, request,
-/// attempt). Seeded, so a rerun of the same config sleeps the same —
-/// "jittered" here spreads *clients* apart, not runs.
-pub fn retry_backoff(seed: u64, client: usize, request: usize, attempt: u32) -> Duration {
-    let base_ms = 4u64.saturating_mul(1 << (attempt.saturating_sub(1)).min(5));
-    let mut h = fp_results::hash::Fnv64::new();
-    h.update_u64(seed)
-        .update_u64(client as u64)
-        .update_u64(request as u64)
-        .update_u64(u64::from(attempt));
-    let jitter = 0.5 + (h.finish() % 1000) as f64 / 1000.0;
-    Duration::from_micros((base_ms.min(100) as f64 * 1000.0 * jitter) as u64)
 }
 
 /// The live-graph phase: drive edge insertions through the session and
@@ -378,170 +333,162 @@ fn drive_mutation_phase(
     ))
 }
 
-/// Fan the workload out over `cfg.clients` threads, collect every
-/// per-request latency plus each client's retry count, and report the
-/// phase's wall time.
-fn drive_clients<W>(cfg: &LoadtestConfig, worker: W) -> Result<(Vec<u64>, u64, Duration), String>
-where
-    W: Fn(usize) -> Result<(Vec<u64>, u64), String> + Clone + Send + 'static,
-{
-    let started = Instant::now();
-    let mut workers = Vec::with_capacity(cfg.clients);
-    for client_idx in 0..cfg.clients {
-        let worker = worker.clone();
-        workers.push(
-            thread::Builder::new()
-                .name(format!("fp-loadtest-{client_idx}"))
-                .spawn(move || worker(client_idx))
-                .map_err(|e| format!("cannot spawn client thread: {e}"))?,
-        );
-    }
-    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.clients * cfg.requests);
-    let mut retries = 0u64;
-    for worker in workers {
-        let (lat, r) = worker
-            .join()
-            .map_err(|_| "client thread panicked".to_string())??;
-        latencies.extend(lat);
-        retries += r;
-    }
-    Ok((latencies, retries, started.elapsed()))
+/// How a client's queries reach the daemon.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// One frame connection per client for the whole phase.
+    Frame,
+    /// HTTP/1.1: one connection per client for the whole phase with
+    /// `keep_alive`; without it every request pays connect + close,
+    /// exactly what the daemon did before it honored keep-alive.
+    Http { keep_alive: bool },
 }
 
-/// One frame connection per client for the whole phase. A 408/503
-/// answer is retried up to `cfg.retries` times with seeded backoff
-/// ([`retry_backoff`]); the recorded latency covers the whole request
-/// including its retries, which is what a caller experiences.
-fn drive_frame_clients(
-    addr: SocketAddr,
-    session: &str,
-    cfg: &LoadtestConfig,
-    expected: &BTreeMap<usize, (Vec<usize>, u64)>,
-) -> Result<(Vec<u64>, u64, Duration), String> {
-    let session = session.to_string();
-    let expected = expected.clone();
-    let requests = cfg.requests;
-    let kmax = cfg.kmax;
-    let max_retries = cfg.retries;
-    let seed = cfg.seed;
-    drive_clients(cfg, move |client_idx| {
-        let mut client = ServeClient::connect(addr)?;
-        let mut latencies = Vec::with_capacity(requests);
-        let mut retries = 0u64;
-        for i in 0..requests {
-            let k = (client_idx + i) % (kmax + 1);
-            let sent = Instant::now();
-            let mut attempt = 0u32;
-            let reply = loop {
+/// One client's connection to the daemon, in its [`Mode`].
+enum Link {
+    Frame(ServeClient),
+    Http {
+        addr: SocketAddr,
+        keep_alive: bool,
+        conn: Option<(BufReader<TcpStream>, TcpStream)>,
+    },
+}
+
+impl Link {
+    fn open(addr: SocketAddr, mode: Mode) -> Result<Self, String> {
+        Ok(match mode {
+            Mode::Frame => Link::Frame(ServeClient::connect(addr)?),
+            Mode::Http { keep_alive } => Link::Http {
+                addr,
+                keep_alive,
+                conn: None,
+            },
+        })
+    }
+
+    /// Ask `session` for budget `k`: the reply's status and body.
+    fn query(&mut self, session: &str, k: usize) -> Result<(u16, Json), String> {
+        match self {
+            Link::Frame(client) => {
                 let reply = client.call(ServeCall::Query {
-                    session: session.clone(),
+                    session: session.to_string(),
                     ks: vec![k],
                     deadline_ms: None,
                 })?;
-                if !matches!(reply.status, 408 | 503) {
-                    break reply;
-                }
-                attempt += 1;
-                if attempt > max_retries {
-                    return Err(format!(
-                        "query k={k} still {} after {max_retries} retr{}: {}",
-                        reply.status,
-                        if max_retries == 1 { "y" } else { "ies" },
-                        reply.body.to_compact()
-                    ));
-                }
-                retries += 1;
-                thread::sleep(retry_backoff(seed, client_idx, i, attempt));
-            };
-            latencies.push(sent.elapsed().as_micros() as u64);
-            if reply.status != 200 {
-                return Err(format!("query k={k} failed: {}", reply.body.to_compact()));
+                Ok((reply.status, reply.body))
             }
-            verify_row(&reply.body, k, &expected)?;
+            Link::Http {
+                addr,
+                keep_alive,
+                conn,
+            } => http_query(*addr, *keep_alive, conn, session, k),
         }
-        client.hang_up()?;
-        Ok((latencies, retries))
-    })
+    }
 }
 
-/// HTTP clients. With `keep_alive` each client reuses one connection
-/// for the whole phase; without it every request pays connect + close
-/// — exactly what the daemon did before it honored keep-alive.
-fn drive_http_clients(
+/// One `GET /sessions/:id/placement?k=` over `conn`, connecting first
+/// if there is none; without `keep_alive` the connection closes after
+/// the reply.
+fn http_query(
+    addr: SocketAddr,
+    keep_alive: bool,
+    conn: &mut Option<(BufReader<TcpStream>, TcpStream)>,
+    session: &str,
+    k: usize,
+) -> Result<(u16, Json), String> {
+    if conn.is_none() {
+        let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect: {e}"))?;
+        // Without this, Nagle queues each small request behind the
+        // peer's delayed ACK and keep-alive connections eat a
+        // ~40 ms stall per round-trip.
+        let _ = stream.set_nodelay(true);
+        let reader = BufReader::new(
+            stream
+                .try_clone()
+                .map_err(|e| format!("cannot clone stream: {e}"))?,
+        );
+        *conn = Some((reader, stream));
+    }
+    let (reader, writer) = conn.as_mut().expect("connection just ensured");
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    // One write_all, not write!(stream, ...): the format macro would
+    // issue one syscall per fragment on a raw stream, and a
+    // multi-segment request is exactly what trips Nagle.
+    let request = format!(
+        "GET /sessions/{session}/placement?k={k} HTTP/1.1\r\n\
+         Host: loadtest\r\nConnection: {connection}\r\n\r\n"
+    );
+    writer
+        .write_all(request.as_bytes())
+        .and_then(|()| writer.flush())
+        .map_err(|e| format!("cannot write request: {e}"))?;
+    let (status, body) = read_http_reply(reader)?;
+    if !keep_alive {
+        *conn = None;
+    }
+    let body = Json::parse(&body).map_err(|e| format!("bad reply body: {e:?}"))?;
+    Ok((status, body))
+}
+
+/// Fan one phase out over `cfg.clients` threads, each running
+/// [`run_client`] in `mode`, and measure it.
+fn drive_clients(
     addr: SocketAddr,
     session: &str,
     cfg: &LoadtestConfig,
     expected: &BTreeMap<usize, (Vec<usize>, u64)>,
-    keep_alive: bool,
-) -> Result<(Vec<u64>, u64, Duration), String> {
-    let session = session.to_string();
-    let expected = expected.clone();
-    let requests = cfg.requests;
-    let kmax = cfg.kmax;
-    let max_retries = cfg.retries;
-    let seed = cfg.seed;
-    drive_clients(cfg, move |client_idx| {
-        let mut conn: Option<(BufReader<TcpStream>, TcpStream)> = None;
-        let mut latencies = Vec::with_capacity(requests);
-        let mut retries = 0u64;
-        for i in 0..requests {
-            let k = (client_idx + i) % (kmax + 1);
-            let sent = Instant::now();
-            let mut attempt = 0u32;
-            let (status, body) = loop {
-                if conn.is_none() {
-                    let stream =
-                        TcpStream::connect(addr).map_err(|e| format!("cannot connect: {e}"))?;
-                    // Without this, Nagle queues each small request behind
-                    // the peer's delayed ACK and keep-alive connections eat
-                    // a ~40 ms stall per round-trip.
-                    let _ = stream.set_nodelay(true);
-                    let reader = BufReader::new(
-                        stream
-                            .try_clone()
-                            .map_err(|e| format!("cannot clone stream: {e}"))?,
-                    );
-                    conn = Some((reader, stream));
-                }
-                let (reader, writer) = conn.as_mut().expect("connection just ensured");
-                let connection = if keep_alive { "keep-alive" } else { "close" };
-                // One write_all, not write!(stream, ...): the format macro
-                // would issue one syscall per fragment on a raw stream, and
-                // a multi-segment request is exactly what trips Nagle.
-                let request = format!(
-                    "GET /sessions/{session}/placement?k={k} HTTP/1.1\r\n\
-                     Host: loadtest\r\nConnection: {connection}\r\n\r\n"
-                );
-                writer
-                    .write_all(request.as_bytes())
-                    .and_then(|()| writer.flush())
-                    .map_err(|e| format!("cannot write request: {e}"))?;
-                let (status, body) = read_http_reply(reader)?;
-                if !keep_alive {
-                    conn = None;
-                }
-                if !matches!(status, 408 | 503) {
-                    break (status, body);
-                }
-                attempt += 1;
-                if attempt > max_retries {
-                    return Err(format!(
-                        "query k={k} still {status} after {max_retries} retr{} over http: {body}",
-                        if max_retries == 1 { "y" } else { "ies" },
-                    ));
-                }
-                retries += 1;
-                thread::sleep(retry_backoff(seed, client_idx, i, attempt));
-            };
-            latencies.push(sent.elapsed().as_micros() as u64);
-            if status != 200 {
-                return Err(format!("query k={k} failed over http: {body}"));
-            }
-            let body = Json::parse(&body).map_err(|e| format!("bad reply body: {e:?}"))?;
-            verify_row(&body, k, &expected)?;
+    mode: Mode,
+) -> Result<PhaseNumbers, String> {
+    let started = Instant::now();
+    let latencies = thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(cfg.clients);
+        for client in 0..cfg.clients {
+            workers.push(
+                thread::Builder::new()
+                    .name(format!("fp-loadtest-{client}"))
+                    .spawn_scoped(scope, move || {
+                        run_client(addr, session, cfg, expected, mode, client)
+                    })
+                    .map_err(|e| format!("cannot spawn client thread: {e}"))?,
+            );
         }
-        Ok((latencies, retries))
-    })
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        let mut latencies = Vec::with_capacity(cfg.clients * cfg.requests);
+        for lat in joined {
+            latencies.extend(lat.map_err(|_| "client thread panicked".to_string())??);
+        }
+        Ok::<_, String>(latencies)
+    })?;
+    Ok(PhaseNumbers::from_samples(latencies, started.elapsed()))
+}
+
+/// One client: `cfg.requests` queries with budgets cycling through
+/// `0..=kmax` from an offset of `client`, each reply checked against
+/// the batch answer; returns every round trip's latency.
+fn run_client(
+    addr: SocketAddr,
+    session: &str,
+    cfg: &LoadtestConfig,
+    expected: &BTreeMap<usize, (Vec<usize>, u64)>,
+    mode: Mode,
+    client: usize,
+) -> Result<Vec<u64>, String> {
+    let mut link = Link::open(addr, mode)?;
+    let mut latencies = Vec::with_capacity(cfg.requests);
+    for i in 0..cfg.requests {
+        let k = (client + i) % (cfg.kmax + 1);
+        let sent = Instant::now();
+        let (status, body) = link.query(session, k)?;
+        latencies.push(sent.elapsed().as_micros() as u64);
+        if status != 200 {
+            return Err(format!("query k={k} failed: {}", body.to_compact()));
+        }
+        verify_row(&body, k, expected)?;
+    }
+    if let Link::Frame(client) = link {
+        client.hang_up()?;
+    }
+    Ok(latencies)
 }
 
 /// Read one HTTP response: status line, headers, `Content-Length`
@@ -643,7 +590,6 @@ mod tests {
             kmax: 3,
             transport: Transport::Frame,
             mutations: 0,
-            retries: 0,
         };
         let report = run_loadtest(tiny_registry(), &cfg).unwrap();
         assert_eq!(report.total_requests, 40);
@@ -664,7 +610,6 @@ mod tests {
             kmax: 2,
             transport: Transport::Http,
             mutations: 0,
-            retries: 0,
         };
         let report = run_loadtest(tiny_registry(), &cfg).unwrap();
         assert_eq!(report.total_requests, 10, "per phase");
@@ -690,7 +635,6 @@ mod tests {
             kmax: 3,
             transport: Transport::Frame,
             mutations: 3,
-            retries: 0,
         };
         let report = run_loadtest(tiny_registry(), &cfg).unwrap();
         assert_eq!(report.mutations_applied, 3);
@@ -714,44 +658,6 @@ mod tests {
         };
         let err = run_loadtest(GraphRegistry::new(), &cfg).unwrap_err();
         assert!(err.contains("unknown graph"), "{err}");
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_jittered_and_capped() {
-        // Same inputs, same sleep — reruns are byte-reproducible.
-        assert_eq!(retry_backoff(7, 3, 11, 2), retry_backoff(7, 3, 11, 2));
-        // Different clients jitter apart.
-        assert_ne!(retry_backoff(7, 3, 11, 2), retry_backoff(7, 4, 11, 2));
-        for attempt in 1..=12 {
-            let d = retry_backoff(0, 0, 0, attempt);
-            let base = 4u64.saturating_mul(1 << (attempt - 1).min(5)).min(100);
-            let lo = Duration::from_micros(base * 500);
-            let hi = Duration::from_micros(base * 1500);
-            assert!(
-                d >= lo && d < hi,
-                "attempt {attempt}: {d:?} not in [{lo:?}, {hi:?})"
-            );
-        }
-        // The cap: attempt 6 and beyond sleep the same base (100ms max
-        // before jitter).
-        assert!(retry_backoff(0, 0, 0, 40) < Duration::from_millis(150));
-    }
-
-    #[test]
-    fn a_healthy_daemon_needs_no_retries_but_reports_the_count() {
-        let cfg = LoadtestConfig {
-            graph: "fig1".into(),
-            solver: SolverKind::GreedyAll,
-            seed: 0,
-            clients: 2,
-            requests: 4,
-            kmax: 2,
-            transport: Transport::Frame,
-            mutations: 0,
-            retries: 3,
-        };
-        let report = run_loadtest(tiny_registry(), &cfg).unwrap();
-        assert_eq!(report.retries_total, 0, "nothing to retry against");
     }
 
     #[test]

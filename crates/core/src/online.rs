@@ -205,10 +205,12 @@ impl OnlinePlacement {
 
 /// Pick up to `k` filters into `engine`'s empty filter set by CELF
 /// over deferred inserts, and leave the engine settled; returns the
-/// number of picks.
+/// number of picks. The loop's seed scan is its `celf.seed` span, and
+/// the final settle an `online.settle` span.
 fn celf_fill(engine: &mut ImpactEngine<'static, Wide128>, k: usize) -> usize {
     let mut celf = Celf::new(DeferredEngine::new(engine));
     let picks = celf.by_ref().take(k).count();
+    let _span = fp_obs::span("online.settle");
     celf.into_gains().settle();
     picks
 }

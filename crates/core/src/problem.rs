@@ -109,21 +109,6 @@ impl Problem {
         solve_ladder_with(solver.as_ref(), &self.cg, ks, seed)
     }
 
-    /// Run a solver on the full-recompute *oracle* path (fresh
-    /// `impacts()`/`phi_total` sweeps per round instead of the
-    /// incremental `ImpactEngine`). Placements are bit-identical to
-    /// [`Problem::solve`] — `tests/engine_equivalence.rs` holds every
-    /// solver to that on random DAGs, which is what keeps stored run
-    /// directories byte-stable across the engine rewrite.
-    pub fn solve_oracle(&self, kind: SolverKind, k: usize) -> FilterSet {
-        self.solve_oracle_seeded(kind, k, 0)
-    }
-
-    /// [`Problem::solve_oracle`] with an explicit seed.
-    pub fn solve_oracle_seeded(&self, kind: SolverKind, k: usize, seed: u64) -> FilterSet {
-        kind.place_oracle::<Wide128>(&self.cg, k, seed)
-    }
-
     /// `F(A)` for a placement.
     pub fn f_value(&self, filters: &FilterSet) -> Wide128 {
         self.cache.f_of(&self.cg, filters)
@@ -196,7 +181,7 @@ mod tests {
             for k in 0..=3 {
                 assert_eq!(
                     p.solve(kind, k).nodes(),
-                    p.solve_oracle(kind, k).nodes(),
+                    kind.place_oracle::<Wide128>(p.cgraph(), k, 0).nodes(),
                     "{kind:?} k={k}"
                 );
             }

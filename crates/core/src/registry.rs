@@ -347,18 +347,6 @@ impl GraphRegistry {
             .cloned()
     }
 
-    /// Look a graph up by structural hash (any name it was registered
-    /// under). Linear scan — registries hold tens of graphs, not
-    /// millions.
-    pub fn find_by_edge_hash(&self, edge_hash: &str) -> Option<Arc<GraphEntry>> {
-        self.graphs
-            .lock()
-            .expect("registry lock poisoned")
-            .values()
-            .find(|e| e.fingerprint.edge_hash == edge_hash)
-            .cloned()
-    }
-
     /// All entries, in name order (BTreeMap order ⇒ a stable listing).
     pub fn list(&self) -> Vec<Arc<GraphEntry>> {
         self.graphs
@@ -420,10 +408,6 @@ mod tests {
         assert_eq!(outcome, PutOutcome::Created);
         assert_eq!(entry.fingerprint.nodes, 3);
         assert!(Arc::ptr_eq(&entry, &reg.get("t").unwrap()));
-        assert!(reg
-            .find_by_edge_hash(&entry.fingerprint.edge_hash)
-            .is_some());
-        assert!(reg.find_by_edge_hash("0000000000000000").is_none());
     }
 
     #[test]

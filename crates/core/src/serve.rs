@@ -127,12 +127,6 @@ pub struct MutateOutcome {
     pub edges: usize,
     /// Whether the insertion forced a topological-order rebuild.
     pub reordered: bool,
-    /// How many leading ladder rungs the session predicts survive the
-    /// mutation and pre-warms (always 0 for solvers that are not
-    /// prefix-nested). A *hint only*: every rung is recomputed on the
-    /// mutated graph, so answers stay bit-identical to a cold session
-    /// regardless of this number.
-    pub retained_rungs: usize,
 }
 
 /// Why a session mutation was refused.
@@ -185,9 +179,6 @@ struct SessionStats {
     bytes_out: fp_obs::Counter,
     /// Structural mutations accepted by this session.
     mutations: fp_obs::Counter,
-    /// Total rungs predicted to survive across those mutations (the
-    /// pre-warm work saved, in units of one ladder rung).
-    rungs_retained: fp_obs::Counter,
 }
 
 impl SessionStats {
@@ -200,7 +191,6 @@ impl SessionStats {
             ("bytes_in", self.bytes_in.get().to_json()),
             ("bytes_out", self.bytes_out.get().to_json()),
             ("mutations", self.mutations.get().to_json()),
-            ("rungs_retained", self.rungs_retained.get().to_json()),
         ])
     }
 }
@@ -278,10 +268,10 @@ impl SessionHandle {
     /// solving the original).
     ///
     /// On success the worker rebuilds its solver session on the
-    /// mutated graph and pre-warms the predicted surviving ladder
-    /// prefix; later queries are bit-identical to a cold session
-    /// opened on that graph. Refused mutations
-    /// ([`MutateError::Conflict`]) change nothing.
+    /// mutated graph and warms budget 0, as a fresh session does; later
+    /// queries are bit-identical to a cold session opened on that
+    /// graph. Refused mutations ([`MutateError::Conflict`]) change
+    /// nothing.
     pub fn mutate(&self, m: Mutation) -> Result<MutateOutcome, MutateError> {
         *self.last_used.lock().expect("session lock poisoned") = Instant::now();
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -403,10 +393,9 @@ impl Epoch<'_> {
     fn mutate(&self, m: Mutation) -> Result<(CGraph, MutateOutcome), String> {
         m.validate(self.cg).map_err(|e| e.to_string())?;
         let mut next = self.cg.clone();
-        let (from, to, reordered) = match m {
+        let reordered = match m {
             Mutation::InsertEdge { from, to } => {
-                let reordered = next.insert_edge(from, to).map_err(|e| e.to_string())?;
-                (from, to, reordered)
+                next.insert_edge(from, to).map_err(|e| e.to_string())?
             }
             Mutation::RemoveEdge { from, to } => {
                 next.remove_edge(from, to);
@@ -422,32 +411,14 @@ impl Epoch<'_> {
                         ));
                     }
                 }
-                (from, to, false)
+                false
             }
             _ => return Err(format!("{m} is not an edge mutation")),
-        };
-        // The pre-warm hint: the longest prefix of picks disjoint from
-        // the mutation site and its downstream cone, whose received
-        // counts move. Picks upstream keep theirs, though their *order*
-        // can still shift — the rebuilt session recomputes every rung,
-        // so a wrong prediction costs warm-up time, never correctness.
-        let retained_rungs = match self.answers {
-            Answers::Ladder { .. } => {
-                let affected = fp_graph::reachable_from(next.csr(), to);
-                self.session
-                    .placement()
-                    .nodes()
-                    .iter()
-                    .take_while(|&&p| !affected.contains(p.index()) && p != from)
-                    .count()
-            }
-            Answers::Draws { .. } => 0,
         };
         let outcome = MutateOutcome {
             op: m.op(),
             edges: next.edge_count(),
             reordered,
-            retained_rungs,
         };
         Ok((next, outcome))
     }
@@ -456,8 +427,7 @@ impl Epoch<'_> {
 /// The session worker: one loop of epochs, one per graph version. The
 /// first epoch solves the registry's shared graph; an accepted mutation
 /// ends an epoch with the session's own mutated copy, on which the next
-/// epoch builds a fresh solver session and pre-warms the rungs predicted
-/// to survive.
+/// epoch builds a fresh solver session, warmed like the first.
 fn run_session(
     graph: &GraphEntry,
     solver: SolverKind,
@@ -468,7 +438,6 @@ fn run_session(
 ) {
     let solver_impl = solver.build::<Wide128>();
     let mut own: Option<CGraph> = None;
-    let mut warm_to = 0;
     loop {
         let cg = own.as_ref().unwrap_or_else(|| graph.problem.cgraph());
         let mut epoch = Epoch {
@@ -489,9 +458,8 @@ fn run_session(
         // The session's build and budget 0's FR read are the "warming"
         // work a fresh session pays up front (for a session without an
         // engine of its own, the read builds the forward kernel that
-        // later reads flip). After a mutation, the predicted surviving
-        // prefix is re-walked here too.
-        epoch.fill(warm_to, None);
+        // later reads flip).
+        epoch.fill(0, None);
         state.store(STATE_READY, Ordering::Release);
         let next = loop {
             let Ok(cmd) = rx.recv() else { return };
@@ -520,9 +488,7 @@ fn run_session(
                     let _span = fp_obs::span("session.mutate");
                     match epoch.mutate(m) {
                         Ok((next, outcome)) => {
-                            warm_to = outcome.retained_rungs;
                             stats.mutations.inc();
-                            stats.rungs_retained.add(warm_to as u64);
                             let _ = reply.send(Ok(outcome));
                             break next;
                         }
@@ -1059,7 +1025,6 @@ impl ApiState {
                             ("to", to.to_json()),
                             ("edges", out.edges.to_json()),
                             ("reordered", Json::Bool(out.reordered)),
-                            ("retained_rungs", out.retained_rungs.to_json()),
                         ]),
                     ),
                     Err(MutateError::Conflict(msg)) => (409, error_body(msg)),
@@ -1475,7 +1440,7 @@ fn route(req: &HttpRequest) -> Result<ServeCall, (u16, String)> {
         ("GET", ["sessions"]) => Ok(ServeCall::SessionList),
         ("POST", ["sessions"]) => {
             let solver = q("solver")?;
-            let solver = fp_results::solver_from_label(&solver).map_err(|e| (400, e))?;
+            let solver = SolverKind::from_label(&solver).map_err(|e| (400, e))?;
             Ok(ServeCall::SessionOpen {
                 graph: q("graph")?,
                 solver,
@@ -1955,7 +1920,7 @@ mod tests {
                     deadline_ms: None,
                 })
             };
-            // Warm the answers so the mutation has rungs to retain.
+            // Warm the answers the mutation makes stale.
             let (status, body) = query();
             assert_eq!(status, 200, "{solver:?}: {body:?}");
             let batch = fig1.problem.solve_ladder(solver, &ks, seed);
@@ -1973,17 +1938,6 @@ mod tests {
             );
             assert_eq!(body.expect("edges").unwrap().as_usize(), Some(10));
             assert_eq!(body.expect("reordered").unwrap(), &Json::Bool(false));
-            let retained = body.expect("retained_rungs").unwrap().as_usize();
-            match solver {
-                // Warm picks were [z2]; the insertion affects {z3, w},
-                // so the one warm rung is predicted to survive.
-                SolverKind::GreedyAll => assert_eq!(retained, Some(1)),
-                // Independent draws are never retained.
-                SolverKind::RandI | SolverKind::RandW => {
-                    assert_eq!(retained, Some(0), "{solver:?}");
-                }
-                _ => {}
-            }
             let (status, body) = query();
             assert_eq!(status, 200, "{solver:?}: {body:?}");
             let batch = mutated.solve_ladder(solver, &ks, seed);
@@ -2244,6 +2198,12 @@ mod tests {
                 seed: 7,
             }
         );
+        for unknown in ["wat", "G_ALL(lazy)"] {
+            let (status, msg) =
+                req("POST", &format!("/sessions?graph=g&solver={unknown}"), "").unwrap_err();
+            assert_eq!(status, 400, "{unknown}");
+            assert!(msg.contains("unknown solver"), "{msg}");
+        }
         assert_eq!(
             req("GET", "/sessions/abc/placement?k=3", "").unwrap(),
             ServeCall::Query {

@@ -997,23 +997,45 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
 /// assert_eq!(lazy.received(NodeId::new(6)).get(), 3);
 /// assert_eq!(lazy.settle().phi().get(), 9);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DeferredEngine<'a, C, E = ImpactEngine<'a, C>> {
     engine: E,
-    /// Forward nodes settled since the last insert was counted, and
-    /// whether any of those walks went dense: the next insert reports
-    /// them as its forward frontier.
-    settled: (usize, bool),
+    unreported: Unreported,
     _engine: PhantomData<ImpactEngine<'a, C>>,
+}
+
+/// Forward nodes a [`DeferredEngine`] settled since its last insert,
+/// and whether any of those walks went dense. The next insert reports
+/// them as its forward frontier; what is left when the wrapper drops
+/// (the re-scores after its last insert, a final settle) is reported
+/// then, as a forward walk of no mutation.
+#[derive(Debug)]
+struct Unreported {
+    walked: (usize, bool),
+    metrics: EngineMetrics,
+}
+
+impl Drop for Unreported {
+    fn drop(&mut self) {
+        let (nodes, dense) = self.walked;
+        if nodes > 0 {
+            self.metrics.forward_frontier.observe(nodes as u64);
+            self.metrics.dense_flips.add(u64::from(dense));
+        }
+    }
 }
 
 impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
     /// Take over an engine, owned or borrowed (every `ImpactEngine` is
     /// settled).
     pub fn new(engine: E) -> Self {
+        let metrics = engine.borrow().metrics.clone();
         Self {
             engine,
-            settled: (0, false),
+            unreported: Unreported {
+                walked: (0, false),
+                metrics,
+            },
             _engine: PhantomData,
         }
     }
@@ -1026,7 +1048,8 @@ impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
     /// Add `v` as a filter, deferring the forward pass; returns `true`
     /// if `v` was newly inserted. Counted in the engine's metrics like
     /// [`ImpactEngine::insert_filter`], with the nodes settled since
-    /// the previous insert as its forward frontier.
+    /// the previous insert as its forward frontier (the nodes settled
+    /// after the last insert are reported when the wrapper drops).
     ///
     /// # Panics
     /// Panics if `v` is out of range.
@@ -1043,7 +1066,7 @@ impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
         engine.gated[v.index()] = C::zero();
         engine.metrics.inserts.inc();
         let bwd = engine.update_backward(v, Drift::Shrink);
-        engine.observe(span, std::mem::take(&mut self.settled), bwd);
+        engine.observe(span, std::mem::take(&mut self.unreported.walked), bwd);
         true
     }
 
@@ -1054,8 +1077,8 @@ impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
         let cg = engine.graph.get();
         let through = v.map_or(usize::MAX, |v| cg.topo_position(v));
         let (nodes, dense) = engine.fwd.settle_through(cg, through, Drift::Shrink);
-        self.settled.0 += nodes;
-        self.settled.1 |= dense;
+        self.unreported.walked.0 += nodes;
+        self.unreported.walked.1 |= dense;
         engine
     }
 

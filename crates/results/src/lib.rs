@@ -49,7 +49,7 @@ pub mod store;
 pub mod sweep;
 
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use model::{solver_from_label, SolverSeries, SweepConfig, SweepResult};
+pub use model::{SolverSeries, SweepConfig, SweepResult};
 pub use net::{Chaos, ChaosAction, ChaosSpec, NetOptions, SweepListener};
 pub use runner::{available_cores, run_parallel, RunOutcome, RunnerOptions};
 pub use store::{DatasetFingerprint, GcPolicy, RunListEntry, RunManifest, RunStore, StoredRun};

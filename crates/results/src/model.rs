@@ -65,35 +65,6 @@ impl SweepResult {
     }
 }
 
-/// Every [`SolverKind`], for label round trips (superset of
-/// `SolverKind::PAPER_SET`).
-pub const ALL_SOLVERS: [SolverKind; 9] = [
-    SolverKind::GreedyAll,
-    SolverKind::LazyGreedyAll,
-    SolverKind::GreedyMax,
-    SolverKind::GreedyOne,
-    SolverKind::GreedyL,
-    SolverKind::RandW,
-    SolverKind::RandI,
-    SolverKind::RandK,
-    SolverKind::Betweenness,
-];
-
-/// Resolve a solver from its legend label, case-insensitively (the
-/// same rule the `fp` CLI uses for `--solver`).
-pub fn solver_from_label(label: &str) -> Result<SolverKind, String> {
-    ALL_SOLVERS
-        .into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(label))
-        .ok_or_else(|| {
-            let names: Vec<&str> = ALL_SOLVERS.iter().map(|k| k.label()).collect();
-            format!(
-                "unknown solver {label:?}; expected one of {}",
-                names.join(", ")
-            )
-        })
-}
-
 impl ToJson for SolverKind {
     fn to_json(&self) -> Json {
         Json::Str(self.label().to_string())
@@ -103,7 +74,7 @@ impl ToJson for SolverKind {
 impl FromJson for SolverKind {
     fn from_json(v: &Json) -> Result<Self, String> {
         let label = v.as_str().ok_or("solver must be a string label")?;
-        solver_from_label(label)
+        SolverKind::from_label(label)
     }
 }
 
@@ -241,7 +212,7 @@ mod tests {
             ks: vec![0, 3, 10_000],
             trials: 1,
             seed: u64::MAX,
-            solvers: vec![SolverKind::LazyGreedyAll, SolverKind::Betweenness],
+            solvers: vec![SolverKind::GreedyL, SolverKind::Betweenness],
         };
         let back =
             SweepConfig::from_json(&Json::parse(&cfg.to_json().to_compact()).unwrap()).unwrap();
@@ -263,12 +234,13 @@ mod tests {
 
     #[test]
     fn solver_labels_roundtrip() {
-        for kind in ALL_SOLVERS {
+        for kind in SolverKind::ALL {
             let back = SolverKind::from_json(&kind.to_json()).unwrap();
             assert_eq!(back, kind);
         }
-        assert!(solver_from_label("nope").is_err());
-        assert_eq!(solver_from_label("g_all").unwrap(), SolverKind::GreedyAll);
+        assert!(SolverKind::from_json(&Json::Str("G_ALL(lazy)".into())).is_err());
+        let lower = SolverKind::from_json(&Json::Str("g_all".into())).unwrap();
+        assert_eq!(lower, SolverKind::GreedyAll);
     }
 
     #[test]

@@ -35,9 +35,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The engine-backed solvers whose counter narrows.
-const NARROWING_KINDS: [SolverKind; 4] = [
+const NARROWING_KINDS: [SolverKind; 3] = [
     SolverKind::GreedyAll,
-    SolverKind::LazyGreedyAll,
     SolverKind::GreedyL,
     SolverKind::GreedyMax,
 ];

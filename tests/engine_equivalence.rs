@@ -26,7 +26,7 @@
 //!   the outcomes, stats and drift bits of the drop-then-argmax loop
 //!   its repairs replaced.
 
-use fp_core::algorithms::{GreedyAll, LazyGreedyAll, MultiGreedy, Solver};
+use fp_core::algorithms::{GreedyAll, MultiGreedy, Solver};
 use fp_core::datasets::erdos_renyi;
 use fp_core::num::Sat64;
 use fp_core::online::{mutation_stream, EventOutcome, OnlineConfig, OnlinePlacement, OnlineStats};
@@ -633,7 +633,6 @@ proptest! {
         let cg = CGraph::new(&g, s).unwrap();
         for kind in [
             SolverKind::GreedyAll,
-            SolverKind::LazyGreedyAll,
             SolverKind::GreedyMax,
             SolverKind::GreedyL,
         ] {
@@ -686,14 +685,15 @@ proptest! {
         p in 0.08f64..0.35,
         k in 0usize..6,
     ) {
-        // The strongest cross-check: CELF + engine, eager + engine, and
-        // eager + fresh sweeps all land on the same placement.
+        // The strongest cross-check: the CELF session on the engine,
+        // CELF on fresh sweeps and eager argmax on fresh sweeps all land
+        // on the same placement.
         let (g, s) = erdos_renyi::generate(14, p, seed);
         let cg = CGraph::new(&g, s).unwrap();
         let eager_oracle = GreedyAll::<Wide128>::place_full_recompute(&cg, k);
-        let eager_engine = GreedyAll::<Wide128>::new().place(&cg, k, 0);
-        let lazy_engine = LazyGreedyAll::<Wide128>::new().place(&cg, k, 0);
-        prop_assert_eq!(eager_engine.nodes(), eager_oracle.nodes());
-        prop_assert_eq!(lazy_engine.nodes(), eager_oracle.nodes());
+        let lazy_oracle = GreedyAll::<Wide128>::place_celf_full_recompute(&cg, k);
+        let session = GreedyAll::<Wide128>::new().place(&cg, k, 0);
+        prop_assert_eq!(session.nodes(), eager_oracle.nodes());
+        prop_assert_eq!(session.nodes(), lazy_oracle.nodes());
     }
 }

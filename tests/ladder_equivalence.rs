@@ -36,10 +36,9 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Every registry entry — the paper's seven plus the two extras.
-const ALL_KINDS: [SolverKind; 9] = [
+/// Every registry entry — the paper's seven plus Betweenness.
+const ALL_KINDS: [SolverKind; 8] = [
     SolverKind::GreedyAll,
-    SolverKind::LazyGreedyAll,
     SolverKind::GreedyMax,
     SolverKind::GreedyOne,
     SolverKind::GreedyL,
@@ -146,37 +145,33 @@ fn ladder_matches_for<C: Count>(
     Ok(())
 }
 
-/// Both Greedy_All solvers' ladders over `ks` against
+/// Greedy_All's ladder over `ks` against
 /// [`GreedyAll::place_full_recompute`] and [`filter_ratio`]:
 /// `(k, placement, FR bits)` equal at every rung, in `ks`'s order.
 fn greedy_all_ladders_match<C: Count>(
     cg: &CGraph,
     ks: &[usize],
 ) -> Result<(), proptest::TestCaseError> {
-    for kind in [SolverKind::GreedyAll, SolverKind::LazyGreedyAll] {
-        let ladder = solve_ladder_with(kind.build::<C>().as_ref(), cg, ks, 0);
-        prop_assert_eq!(ladder.len(), ks.len());
-        for ((k, placement, fr), &asked) in ladder.iter().zip(ks) {
-            prop_assert_eq!(*k, asked);
-            let oracle = GreedyAll::<C>::place_full_recompute(cg, asked);
-            prop_assert_eq!(
-                placement.nodes(),
-                oracle.nodes(),
-                "{:?} placement diverged at k={}",
-                kind,
-                asked
-            );
-            let expect = filter_ratio::<C>(cg, &oracle);
-            prop_assert_eq!(
-                fr.to_bits(),
-                expect.to_bits(),
-                "{:?} FR diverged at k={} ({} vs {})",
-                kind,
-                asked,
-                fr,
-                expect
-            );
-        }
+    let ladder = solve_ladder_with(SolverKind::GreedyAll.build::<C>().as_ref(), cg, ks, 0);
+    prop_assert_eq!(ladder.len(), ks.len());
+    for ((k, placement, fr), &asked) in ladder.iter().zip(ks) {
+        prop_assert_eq!(*k, asked);
+        let oracle = GreedyAll::<C>::place_full_recompute(cg, asked);
+        prop_assert_eq!(
+            placement.nodes(),
+            oracle.nodes(),
+            "placement diverged at k={}",
+            asked
+        );
+        let expect = filter_ratio::<C>(cg, &oracle);
+        prop_assert_eq!(
+            fr.to_bits(),
+            expect.to_bits(),
+            "FR diverged at k={} ({} vs {})",
+            asked,
+            fr,
+            expect
+        );
     }
     Ok(())
 }
@@ -330,7 +325,6 @@ proptest! {
         let cg = CGraph::new(&g, s).unwrap();
         for kind in [
             SolverKind::GreedyAll,
-            SolverKind::LazyGreedyAll,
             SolverKind::GreedyMax,
             SolverKind::GreedyOne,
             SolverKind::GreedyL,

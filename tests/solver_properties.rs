@@ -4,9 +4,8 @@
 //!   against brute force on random DAGs.
 //! * Objective laws: `F` is nonnegative, monotone, and submodular.
 //! * §4.1: the tree DP equals brute force on random c-trees.
-//! * Lazy (CELF) Greedy_All selects identically to the eager version.
 
-use fp_core::algorithms::{brute_force, tree_dp, GreedyAll, LazyGreedyAll, Solver};
+use fp_core::algorithms::{brute_force, tree_dp, GreedyAll, Solver};
 use fp_core::datasets::{erdos_renyi, tree_gen};
 use fp_core::prelude::*;
 use fp_core::propagation::{f_value, phi_total};
@@ -102,19 +101,6 @@ proptest! {
     }
 
     #[test]
-    fn lazy_greedy_matches_eager_on_random_dags(
-        seed in 0u64..3000,
-        p in 0.08f64..0.35,
-        k in 0usize..6,
-    ) {
-        let (g, s) = erdos_renyi::generate(20, p, seed);
-        let cg = CGraph::new(&g, s).unwrap();
-        let eager = GreedyAll::<Wide128>::new().place(&cg, k, 0);
-        let lazy = LazyGreedyAll::<Wide128>::new().place(&cg, k, 0);
-        prop_assert_eq!(eager.nodes(), lazy.nodes());
-    }
-
-    #[test]
     fn greedy_placements_never_include_dead_filters(
         seed in 0u64..3000,
         p in 0.08f64..0.3,
@@ -150,7 +136,6 @@ proptest! {
         let cg = CGraph::new(&g, s).unwrap();
         for kind in [
             SolverKind::GreedyAll,
-            SolverKind::LazyGreedyAll,
             SolverKind::GreedyMax,
             SolverKind::GreedyOne,
             SolverKind::GreedyL,
