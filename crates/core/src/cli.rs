@@ -432,8 +432,9 @@ fn cmd_sweep(flags: &HashMap<String, String>, input: Option<&str>) -> Result<Str
     let trace = trace_enable(flags);
     let mut header = String::new();
     let result = if let Some(spec) = streamed {
-        // Streamed path: generator → two-pass compact CSR under the
-        // memory budget → c-graph, no intermediate edge list. The
+        // Streamed path: generator → compact CSR under the memory
+        // budget (one pass when the targets never decrease, else two)
+        // → c-graph, no intermediate edge list. The
         // fingerprint hashes the CSR, which is bit-identical to the
         // materialized generator graph (each `generate` replays the
         // same stream into a DiGraph), so stored runs are

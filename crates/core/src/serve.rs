@@ -1038,7 +1038,10 @@ impl ApiState {
                     (404, error_body(format!("unknown session {session:?}")))
                 }
             }
-            ServeCall::Metrics => (200, metrics_json(&fp_obs::registry().snapshot())),
+            ServeCall::Metrics => {
+                fp_obs::metrics::record_process_rss();
+                (200, metrics_json(&fp_obs::registry().snapshot()))
+            }
             ServeCall::Stop => {
                 self.stop.store(true, Ordering::Release);
                 (200, Json::object([("stopping", Json::Bool(true))]))
@@ -1557,6 +1560,7 @@ fn serve_http_connection(
             && req.query.get("format").map(String::as_str) != Some("json")
         {
             fp_obs::counter("fp_serve_requests_total").inc();
+            fp_obs::metrics::record_process_rss();
             let text = fp_obs::registry().snapshot().to_prometheus_text();
             write_http_payload(
                 &mut writer,
@@ -2455,6 +2459,33 @@ mod tests {
             .unwrap()
             .get("fp_serve_requests_total")
             .is_some());
+
+        // Both snapshots carry the process RSS gauges, read just before
+        // (this test runs on Linux, where `/proc/self/status` exists).
+        let rss_of = |gauges: &Json| {
+            let bytes = |name| gauges.get(name).and_then(Json::as_u64).unwrap_or(0);
+            (
+                bytes("fp_process_rss_bytes"),
+                bytes("fp_process_peak_rss_bytes"),
+            )
+        };
+        for (how, gauges) in [
+            ("http", parsed.expect("gauges").unwrap()),
+            ("frame", frame_reply.body.expect("gauges").unwrap()),
+        ] {
+            let (rss, peak) = rss_of(gauges);
+            assert!(rss > 0 && peak >= rss, "{how}: rss {rss}, peak {peak}");
+        }
+        let text_gauge = |name: &str| {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.trim().parse::<u64>().ok())
+                .unwrap_or(0)
+        };
+        let (rss, peak) = (
+            text_gauge("fp_process_rss_bytes"),
+            text_gauge("fp_process_peak_rss_bytes"),
+        );
+        assert!(rss > 0 && peak >= rss, "text: rss {rss}, peak {peak}");
 
         client.hang_up().unwrap();
         handle.stop().unwrap();

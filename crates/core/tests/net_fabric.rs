@@ -365,9 +365,15 @@ fn cli_tcp_sweep_run_dir_matches_local_jobs_byte_for_byte() {
         String::from_utf8_lossy(&local.stderr)
     );
 
-    // The same sweep over TCP, fed by two workers.
+    // The same sweep over TCP, fed by two workers. The first holds its
+    // first reply (data frame 2; the hello is frame 1) for 2 s, so the
+    // sweep cannot end before the second has joined and served: alone,
+    // a fast first worker could finish every cell and leave the second
+    // to find the dispatcher gone. The delay also holds the writer its
+    // heartbeats share, so it stays under the dispatcher's 5 s
+    // heartbeat timeout.
     let dispatcher = CliDispatcher::start(sweep_args("3", "2", "run-tcp"), &work);
-    let w1 = spawn_worker(&dispatcher.addr, TOKEN, &[]);
+    let w1 = spawn_worker(&dispatcher.addr, TOKEN, &[("FP_CHAOS", "delay@2:2000")]);
     let w2 = spawn_worker(&dispatcher.addr, TOKEN, &[]);
     dispatcher.finish();
 

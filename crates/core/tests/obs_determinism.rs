@@ -92,23 +92,31 @@ fn freeze_span_records_which_order_was_kept() {
 }
 
 /// Every streamed build records a `stream.build` span with the node
-/// and edge counts its first pass found.
+/// and edge counts its first pass found, and how many passes it read:
+/// one for targets that never decrease, two otherwise.
 #[test]
 fn stream_build_span_records_nodes_and_edges() {
     let _guard = TRACER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let budget = MemBudget::unlimited();
-    let mut stream = VecStream::new(vec![(0, 1), (1, 2), (0, 2)], Some(5));
     fp_obs::tracer().enable();
-    let csr = Csr32::from_stream(&mut stream, &budget).unwrap();
+    for edges in [vec![(0, 1), (1, 2), (0, 2)], vec![(0, 2), (0, 1), (1, 2)]] {
+        let csr = Csr32::from_stream(&mut VecStream::new(edges, Some(5)), &budget).unwrap();
+        budget.release(csr.bytes());
+    }
     fp_obs::tracer().disable();
-    budget.release(csr.bytes());
     let builds: Vec<_> = fp_obs::tracer()
         .records()
         .into_iter()
         .filter(|r| r.name == "stream.build")
         .map(|r| r.args)
         .collect();
-    assert_eq!(builds, vec![vec![("nodes", 5), ("edges", 3)]]);
+    assert_eq!(
+        builds,
+        vec![
+            vec![("nodes", 5), ("edges", 3), ("passes", 1)],
+            vec![("nodes", 5), ("edges", 3), ("passes", 2)],
+        ]
+    );
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Stream-vs-materialized equivalence (the fp-scale contract): a graph
-//! built by `Csr32::from_stream` — chunked edges, two passes, u32
-//! indices, no intermediate edge `Vec` — must be *bit-identical* to the
-//! in-memory `Csr::from_digraph` path. Same adjacency in the same
-//! order, same topological order, same solver placements. Random DAGs,
-//! pinned by proptest.
+//! built by `Csr32::from_stream` — chunked edges, u32 indices, no
+//! intermediate edge `Vec`, one pass when the targets never decrease
+//! and two otherwise — must be *bit-identical* to the in-memory
+//! `Csr::from_digraph` path. Same adjacency in the same order, same
+//! topological order, same solver placements. Random DAGs, pinned by
+//! proptest: `dag_edges` lists ascend by source, so most take two
+//! passes, and sorted by target they take one.
 //!
 //! Also pins the budget accountant: a build that trips
 //! `BudgetExceeded` must release every reservation it made, leaving the
@@ -21,7 +23,7 @@ use fp_core::num::{Count, Sat64, Wide128};
 use fp_core::propagation::{
     phi_total, propagate, suffix_sensitivity, CGraph, FilterSet, ImpactEngine,
 };
-use fp_core::scale::{Csr32, MemBudget, ScaleError, VecStream};
+use fp_core::scale::{Csr32, EdgeSink, EdgeStream, MemBudget, ScaleError, VecStream};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -61,6 +63,35 @@ fn both_paths(n: usize, edges: &[(u32, u32)]) -> (CGraph, CGraph) {
     let streamed = CGraph::from_csr(csr32.into_csr(), NodeId::new(0)).expect("DAG");
     budget.release(bytes);
     (materialized, streamed)
+}
+
+/// A [`VecStream`] that counts its replays.
+struct Counted {
+    edges: VecStream,
+    replays: u32,
+}
+
+impl EdgeStream for Counted {
+    fn node_hint(&self) -> Option<u64> {
+        self.edges.node_hint()
+    }
+
+    fn replay(&mut self, sink: &mut EdgeSink<'_>) -> Result<(), ScaleError> {
+        self.replays += 1;
+        self.edges.replay(sink)
+    }
+}
+
+/// How many replays a streamed build of `edges` takes.
+fn build_replays(n: usize, edges: &[(u32, u32)]) -> u32 {
+    let budget = MemBudget::unlimited();
+    let mut stream = Counted {
+        edges: VecStream::new(edges.to_vec(), Some(n as u64)),
+        replays: 0,
+    };
+    let csr32 = Csr32::from_stream(&mut stream, &budget).expect("unlimited budget");
+    budget.release(csr32.bytes());
+    stream.replays
 }
 
 /// A permutation of `0..n` drawn from `seed` (Fisher–Yates over
@@ -207,6 +238,34 @@ proptest! {
         let edges = dag_edges(n, &raw);
         let (mat, st) = both_paths(n, &edges);
         prop_assert_eq!(mat.topo(), st.topo());
+    }
+
+    /// One-pass equivalence: the same DAGs, stably sorted by target,
+    /// build in one read of the stream (the record of pass 1 is the
+    /// in-lists, the out-lists their transpose), and the CSR, the topo
+    /// order and Greedy_All's placements equal the materialized build
+    /// of the same edge order.
+    #[test]
+    fn target_ordered_streams_build_in_one_pass_and_match(
+        n in 2usize..48,
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..96),
+    ) {
+        let mut edges = dag_edges(n, &raw);
+        edges.sort_by_key(|&(_, v)| v);
+        prop_assert_eq!(build_replays(n, &edges), 1);
+        let (mat, st) = both_paths(n, &edges);
+        prop_assert_eq!(mat.edge_count(), st.edge_count());
+        for v in 0..n {
+            let v = NodeId::new(v);
+            prop_assert_eq!(mat.csr().children(v), st.csr().children(v));
+            prop_assert_eq!(mat.csr().parents(v), st.csr().parents(v));
+        }
+        prop_assert_eq!(mat.topo(), st.topo());
+        for k in 0..=4usize {
+            let a = GreedyAll::<Wide128>::new().place(&mat, k, 0);
+            let b = GreedyAll::<Wide128>::new().place(&st, k, 0);
+            prop_assert_eq!(a.nodes(), b.nodes(), "GreedyAll k={}", k);
+        }
     }
 
     /// Placement equivalence: Greedy_All and Greedy_Max pick the same

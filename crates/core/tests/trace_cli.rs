@@ -70,5 +70,21 @@ fn traced_sweep_dumps_spans_and_trace_summary_aggregates_them() {
     let traced_table = traced_table.split_once('\n').unwrap().1;
     assert_eq!(traced_table, untraced);
 
+    // A streamed build names its path in the arg sums: the power-law
+    // generator emits each node's in-edges together, for ascending
+    // nodes, so it is read once; Erdős–Rényi streams are replayed.
+    for (dataset, passes) in [("power-law:2000:3:7", 1), ("erdos:300:0.02:7", 2)] {
+        let trace = format!("{}.trace.json", dataset.split(':').next().unwrap());
+        let sweep = format!("sweep --dataset {dataset} --kmax 1 --trials 1 --trace {trace}");
+        fp(&sweep.split(' ').collect::<Vec<_>>(), &dir);
+        let summary = fp(&["trace", "--summary", &trace], &dir);
+        let build = summary
+            .lines()
+            .find(|l| l.contains("stream.build"))
+            .unwrap_or_else(|| panic!("no stream.build row: {summary}"));
+        let token = format!("passes={passes}");
+        assert!(build.split_whitespace().any(|t| t == token), "{build}");
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
 }

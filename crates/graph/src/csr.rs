@@ -51,7 +51,8 @@ impl Csr {
     /// Assemble a snapshot directly from compressed-sparse-row arrays,
     /// skipping the [`DiGraph`] intermediary entirely. This is the entry
     /// point for streamed builders (`fp-scale`) that count degrees and
-    /// fill targets in two passes without ever holding an edge list.
+    /// fill targets in one or two passes without ever holding an edge
+    /// list.
     ///
     /// The caller must supply a *consistent* pair of directions: the
     /// multiset of `(u, v)` edges described by the out-arrays must equal

@@ -297,6 +297,31 @@ pub fn histogram(name: &str, bounds: &[u64]) -> Arc<Histogram> {
     registry().histogram(name, bounds)
 }
 
+/// Gauge name for the process's resident set size (`VmRSS`), in bytes.
+pub const PROCESS_RSS_GAUGE: &str = "fp_process_rss_bytes";
+/// Gauge name for the process's peak resident set size (`VmHWM`), in
+/// bytes.
+pub const PROCESS_PEAK_RSS_GAUGE: &str = "fp_process_peak_rss_bytes";
+
+/// Set the two process gauges from one read of `/proc/self/status`, so
+/// a snapshot taken next shows what the process holds beside what the
+/// budget ledger accounts. Where that file or either field is missing,
+/// the gauges are left out: neither is registered or changed.
+pub fn record_process_rss() {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    let bytes = |field: &str| {
+        let line = status.lines().find_map(|l| l.strip_prefix(field))?;
+        let kib: i64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+        kib.checked_mul(1024)
+    };
+    if let (Some(rss), Some(peak)) = (bytes("VmRSS:"), bytes("VmHWM:")) {
+        gauge(PROCESS_RSS_GAUGE).set(rss);
+        gauge(PROCESS_PEAK_RSS_GAUGE).set(peak);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

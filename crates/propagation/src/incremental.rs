@@ -368,12 +368,15 @@ pub enum Forward<C> {
 /// A counter that narrows ([`Count::NARROWS_TO_U64`]) first runs the
 /// pass in `u64`: unsaturated, that kernel is the solve's; saturated,
 /// the pass is redone at `C` and `fp_engine_u64_fallbacks_total`
-/// counts the fallback. Other counters run at `C` directly.
+/// counts the fallback. Other counters run at `C` directly. A declared
+/// kernel whose `Φ(∅,V)` saturates `C` too is counted in
+/// `fp_count_saturated_total`: its counts are clamped, not exact.
 pub fn unfiltered_forward<C: Count>(cg: &CGraph) -> Forward<C> {
     let empty = || FilterSet::empty(cg.node_count());
+    // Looked up before the pass so `/metrics` lists them from the first
+    // solve on, at zero until a fallback or a saturation.
+    let saturated = fp_obs::counter("fp_count_saturated_total");
     if C::NARROWS_TO_U64 {
-        // Looked up before the pass so `/metrics` lists it from the
-        // first narrowable solve on, at zero until a fallback.
         let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
         let fwd = IncrementalPropagation::<Sat64>::new(cg, empty());
         if !fwd.phi().is_saturated() {
@@ -381,7 +384,11 @@ pub fn unfiltered_forward<C: Count>(cg: &CGraph) -> Forward<C> {
         }
         fallbacks.inc();
     }
-    Forward::Declared(IncrementalPropagation::new(cg, empty()))
+    let fwd = IncrementalPropagation::<C>::new(cg, empty());
+    if fwd.phi().is_saturated() {
+        saturated.inc();
+    }
+    Forward::Declared(fwd)
 }
 
 #[cfg(test)]

@@ -11,8 +11,10 @@
 //!   every streamed dataset generator (see `fp-datasets`) implement it,
 //!   so no consumer ever needs the full edge list in memory at once.
 //! * [`Csr32`] — a compact compressed-sparse-row snapshot with `u32`
-//!   node indices built in two replays of a stream (degree-count pass,
-//!   then fill pass); no intermediate edge `Vec`.
+//!   node indices; no intermediate edge `Vec`. A stream whose targets
+//!   never decrease is read once: the degree-count pass also records
+//!   each edge's source, which is the in-list array, and the out-lists
+//!   are its transpose. Any other stream is replayed for a fill pass.
 //!   It converts into the workspace-wide [`fp_graph::Csr`] without
 //!   copying the adjacency arrays.
 //! * [`MemBudget`] — an explicit live-byte accountant with a hard cap:

@@ -44,7 +44,7 @@ where
     // Never committed: the ledger hands every reservation back on drop.
     let mut ledger = Ledger::new(budget);
     let (mut out_deg, mut in_deg) = (Vec::new(), Vec::new());
-    let first = count_degrees(stream, &mut ledger, &mut out_deg, &mut in_deg)?;
+    let first = count_degrees(stream, &mut ledger, &mut out_deg, &mut in_deg, None)?;
     let max_in_degree = in_deg.iter().copied().max().unwrap_or(0);
     let max_out_degree = out_deg.iter().copied().max().unwrap_or(0);
     let max_degree = in_deg

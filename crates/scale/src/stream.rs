@@ -2,9 +2,10 @@
 //!
 //! A stream emits its edges in a fixed, reproducible order into an
 //! [`EdgeSink`], which hands them on a bounded chunk at a time. A
-//! multi-pass consumer (the two-pass CSR builder, depth relaxation)
-//! replays the stream once per pass. Nothing in this contract ever
-//! requires the full edge list in memory.
+//! multi-pass consumer (the CSR builder on a stream whose targets
+//! decrease somewhere, depth relaxation) replays the stream once per
+//! pass. Nothing in this contract ever requires the full edge list in
+//! memory.
 
 use crate::ScaleError;
 use fp_graph::quote_input;
@@ -14,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 /// Edges an [`EdgeSink`] buffers before handing them on (1 MiB of
 /// `(u32, u32)` pairs).
-const CHUNK: usize = 128 * 1024;
+pub(crate) const CHUNK: usize = 128 * 1024;
 
 /// A replayable producer of `(source, target)` edges over `u32` ids.
 ///
