@@ -16,10 +16,10 @@
 //!                     are identical traced or not)
 //!
 //! cargo run --release -p fp-bench --bin repro -- baseline [--fast] [--out FILE] [--trace FILE]
-//!     time every figure once and write a BENCH_baseline.json document
-//!     (default: stdout) of per-figure walls; each figure runs with one
-//!     sweep thread per core and no budget, so --jobs and --budget are
-//!     refused here
+//!     time every figure 5 times and write a BENCH_baseline.json document
+//!     (default: stdout) of per-figure median, min and max walls; each
+//!     run has one sweep thread per core and no budget, so --jobs and
+//!     --budget are refused here
 //! ```
 
 use fp_core::cli::{parse_count, MAX_PARALLEL};

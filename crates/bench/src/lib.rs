@@ -3,8 +3,9 @@
 //! Each `figNN_with` function computes the data series of the
 //! corresponding figure in the paper's §5 and returns it as a formatted
 //! table. EXPERIMENTS.md records the expected shapes and how they
-//! compare to the paper. [`baseline_json`] times every figure once
-//! (`repro baseline`); the speed of the system itself is measured by
+//! compare to the paper. [`baseline_json`] times every figure
+//! [`BASELINE_REPEATS`] times (`repro baseline`); the speed of the
+//! system itself is measured by
 //! the `perfbench/` workloads, not here.
 //!
 //! Figures run inside a [`ReproSession`], which carries the
@@ -356,25 +357,39 @@ pub fn figure_text(tables: &[(String, Table)]) -> String {
 /// sparse shape).
 pub const SCALING_LADDER: [usize; 4] = [25, 50, 100, 200];
 
-/// Time every figure at the given scale and render the walls as the
-/// `BENCH_baseline.json` document (schema 7; see that file at the repo
-/// root for the checked-in reference run). Each figure runs in a fresh
-/// ephemeral session: no store, no budget, one sweep thread per core.
+/// How many times [`baseline_json`] runs each figure. One wall moved
+/// by up to 2× between identical runs, so the document keeps the
+/// median with the minimum and maximum beside it.
+pub const BASELINE_REPEATS: usize = 5;
+
+/// Time every figure at the given scale, [`BASELINE_REPEATS`] times
+/// each, and render the walls as the `BENCH_baseline.json` document
+/// (schema 8; see that file at the repo root for the checked-in
+/// reference run): per figure the median wall (`wall_secs`) and the
+/// fastest and slowest run. Each run is a fresh ephemeral session: no
+/// store, no budget, one sweep thread per core.
 pub fn baseline_json(scale: f64) -> Result<Json, String> {
     let mut entries = Vec::new();
     for name in FIGURES {
-        let session = ReproSession::ephemeral(scale);
-        let start = Instant::now();
-        let tables = session.run_figure(name)?;
-        let wall = start.elapsed().as_secs_f64();
+        let mut walls = Vec::with_capacity(BASELINE_REPEATS);
+        let mut tables = 0;
+        for _ in 0..BASELINE_REPEATS {
+            let session = ReproSession::ephemeral(scale);
+            let start = Instant::now();
+            tables = session.run_figure(name)?.len();
+            walls.push(start.elapsed().as_secs_f64());
+        }
+        walls.sort_by(f64::total_cmp);
         entries.push(Json::object([
             ("name", name.to_string().to_json()),
-            ("wall_secs", Json::Float(wall)),
-            ("tables", tables.len().to_json()),
+            ("wall_secs", Json::Float(walls[BASELINE_REPEATS / 2])),
+            ("min_secs", Json::Float(walls[0])),
+            ("max_secs", Json::Float(walls[BASELINE_REPEATS - 1])),
+            ("tables", tables.to_json()),
         ]));
     }
     Ok(Json::object([
-        ("schema", "fp-bench-baseline/7".to_string().to_json()),
+        ("schema", "fp-bench-baseline/8".to_string().to_json()),
         (
             "tool",
             concat!("fp-bench ", env!("CARGO_PKG_VERSION"))
@@ -383,7 +398,8 @@ pub fn baseline_json(scale: f64) -> Result<Json, String> {
         ),
         (
             "note",
-            "wall-clock per repro figure; compare like-for-like scale and cores only"
+            "median wall-clock per repro figure over `repeats` runs, with the min and max; \
+             compare like-for-like scale and cores only"
                 .to_string()
                 .to_json(),
         ),
@@ -397,6 +413,7 @@ pub fn baseline_json(scale: f64) -> Result<Json, String> {
         ),
         ("cores", fp_results::available_cores().to_json()),
         ("scale", Json::Float(scale)),
+        ("repeats", BASELINE_REPEATS.to_json()),
         ("entries", Json::Array(entries)),
     ]))
 }

@@ -792,6 +792,11 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<String, String> {
 const GEN_SPEC_GRAMMAR: &str = "power-law:NODES:DEGREE:SEED, erdos:NODES:P:SEED, \
      layered-sparse:SEED, layered-dense:SEED, citation:SEED, twitter:SCALE:SEED";
 
+/// The most coin flips an `erdos:` spec may ask for. Its generator flips
+/// one per node pair on every replay, n(n−1)/2 of them, so this caps
+/// the node count at 23,170.
+const MAX_ERDOS_FLIPS: u128 = 1 << 28;
+
 /// Parse a `--gen SPEC` into a boxed [`EdgeStream`] plus the graph's
 /// propagation source. Each generator's `generate` replays this same
 /// stream into a `DiGraph`, so a CSR built from it is bit-identical to
@@ -829,11 +834,15 @@ fn parse_gen_spec(spec: &str) -> Result<(Box<dyn EdgeStream>, NodeId), String> {
             if !(0.0..=1.0).contains(&p) {
                 return Err(bad("edge probability must be in [0, 1]".into()));
             }
-            let s = fp_datasets::erdos_renyi::ErdosRenyiStream::new(
-                usize_of(n, "node count")?,
-                p,
-                u64_of(seed, "seed")?,
-            );
+            let n = usize_of(n, "node count")?;
+            let flips = n as u128 * n.saturating_sub(1) as u128 / 2;
+            if flips > MAX_ERDOS_FLIPS {
+                return Err(bad(format!(
+                    "node count {n} asks for {flips} coin flips (one per node pair), \
+                     over the limit of {MAX_ERDOS_FLIPS} (2^28, at most 23170 nodes)"
+                )));
+            }
+            let s = fp_datasets::erdos_renyi::ErdosRenyiStream::new(n, p, u64_of(seed, "seed")?);
             let source = s.source();
             Ok((Box::new(s), source))
         }
@@ -1365,9 +1374,9 @@ pub const USAGE: &str =
             --stats true reports nodes/edges/max degree/depth, reading the
             input more than once, so a pipe is refused; otherwise edges
             stream to --out FILE as numeric `source target` lines.
-            SPEC is one of power-law:NODES:DEGREE:SEED, erdos:NODES:P:SEED,
-            layered-sparse:SEED, layered-dense:SEED, citation:SEED,
-            twitter:SCALE:SEED)
+            SPEC is one of power-law:NODES:DEGREE:SEED, erdos:NODES:P:SEED
+            (at most 23170 nodes), layered-sparse:SEED, layered-dense:SEED,
+            citation:SEED, twitter:SCALE:SEED)
   serve    [--addr HOST:PORT] [--ttl-secs N] [--max-sessions N] [--mem-budget BYTES] [--trace FILE]
            (long-running placement daemon: frame + HTTP transports on one port,
             built-in graphs preloaded, warm sessions per (graph, solver, seed),
@@ -1838,6 +1847,29 @@ mod tests {
         let tail = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(tail(&from_file), tail(&from_gen));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn erdos_specs_are_bounded_before_any_replay() {
+        // 23,170 nodes is 268,412,865 pairs, the largest count under
+        // 2^28; parsing builds the stream without replaying it.
+        assert!(parse_gen_spec("erdos:23170:0.001:1").is_ok());
+        for spec in ["erdos:23171:0.001:1", "erdos:100000:0.00001:1"] {
+            let err = parse_gen_spec(spec).err().expect(spec);
+            assert!(err.contains("268435456") && err.contains("23170"), "{err}");
+        }
+        let err = run_with_input(
+            &args(&[
+                "dataset",
+                "--gen",
+                "erdos:100000:0.00001:1",
+                "--stats",
+                "true",
+            ]),
+            "",
+        )
+        .unwrap_err();
+        assert!(err.contains("4999950000 coin flips"), "{err}");
     }
 
     #[test]

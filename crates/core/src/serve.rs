@@ -386,48 +386,42 @@ impl Epoch<'_> {
         }
     }
 
-    /// Apply one edge mutation to a copy of the epoch's graph under the
+    /// Check one edge mutation of the epoch's graph against the
     /// engine's edge rules ([`Mutation::validate`]) plus serve's own: a
     /// removal may not leave a node any answer of the epoch placed
-    /// unreachable from the source. A refusal leaves the epoch as it was.
-    fn mutate(&self, m: Mutation) -> Result<(CGraph, MutateOutcome), String> {
+    /// unreachable from the source. Nothing is edited here, so a
+    /// refusal leaves the epoch as it was; the session applies an
+    /// accepted mutation to its own copy once the epoch ends.
+    fn mutate(&self, m: Mutation) -> Result<(), String> {
         m.validate(self.cg).map_err(|e| e.to_string())?;
-        let mut next = self.cg.clone();
-        let reordered = match m {
-            Mutation::InsertEdge { from, to } => {
-                next.insert_edge(from, to).map_err(|e| e.to_string())?
-            }
+        match m {
+            Mutation::InsertEdge { .. } => Ok(()),
             Mutation::RemoveEdge { from, to } => {
-                next.remove_edge(from, to);
                 let placed: &[NodeId] = match &self.answers {
                     Answers::Ladder { .. } => self.session.placement().nodes(),
                     Answers::Draws { widest, .. } => widest,
                 };
                 if !placed.is_empty() {
-                    let reach = fp_graph::reachable_from(next.csr(), next.source());
+                    let csr = self.cg.csr();
+                    let reach = fp_graph::reachable_without_edge(csr, self.cg.source(), (from, to));
                     if let Some(lost) = placed.iter().find(|p| !reach.contains(p.index())) {
                         return Err(format!(
                             "removing edge {from} -> {to} would orphan placed filter {lost}"
                         ));
                     }
                 }
-                false
+                Ok(())
             }
-            _ => return Err(format!("{m} is not an edge mutation")),
-        };
-        let outcome = MutateOutcome {
-            op: m.op(),
-            edges: next.edge_count(),
-            reordered,
-        };
-        Ok((next, outcome))
+            _ => Err(format!("{m} is not an edge mutation")),
+        }
     }
 }
 
 /// The session worker: one loop of epochs, one per graph version. The
-/// first epoch solves the registry's shared graph; an accepted mutation
-/// ends an epoch with the session's own mutated copy, on which the next
-/// epoch builds a fresh solver session, warmed like the first.
+/// first epoch solves the registry's shared graph. An accepted mutation
+/// ends an epoch and is then applied in place to the session's own
+/// copy, which the first one clones from the registry; the next epoch
+/// builds a fresh solver session on that copy, warmed like the first.
 fn run_session(
     graph: &GraphEntry,
     solver: SolverKind,
@@ -461,7 +455,7 @@ fn run_session(
         // later reads flip).
         epoch.fill(0, None);
         state.store(STATE_READY, Ordering::Release);
-        let next = loop {
+        let (m, reply, span) = loop {
             let Ok(cmd) = rx.recv() else { return };
             match cmd {
                 SessionCmd::Query {
@@ -485,13 +479,9 @@ fn run_session(
                     let _ = reply.send(out);
                 }
                 SessionCmd::Mutate { m, reply } => {
-                    let _span = fp_obs::span("session.mutate");
+                    let span = fp_obs::span("session.mutate");
                     match epoch.mutate(m) {
-                        Ok((next, outcome)) => {
-                            stats.mutations.inc();
-                            let _ = reply.send(Ok(outcome));
-                            break next;
-                        }
+                        Ok(()) => break (m, reply, span),
                         Err(msg) => {
                             let _ = reply.send(Err(MutateError::Conflict(msg)));
                         }
@@ -500,10 +490,29 @@ fn run_session(
                 SessionCmd::Stop => return,
             }
         };
-        // The epoch's session borrows the graph `next` replaces.
+        // The epoch's session borrows the graph the mutation edits.
         drop(epoch);
         state.store(STATE_WARMING, Ordering::Release);
-        own = Some(next);
+        let cg = own.get_or_insert_with(|| graph.problem.cgraph().clone());
+        let reordered = match m {
+            Mutation::InsertEdge { from, to } => match cg.insert_edge(from, to) {
+                Ok(reordered) => reordered,
+                Err(e) => unreachable!("checked edge insertion cannot fail: {e}"),
+            },
+            Mutation::RemoveEdge { from, to } => {
+                let removed = cg.remove_edge(from, to);
+                debug_assert!(removed, "existence checked");
+                false
+            }
+            _ => unreachable!("only edge mutations are accepted"),
+        };
+        stats.mutations.inc();
+        let _ = reply.send(Ok(MutateOutcome {
+            op: m.op(),
+            edges: cg.edge_count(),
+            reordered,
+        }));
+        drop(span);
     }
 }
 
@@ -1961,6 +1970,52 @@ mod tests {
             );
         }
         // The registry's shared entry is untouched.
+        assert_eq!(fig1.problem.cgraph().edge_count(), 9);
+    }
+
+    #[test]
+    fn later_mutations_edit_the_session_copy_in_place() {
+        // Three mutations on one session: after each, every answer is
+        // bit-identical to a batch solve on the graph mutated the same
+        // way. Only the first clones the registry's graph.
+        let api = api();
+        let ks: Vec<usize> = vec![0, 1, 2, 3];
+        let seed = 5;
+        let fig1 = api.registry().get("fig1").unwrap();
+        for solver in SolverKind::PAPER_SET {
+            let id = open_session(&api, solver, seed);
+            let mut cg = fig1.problem.cgraph().clone();
+            // fig1 labels by first appearance: s=0 x=1 y=2 z1=3 z2=4 z3=5 w=6.
+            for (mutation, (from, u), (to, v), edges) in [
+                ("insert_edge", ("z1", 3), ("z3", 5), 10),
+                ("insert_edge", ("x", 1), ("z3", 5), 11),
+                ("remove_edge", ("y", 2), ("z3", 5), 10),
+            ] {
+                let (status, body) = api.handle(&ServeCall::Mutate {
+                    session: id.clone(),
+                    mutation: mutation.into(),
+                    from: from.into(),
+                    to: to.into(),
+                });
+                assert_eq!(status, 200, "{solver:?} {mutation}: {body:?}");
+                assert_eq!(body.expect("edges").unwrap().as_usize(), Some(edges));
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                if mutation == "insert_edge" {
+                    cg.insert_edge(u, v).unwrap();
+                } else {
+                    assert!(cg.remove_edge(u, v));
+                }
+                let (status, body) = api.handle(&ServeCall::Query {
+                    session: id.clone(),
+                    ks: ks.clone(),
+                    deadline_ms: None,
+                });
+                assert_eq!(status, 200, "{solver:?}: {body:?}");
+                let batch = Problem::from_cgraph(cg.clone()).solve_ladder(solver, &ks, seed);
+                assert_matches_batch(&body, batch, &format!("{solver:?} after {mutation}"));
+            }
+            api.handle(&ServeCall::SessionClose { session: id });
+        }
         assert_eq!(fig1.problem.cgraph().edge_count(), 9);
     }
 

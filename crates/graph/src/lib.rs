@@ -36,7 +36,7 @@ pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::NodeId;
 pub use io::{from_edge_list, quote_input, to_dot, to_edge_list};
-pub use reach::reachable_from;
+pub use reach::{reachable_from, reachable_without_edge};
 pub use source::{sinks, sources};
 pub use topo::{is_topological_order, topo_order};
 pub use traversal::{dfs_from, DfsResult};

@@ -119,11 +119,13 @@ impl CGraph {
         self.csr.nodes()
     }
 
-    /// Add the edge `u → v`, re-freezing the adjacency structure.
+    /// Add the edge `u → v`.
     ///
     /// Returns `Ok(reordered)`: `false` when the cached topological
     /// order already places `u` before `v` (the common case for stream
-    /// workloads) and was kept, `true` when the order had to be rebuilt.
+    /// workloads) and was kept, the edge spliced in place at amortised
+    /// O(degree) ([`Csr::splice_edge`]); `true` when the order had to
+    /// be rebuilt, which thaws and refreezes the whole graph.
     /// Fails — leaving the graph untouched — on out-of-range endpoints,
     /// self-loops, and insertions that would create a cycle.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<bool, GraphError> {
@@ -159,7 +161,8 @@ impl CGraph {
     /// Remove one occurrence of `u → v`; returns whether it existed.
     ///
     /// Removing an edge can never invalidate a topological order, so
-    /// the cached order is always kept and the CSR is edited in place.
+    /// the cached order is always kept and the CSR is edited in place
+    /// ([`Csr::unsplice_edge`]).
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         self.csr.unsplice_edge(u, v)
     }

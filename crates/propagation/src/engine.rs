@@ -27,9 +27,12 @@
 //! changes die out, so a greedy round after the first costs
 //! O(n + affected ∪ ancestors-of-pick) instead of O(|E|), with **zero
 //! per-round allocation**: the frontier flags and value vectors are
-//! sized once, at construction. Structural mutations additionally re-freeze the adjacency snapshot
-//! (O(|E|)), cloning the graph on the first such mutation when the
-//! engine was built over a shared borrow.
+//! sized once, at construction. Edge mutations also edit the adjacency
+//! lists in place ([`CGraph::insert_edge`] / [`CGraph::remove_edge`]),
+//! at amortised O(degree) once the graph is in the CSR's slot layout.
+//! An engine built over a shared borrow clones the graph on its first
+//! edge mutation (O(|E| + n), once), and that first edit moves the
+//! copy into the slot layout (O(n), once).
 //!
 //! [`ImpactEngine::clear_filters`] drops every filter in one walk per
 //! direction, the batched form of one `RemoveFilter` per filter.
@@ -48,7 +51,7 @@ use crate::incremental::IncrementalPropagation;
 use crate::{CGraph, FilterSet};
 use fp_graph::NodeId;
 use fp_num::Count;
-use std::borrow::BorrowMut;
+use std::borrow::{BorrowMut, Cow};
 use std::marker::PhantomData;
 
 /// One reverse-topological sweep filling `suffix` and its gated shadow
@@ -466,36 +469,6 @@ pub(crate) enum Drift {
     Grow,
 }
 
-/// The graph an engine computes over: borrowed until the first
-/// *structural* mutation, then a private owned copy (clone-on-write).
-/// Filter mutations never trigger the clone — only edge mutations
-/// diverge the adjacency structure from the caller's graph.
-#[derive(Clone, Debug)]
-enum EngineGraph<'a> {
-    Shared(&'a CGraph),
-    Owned(CGraph),
-}
-
-impl EngineGraph<'_> {
-    #[inline]
-    fn get(&self) -> &CGraph {
-        match self {
-            Self::Shared(cg) => cg,
-            Self::Owned(cg) => cg,
-        }
-    }
-
-    fn make_owned(&mut self) -> &mut CGraph {
-        if let Self::Shared(cg) = *self {
-            *self = Self::Owned(cg.clone());
-        }
-        match self {
-            Self::Owned(cg) => cg,
-            Self::Shared(_) => unreachable!("just made owned"),
-        }
-    }
-}
-
 /// Exact marginal impacts `I(v|A)` maintained incrementally under
 /// [`ImpactEngine::apply`].
 ///
@@ -520,7 +493,12 @@ impl EngineGraph<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ImpactEngine<'a, C> {
-    graph: EngineGraph<'a>,
+    /// The graph an engine computes over: borrowed until the first
+    /// *structural* mutation, then a private owned copy
+    /// (clone-on-write). Filter mutations never trigger the clone —
+    /// only edge mutations diverge the adjacency structure from the
+    /// caller's graph.
+    graph: Cow<'a, CGraph>,
     /// The forward half: the filter set, received/emitted and Φ.
     fwd: IncrementalPropagation<C>,
     /// The backward half: suffix sensitivities, their gated shadow and
@@ -549,7 +527,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// sweep runs. This is how a solver that sized its counter from a
     /// forward pass keeps that pass as the engine's forward half.
     pub fn from_forward(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
-        Self::init(EngineGraph::Shared(cg), fwd)
+        Self::init(Cow::Borrowed(cg), fwd)
     }
 
     /// Like [`ImpactEngine::new`], but taking ownership of the graph:
@@ -558,13 +536,13 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// mutations never clone.
     pub fn from_owned(cg: CGraph, filters: FilterSet) -> ImpactEngine<'static, C> {
         let fwd = IncrementalPropagation::new(&cg, filters);
-        ImpactEngine::init(EngineGraph::Owned(cg), fwd)
+        ImpactEngine::init(Cow::Owned(cg), fwd)
     }
 
     /// The shared cold-start around a built forward kernel: the
     /// backward O(|E|) sweep.
-    fn init(graph: EngineGraph<'a>, fwd: IncrementalPropagation<C>) -> Self {
-        let cg = graph.get();
+    fn init(graph: Cow<'a, CGraph>, fwd: IncrementalPropagation<C>) -> Self {
+        let cg = &*graph;
         let (suffix, gated) = init_suffix_gated(cg, fwd.filters());
         let backward = DirtyFrontier::new(cg.node_count());
         Self {
@@ -581,13 +559,13 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// engine's private (mutated) copy, not the graph it was built
     /// from.
     pub fn cgraph(&self) -> &CGraph {
-        self.graph.get()
+        &self.graph
     }
 
     /// Whether the engine has diverged onto its own copy of the graph
     /// (true once any structural mutation has been applied).
     pub fn owns_graph(&self) -> bool {
-        matches!(self.graph, EngineGraph::Owned(_))
+        matches!(self.graph, Cow::Owned(_))
     }
 
     /// Current filter set.
@@ -633,7 +611,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// for the source and for nodes already in `A`. O(1) — one
     /// subtraction and one multiplication on current state.
     pub fn impact(&self, v: NodeId) -> C {
-        if v == self.graph.get().source() || self.filters().contains(v) {
+        if v == self.graph.source() || self.filters().contains(v) {
             return C::zero();
         }
         self.fwd
@@ -646,7 +624,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// element-for-element what [`crate::impacts`] returns).
     pub fn impacts_into(&self, out: &mut Vec<C>) {
         out.clear();
-        let n = self.graph.get().node_count();
+        let n = self.graph.node_count();
         out.extend((0..n).map(|v| self.impact(NodeId::new(v))));
     }
 
@@ -654,7 +632,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// order: one O(n) scan, no allocation.
     pub fn positive_impacts(&self) -> impl Iterator<Item = (NodeId, C)> + '_ {
         let one = C::one();
-        self.graph.get().nodes().filter_map(move |v| {
+        self.graph.nodes().filter_map(move |v| {
             // `(recv − 1)₊ × gated` equals `impact`: the gated entry is
             // already zero for the source and for members of `A`, and
             // multiplying by zero is zero for every counter type.
@@ -686,13 +664,16 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// and suffix sensitivities upstream of the mutation site, each
     /// under the mutation's drift direction. Filter mutations are
     /// O(affected ∪ ancestors) and allocation-free; edge mutations
-    /// additionally re-freeze the adjacency snapshot (O(|E|)), cloning
-    /// the graph on first divergence. Rejected mutations (see
+    /// additionally edit the adjacency lists of both endpoints in place
+    /// (amortised O(degree)), after cloning the graph on first
+    /// divergence. A backward insert, which the cached topological
+    /// order does not admit, refreezes the whole graph instead
+    /// ([`ApplyOutcome::reordered`]). Rejected mutations (see
     /// [`Mutation::validate`]) leave the engine untouched.
     pub fn apply(&mut self, m: Mutation) -> Result<ApplyOutcome, MutationError> {
         // Checked before any clone-on-write, so a rejection never has
         // to be rolled back.
-        m.validate(self.graph.get())?;
+        m.validate(&self.graph)?;
         let mut reordered = false;
         let (span, (fwd, fwd_dense), (bwd, bwd_dense)) = match m {
             Mutation::InsertFilter(v) => {
@@ -706,7 +687,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 self.metrics.inserts.inc();
                 (
                     span,
-                    self.fwd.flip_filter(self.graph.get(), v, Drift::Shrink),
+                    self.fwd.flip_filter(&self.graph, v, Drift::Shrink),
                     self.update_backward(v, Drift::Shrink),
                 )
             }
@@ -717,37 +698,37 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
                 let span = fp_obs::span("engine.remove_filter");
                 // `v`'s gate reopens: parents see its (unchanged)
                 // suffix again.
-                if v != self.graph.get().source() {
+                if v != self.graph.source() {
                     self.gated[v.index()] = self.suffix[v.index()].clone();
                 }
                 (
                     span,
-                    self.fwd.flip_filter(self.graph.get(), v, Drift::Grow),
+                    self.fwd.flip_filter(&self.graph, v, Drift::Grow),
                     self.update_backward(v, Drift::Grow),
                 )
             }
-            // An edge span opens before the adjacency edit, which costs
-            // O(|E| + n) and belongs to the mutation.
+            // An edge span opens before the adjacency edit, which
+            // belongs to the mutation: amortised O(degree), plus the
+            // clone on first divergence.
             Mutation::InsertEdge { from, to } => {
                 let span = fp_obs::span("engine.insert_edge");
-                reordered = match self.graph.make_owned().insert_edge(from, to) {
+                reordered = match self.graph.to_mut().insert_edge(from, to) {
                     Ok(reordered) => reordered,
                     Err(e) => unreachable!("validated edge insertion cannot fail: {e}"),
                 };
                 (
                     span,
-                    self.fwd.update_edge_head(self.graph.get(), to, Drift::Grow),
+                    self.fwd.update_edge_head(&self.graph, to, Drift::Grow),
                     self.update_backward_from_edge(from, Drift::Grow),
                 )
             }
             Mutation::RemoveEdge { from, to } => {
                 let span = fp_obs::span("engine.remove_edge");
-                let removed = self.graph.make_owned().remove_edge(from, to);
+                let removed = self.graph.to_mut().remove_edge(from, to);
                 debug_assert!(removed, "existence validated");
                 (
                     span,
-                    self.fwd
-                        .update_edge_head(self.graph.get(), to, Drift::Shrink),
+                    self.fwd.update_edge_head(&self.graph, to, Drift::Shrink),
                     self.update_backward_from_edge(from, Drift::Shrink),
                 )
             }
@@ -774,7 +755,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
             return ApplyOutcome::default();
         }
         let span = fp_obs::span("engine.remove_filter");
-        let (dropped, fwd) = self.fwd.clear_filters(self.graph.get());
+        let (dropped, fwd) = self.fwd.clear_filters(&self.graph);
         let bwd = self.reopen_gates(&dropped);
         self.observe(span.arg("filters", dropped.len() as i64), fwd, bwd);
         ApplyOutcome {
@@ -791,7 +772,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// dropped position re-sums every ancestor after all of its
     /// children — including a dropped node below another.
     fn reopen_gates(&mut self, dropped: &[NodeId]) -> (usize, bool) {
-        let cg = self.graph.get();
+        let cg = &*self.graph;
         // As in `update_backward`: the source's gate stays shut, and a
         // zero suffix (no children) changes no parent's sum.
         let reopened = || {
@@ -853,7 +834,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// guarantees each ancestor is recomputed once, after all of its
     /// updated children.
     fn update_backward(&mut self, v: NodeId, drift: Drift) -> (usize, bool) {
-        let cg = self.graph.get();
+        let cg = &*self.graph;
         // The source is already gated out of every parent's sum, and a
         // gate flip on a zero suffix changes nothing.
         if v == cg.source() || self.suffix[v.index()].is_zero() {
@@ -871,7 +852,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// re-summed before the upstream walk starts. Ancestors react only
     /// if `u` itself passes their gate.
     fn update_backward_from_edge(&mut self, u: NodeId, drift: Drift) -> (usize, bool) {
-        let cg = self.graph.get();
+        let cg = &*self.graph;
         let csr = cg.csr();
         let one = C::one();
         let mut s = C::zero();
@@ -914,7 +895,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// reverse topological order), checking the drift invariant on
     /// every re-summed suffix.
     fn drain_backward(&mut self, drift: Drift) -> (usize, bool) {
-        let cg = self.graph.get();
+        let cg = &*self.graph;
         let source = cg.source();
         let csr = cg.csr();
         let topo = cg.topo();
@@ -1061,7 +1042,7 @@ impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
         // `v`'s own reception must be final before its emission flips.
         self.settle_through(Some(v));
         let engine = self.engine.borrow_mut();
-        engine.fwd.flip(engine.graph.get(), v, Drift::Shrink);
+        engine.fwd.flip(&engine.graph, v, Drift::Shrink);
         // `v` no longer passes the gate its parents apply.
         engine.gated[v.index()] = C::zero();
         engine.metrics.inserts.inc();
@@ -1074,7 +1055,7 @@ impl<'a, C: Count, E: BorrowMut<ImpactEngine<'a, C>>> DeferredEngine<'a, C, E> {
     /// (`None`: to the end), and hand out the engine.
     fn settle_through(&mut self, v: Option<NodeId>) -> &ImpactEngine<'a, C> {
         let engine = self.engine.borrow_mut();
-        let cg = engine.graph.get();
+        let cg = &*engine.graph;
         let through = v.map_or(usize::MAX, |v| cg.topo_position(v));
         let (nodes, dense) = engine.fwd.settle_through(cg, through, Drift::Shrink);
         self.unreported.walked.0 += nodes;
