@@ -2,8 +2,10 @@
 
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
-use fp_propagation::{CGraph, DeferredEngine, FilterSet, ImpactEngine, ObjectiveCache};
+use fp_propagation::{
+    unfiltered_engine, CGraph, DeferredEngine, FilterSet, ImpactEngine, ObjectiveCache,
+    UnfilteredEngine,
+};
 use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -170,12 +172,11 @@ pub(crate) struct CelfSession<'a, C: Count> {
 }
 
 impl<'a, C: Count> CelfSession<'a, C> {
-    fn new(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
-        let denominators = ObjectiveCache::from_forward(cg, &fwd);
+    fn new(engine: ImpactEngine<'a, C>, denominators: ObjectiveCache<C>) -> Self {
         let phi_empty = denominators.phi_empty();
         let phi = (!phi_empty.is_saturated()).then(|| phi_empty.clone());
         Self {
-            celf: Celf::new(DeferredEngine::new(ImpactEngine::from_forward(cg, fwd))),
+            celf: Celf::new(DeferredEngine::new(engine)),
             denominators,
             phi,
         }
@@ -211,8 +212,12 @@ impl<C: Count> SolverSession for CelfSession<'_, C> {
 
 /// The Greedy_All session on `cg` for a solver declared at `C`.
 pub(crate) fn celf_session<'a, C: Count>(cg: &'a CGraph) -> Box<dyn SolverSession + 'a> {
-    match unfiltered_forward::<C>(cg) {
-        Forward::U64(fwd) => Box::new(CelfSession::new(cg, fwd)),
-        Forward::Declared(fwd) => Box::new(CelfSession::new(cg, fwd)),
+    match unfiltered_engine::<C>(cg) {
+        UnfilteredEngine::U64((engine, denominators)) => {
+            Box::new(CelfSession::new(engine, denominators))
+        }
+        UnfilteredEngine::Declared((engine, denominators)) => {
+            Box::new(CelfSession::new(engine, denominators))
+        }
     }
 }

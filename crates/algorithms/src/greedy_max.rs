@@ -3,8 +3,10 @@
 use crate::{top_k_by_count, FrCache, RankedSession, Solver, SolverSession};
 use fp_graph::NodeId;
 use fp_num::Count;
-use fp_propagation::incremental::{unfiltered_forward, Forward, IncrementalPropagation};
-use fp_propagation::{impacts, CGraph, FilterSet, ImpactEngine};
+use fp_propagation::incremental::{Forward, IncrementalPropagation};
+use fp_propagation::{
+    impacts, unfiltered_engine, CGraph, FilterSet, ImpactEngine, ObjectiveCache, UnfilteredEngine,
+};
 
 /// Greedy_Max (§4.2 "computational speedups"): compute the impact
 /// `I(v) = (Prefix(v) − 1) × Suffix(v)` of every node *once* (no
@@ -49,21 +51,22 @@ impl<C: Count> Default for GreedyMax<C> {
 
 impl<C: Count> Solver for GreedyMax<C> {
     fn session<'a>(&'a self, cg: &'a CGraph, _seed: u64) -> Box<dyn SolverSession + 'a> {
-        let (ranked, fwd) = match unfiltered_forward::<C>(cg) {
-            Forward::U64(fwd) => {
-                let (ranked, fwd) = rank(cg, fwd);
-                (ranked, Forward::U64(fwd))
+        let (ranked, fr) = match unfiltered_engine::<C>(cg) {
+            UnfilteredEngine::U64((engine, denominators)) => {
+                let (ranked, fwd) = rank(engine);
+                let fr =
+                    FrCache::with_kernel(Forward::U64(fwd), ObjectiveCache::widen(&denominators));
+                (ranked, fr)
             }
-            Forward::Declared(fwd) => {
-                let (ranked, fwd) = rank(cg, fwd);
-                (ranked, Forward::Declared(fwd))
+            UnfilteredEngine::Declared((engine, denominators)) => {
+                let (ranked, fwd) = rank(engine);
+                (
+                    ranked,
+                    FrCache::with_kernel(Forward::Declared(fwd), denominators),
+                )
             }
         };
-        Box::new(RankedSession::with_fr(
-            cg,
-            ranked,
-            FrCache::from_forward(cg, fwd),
-        ))
+        Box::new(RankedSession::with_fr(cg, ranked, fr))
     }
 }
 
@@ -72,14 +75,10 @@ impl<C: Count> Solver for GreedyMax<C> {
 /// positive candidate once makes each prefix the solver's top-k
 /// placement. The unfiltered kernel comes back for the session's FR
 /// reads.
-fn rank<C: Count>(
-    cg: &CGraph,
-    fwd: IncrementalPropagation<C>,
-) -> (Vec<NodeId>, IncrementalPropagation<C>) {
-    let engine = ImpactEngine::from_forward(cg, fwd);
+fn rank<C: Count>(engine: ImpactEngine<'_, C>) -> (Vec<NodeId>, IncrementalPropagation<C>) {
     let mut scores = Vec::new();
     engine.impacts_into(&mut scores);
-    let ranked = top_k_by_count(&scores, cg.node_count())
+    let ranked = top_k_by_count(&scores, scores.len())
         .into_iter()
         .map(NodeId::new)
         .collect();

@@ -59,12 +59,10 @@ impl<C: Count> FrCache<C> {
     }
 
     /// A cache around an unfiltered kernel the session already built
-    /// (Greedy_Max ranks off one), so no read runs a pass to build it.
-    ///
-    /// # Panics
-    /// Panics if the kernel holds any filter.
-    pub fn from_forward(cg: &CGraph, fwd: Forward<C>) -> Self {
-        let denominators = ObjectiveCache::from_unfiltered(cg, &fwd);
+    /// and the denominators of its init (Greedy_Max ranks off an
+    /// engine's), so no read runs a pass to build it. The kernel must
+    /// hold no filter.
+    pub fn with_kernel(fwd: Forward<C>, denominators: ObjectiveCache<C>) -> Self {
         Self {
             kernel: Some((fwd, denominators)),
         }

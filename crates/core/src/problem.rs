@@ -4,9 +4,18 @@ use fp_algorithms::{acyclic, solve_ladder_with, SolverKind};
 use fp_graph::{DiGraph, GraphError, NodeId};
 use fp_num::Wide128;
 use fp_propagation::{CGraph, FilterSet, ObjectiveCache};
+use std::sync::OnceLock;
 
 /// A Filter Placement instance: a c-graph plus the cached objective
 /// denominators, ready to be solved by any [`SolverKind`].
+///
+/// The denominators (`Φ(∅,V)`, `F(V)`) cost one forward pass, run on
+/// the first call that reads them — [`Problem::filter_ratio`],
+/// [`Problem::f_value`], [`Problem::phi_empty`] or [`Problem::f_all`] —
+/// and kept for the problem's life. Building a problem runs no pass,
+/// and a problem only solved (solver sessions read FR off their own
+/// kernels) never runs it. Threads that race on the first read all
+/// wait for the one pass and read the same pair.
 ///
 /// Cyclic inputs are handled the way the paper prescribes (§4.3): a
 /// maximal connected acyclic subgraph rooted at the source is extracted
@@ -19,7 +28,7 @@ use fp_propagation::{CGraph, FilterSet, ObjectiveCache};
 /// the same bits ([`fp_num::Count::NARROWS_TO_U64`]).
 pub struct Problem {
     cg: CGraph,
-    cache: ObjectiveCache<Wide128>,
+    cache: OnceLock<ObjectiveCache<Wide128>>,
     was_cyclic: bool,
 }
 
@@ -40,10 +49,9 @@ impl Problem {
             }
             Err(e) => return Err(e),
         };
-        let cache = ObjectiveCache::new(&cg);
         Ok(Self {
             cg,
-            cache,
+            cache: OnceLock::new(),
             was_cyclic,
         })
     }
@@ -56,10 +64,9 @@ impl Problem {
     /// c-graph is acyclic by construction, so no Acyclic extraction
     /// runs and `was_cyclic` is `false`.
     pub fn from_cgraph(cg: CGraph) -> Self {
-        let cache = ObjectiveCache::new(&cg);
         Self {
             cg,
-            cache,
+            cache: OnceLock::new(),
             was_cyclic: false,
         }
     }
@@ -109,25 +116,30 @@ impl Problem {
         solve_ladder_with(solver.as_ref(), &self.cg, ks, seed)
     }
 
+    /// The FR denominators, filled by one forward pass on first use.
+    fn cache(&self) -> &ObjectiveCache<Wide128> {
+        self.cache.get_or_init(|| ObjectiveCache::new(&self.cg))
+    }
+
     /// `F(A)` for a placement.
     pub fn f_value(&self, filters: &FilterSet) -> Wide128 {
-        self.cache.f_of(&self.cg, filters)
+        self.cache().f_of(&self.cg, filters)
     }
 
     /// The paper's Filter Ratio `FR(A) = F(A)/F(V)` (1.0 = all
     /// removable redundancy removed).
     pub fn filter_ratio(&self, filters: &FilterSet) -> f64 {
-        self.cache.filter_ratio(&self.cg, filters)
+        self.cache().filter_ratio(&self.cg, filters)
     }
 
     /// `Φ(∅, V)`: total receptions with no filters.
     pub fn phi_empty(&self) -> &Wide128 {
-        self.cache.phi_empty()
+        self.cache().phi_empty()
     }
 
     /// `F(V)`: the maximum removable redundancy.
     pub fn f_all(&self) -> &Wide128 {
-        self.cache.f_all()
+        self.cache().f_all()
     }
 }
 

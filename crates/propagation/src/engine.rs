@@ -23,6 +23,11 @@
 //! frontier passes carry that direction so the monotonicity invariants
 //! stay checkable per mutation (DESIGN.md §8, §12).
 //!
+//! An engine starts with one full sweep per direction. Neither reads
+//! the other, so on a graph of at least [`INIT_HELPER_MIN_EDGES`] edges
+//! the backward sweep runs on a helper thread beside the forward one
+//! ([`unfiltered_engine`] also reads the FR denominators meanwhile).
+//!
 //! Both frontiers are bounded by the affected span and stop early when
 //! changes die out, so a greedy round after the first costs
 //! O(n + affected ∪ ancestors-of-pick) instead of O(|E|), with **zero
@@ -47,26 +52,87 @@
 //! rebuild on the mutated graph. `impacts()` stays around as the
 //! oracle; the engine is the hot path.
 
-use crate::incremental::IncrementalPropagation;
-use crate::{CGraph, FilterSet};
+use crate::incremental::{narrowing, IncrementalPropagation, Narrowing};
+use crate::{CGraph, FilterSet, ObjectiveCache};
 use fp_graph::NodeId;
-use fp_num::Count;
+use fp_num::{Count, Sat64};
 use std::borrow::{BorrowMut, Cow};
 use std::marker::PhantomData;
 
+/// Edge count from which an engine's cold start runs its backward sweep
+/// on a helper thread beside the forward one. Below it the spawn would
+/// eat much of what the overlap saves, and every citation-sized graph
+/// (~36k edges), which sweeps already run one job per core on, stays on
+/// one thread (DESIGN.md §8).
+pub const INIT_HELPER_MIN_EDGES: usize = 1 << 17;
+
+/// Whether an engine start on `cg` uses a helper thread: the graph is
+/// large enough, and the process may use a second CPU.
+fn init_helper(cg: &CGraph) -> bool {
+    cg.edge_count() >= INIT_HELPER_MIN_EDGES
+        && std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > 1)
+}
+
+/// An unfiltered engine with the FR denominators of its init, at the
+/// counter a solve declared at `C` runs at.
+pub type UnfilteredEngine<'a, C> = Narrowing<
+    (ImpactEngine<'a, Sat64>, ObjectiveCache<Sat64>),
+    (ImpactEngine<'a, C>, ObjectiveCache<C>),
+>;
+
+/// The unfiltered engine of a solve declared at `C` on `cg`, and the
+/// FR denominators (`Φ(∅,V)`, `F(V)`) read off its forward sweep while
+/// the backward one may still run: the engine-backed sibling of
+/// [`crate::incremental::unfiltered_forward`], picking the counter by
+/// the same rule and moving `fp_engine_u64_fallbacks_total` and
+/// `fp_count_saturated_total` exactly as it does. A `u64` start whose
+/// `Φ(∅,V)` saturates is abandoned after its forward sweep.
+pub fn unfiltered_engine<C: Count>(cg: &CGraph) -> UnfilteredEngine<'_, C> {
+    unfiltered_engine_on(cg, init_helper(cg))
+}
+
+/// [`unfiltered_engine`] with the helper thread forced on or off.
+fn unfiltered_engine_on<C: Count>(cg: &CGraph, helper: bool) -> UnfilteredEngine<'_, C> {
+    let empty = || FilterSet::empty(cg.node_count());
+    narrowing::<C, _, _>(
+        || {
+            ImpactEngine::<Sat64>::cold_start(Cow::Borrowed(cg), empty(), helper, |fwd| {
+                (!fwd.phi().is_saturated()).then(|| ObjectiveCache::from_forward(cg, fwd))
+            })
+        },
+        || {
+            let started =
+                ImpactEngine::<C>::cold_start(Cow::Borrowed(cg), empty(), helper, |fwd| {
+                    Some(ObjectiveCache::from_forward(cg, fwd))
+                })
+                .expect("a start that keeps its forward sweep returns the engine");
+            let saturated = started.1.phi_empty().is_saturated();
+            (started, saturated)
+        },
+    )
+}
+
 /// One reverse-topological sweep filling `suffix` and its gated shadow
-/// together. Same op order as [`crate::suffix_sensitivity_into`] with
-/// the per-edge gate replaced by a read of the (already final) child's
-/// gated entry — adding zero where the oracle skips an add, so the
-/// results are bit-identical, branch-free, and need no second pass.
-fn init_suffix_gated<C: Count>(cg: &CGraph, filters: &FilterSet) -> (Vec<C>, Vec<C>) {
+/// together, within the capacity the caller reserved (so a helper
+/// thread running it allocates nothing). Same op order as
+/// [`crate::suffix_sensitivity_into`] with the per-edge gate replaced by
+/// a read of the (already final) child's gated entry — adding zero
+/// where the oracle skips an add, so the results are bit-identical,
+/// branch-free, and need no second pass. Traced as
+/// `engine.init.backward` on whichever thread runs it, with arg
+/// `helper` 1 on the helper thread.
+fn init_suffix_gated<C: Count>(
+    cg: &CGraph,
+    filters: &FilterSet,
+    (suffix, gated): (&mut Vec<C>, &mut Vec<C>),
+    helper: bool,
+) {
+    let _span = fp_obs::span("engine.init.backward").arg("helper", i64::from(helper));
     let n = cg.node_count();
     let csr = cg.csr();
     let source = cg.source();
     let one = C::one();
-    let mut suffix = Vec::new();
     suffix.resize_with(n, C::zero);
-    let mut gated = Vec::new();
     gated.resize_with(n, C::zero);
     for &v in cg.topo().iter().rev() {
         let mut s = C::zero();
@@ -79,7 +145,6 @@ fn init_suffix_gated<C: Count>(cg: &CGraph, filters: &FilterSet) -> (Vec<C>, Vec
         }
         suffix[v.index()] = s;
     }
-    (suffix, gated)
 }
 
 /// A reusable dirty frontier: a flag per node plus a cursor walking the
@@ -517,17 +582,10 @@ pub struct ImpactEngine<'a, C> {
 
 impl<'a, C: Count> ImpactEngine<'a, C> {
     /// Initialize from an existing filter set: one forward and one
-    /// backward O(|E|) sweep.
+    /// backward O(|E|) sweep, side by side on a graph of at least
+    /// [`INIT_HELPER_MIN_EDGES`] edges.
     pub fn new(cg: &'a CGraph, filters: FilterSet) -> Self {
-        Self::from_forward(cg, IncrementalPropagation::new(cg, filters))
-    }
-
-    /// Like [`ImpactEngine::new`], around a forward kernel already
-    /// built on `cg` (and holding its filter set): only the backward
-    /// sweep runs. This is how a solver that sized its counter from a
-    /// forward pass keeps that pass as the engine's forward half.
-    pub fn from_forward(cg: &'a CGraph, fwd: IncrementalPropagation<C>) -> Self {
-        Self::init(Cow::Borrowed(cg), fwd)
+        Self::start(Cow::Borrowed(cg), filters)
     }
 
     /// Like [`ImpactEngine::new`], but taking ownership of the graph:
@@ -535,24 +593,90 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     /// borrow (what long-lived stream drivers need) and structural
     /// mutations never clone.
     pub fn from_owned(cg: CGraph, filters: FilterSet) -> ImpactEngine<'static, C> {
-        let fwd = IncrementalPropagation::new(&cg, filters);
-        ImpactEngine::init(Cow::Owned(cg), fwd)
+        ImpactEngine::start(Cow::Owned(cg), filters)
     }
 
-    /// The shared cold-start around a built forward kernel: the
-    /// backward O(|E|) sweep.
-    fn init(graph: Cow<'a, CGraph>, fwd: IncrementalPropagation<C>) -> Self {
+    fn start(graph: Cow<'a, CGraph>, filters: FilterSet) -> Self {
+        let helper = init_helper(&graph);
+        let (engine, ()) = Self::cold_start(graph, filters, helper, |_| Some(()))
+            .expect("a start that keeps its forward sweep returns the engine");
+        engine
+    }
+
+    /// The one cold start of every engine (DESIGN.md §8). The forward
+    /// sweep runs on the calling thread, then `after_forward` reads the
+    /// kernel there. With `helper`, the backward sweep runs beside both
+    /// on a scoped helper thread; without it, or when the OS refuses the
+    /// thread (counted in `fp_engine_init_spawn_refused_total`), it runs
+    /// inline afterwards, unless `after_forward` answered `None` and so
+    /// abandoned the start. Both sweeps stay sequential loops, so no
+    /// bit depends on where they ran. A helper's buffers are reserved
+    /// here before the spawn and only filled by the helper, which thus
+    /// allocates nothing (untraced) and keeps every byte in the main
+    /// malloc arena. An inline start enters no thread scope and
+    /// allocates the forward arrays first: a scope entered on every
+    /// start, or the backward buffers reserved first, each measured
+    /// 10–15 % slower edge events on a citation-sized engine, whose
+    /// events never touch the init (heap placement alone moved).
+    fn cold_start<T>(
+        graph: Cow<'a, CGraph>,
+        filters: FilterSet,
+        helper: bool,
+        after_forward: impl FnOnce(&IncrementalPropagation<C>) -> Option<T>,
+    ) -> Option<(Self, T)> {
+        // Looked up before the first init so `/metrics` lists it at zero.
+        let refused = fp_obs::counter("fp_engine_init_spawn_refused_total");
         let cg = &*graph;
-        let (suffix, gated) = init_suffix_gated(cg, fwd.filters());
-        let backward = DirtyFrontier::new(cg.node_count());
-        Self {
+        let n = cg.node_count();
+        let forward = |filters| {
+            let _span = fp_obs::span("engine.init.forward");
+            IncrementalPropagation::new(cg, filters)
+        };
+        let (mut suffix, mut gated) = (Vec::new(), Vec::new());
+        let (fwd, kept, inline) = if helper {
+            std::thread::scope(|scope| {
+                // The helper's own copy: the kernel takes `filters`.
+                let gate = filters.clone();
+                suffix.reserve_exact(n);
+                gated.reserve_exact(n);
+                let buffers = (&mut suffix, &mut gated);
+                let spawned = std::thread::Builder::new()
+                    .name("fp-engine-init".into())
+                    .spawn_scoped(scope, move || init_suffix_gated(cg, &gate, buffers, true));
+                let fwd = forward(filters);
+                let kept = after_forward(&fwd);
+                let inline = match spawned {
+                    Ok(backward) => {
+                        if let Err(panic) = backward.join() {
+                            std::panic::resume_unwind(panic);
+                        }
+                        false
+                    }
+                    Err(_) => {
+                        refused.inc();
+                        true
+                    }
+                };
+                (fwd, kept, inline)
+            })
+        } else {
+            let fwd = forward(filters);
+            let kept = after_forward(&fwd);
+            (fwd, kept, true)
+        };
+        let kept = kept?;
+        if inline {
+            init_suffix_gated(cg, fwd.filters(), (&mut suffix, &mut gated), false);
+        }
+        let engine = Self {
+            backward: DirtyFrontier::new(n),
             graph,
             fwd,
             suffix,
             gated,
-            backward,
             metrics: EngineMetrics::default(),
-        }
+        };
+        Some((engine, kept))
     }
 
     /// The graph being solved. After a structural mutation this is the
@@ -578,9 +702,8 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
         self.fwd.into_filters()
     }
 
-    /// Surrender the forward half, dropping the suffix side: the
-    /// inverse of [`ImpactEngine::from_forward`], for a caller done
-    /// with impacts that still reads receptions and `Φ`.
+    /// Surrender the forward half, dropping the suffix side, for a
+    /// caller done with impacts that still reads receptions and `Φ`.
     pub fn into_forward(self) -> IncrementalPropagation<C> {
         self.fwd
     }
@@ -1139,6 +1262,112 @@ mod tests {
             phi_total::<C>(cg, engine.filters()),
             "{tag}: phi"
         );
+    }
+
+    /// `diamonds` diamonds in a chain from node 0: `2^diamonds` paths
+    /// reach the last node.
+    fn diamond_chain(diamonds: usize) -> CGraph {
+        let edges = (0..diamonds).flat_map(|i| {
+            let (top, bottom) = (3 * i, 3 * i + 3);
+            [
+                (top, top + 1),
+                (top, top + 2),
+                (top + 1, bottom),
+                (top + 2, bottom),
+            ]
+        });
+        let g = DiGraph::from_pairs(3 * diamonds + 1, edges).unwrap();
+        CGraph::new(&g, NodeId::new(0)).unwrap()
+    }
+
+    /// A random DAG on 40 nodes: each forward pair `i → j` is an edge
+    /// with probability ~1/6.
+    fn random_dag(seed: u64) -> CGraph {
+        let n = 40;
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state % 6 == 0 {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        CGraph::new(&DiGraph::from_pairs(n, pairs).unwrap(), NodeId::new(0)).unwrap()
+    }
+
+    /// Every score and `Φ` of two engines, bit for bit.
+    fn assert_engines_equal<C: Count>(a: &ImpactEngine<C>, b: &ImpactEngine<C>, tag: &str) {
+        assert_eq!(a.filters().nodes(), b.filters().nodes(), "{tag}: filters");
+        for v in a.cgraph().nodes() {
+            assert_eq!(a.received(v), b.received(v), "{tag}: recv {v:?}");
+            assert_eq!(a.emitted(v), b.emitted(v), "{tag}: emit {v:?}");
+            assert_eq!(a.suffix(v), b.suffix(v), "{tag}: suffix {v:?}");
+            assert_eq!(a.impact(v), b.impact(v), "{tag}: impact {v:?}");
+        }
+        assert_eq!(a.phi(), b.phi(), "{tag}: phi");
+    }
+
+    /// The inline start against the oracle and the helper start against
+    /// the inline one, right after the start and after each of three
+    /// inserts.
+    fn assert_starts_agree<C: Count>(
+        (mut inline, inline_pair): (ImpactEngine<C>, ObjectiveCache<C>),
+        (mut helper, helper_pair): (ImpactEngine<C>, ObjectiveCache<C>),
+        tag: &str,
+    ) {
+        assert_eq!(inline_pair.phi_empty(), helper_pair.phi_empty(), "{tag}");
+        assert_eq!(inline_pair.f_all(), helper_pair.f_all(), "{tag}");
+        assert_matches_oracle(&inline, tag);
+        assert_engines_equal(&inline, &helper, tag);
+        let n = inline.cgraph().node_count();
+        for v in [n / 2, n / 3, n - 2].map(NodeId::new) {
+            assert_eq!(inline.insert_filter(v), helper.insert_filter(v));
+            assert_engines_equal(&inline, &helper, &format!("{tag}, after {v:?}"));
+        }
+    }
+
+    /// Start `cg`'s unfiltered engine at `C` inline, then with the
+    /// helper thread: the two starts must agree bit for bit and move
+    /// `(fallbacks, saturations)` by `moves` each.
+    fn cold_starts_agree<C: Count>(cg: &CGraph, moves: (u64, u64), tag: &str) {
+        let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
+        let saturated = fp_obs::counter("fp_count_saturated_total");
+        let read = || (fallbacks.get(), saturated.get());
+        let delta = |from: (u64, u64), to: (u64, u64)| (to.0 - from.0, to.1 - from.1);
+        let before = read();
+        let inline = unfiltered_engine_on::<C>(cg, false);
+        let between = read();
+        let helper = unfiltered_engine_on::<C>(cg, true);
+        assert_eq!(delta(before, between), moves, "{tag}: inline");
+        assert_eq!(delta(between, read()), moves, "{tag}: helper");
+        match (inline, helper) {
+            (Narrowing::U64(a), Narrowing::U64(b)) => assert_starts_agree(a, b, tag),
+            (Narrowing::Declared(a), Narrowing::Declared(b)) => assert_starts_agree(a, b, tag),
+            _ => panic!("{tag}: the two starts picked different counters"),
+        }
+    }
+
+    /// The helper path and the inline path of the cold start: random
+    /// DAGs, a chain where the `u64` start saturates and falls back, and
+    /// one past `2^128` paths. The only test of this binary that moves
+    /// the fallback and saturation counters, so their deltas are exact.
+    #[test]
+    fn helper_and_inline_cold_starts_are_bit_identical() {
+        for seed in 0..12 {
+            let cg = random_dag(seed);
+            cold_starts_agree::<Wide128>(&cg, (0, 0), &format!("random DAG {seed}"));
+            cold_starts_agree::<Sat64>(&cg, (0, 0), &format!("random DAG {seed}, Sat64"));
+        }
+        let deep = diamond_chain(70);
+        cold_starts_agree::<Wide128>(&deep, (1, 0), "70 diamonds");
+        cold_starts_agree::<Sat64>(&deep, (0, 1), "70 diamonds, Sat64");
+        let past_u128 = diamond_chain(130);
+        cold_starts_agree::<Wide128>(&past_u128, (1, 1), "130 diamonds");
+        cold_starts_agree::<fp_num::BigCount>(&past_u128, (0, 0), "130 diamonds, BigCount");
     }
 
     #[test]

@@ -350,20 +350,24 @@ impl<C: Count> IncrementalPropagation<C> {
     }
 }
 
-/// An unfiltered forward kernel, at the counter a solve declared at `C`
-/// runs at.
+/// What an unfiltered init built, at the counter its solve runs at: the
+/// one shape behind [`Forward`] and [`crate::UnfilteredEngine`].
 #[derive(Clone, Debug)]
-pub enum Forward<C> {
+pub enum Narrowing<N, D> {
     /// `Φ(∅,V)` fits `u64`, so every count of the solve does (see
     /// [`Count::NARROWS_TO_U64`]).
-    U64(IncrementalPropagation<Sat64>),
+    U64(N),
     /// The declared counter `C`.
-    Declared(IncrementalPropagation<C>),
+    Declared(D),
 }
 
+/// An unfiltered forward kernel, at the counter a solve declared at `C`
+/// runs at.
+pub type Forward<C> = Narrowing<IncrementalPropagation<Sat64>, IncrementalPropagation<C>>;
+
 /// The unfiltered forward kernel of a solve declared at `C`: the one
-/// narrowing rule the engine-backed solvers and [`crate::ObjectiveCache`]
-/// share.
+/// narrowing rule the engine-backed solvers
+/// ([`crate::unfiltered_engine`]) and [`crate::ObjectiveCache`] share.
 ///
 /// A counter that narrows ([`Count::NARROWS_TO_U64`]) first runs the
 /// pass in `u64`: unsaturated, that kernel is the solve's; saturated,
@@ -373,22 +377,41 @@ pub enum Forward<C> {
 /// `fp_count_saturated_total`: its counts are clamped, not exact.
 pub fn unfiltered_forward<C: Count>(cg: &CGraph) -> Forward<C> {
     let empty = || FilterSet::empty(cg.node_count());
+    narrowing::<C, _, _>(
+        || {
+            Some(IncrementalPropagation::<Sat64>::new(cg, empty()))
+                .filter(|f| !f.phi().is_saturated())
+        },
+        || {
+            let fwd = IncrementalPropagation::<C>::new(cg, empty());
+            let saturated = fwd.phi().is_saturated();
+            (fwd, saturated)
+        },
+    )
+}
+
+/// The rule [`unfiltered_forward`] states, for any build: `narrow`
+/// builds in `u64` and answers `None` once its `Φ(∅,V)` saturates;
+/// `declared` builds at `C` and reports whether its `Φ(∅,V)` saturated.
+pub(crate) fn narrowing<C: Count, N, D>(
+    narrow: impl FnOnce() -> Option<N>,
+    declared: impl FnOnce() -> (D, bool),
+) -> Narrowing<N, D> {
     // Looked up before the pass so `/metrics` lists them from the first
     // solve on, at zero until a fallback or a saturation.
     let saturated = fp_obs::counter("fp_count_saturated_total");
     if C::NARROWS_TO_U64 {
         let fallbacks = fp_obs::counter("fp_engine_u64_fallbacks_total");
-        let fwd = IncrementalPropagation::<Sat64>::new(cg, empty());
-        if !fwd.phi().is_saturated() {
-            return Forward::U64(fwd);
+        if let Some(built) = narrow() {
+            return Narrowing::U64(built);
         }
         fallbacks.inc();
     }
-    let fwd = IncrementalPropagation::<C>::new(cg, empty());
-    if fwd.phi().is_saturated() {
+    let (built, clamped) = declared();
+    if clamped {
         saturated.inc();
     }
-    Forward::Declared(fwd)
+    Narrowing::Declared(built)
 }
 
 #[cfg(test)]

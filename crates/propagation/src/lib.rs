@@ -54,7 +54,10 @@ pub mod simulate;
 mod suffix;
 
 pub use cgraph::CGraph;
-pub use engine::{ApplyOutcome, DeferredEngine, ImpactEngine, Mutation, MutationError};
+pub use engine::{
+    unfiltered_engine, ApplyOutcome, DeferredEngine, ImpactEngine, Mutation, MutationError,
+    UnfilteredEngine, INIT_HELPER_MIN_EDGES,
+};
 pub use filter_set::FilterSet;
 pub use impact::impacts;
 pub use objective::{f_value, filter_ratio, phi_per_node, phi_total, ObjectiveCache};

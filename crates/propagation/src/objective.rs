@@ -73,14 +73,17 @@ impl<C: Count> ObjectiveCache<C> {
     /// Panics if the kernel holds any filter.
     pub fn from_unfiltered(cg: &CGraph, fwd: &Forward<C>) -> Self {
         match fwd {
-            Forward::U64(fwd) => {
-                let narrow = ObjectiveCache::from_forward(cg, fwd);
-                Self {
-                    phi_empty: C::from_u64(narrow.phi_empty.get()),
-                    f_all: C::from_u64(narrow.f_all.get()),
-                }
-            }
+            Forward::U64(fwd) => Self::widen(&ObjectiveCache::from_forward(cg, fwd)),
             Forward::Declared(fwd) => Self::from_forward(cg, fwd),
+        }
+    }
+
+    /// A `u64` kernel's pair, widened to `C`: exact, since it was read
+    /// off a kernel whose `Φ(∅,V)` did not saturate.
+    pub fn widen(narrow: &ObjectiveCache<Sat64>) -> Self {
+        Self {
+            phi_empty: C::from_u64(narrow.phi_empty.get()),
+            f_all: C::from_u64(narrow.f_all.get()),
         }
     }
 

@@ -24,16 +24,21 @@
 //! * an `OnlinePlacement` replaying `mutation_stream` repairs onto
 //!   Greedy_All's full-recompute placement of the current graph, with
 //!   the outcomes, stats and drift bits of the drop-then-argmax loop
-//!   its repairs replaced.
+//!   its repairs replaced;
+//! * on a power-law graph past `INIT_HELPER_MIN_EDGES`, whose engines
+//!   start their backward sweep on a helper thread wherever a second
+//!   CPU is available, the Greedy_All and Greedy_Max ladders place as
+//!   their oracles do, with `Problem::filter_ratio`'s FR bits.
 
 use fp_core::algorithms::{GreedyAll, MultiGreedy, Solver};
-use fp_core::datasets::erdos_renyi;
+use fp_core::datasets::{erdos_renyi, power_law};
 use fp_core::num::Sat64;
 use fp_core::online::{mutation_stream, EventOutcome, OnlineConfig, OnlinePlacement, OnlineStats};
 use fp_core::prelude::*;
 use fp_core::propagation::incremental::IncrementalPropagation;
 use fp_core::propagation::{
     impacts, phi_total, propagate, suffix_sensitivity, DeferredEngine, ImpactEngine, Mutation,
+    INIT_HELPER_MIN_EDGES,
 };
 use proptest::prelude::*;
 
@@ -695,5 +700,33 @@ proptest! {
         let session = GreedyAll::<Wide128>::new().place(&cg, k, 0);
         prop_assert_eq!(session.nodes(), eager_oracle.nodes());
         prop_assert_eq!(session.nodes(), lazy_oracle.nodes());
+    }
+}
+
+#[test]
+fn ladders_past_the_helper_threshold_match_the_oracles() {
+    let (g, s) = power_law::generate(&power_law::PowerLawParams {
+        nodes: 50_000,
+        mean_degree: 3,
+        seed: 7,
+    });
+    let problem = Problem::new(&g, s).unwrap();
+    let cg = problem.cgraph();
+    assert!(
+        cg.edge_count() >= INIT_HELPER_MIN_EDGES,
+        "{} edges",
+        cg.edge_count()
+    );
+    let ks: Vec<usize> = (0..=5).collect();
+    for kind in [SolverKind::GreedyAll, SolverKind::GreedyMax] {
+        for (k, placement, fr) in problem.solve_ladder(kind, &ks, 0) {
+            let oracle = kind.place_oracle::<Wide128>(cg, k, 0);
+            assert_eq!(placement.nodes(), oracle.nodes(), "{kind:?} k={k}");
+            assert_eq!(
+                fr.to_bits(),
+                problem.filter_ratio(&oracle).to_bits(),
+                "{kind:?} k={k}"
+            );
+        }
     }
 }
