@@ -24,9 +24,10 @@
 //! stay checkable per mutation (DESIGN.md §8, §12).
 //!
 //! An engine starts with one full sweep per direction. Neither reads
-//! the other, so on a graph of at least [`INIT_HELPER_MIN_EDGES`] edges
-//! the backward sweep runs on a helper thread beside the forward one
-//! ([`unfiltered_engine`] also reads the FR denominators meanwhile).
+//! the other, so on a graph of at least [`INIT_HELPER_MIN_EDGES`] edges,
+//! while a CPU is free ([`hold_cpu`]), the backward sweep runs on a
+//! helper thread beside the forward one ([`unfiltered_engine`] also
+//! reads the FR denominators meanwhile).
 //!
 //! Both frontiers are bounded by the affected span and stop early when
 //! changes die out, so a greedy round after the first costs
@@ -57,20 +58,81 @@ use crate::{CGraph, FilterSet, ObjectiveCache};
 use fp_graph::NodeId;
 use fp_num::{Count, Sat64};
 use std::borrow::{BorrowMut, Cow};
+use std::cell::Cell;
 use std::marker::PhantomData;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Edge count from which an engine's cold start runs its backward sweep
-/// on a helper thread beside the forward one. Below it the spawn would
-/// eat much of what the overlap saves, and every citation-sized graph
-/// (~36k edges), which sweeps already run one job per core on, stays on
-/// one thread (DESIGN.md §8).
+/// Edge count from which an engine's cold start may run its backward
+/// sweep on a helper thread beside the forward one, while a CPU is free
+/// (see [`hold_cpu`]). Measured on power-law graphs on 2 vCPUs: beside
+/// an idle CPU a helper start takes 0.53–0.70× the inline time from
+/// 48k edges up and breaks even between 6k and 12k; on a CPU that is
+/// busy after all (with a thread no hold counts) it takes 1.10–1.68×
+/// up to 96k edges but 0.87–1.12× from 192k up. From this size on a
+/// miscounted CPU costs a start little (DESIGN.md §8).
 pub const INIT_HELPER_MIN_EDGES: usize = 1 << 17;
 
-/// Whether an engine start on `cg` uses a helper thread: the graph is
-/// large enough, and the process may use a second CPU.
-fn init_helper(cg: &CGraph) -> bool {
-    cg.edge_count() >= INIT_HELPER_MIN_EDGES
-        && std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > 1)
+/// CPUs held by threads of this process that run solver work: runner
+/// workers through [`hold_cpu`], and each large engine start for its
+/// calling thread and its helper.
+static CPUS_HELD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread's CPU is counted in [`CPUS_HELD`].
+    static HOLDS_CPU: Cell<bool> = const { Cell::new(false) };
+}
+
+/// CPUs counted busy with solver work until this drops, on the thread
+/// that took it (see [`hold_cpu`]).
+#[must_use = "the CPUs are released when the hold drops"]
+pub struct CpuHold {
+    cpus: usize,
+    thread: bool,
+    _unsend: PhantomData<*const ()>,
+}
+
+/// Count the calling thread's CPU as busy with solver work until the
+/// hold drops; a thread that already holds one holds nothing more. An
+/// engine start runs its helper thread only while the process has a
+/// CPU no thread holds, so a pool that keeps every core busy (a sweep's
+/// runner at one job per core) starts its engines inline rather than
+/// crowding a helper onto a CPU a sibling job is using.
+pub fn hold_cpu() -> CpuHold {
+    let thread = !HOLDS_CPU.replace(true);
+    CPUS_HELD.fetch_add(usize::from(thread), Ordering::Relaxed);
+    CpuHold {
+        cpus: usize::from(thread),
+        thread,
+        _unsend: PhantomData,
+    }
+}
+
+impl Drop for CpuHold {
+    fn drop(&mut self) {
+        CPUS_HELD.fetch_sub(self.cpus, Ordering::Relaxed);
+        if self.thread {
+            HOLDS_CPU.set(false);
+        }
+    }
+}
+
+/// Whether an engine start on `cg` runs a helper thread, and the CPUs
+/// the start holds meanwhile: on a graph of at least
+/// [`INIT_HELPER_MIN_EDGES`] edges the start holds its calling thread's
+/// CPU, plus the helper's when one of the process's CPUs is still free.
+fn init_helper(cg: &CGraph) -> (bool, Option<CpuHold>) {
+    if cg.edge_count() < INIT_HELPER_MIN_EDGES {
+        return (false, None);
+    }
+    let mut hold = hold_cpu();
+    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let free = |held: usize| (held < cpus).then_some(held + 1);
+    let helper = CPUS_HELD
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, free)
+        .is_ok();
+    hold.cpus += usize::from(helper);
+    (helper, Some(hold))
 }
 
 /// An unfiltered engine with the FR denominators of its init, at the
@@ -88,7 +150,8 @@ pub type UnfilteredEngine<'a, C> = Narrowing<
 /// `fp_count_saturated_total` exactly as it does. A `u64` start whose
 /// `Φ(∅,V)` saturates is abandoned after its forward sweep.
 pub fn unfiltered_engine<C: Count>(cg: &CGraph) -> UnfilteredEngine<'_, C> {
-    unfiltered_engine_on(cg, init_helper(cg))
+    let (helper, _cpus) = init_helper(cg);
+    unfiltered_engine_on(cg, helper)
 }
 
 /// [`unfiltered_engine`] with the helper thread forced on or off.
@@ -583,7 +646,7 @@ pub struct ImpactEngine<'a, C> {
 impl<'a, C: Count> ImpactEngine<'a, C> {
     /// Initialize from an existing filter set: one forward and one
     /// backward O(|E|) sweep, side by side on a graph of at least
-    /// [`INIT_HELPER_MIN_EDGES`] edges.
+    /// [`INIT_HELPER_MIN_EDGES`] edges while a CPU is free.
     pub fn new(cg: &'a CGraph, filters: FilterSet) -> Self {
         Self::start(Cow::Borrowed(cg), filters)
     }
@@ -597,7 +660,7 @@ impl<'a, C: Count> ImpactEngine<'a, C> {
     }
 
     fn start(graph: Cow<'a, CGraph>, filters: FilterSet) -> Self {
-        let helper = init_helper(&graph);
+        let (helper, _cpus) = init_helper(&graph);
         let (engine, ()) = Self::cold_start(graph, filters, helper, |_| Some(()))
             .expect("a start that keeps its forward sweep returns the engine");
         engine
@@ -1368,6 +1431,47 @@ mod tests {
         let past_u128 = diamond_chain(130);
         cold_starts_agree::<Wide128>(&past_u128, (1, 1), "130 diamonds");
         cold_starts_agree::<fp_num::BigCount>(&past_u128, (0, 0), "130 diamonds, BigCount");
+    }
+
+    /// A large start holds its thread's CPU and takes a helper only
+    /// while another CPU is free; a thread holds one CPU however often
+    /// it asks. The only test of this binary that holds CPUs, so the
+    /// counts are exact.
+    #[test]
+    fn a_large_start_takes_a_helper_only_while_a_cpu_is_free() {
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let held = || CPUS_HELD.load(Ordering::Relaxed);
+        let (helper, hold) = init_helper(&figure1());
+        assert!(!helper && hold.is_none(), "a small start holds nothing");
+        let big = diamond_chain(INIT_HELPER_MIN_EDGES / 4);
+        assert_eq!(big.edge_count(), INIT_HELPER_MIN_EDGES);
+        {
+            let (helper, _hold) = init_helper(&big);
+            assert_eq!(helper, cpus > 1);
+            assert_eq!(held(), 1 + usize::from(helper));
+        }
+        assert_eq!(held(), 0);
+
+        let worker = hold_cpu();
+        let again = hold_cpu();
+        assert_eq!(held(), 1, "a thread holds one CPU");
+        // Every other CPU busy, as in a runner at one job per core.
+        CPUS_HELD.fetch_add(cpus - 1, Ordering::Relaxed);
+        {
+            let (helper, _hold) = init_helper(&big);
+            assert!(!helper, "no CPU is free");
+            assert_eq!(held(), cpus);
+        }
+        CPUS_HELD.fetch_sub(cpus - 1, Ordering::Relaxed);
+        {
+            let (helper, _hold) = init_helper(&big);
+            assert_eq!(helper, cpus > 1, "the other CPUs are free again");
+            assert_eq!(held(), 1 + usize::from(helper));
+        }
+        drop(again);
+        assert_eq!(held(), 1);
+        drop(worker);
+        assert_eq!(held(), 0);
     }
 
     #[test]

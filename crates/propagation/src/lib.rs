@@ -55,8 +55,8 @@ mod suffix;
 
 pub use cgraph::CGraph;
 pub use engine::{
-    unfiltered_engine, ApplyOutcome, DeferredEngine, ImpactEngine, Mutation, MutationError,
-    UnfilteredEngine, INIT_HELPER_MIN_EDGES,
+    hold_cpu, unfiltered_engine, ApplyOutcome, CpuHold, DeferredEngine, ImpactEngine, Mutation,
+    MutationError, UnfilteredEngine, INIT_HELPER_MIN_EDGES,
 };
 pub use filter_set::FilterSet;
 pub use impact::impacts;

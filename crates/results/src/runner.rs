@@ -108,6 +108,9 @@ where
         let handles: Vec<_> = (0..jobs)
             .map(|w| {
                 scope.spawn(move || {
+                    // A worker keeps its CPU busy until the queues drain,
+                    // so engine starts see it taken (DESIGN.md §8).
+                    let _cpu = fp_propagation::hold_cpu();
                     let mut done: Vec<(usize, O)> = Vec::new();
                     loop {
                         if opts.deadline.is_some_and(|dl| Instant::now() >= dl) {
